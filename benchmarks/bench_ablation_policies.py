@@ -27,7 +27,7 @@ from repro.learning.baselines import (
     StaticPolicy,
 )
 from repro.learning.features import WorkloadBaseline
-from repro.core.actions import ActionSpace
+from repro.learning.actions import ActionSpace
 from repro.warehouse.account import Account
 from repro.warehouse.api import CloudWarehouseClient
 from repro.warehouse.config import WarehouseConfig

@@ -10,8 +10,7 @@ streaming baseline: the replay's history memo keys on list identity, which
 a stream invalidates on every row).
 
 Exactness is asserted in-bench before anything is timed — speed from a
-wrong answer would be worthless — and the sketch mode's per-row cost is
-recorded alongside.
+wrong answer would be worthless.
 
 Scale comes from ``REPRO_PERF_SCALE``: ``full`` (default, 10k-query window,
 floors asserted on machines with ≥2 usable cores) or ``smoke`` (1k, numbers
@@ -54,13 +53,12 @@ def test_incremental_replay(benchmark):
     feed = sorted(records, key=lambda r: r.end_time)
     warm, deltas = feed[:-N_DELTAS], feed[-N_DELTAS:]
 
-    def build_ledger(mode: str) -> IncrementalReplay:
+    def build_ledger() -> IncrementalReplay:
         ledger = IncrementalReplay(
             replay.latency_model,
             replay.gap_model,
             replay.cluster_predictor,
             window,
-            mode=mode,
         )
         for record in warm:
             ledger.observe(record)
@@ -68,15 +66,13 @@ def test_incremental_replay(benchmark):
 
     # Exactness first: the streamed ledger must equal a fresh full replay
     # bit for bit after the whole feed, or the timing below means nothing.
-    checked = build_ledger("exact")
+    checked = build_ledger()
     for record in deltas:
         checked.observe(record)
     assert checked.result(config) == checked.full_replay(config)
 
-    exact = build_ledger("exact")
+    exact = build_ledger()
     exact.result(config)  # warm the per-config folded state
-    sketch = build_ledger("sketch")
-    sketch.sketch(config)
 
     fresh = QueryReplay(
         replay.latency_model,
@@ -91,11 +87,6 @@ def test_incremental_replay(benchmark):
             exact.observe(record)
             exact.result(config)
 
-    def stream_sketch():
-        for record in deltas:
-            sketch.observe(record)
-            sketch.sketch(config)
-
     def stream_full():
         rows = base
         for record in deltas:
@@ -106,13 +97,11 @@ def test_incremental_replay(benchmark):
 
     def compare():
         t_inc = timeit.timeit(stream_incremental, number=1)
-        t_sk = timeit.timeit(stream_sketch, number=1)
         t_full = timeit.timeit(stream_full, number=1)
-        return t_inc, t_sk, t_full
+        return t_inc, t_full
 
-    t_inc, t_sk, t_full = run_once(benchmark, compare)
+    t_inc, t_full = run_once(benchmark, compare)
     per_row_inc = t_inc / N_DELTAS
-    per_row_sk = t_sk / N_DELTAS
     per_row_full = t_full / N_DELTAS
     speedup = t_full / t_inc
     record_result(
@@ -120,7 +109,6 @@ def test_incremental_replay(benchmark):
         f"single-row deltas into a {N_QUERIES}-query window "
         f"({SCALE} scale, {N_DELTAS} rows):\n"
         f"  incremental (exact):  {per_row_inc * 1e6:9.1f} us/row\n"
-        f"  incremental (sketch): {per_row_sk * 1e6:9.1f} us/row\n"
         f"  full recompute:       {per_row_full * 1e6:9.1f} us/row\n"
         f"  speedup (exact):      {speedup:9.1f}x",
         data={
@@ -128,7 +116,6 @@ def test_incremental_replay(benchmark):
             "n_deltas": N_DELTAS,
             "cores": cores,
             "seconds_incremental": t_inc,
-            "seconds_sketch": t_sk,
             "seconds_full": t_full,
             "speedup": speedup,
         },

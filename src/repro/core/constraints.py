@@ -152,7 +152,7 @@ class ConstraintSet:
         """Boolean mask over ``space`` of rule-compliant actions."""
         active = self.active_rules(t)
         if not active:
-            return space.effective_mask(current)
+            return np.ones(len(space), dtype=bool)
         mask = np.zeros(len(space), dtype=bool)
         for i, proposed in enumerate(space.resulting_configs(current)):
             mask[i] = all(r.permits(current, proposed) for r in active)

@@ -2,12 +2,9 @@
 
 ``costmodel stream`` feeds a deterministic synthetic QUERY_HISTORY row by
 row (completion order, as a streaming ingest would see it) into an
-exact-mode and a sketch-mode :class:`IncrementalReplay`, printing the
-running projection, and exits non-zero unless
-
-* the exact ledger's final answer is **bit-identical** to a fresh full
-  :class:`QueryReplay` over the same rows (divergence must print 0.0), and
-* the sketch interval encloses the exact credits.
+:class:`IncrementalReplay`, printing the running projection, and exits
+non-zero unless the ledger's final answer is **bit-identical** to a fresh
+full :class:`QueryReplay` over the same rows (divergence must print 0.0).
 
 CI runs this in the observability smoke job: a refactor that breaks the
 streaming fold shows up as a non-zero divergence here before any property
@@ -74,12 +71,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     )
     stream.add_argument("--seed", type=int, default=20260808)
     stream.add_argument(
-        "--resolution",
-        type=float,
-        default=60.0,
-        help="sketch cell width in seconds (must divide 300)",
-    )
-    stream.add_argument(
         "--every", type=int, default=0,
         help="print the running projection every N rows (0 = quarters)",
     )
@@ -96,51 +87,26 @@ def run(args: argparse.Namespace, out: IO[str] | None = None) -> int:
     gap_model = GapModel().fit(records)
     config = WarehouseConfig(size=WarehouseSize.S, auto_suspend_seconds=120.0)
     clusters = ClusterCountPredictor().fit(records, config)
-    exact = IncrementalReplay(latency, gap_model, clusters, window)
-    sketch = IncrementalReplay(
-        latency, gap_model, clusters, window,
-        mode="sketch", resolution=args.resolution,
-    )
+    ledger = IncrementalReplay(latency, gap_model, clusters, window)
     every = args.every if args.every > 0 else max(1, len(records) // 4)
     print(
         f"streaming {len(records)} rows over {window.duration / HOUR:g} h "
         f"under {config.describe()}",
         file=out,
     )
-    print(f"{'rows':>6} {'exact':>10} {'sketch lo':>10} {'sketch hi':>10}", file=out)
+    print(f"{'rows':>6} {'credits':>10}", file=out)
     feed = sorted(records, key=lambda r: r.end_time)
     for i, record in enumerate(feed):
-        exact.observe(record)
-        sketch.observe(record)
+        ledger.observe(record)
         if (i + 1) % every == 0 or i == len(feed) - 1:
-            result = exact.result(config)
-            bounds = sketch.sketch(config)
-            print(
-                f"{i + 1:>6} {result.credits:>10.4f} "
-                f"{bounds.credits_lo:>10.4f} {bounds.credits_hi:>10.4f}",
-                file=out,
-            )
-    incremental, full, divergence = exact.verify(config)
-    bounds = sketch.sketch(config)
-    slack = 1e-9 * max(1.0, abs(bounds.credits_hi))
-    enclosed = (
-        bounds.credits_lo - slack <= full.credits <= bounds.credits_hi + slack
-    )
+            print(f"{i + 1:>6} {ledger.result(config).credits:>10.4f}", file=out)
+    incremental, full, divergence = ledger.verify(config)
     print(
         f"final: incremental={incremental.credits:.6f}cr "
         f"full-replay={full.credits:.6f}cr divergence={divergence}",
         file=out,
     )
-    print(
-        f"sketch: [{bounds.credits_lo:.6f}, {bounds.credits_hi:.6f}]cr "
-        f"(width {bounds.credits_hi - bounds.credits_lo:.6f}) "
-        f"{'encloses' if enclosed else 'MISSES'} the exact credits",
-        file=out,
-    )
     if divergence != 0.0:
         print("FAIL: incremental ledger diverged from the full replay", file=out)
-        return 1
-    if not enclosed:
-        print("FAIL: sketch interval does not enclose the exact credits", file=out)
         return 1
     return 0

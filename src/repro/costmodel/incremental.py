@@ -1,4 +1,4 @@
-"""Incremental what-if ledger: O(delta) streaming cost model (ROADMAP item 3).
+"""Incremental what-if ledger: O(delta) streaming cost model.
 
 :class:`QueryReplay` memoizes the config-independent prep of one telemetry
 snapshot, but the memo key is the *identity* of the records list — so in a
@@ -9,14 +9,12 @@ time and keeps, per candidate configuration, enough folded state that the
 next :class:`~repro.costmodel.replay.ReplayResult` costs O(delta + buckets)
 instead of O(window).
 
-Two modes:
-
-**Exact mode** (default) is bit-identical to a full
+The ledger is bit-identical to a full
 :class:`~repro.costmodel.replay.QueryReplay` over the same records and
 window — the property ``tests/props/test_incremental_replay.py`` locks in
-under arbitrary interleavings of append / out-of-order insert / eviction /
-config change.  The trick is a *frozen-prefix / live-suffix* fold over the
-sorted counterfactual spans:
+under arbitrary interleavings of append / out-of-order insert / config
+change / model refit.  The trick is a *frozen-prefix / live-suffix* fold
+over the sorted counterfactual spans:
 
 * spans are kept sorted by ``(start, end)`` — the order
   ``np.lexsort((finishes, starts))`` produces in the full replay.  Every
@@ -34,44 +32,13 @@ sorted counterfactual spans:
 
 Appends in arrival order are O(1) amortized plus an O(buckets + suffix)
 materialization; out-of-order inserts that land inside the live suffix stay
-cheap, and anything that touches the frozen prefix (deep inserts, eviction,
-window slides, model refits) marks the per-config state dirty and amortizes
-one vectorized rebuild.  Exactness therefore never depends on which path
-ran — only the *cost* does.  Float subtraction is not the inverse of float
-addition, so a bit-exact sliding fold cannot evict in O(delta); that is
-what sketch mode is for.
-
-**Sketch mode** quantizes span endpoints outward to a ``resolution``-second
-grid and maintains two *integer* cell arrays — ``cover`` (how many spans
-touch each cell) and ``interior`` (how many cover it entirely).  Integer
-increments commute and invert exactly, so appends, out-of-order inserts
-*and evictions* are all O(span/resolution) with no rebuild, ever.  The
-materialized :class:`SketchResult` brackets the exact replay between an
-*inner hull* (cells provably fully covered) and an *outer hull* (cells
-possibly touched): every billing operation downstream — ceil, clip,
-positive scaling, min, pairwise sums — is monotone, so
-
-    ``credits_lo  <=  exact credits  <=  credits_hi``
-
-up to IEEE rounding slack (monotonicity of rounding makes each individual
-op safe; the documented test slack is ``1e-9`` relative).  The interval
-width is the sketch's *self-reported* error bound; a closed-form ceiling in
-terms of observable quantities is::
-
-    hi - lo  <=  rate/HOUR * ( c_max * 2q * (N + 1)
-                             + c_max * (2q + S + R) * (B + 1)
-                             + M * (B + 1) )
-
-with ``q`` the resolution, ``R`` the mini-window width, ``S`` the
-auto-suspend interval, ``M`` the 60 s billing minimum, ``N`` the live span
-count, ``B`` the outer-run count and ``c_max`` the config's cluster cap —
-each span contributes at most ``2q`` of quantization slack to coverage and
-concurrency, and each burst at most ``2q + S`` of boundary/tail slack plus
-one billing minimum.  ``tests/props/test_incremental_replay.py`` asserts
-both the enclosure and this ceiling.
+cheap, and anything that touches the frozen prefix (deep inserts, model
+refits) marks the per-config state dirty and amortizes one vectorized
+rebuild.  Exactness therefore never depends on which path ran — only the
+*cost* does.
 
 Durability: the canonical :meth:`IncrementalReplay.state_dict` (window,
-mode, cursor counts, a checksum over ingested row ids) round-trips through
+cursor counts, a checksum over ingested row ids) round-trips through
 ``repro.durability`` byte-identically; the row *contents* are recovered by
 re-feeding from telemetry, which by the exactness property reconstructs an
 equivalent ledger regardless of the original interleaving.
@@ -106,60 +73,48 @@ from repro.warehouse.queries import QueryRecord
 FOLD_TRIGGER = 256
 #: Suffix length kept live after a fold (headroom for out-of-order inserts).
 FOLD_KEEP = 64
-#: Default sketch grid, seconds.  Must divide MINI_WINDOW_SECONDS.
-DEFAULT_RESOLUTION = 60.0
 
 
 class _Buf:
-    """Amortized-O(1) append / evict-from-front numpy column."""
+    """Amortized-O(1) append / insert numpy column."""
 
-    __slots__ = ("data", "head", "n")
+    __slots__ = ("data", "n")
 
     def __init__(self, dtype: type) -> None:
         self.data = np.empty(16, dtype=dtype)
-        self.head = 0
         self.n = 0
 
     def view(self) -> np.ndarray:
-        return self.data[self.head : self.head + self.n]
+        return self.data[: self.n]
 
     def _grow(self, extra: int = 1) -> None:
         need = self.n + extra
-        if self.head + need <= self.data.size and self.head <= self.data.size // 2:
+        if need <= self.data.size:
             return
-        cap = max(16, 2 * need)
-        fresh = np.empty(cap, dtype=self.data.dtype)
+        fresh = np.empty(max(16, 2 * need), dtype=self.data.dtype)
         fresh[: self.n] = self.view()
         self.data = fresh
-        self.head = 0
 
     def insert(self, idx: int, value: float) -> None:
         self._grow(1)
-        lo = self.head + idx
-        hi = self.head + self.n
-        self.data[lo + 1 : hi + 1] = self.data[lo:hi]
-        self.data[lo] = value
+        hi = self.n
+        self.data[idx + 1 : hi + 1] = self.data[idx:hi]
+        self.data[idx] = value
         self.n += 1
 
     def set(self, idx: int, value: float) -> None:
-        self.data[self.head + idx] = value
+        self.data[idx] = value
 
     def get(self, idx: int) -> float:
-        return self.data[self.head + idx]
+        return self.data[idx]
 
     def delete(self, idx: int) -> None:
-        lo = self.head + idx
-        hi = self.head + self.n
-        self.data[lo : hi - 1] = self.data[lo + 1 : hi]
+        hi = self.n
+        self.data[idx : hi - 1] = self.data[idx + 1 : hi]
         self.n -= 1
-
-    def drop_front(self, count: int) -> None:
-        self.head += count
-        self.n -= count
 
     def load(self, values: np.ndarray) -> None:
         self.data = np.array(values, dtype=self.data.dtype)
-        self.head = 0
         self.n = int(values.size)
 
 
@@ -184,61 +139,8 @@ def _config_key(config: WarehouseConfig) -> tuple:
     )
 
 
-@dataclass
-class SketchResult:
-    """Bounded-error savings summary from the sketch mode.
-
-    ``credits_lo <= exact credits <= credits_hi`` (up to IEEE rounding
-    slack); ``credits`` is the midpoint estimate and ``error_bound`` the
-    half-width — the sketch's self-reported worst case.
-    """
-
-    credits_lo: float
-    credits_hi: float
-    busy_seconds_lo: float
-    busy_seconds_hi: float
-    n_queries: int
-    n_runs: int
-
-    @property
-    def credits(self) -> float:
-        return 0.5 * (self.credits_lo + self.credits_hi)
-
-    @property
-    def error_bound(self) -> float:
-        return 0.5 * (self.credits_hi - self.credits_lo)
-
-    def stated_bound(
-        self, config: WarehouseConfig, resolution: float, window_duration: float
-    ) -> float:
-        """The documented closed-form ceiling on ``credits_hi - credits_lo``.
-
-        With auto-suspend disabled a single burst runs to the window end, so
-        one span missing from the inner hull can cost the whole window —
-        the burst slack term degrades from ``2q + S`` to the window
-        duration.  (That is the honest price of never suspending; exact
-        mode or a finer resolution is the remedy.)
-        """
-        rate = config.size.credits_per_hour
-        c_max = float(config.max_clusters)
-        q = resolution
-        suspend = float(config.auto_suspend_seconds)
-        burst_slack = 2.0 * q + suspend if suspend > 0 else window_duration
-        n = float(self.n_queries)
-        b = float(self.n_runs)
-        return (
-            rate
-            / HOUR
-            * (
-                c_max * 2.0 * q * (n + 1.0)
-                + c_max * (burst_slack + MINI_WINDOW_SECONDS) * (b + 1.0)
-                + MINIMUM_BILLED_SECONDS * (b + 1.0)
-            )
-        )
-
-
 class _ExactState:
-    """Per-config folded state for the bit-exact mode."""
+    """Per-config folded state."""
 
     def __init__(self, config: WarehouseConfig, n_windows: int) -> None:
         self.config = config
@@ -254,7 +156,6 @@ class _ExactState:
         self.burst_base = np.zeros(n_windows, dtype=np.float64)
         self.busy_open: tuple[float, float] | None = None
         self.burst_open: tuple[float, float] | None = None
-        self.n_closed_intervals = 0
         self.n_closed_bursts = 0
         # Literal int 0 so the first fold reproduces sum()'s `0 + d1` start.
         self.active_base: float = 0
@@ -273,10 +174,6 @@ class _ExactState:
         if end > new:
             self._insert_span(new, end)
         self._cascade(owner, k + 1)
-
-    def evict(self) -> None:
-        """Window slid: the bucket grid moved, so fold state is void."""
-        self.dirty = True
 
     def _shifted_value(self, owner: "IncrementalReplay", j: int) -> float:
         window_start = owner.window.start
@@ -393,7 +290,6 @@ class _ExactState:
         self.burst_base = np.zeros(self.n_windows, dtype=np.float64)
         self.busy_open = None
         self.burst_open = None
-        self.n_closed_intervals = 0
         self.n_closed_bursts = 0
         self.active_base = 0
         self.shortfall_base = []
@@ -435,7 +331,6 @@ class _ExactState:
                 np.ascontiguousarray(arr[:, 1]), window.start,
                 MINI_WINDOW_SECONDS, self.n_windows,
             )
-            self.n_closed_intervals += len(closed)
         # Activation bursts (suspend <= 0 is materialized directly).
         suspend = self.config.auto_suspend_seconds
         if suspend > 0:
@@ -586,251 +481,24 @@ class _ExactState:
         )
 
 
-class _SketchState:
-    """Per-config quantized-hull state for the sketch mode."""
-
-    def __init__(
-        self, config: WarehouseConfig, owner: "IncrementalReplay"
-    ) -> None:
-        self.config = config
-        self.lat = _Buf(np.float64)
-        self.shifted = _Buf(np.float64)
-        self.n_live = 0
-        self.n_short = 0
-        q = owner.resolution
-        per = int(round(MINI_WINDOW_SECONDS / q))
-        self.cells_per_window = per
-        self.n_cells = owner.n_windows * per
-        self.cover = np.zeros(self.n_cells, dtype=np.int64)
-        self.interior = np.zeros(self.n_cells, dtype=np.int64)
-        # Rebuild-equivalent bootstrap over whatever rows already landed.
-        for k in range(owner._n):
-            self.insert_record(owner, k, bootstrap=True)
-
-    # -------------------------------------------------------------- editing
-    def _span(self, owner: "IncrementalReplay", j: int) -> tuple[float, float]:
-        s = float(self.shifted.get(j))
-        e = min(s + float(self.lat.get(j)), owner.window.end)
-        return s, e
-
-    def _cells(self, owner: "IncrementalReplay", start: float, end: float):
-        q = owner.resolution
-        first = int((start - owner.window.start) // q)
-        last = int(math.ceil((end - owner.window.start) / q)) - 1
-        first = max(0, min(first, self.n_cells - 1))
-        last = max(first, min(last, self.n_cells - 1))
-        return first, last
-
-    def _apply(self, owner: "IncrementalReplay", start: float, end: float, sign: int) -> None:
-        if end <= start:
-            return
-        first, last = self._cells(owner, start, end)
-        self.cover[first : last + 1] += sign
-        if last - first >= 2:
-            self.interior[first + 1 : last] += sign
-        self.n_live += sign
-        if end - start < MINIMUM_BILLED_SECONDS:
-            self.n_short += sign
-
-    def _shifted_value(self, owner: "IncrementalReplay", j: int) -> float:
-        window_start = owner.window.start
-        if owner._chained.get(j) and j > 0:
-            arrival = (
-                float(self.shifted.get(j - 1)) + float(self.lat.get(j - 1))
-            ) + float(owner._lags.get(j))
-            return arrival if arrival >= window_start else window_start
-        raw = float(owner._raw_arrivals.get(j))
-        return raw if raw >= window_start else window_start
-
-    def insert_record(
-        self, owner: "IncrementalReplay", k: int, bootstrap: bool = False
-    ) -> None:
-        lat_k = owner._rescale_one(k, self.config)
-        self.lat.insert(k, lat_k)
-        self.shifted.insert(k, self._shifted_value(owner, k))
-        s, e = self._span(owner, k)
-        self._apply(owner, s, e, +1)
-        if not bootstrap:
-            self._cascade(owner, k + 1)
-
-    def reclassified(self, owner: "IncrementalReplay", k: int) -> None:
-        self._cascade(owner, k)
-
-    def _cascade(self, owner: "IncrementalReplay", j: int) -> None:
-        n = owner._n
-        while j < n:
-            new = self._shifted_value(owner, j)
-            old = float(self.shifted.get(j))
-            if new == old:
-                break
-            old_s, old_e = self._span(owner, j)
-            self._apply(owner, old_s, old_e, -1)
-            self.shifted.set(j, new)
-            new_s, new_e = self._span(owner, j)
-            self._apply(owner, new_s, new_e, +1)
-            j += 1
-
-    def evict(self, owner: "IncrementalReplay", count: int, drop_cells: int) -> None:
-        """Remove the first ``count`` records and slide the grid."""
-        for j in range(count):
-            s, e = self._span(owner, j)
-            self._apply(owner, s, e, -1)
-        self.lat.drop_front(count)
-        self.shifted.drop_front(count)
-        self.cover = self.cover[drop_cells:].copy()
-        self.interior = self.interior[drop_cells:].copy()
-        self.n_cells -= drop_cells
-
-    # ------------------------------------------------------------- material
-    @staticmethod
-    def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(first, last) cell index of each maximal True run."""
-        if not mask.any():
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        padded = np.diff(np.concatenate(([0], mask.view(np.int8), [0])))
-        starts = np.flatnonzero(padded == 1)
-        ends = np.flatnonzero(padded == -1) - 1
-        return starts, ends
-
-    def _hull_credits(
-        self,
-        owner: "IncrementalReplay",
-        conc_overlap: np.ndarray,
-        busy_overlap: np.ndarray,
-        run_first: np.ndarray,
-        run_last: np.ndarray,
-    ) -> tuple[float, float, int]:
-        """Billing tail over one hull: (credits before minimums, busy, runs)."""
-        window = owner.window
-        config = self.config
-        q = owner.resolution
-        n_windows = owner.n_windows
-        predicted = owner.cluster_predictor.predict_from_concurrency(
-            conc_overlap / MINI_WINDOW_SECONDS, config
-        )
-        hull_starts = window.start + run_first.astype(np.float64) * q
-        hull_ends = np.minimum(
-            window.start + (run_last.astype(np.float64) + 1.0) * q, window.end
-        )
-        suspend = config.auto_suspend_seconds
-        if hull_starts.size == 0:
-            burst_starts = hull_starts
-            burst_ends = hull_ends
-        elif suspend <= 0:
-            burst_starts = hull_starts[:1]
-            burst_ends = np.asarray([window.end], dtype=np.float64)
-        else:
-            burst_starts, burst_ends = kernels.activation_bursts(
-                hull_starts, hull_ends, suspend, window.end
-            )
-        burst_overlap = kernels.bucketed_overlap(
-            burst_starts, burst_ends, window.start, MINI_WINDOW_SECONDS, n_windows
-        )
-        base_clusters = float(max(config.min_clusters, 1))
-        clusters = np.maximum(predicted, base_clusters)
-        cluster_seconds_per_window = (
-            base_clusters * burst_overlap
-            + (clusters - base_clusters) * np.minimum(busy_overlap, burst_overlap)
-        )
-        credits = float(cluster_seconds_per_window.sum()) / HOUR * (
-            config.size.credits_per_hour
-        )
-        return credits, float(busy_overlap.sum()), int(run_first.size)
-
-    def materialize(self, owner: "IncrementalReplay") -> SketchResult:
-        q = owner.resolution
-        per = self.cells_per_window
-        n_windows = owner.n_windows
-        padded = n_windows * per
-        cover = self.cover
-        interior = self.interior
-        if cover.size < padded:
-            cover = np.pad(cover, (0, padded - cover.size))
-            interior = np.pad(interior, (0, padded - interior.size))
-        cover2d = cover[:padded].reshape(n_windows, per)
-        interior2d = interior[:padded].reshape(n_windows, per)
-        conc_hi = q * cover2d.sum(axis=1).astype(np.float64)
-        conc_lo = q * interior2d.sum(axis=1).astype(np.float64)
-        busy_hi = q * (cover2d > 0).sum(axis=1).astype(np.float64)
-        busy_lo = q * (interior2d > 0).sum(axis=1).astype(np.float64)
-        outer_first, outer_last = self._runs(cover > 0)
-        inner_first, inner_last = self._runs(interior > 0)
-        credits_hi, busy_hi_total, n_outer = self._hull_credits(
-            owner, conc_hi, busy_hi, outer_first, outer_last
-        )
-        credits_lo, busy_lo_total, _ = self._hull_credits(
-            owner, conc_lo, busy_lo, inner_first, inner_last
-        )
-        # Billing minimums: the lower hull adds none; the upper hull adds one
-        # 60 s minimum per burst that could possibly be short.  When
-        # suspend >= 2q every outer run's true busy extent is within 2q of
-        # the run extent and distinct bursts always land in distinct runs,
-        # so only runs shorter than M + 2q can host a burst with a
-        # shortfall.  For smaller suspends, a short burst must contain a
-        # span shorter than M, so the short-span count caps it.  (Pick
-        # resolution <= suspend/2 to stay on the tight branch.)
-        suspend = self.config.auto_suspend_seconds
-        if suspend <= 0:
-            burst_cap = 1 if n_outer else 0
-        elif suspend >= 2 * q:
-            run_durations = (
-                np.minimum(
-                    owner.window.start + (outer_last.astype(np.float64) + 1.0) * q,
-                    owner.window.end,
-                )
-                - (owner.window.start + outer_first.astype(np.float64) * q)
-            )
-            burst_cap = int(
-                (run_durations < MINIMUM_BILLED_SECONDS + 2.0 * q).sum()
-            )
-        else:
-            burst_cap = self.n_short
-        credits_hi += (
-            MINIMUM_BILLED_SECONDS * burst_cap / HOUR
-            * self.config.size.credits_per_hour
-        )
-        return SketchResult(
-            credits_lo=credits_lo,
-            credits_hi=credits_hi,
-            busy_seconds_lo=busy_lo_total,
-            busy_seconds_hi=busy_hi_total,
-            n_queries=self.lat.n,
-            n_runs=n_outer,
-        )
-
-
 @dataclass
 class IncrementalReplay:
     """Streaming what-if ledger over one telemetry window.
 
-    Feed rows with :meth:`observe` (any arrival order within the window),
-    slide the window start with :meth:`advance_start`, and materialize a
-    per-config :class:`~repro.costmodel.replay.ReplayResult` (exact mode) or
-    :class:`SketchResult` (sketch mode) with :meth:`result` /
-    :meth:`sketch`.  See the module docstring for the cost model of each
-    operation and the exactness / error-bound contracts.
+    Feed rows with :meth:`observe` (any arrival order within the window)
+    and materialize a per-config
+    :class:`~repro.costmodel.replay.ReplayResult` with :meth:`result`.  See
+    the module docstring for the cost model of each operation and the
+    exactness contract.
     """
 
     latency_model: LatencyScalingModel
     gap_model: GapModel
     cluster_predictor: ClusterCountPredictor
     window: Window
-    mode: str = "exact"
-    resolution: float = DEFAULT_RESOLUTION
     max_configs: int = 16
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exact", "sketch"):
-            raise ConfigurationError(f"unknown mode: {self.mode!r}")
-        if self.mode == "sketch":
-            ratio = MINI_WINDOW_SECONDS / self.resolution
-            if self.resolution <= 0 or abs(ratio - round(ratio)) > 1e-9:
-                raise ConfigurationError(
-                    "sketch resolution must positively divide "
-                    f"MINI_WINDOW_SECONDS ({MINI_WINDOW_SECONDS}s); "
-                    f"got {self.resolution}"
-                )
         self._records: list[QueryRecord] = []
         self._templates: list[str] = []
         self._raw_arrivals = _Buf(np.float64)
@@ -844,8 +512,7 @@ class IncrementalReplay:
         self._gammas = _Buf(np.float64)
         self._n = 0
         self._rows_observed = 0
-        self._rows_evicted = 0
-        self._states: dict[tuple, _ExactState | _SketchState] = {}
+        self._states: dict[tuple, _ExactState] = {}
         self._fit_key = self._current_fit_key()
         self._id_checksum_memo: tuple[int, str] | None = None
 
@@ -895,11 +562,8 @@ class IncrementalReplay:
             self._chained.load(chained)
             self._lags.load(lags)
             self._gammas.load(self.latency_model.gamma_array(self._templates))
-        if self.mode == "exact":
-            for state in self._states.values():
-                state.dirty = True
-        else:
-            self._states.clear()
+        for state in self._states.values():
+            state.dirty = True
 
     # ------------------------------------------------------------- updates
     def observe(self, record: QueryRecord) -> None:
@@ -949,69 +613,8 @@ class IncrementalReplay:
             bool(self._chained_flags.get(k)),
         )
 
-    def advance_start(self, new_start: float) -> int:
-        """Slide the window start forward, evicting aged-out rows.
-
-        Mirrors ``telemetry.query_history`` semantics: rows with
-        ``arrival_time < new_start`` leave the window.  Exact mode amortizes
-        a rebuild (the mini-window grid is anchored at the window start);
-        sketch mode stays O(delta) when the slide is a whole number of
-        mini-windows.  Returns the number of evicted rows.
-        """
-        if new_start < self.window.start:
-            raise ConfigurationError("window start may only advance")
-        if new_start == self.window.start:
-            return 0
-        if new_start > self.window.end:
-            raise ConfigurationError("window start may not pass the window end")
-        self._refit_check()
-        raw = self._raw_arrivals.view()
-        count = int(np.searchsorted(raw, new_start, side="left"))
-        delta = new_start - self.window.start
-        q = self.resolution
-        aligned = (
-            self.mode == "sketch"
-            and abs(delta / MINI_WINDOW_SECONDS - round(delta / MINI_WINDOW_SECONDS))
-            < 1e-9
-        )
-        if self.mode == "sketch" and aligned:
-            drop_cells = int(round(delta / q))
-            for state in self._states.values():
-                state.evict(self, count, drop_cells)
-        elif self.mode == "sketch":
-            self._states.clear()
-        else:
-            # The mini-window grid is anchored at the window start, so every
-            # folded coverage base is void: amortize one vectorized rebuild.
-            for state in self._states.values():
-                state.evict()
-        del self._records[:count]
-        del self._templates[:count]
-        for buf in (
-            self._raw_arrivals, self._end_times, self._exec_seconds,
-            self._cache_hits, self._size_values, self._chained_flags,
-            self._chained, self._lags, self._gammas,
-        ):
-            buf.drop_front(count)
-        self._n -= count
-        self._rows_evicted += count
-        self._id_checksum_memo = None
-        self.window = Window(new_start, self.window.end)
-        # The boundary record loses its predecessor: reclassify + cascade.
-        if self._n:
-            chained0, lag0 = self._classify_at(0)
-            changed = bool(self._chained.get(0)) != chained0 or (
-                float(self._lags.get(0)) != lag0
-            )
-            self._chained.set(0, chained0)
-            self._lags.set(0, lag0)
-            if changed and self.mode == "sketch":
-                for state in self._states.values():
-                    state.reclassified(self, 0)
-        return count
-
     # ------------------------------------------------------------- results
-    def _state_for(self, config: WarehouseConfig):
+    def _state_for(self, config: WarehouseConfig) -> _ExactState:
         self._refit_check()
         key = _config_key(config)
         state = self._states.get(key)
@@ -1022,28 +625,13 @@ class IncrementalReplay:
             if len(self._states) >= self.max_configs:
                 oldest = next(iter(self._states))
                 del self._states[oldest]
-            if self.mode == "exact":
-                state = _ExactState(config, self.n_windows)
-            else:
-                state = _SketchState(config, self)
+            state = _ExactState(config, self.n_windows)
             self._states[key] = state
         return state
 
     def result(self, config: WarehouseConfig) -> ReplayResult:
-        """Exact-mode materialization (bit-identical to a full replay)."""
-        if self.mode != "exact":
-            raise ConfigurationError("result() requires mode='exact'; use sketch()")
+        """Materialize the what-if (bit-identical to a full replay)."""
         return self._state_for(config).materialize(self)
-
-    def sketch(self, config: WarehouseConfig) -> SketchResult:
-        """Sketch-mode materialization (bounded-error interval summary)."""
-        if self.mode != "sketch":
-            raise ConfigurationError("sketch() requires mode='sketch'; use result()")
-        return self._state_for(config).materialize(self)
-
-    def warm_configs(self) -> list[tuple]:
-        """The per-config states currently held (the slider's candidates)."""
-        return list(self._states)
 
     # ------------------------------------------------------- reconciliation
     def full_replay(self, config: WarehouseConfig) -> ReplayResult:
@@ -1057,21 +645,14 @@ class IncrementalReplay:
         return replay.replay(self.records, config, self.window)
 
     def verify(self, config: WarehouseConfig) -> tuple[ReplayResult, ReplayResult, float]:
-        """(incremental, full, max |divergence|) — 0.0 in exact mode."""
+        """(incremental, full, max |divergence|) — always 0.0 unless broken."""
         full = self.full_replay(config)
-        if self.mode == "exact":
-            inc = self.result(config)
-            divergence = max(
-                abs(inc.credits - full.credits),
-                abs(inc.active_seconds - full.active_seconds),
-                abs(inc.cluster_seconds - full.cluster_seconds),
-            )
-        else:
-            sk = self.sketch(config)
-            inc = full
-            divergence = max(
-                full.credits - sk.credits_hi, sk.credits_lo - full.credits, 0.0
-            )
+        inc = self.result(config)
+        divergence = max(
+            abs(inc.credits - full.credits),
+            abs(inc.active_seconds - full.active_seconds),
+            abs(inc.cluster_seconds - full.cluster_seconds),
+        )
         return inc, full, divergence
 
     # ----------------------------------------------------------- durability
@@ -1087,18 +668,15 @@ class IncrementalReplay:
         """Canonical streaming state for checkpoint/restore.
 
         Row contents are recoverable from telemetry, so the checkpoint
-        stores the window, mode, counters and an order-independent checksum
-        of the ingested row ids; after :meth:`load_state_dict` the owner
+        stores the window, counters and an order-independent checksum of
+        the ingested row ids; after :meth:`load_state_dict` the owner
         re-feeds the rows and :meth:`verify_restored` confirms the ledger
         re-converged.  Byte-identical round-trip is over this dict.
         """
         return {
-            "mode": self.mode,
-            "resolution": self.resolution,
             "window": encode_window(self.window),
             "n_records": self._n,
             "rows_observed": self._rows_observed,
-            "rows_evicted": self._rows_evicted,
             "fit_key": list(self._fit_key),
             "id_checksum": self._id_checksum(),
         }
@@ -1106,20 +684,15 @@ class IncrementalReplay:
     def load_state_dict(self, state: dict) -> None:
         require_keys(
             state,
-            (
-                "mode", "resolution", "window", "n_records",
-                "rows_observed", "rows_evicted", "fit_key", "id_checksum",
-            ),
+            ("window", "n_records", "rows_observed", "fit_key", "id_checksum"),
             "IncrementalReplay",
         )
         if self._n:
             raise ConfigurationError("load_state_dict requires an empty ledger")
-        self.mode = str(state["mode"])
-        self.resolution = float(state["resolution"])
         self.window = decode_window(state["window"])
         self._restore_expected = (
             int(state["n_records"]), str(state["id_checksum"]),
-            int(state["rows_observed"]), int(state["rows_evicted"]),
+            int(state["rows_observed"]),
         )
 
     def verify_restored(self) -> None:
@@ -1127,15 +700,14 @@ class IncrementalReplay:
         expected = getattr(self, "_restore_expected", None)
         if expected is None:
             return
-        n, checksum, rows_observed, rows_evicted = expected
+        n, checksum, rows_observed = expected
         if self._n != n or self._id_checksum() != checksum:
             raise RecoveryError(
                 f"incremental ledger restore mismatch: re-fed {self._n} rows "
                 f"(checksum {self._id_checksum()[:12]}), checkpoint recorded "
                 f"{n} (checksum {checksum[:12]})"
             )
-        # Restore the lifetime counters so the next checkpoint is identical.
+        # Restore the lifetime counter so the next checkpoint is identical.
         self._rows_observed = rows_observed
-        self._rows_evicted = rows_evicted
         self._id_checksum_memo = None
         del self._restore_expected

@@ -3,7 +3,7 @@
 This vocabulary is shared by the learning layer (env, baselines) and the
 control loop above it (constraints, optimizer, smart model), so it lives
 here at the learning layer — the lower of the two — and ``repro.core``
-imports it downward (``repro.core.actions`` remains as a re-export shim).
+imports it downward.
 Defining it any higher re-creates the learning -> core layering cycle the
 analyzer rejects (R012, docs/ANALYSIS.md).
 
@@ -137,15 +137,6 @@ class ActionSpace:
             max_clusters=new_max,
             min_clusters=new_min,
         )
-
-    def effective_mask(self, config: WarehouseConfig) -> np.ndarray:
-        """Actions that actually change something reachable from ``config``.
-
-        Clamped actions that collapse onto an identical resulting config are
-        still valid (they become no-ops); this mask is all-True and exists
-        as the base the constraint engine and guardrails AND into.
-        """
-        return np.ones(len(self.actions), dtype=bool)
 
     def resulting_configs(self, config: WarehouseConfig) -> list[WarehouseConfig]:
         return [self.apply(config, a) for a in self.actions]

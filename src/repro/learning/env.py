@@ -153,7 +153,9 @@ class WarehouseEnv:
     def current_mask(self) -> np.ndarray:
         config = self.client.current_config("WH")
         if self.mask_fn is None:
-            return self.action_space.effective_mask(config)
+            # Every action is valid (clamped ones become no-ops); a fresh
+            # array each call because callers AND into it.
+            return np.ones(len(self.action_space), dtype=bool)
         return self.mask_fn(self.now, config)
 
     def step(self, action_index: int) -> EnvStep:

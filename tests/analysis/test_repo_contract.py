@@ -48,11 +48,3 @@ class TestActionsLayeringFix:
             and not edge.typing_only
         ]
         assert not offenders, offenders
-
-    def test_core_actions_shim_reexports_the_same_objects(self):
-        import repro.core.actions as shim
-        import repro.learning.actions as real
-
-        assert shim.Action is real.Action
-        assert shim.ActionSpace is real.ActionSpace
-        assert shim.KEEP_SUSPEND == real.KEEP_SUSPEND

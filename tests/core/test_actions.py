@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import InvalidActionError
-from repro.core.actions import KEEP_SUSPEND, SUSPEND_CHOICES, Action, ActionSpace
+from repro.learning.actions import KEEP_SUSPEND, SUSPEND_CHOICES, Action, ActionSpace
 from repro.warehouse.config import WarehouseConfig
 from repro.warehouse.types import WarehouseSize
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.simtime import DAY, HOUR
-from repro.core.actions import ActionSpace
+from repro.learning.actions import ActionSpace
 from repro.core.constraints import ConstraintRule, ConstraintSet
 from repro.warehouse.config import WarehouseConfig
 from repro.warehouse.types import WarehouseSize

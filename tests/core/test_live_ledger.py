@@ -3,7 +3,7 @@
 The exactness of the underlying ``IncrementalReplay`` is property-tested in
 ``tests/props/test_incremental_replay.py``; these tests pin the wiring —
 idempotent ingestion, the aligned-reconciliation zero-divergence invariant,
-period rolls, the fleet rollup, the durable round-trip, and the optimizer
+period rolls, the durable round-trip, and the optimizer
 integration behind ``OptimizerConfig.live_ledger``.
 """
 
@@ -11,7 +11,7 @@ import pytest
 
 from repro.common.errors import RecoveryError
 from repro.common.simtime import HOUR, Window
-from repro.core.ledger import LiveLedger, fleet_projection
+from repro.core.ledger import LiveLedger
 from repro.core.optimizer import OptimizerConfig, WarehouseOptimizer
 from repro.costmodel.clusters import ClusterCountPredictor
 from repro.costmodel.gaps import GapModel
@@ -50,14 +50,13 @@ def make_records(n=40, start=100.0, spacing=240.0) -> list[QueryRecord]:
     ]
 
 
-def make_ledger(records, mode="exact", period=PERIOD) -> LiveLedger:
+def make_ledger(records, period=PERIOD) -> LiveLedger:
     return LiveLedger(
         "WH",
         LatencyScalingModel().fit(records),
         GapModel().fit(records),
         ClusterCountPredictor(),
         period,
-        mode=mode,
     )
 
 
@@ -107,17 +106,6 @@ class TestReconcile:
         assert entry.divergence == 0.0
         assert ledger.unaligned_periods == 1
 
-    def test_sketch_reconcile_scores_distance_from_hull(self):
-        records = make_records()
-        ledger = make_ledger(records, mode="sketch")
-        ledger.ingest(records, now=PERIOD.end)
-        exact = full_credits(ledger, records)
-        entry = ledger.reconcile(SavingsEstimate(PERIOD, exact, 1.0), ORIGINAL)
-        assert entry.aligned
-        assert entry.projected_lo <= entry.projected_hi
-        # The hull encloses the true replay, so the distance is zero.
-        assert entry.divergence == 0.0
-
     def test_roll_opens_a_fresh_period(self):
         records = make_records()
         ledger = make_ledger(records)
@@ -129,24 +117,6 @@ class TestReconcile:
         # Old ids are forgotten with the period: a fresh period re-admits.
         shifted = make_records(n=5, start=PERIOD.end + 10.0)
         assert ledger.ingest(shifted, now=PERIOD.end + HOUR) == 5
-
-
-class TestFleetRollup:
-    def test_rollup_sums_and_brackets(self):
-        records = make_records()
-        exact = make_ledger(records)
-        sketch = make_ledger(records, mode="sketch")
-        sketch.warehouse = "WH2"
-        exact.ingest(records, now=PERIOD.end)
-        sketch.ingest(records, now=PERIOD.end)
-        rollup = fleet_projection([exact, sketch], lambda _: ORIGINAL)
-        assert rollup["n_warehouses"] == 2
-        assert rollup["rows"] == 2 * len(records)
-        assert rollup["credits_lo"] <= rollup["credits_hi"]
-        true_total = 2 * full_credits(exact, records)
-        slack = 1e-9 * max(1.0, rollup["credits_hi"])
-        assert rollup["credits_lo"] - slack <= true_total <= rollup["credits_hi"] + slack
-        assert set(rollup["warehouses"]) == {"WH", "WH2"}
 
 
 class TestDurability:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.simtime import HOUR, Window
-from repro.core.actions import ActionSpace
+from repro.learning.actions import ActionSpace
 from repro.core.constraints import ConstraintRule, ConstraintSet
 from repro.core.monitoring import RealTimeFeedback
 from repro.core.sliders import SliderPosition, slider_params

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.simtime import DAY, HOUR, Window
-from repro.core.actions import ActionSpace
+from repro.learning.actions import ActionSpace
 from repro.costmodel.latency import LatencyScalingModel
 from repro.learning.agent import DQNAgent, DQNConfig
 from repro.learning.env import WarehouseEnv, reconstruct_workload

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.simtime import DAY, HOUR
-from repro.core.actions import ActionSpace
+from repro.learning.actions import ActionSpace
 from repro.core.constraints import ConstraintRule, ConstraintSet
 from repro.warehouse.config import WarehouseConfig
 from repro.warehouse.engine import Simulation

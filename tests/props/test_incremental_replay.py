@@ -1,14 +1,11 @@
-"""Exactness and error-bound properties of the incremental what-if ledger.
+"""Exactness properties of the incremental what-if ledger.
 
 :mod:`repro.costmodel.incremental` promises:
 
-* **exact mode** — after any interleaving of appends (any arrival order),
-  window-start evictions and config changes, ``result(config)`` is
-  *bit-identical* to a fresh full :class:`QueryReplay` over the retained
-  rows and current window, every :class:`ReplayResult` field;
-* **sketch mode** — ``credits_lo <= exact <= credits_hi`` up to 1e-9
-  relative IEEE slack, and the interval width stays within the documented
-  closed-form ceiling (:meth:`SketchResult.stated_bound`);
+* **exactness** — after any interleaving of appends (any arrival order),
+  model refits and config changes, ``result(config)`` is *bit-identical*
+  to a fresh full :class:`QueryReplay` over the ingested rows and window,
+  every :class:`ReplayResult` field;
 * **durability** — the canonical ``state_dict`` round-trips byte-identically
   through a checkpoint + re-feed restore.
 """
@@ -20,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, RecoveryError
 from repro.common.simtime import HOUR, Window
-from repro.costmodel.clusters import MINI_WINDOW_SECONDS, ClusterCountPredictor
+from repro.costmodel.clusters import ClusterCountPredictor
 from repro.costmodel.gaps import GapModel
 from repro.costmodel.incremental import IncrementalReplay
 from repro.costmodel.latency import LatencyScalingModel
@@ -132,23 +129,17 @@ class TestExactMode:
 
     @given(record_rows, st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_eviction_and_config_interleaving(self, rows, seed):
-        """Appends, window-start slides and config switches interleaved."""
+    def test_completion_order_and_config_interleaving(self, rows, seed):
+        """Rows fed in completion order (out-of-order arrivals, as a
+        streaming ingest sees them) with config switches interleaved."""
         records = to_records(rows)
         latency, gaps, clusters = fitted_models(records)
         inc = IncrementalReplay(latency, gaps, clusters, Window(0.0, HORIZON))
         rng = random.Random(seed)
         feed = sorted(records, key=lambda r: r.end_time)
         for i, record in enumerate(feed):
-            if record.arrival_time < inc.window.start:
-                continue
             inc.observe(record)
-            roll = rng.random()
-            if roll < 0.2:
-                # Slide forward by up to a quarter of the remaining window.
-                span = inc.window.end - inc.window.start
-                inc.advance_start(inc.window.start + rng.random() * 0.25 * span)
-            if roll < 0.5 or i == len(feed) - 1:
+            if rng.random() < 0.5 or i == len(feed) - 1:
                 config = rng.choice(CONFIGS)
                 assert_results_identical(inc.result(config), inc.full_replay(config))
 
@@ -184,65 +175,6 @@ class TestExactMode:
             raise AssertionError("arrival before window start must be rejected")
 
 
-class TestSketchMode:
-    @given(record_rows, st.integers(min_value=0, max_value=2**32 - 1),
-           st.sampled_from([60.0, 30.0, 20.0]))
-    @settings(max_examples=60, deadline=None)
-    def test_enclosure_and_stated_bound(self, rows, seed, resolution):
-        """exact ∈ [lo - ε, hi + ε] and hi - lo <= the documented ceiling,
-        through appends and mini-window-aligned evictions."""
-        records = to_records(rows)
-        latency, gaps, clusters = fitted_models(records)
-        inc = IncrementalReplay(
-            latency, gaps, clusters, Window(0.0, HORIZON),
-            mode="sketch", resolution=resolution,
-        )
-        rng = random.Random(seed)
-        feed = records[:]
-        rng.shuffle(feed)
-        for i, record in enumerate(feed):
-            if record.arrival_time < inc.window.start:
-                continue
-            inc.observe(record)
-            roll = rng.random()
-            if roll < 0.15 and inc.window.end - inc.window.start > 2 * MINI_WINDOW_SECONDS:
-                inc.advance_start(inc.window.start + MINI_WINDOW_SECONDS)
-            if roll < 0.5 or i == len(feed) - 1:
-                config = rng.choice(CONFIGS)
-                sketch = inc.sketch(config)
-                exact = inc.full_replay(config)
-                slack = 1e-9 * max(1.0, abs(sketch.credits_hi))
-                assert sketch.credits_lo - slack <= exact.credits, (
-                    f"lower hull exceeded exact: {sketch.credits_lo} > "
-                    f"{exact.credits}"
-                )
-                assert exact.credits <= sketch.credits_hi + slack, (
-                    f"upper hull below exact: {sketch.credits_hi} < "
-                    f"{exact.credits}"
-                )
-                width = sketch.credits_hi - sketch.credits_lo
-                stated = sketch.stated_bound(
-                    config, inc.resolution, inc.window.duration
-                )
-                assert width <= stated + slack
-                assert sketch.credits_lo - slack <= sketch.credits <= (
-                    sketch.credits_hi + slack
-                )
-                assert sketch.error_bound >= -slack
-
-    def test_resolution_must_divide_mini_window(self):
-        latency, gaps, clusters = fitted_models([])
-        try:
-            IncrementalReplay(
-                latency, gaps, clusters, Window(0.0, HORIZON),
-                mode="sketch", resolution=70.0,
-            )
-        except ConfigurationError:
-            pass
-        else:
-            raise AssertionError("resolution not dividing 300 s must be rejected")
-
-
 class TestDurability:
     @given(record_rows, st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -255,10 +187,7 @@ class TestDurability:
         feed = records[:]
         rng.shuffle(feed)
         for record in feed:
-            if record.arrival_time >= inc.window.start:
-                inc.observe(record)
-        if records:
-            inc.advance_start(records[0].arrival_time)
+            inc.observe(record)
         state = inc.state_dict()
         restored = IncrementalReplay(
             latency, gaps, clusters, Window(0.0, 1.0)
