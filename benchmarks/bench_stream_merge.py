@@ -1,16 +1,17 @@
-"""Perf gate: streamed chunk merge vs monolithic payload merge.
+"""Perf gate: streamed chunk merge vs collect-then-merge.
 
-ISSUE 8's tentpole converts the obs pipeline from collect-then-merge
-(every worker payload alive in the parent at once) to a chunk stream over
-spill-bounded sinks.  This bench proves the conversion's two claims at
-fleet width:
+Every worker session travels as a chunk stream; what differs is how much
+of it is alive in the parent at once.  This bench compares, at fleet
+width, spooled multi-chunk streams over spill-bounded sinks against
+collect-then-merge, where every session is held in memory as one
+single-chunk stream before any of them merges:
 
 * **bounded memory** — the streamed path's Python allocation peak
-  (``tracemalloc``) must be *strictly below* the monolithic path's at the
+  (``tracemalloc``) must be *strictly below* collect-then-merge's at the
   same width, because it never holds more than one chunk plus a bounded
   sink tail (asserted here, not just recorded);
 * **same bytes** — both paths dump byte-identical merged traces (the
-  determinism contract survives the transport change).
+  determinism contract holds for any chunk size and spill bound).
 
 Wall-time (``seconds_*`` / ``*_wall_second_*`` leaves) is gated loosely
 like every other wall-clock number; the record counts and the memory
@@ -31,6 +32,7 @@ from benchmarks.conftest import record_result, run_once
 SCALE = os.environ.get("REPRO_PERF_SCALE", "full")
 WIDTH = {"full": 100, "smoke": 12}[SCALE]  # worker sessions (fleet width)
 TICKS = 40  # spans-with-children per session
+RECORDS = TICKS * 3  # trace records per session (two spans + one event a tick)
 CHUNK_EVENTS = 48  # < records/session, so every session streams multiple chunks
 SPILL_RECORDS = 64  # < records/session, so worker sinks really spill
 
@@ -51,12 +53,16 @@ def _build_session(index: int, sink=None) -> Recorder:
 
 
 def _merge_monolithic(tmp_path):
-    """Collect-then-merge: every worker payload alive at once."""
+    """Collect-then-merge: every worker session alive at once, each held
+    as one single-chunk stream (``max_events`` above its record count)."""
     parent = Recorder()
-    payloads = [_build_session(i).to_payload() for i in range(WIDTH)]
+    chunks = []
+    for i in range(WIDTH):
+        [chunk] = payload_chunks(_build_session(i), max_events=RECORDS + 1)
+        chunks.append(chunk)
     t0 = timeit.default_timer()
-    for payload in payloads:
-        parent.merge_payload(payload)
+    for chunk in chunks:
+        PayloadChunkMerger(parent).merge(chunk)
     merge_seconds = timeit.default_timer() - t0
     out = tmp_path / "monolithic.jsonl"
     parent.sink.dump(out)
@@ -154,6 +160,6 @@ def test_stream_merge(benchmark, tmp_path):
     )
     # The acceptance claims, asserted (not merely archived):
     assert streamed_bytes == mono_bytes
-    assert streamed_rows == mono_rows == WIDTH * TICKS * 3
+    assert streamed_rows == mono_rows == WIDTH * RECORDS
     assert n_chunks > WIDTH  # every session really streamed multiple chunks
     assert streamed_peak < mono_peak  # bounded memory beats collect-then-merge

@@ -199,7 +199,7 @@ def _collect_exports(
             if json.loads(line).get("name") != "service.restore"
         )
     store = FleetStore()
-    store.ingest_trace_records(rec.to_payload()["records"], run="recovery")
+    store.ingest_trace_records(rec.sink.records, run="recovery")
     ledger = optimizer.ledger
     provenance = optimizer.provenance
     return {

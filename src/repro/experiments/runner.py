@@ -502,10 +502,9 @@ def run_fleet(
     many worker processes.  Results (and, under an active observation
     session, the merged trace/metrics/series exports) are identical either
     way — see docs/PERFORMANCE.md for the determinism contract.  A
-    :class:`~repro.parallel.StreamConfig` streams the observability out of
-    workers in bounded chunks with campaign heartbeats instead of
-    monolithic payloads (docs/OBSERVABILITY.md §v4) — same bytes, O(chunk)
-    memory.
+    :class:`~repro.parallel.StreamConfig` spools the workers' chunk streams
+    through disk with campaign heartbeats instead of holding them in
+    memory (docs/OBSERVABILITY.md §v4) — same bytes, O(chunk) memory.
     """
     jobs = [
         WorkerJob(protocol="before_after.row", scenario=scenario)

@@ -28,7 +28,7 @@ fresh client reads, so enabling provenance cannot perturb a run.  When an
 observation session is active the lifecycle is mirrored into the trace as
 ``provenance.decision`` / ``provenance.outcome`` / ``provenance.attribution``
 events, which is what makes provenance travel through
-:meth:`~repro.obs.trace.Recorder.merge_payload` byte-identically under
+:class:`~repro.obs.stream.PayloadChunkMerger` byte-identically under
 ``repro.parallel`` and lets ``repro.cli obs decisions|attribution`` and
 the fleet store (:mod:`repro.obs.store`) work from a trace file alone.
 """

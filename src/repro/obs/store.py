@@ -13,8 +13,8 @@ events, savings reports, manifests), with
   bytes (the same contract as :meth:`repro.obs.trace.TraceSink.to_jsonl`);
 * **deterministic merge** — :meth:`merge` appends another store's rows in
   its insertion order, the same submission-order discipline as
-  :meth:`repro.obs.trace.Recorder.merge_payload`, so ingesting worker
-  payloads in submission order equals ingesting the serial run;
+  :class:`repro.obs.stream.PayloadChunkMerger`, so ingesting worker
+  sessions in submission order equals ingesting the serial run;
 * **indexed queries** — by warehouse, row kind, sim-time window, run, and
   decision-during-alert overlap joins;
 * **rollups and top-k views** — down-sampled per-bucket aggregates and
@@ -111,10 +111,6 @@ class FleetStore:
             )
             ingested += 1
         return ingested
-
-    def ingest_payload(self, payload: dict, run: str) -> int:
-        """Ingest a :meth:`repro.obs.trace.Recorder.to_payload` value."""
-        return self.ingest_trace_records(payload["records"], run)
 
     def merge(self, other: "FleetStore") -> int:
         """Append another store's rows in its insertion order.

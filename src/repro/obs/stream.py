@@ -1,10 +1,10 @@
-"""Streaming observability: bounded-memory payload transport for fleets.
+"""Streaming observability: the bounded-memory session transport for fleets.
 
-The monolithic session pipeline (``Recorder.to_payload`` →
-``Recorder.merge_payload``) holds a worker's *entire* trace in memory and
-ships it as one value — fine for a six-customer fleet, hopeless for the
-10k-warehouse campaigns ROADMAP item 2 asks for.  This module converts
-that pipeline to a streaming one without giving up a single byte of the
+A worker session leaves its job and enters the parent recorder one way
+only: as an ordered stream of bounded payload chunks.  Whether the stream
+lives in memory (a plain ``run_jobs`` call) or is spooled through disk
+(a :class:`repro.parallel.StreamConfig` campaign), it is produced and
+folded by the same two pieces, without giving up a single byte of the
 determinism contract (docs/OBSERVABILITY.md §v4):
 
 * :class:`SpillingTraceSink` — a drop-in ``TraceSink`` whose in-memory
@@ -12,9 +12,9 @@ determinism contract (docs/OBSERVABILITY.md §v4):
   files whose deterministic concatenation *is* ``to_jsonl()``, so a
   worker's peak RSS is O(spill bound), not O(run);
 * :func:`payload_chunks` / :class:`PayloadChunkMerger` — the session
-  payload split into an ordered stream of bounded chunks and folded back
-  incrementally; merging a worker's chunks in order is byte-identical to
-  merging its monolithic payload (``tests/props/test_obs_stream_determinism``
+  split into an ordered stream of bounded chunks and folded back
+  incrementally; any chunk size merges byte-identically to a single
+  chunk holding the whole session (``tests/props/test_payload_merge_props``
   states this as an equality);
 * campaign **heartbeats** — workers append deterministic progress records
   (scenario, chunk seq, spans/events, sim-time reached) to a per-job file
@@ -190,9 +190,8 @@ def payload_chunks(recorder, max_events: int = DEFAULT_CHUNK_EVENTS) -> Iterator
     Each chunk carries at most ``max_events`` trace records plus that
     chunk's span-record count; the first chunk declares the session's
     total consumed span ids (so the merger can reserve the whole block up
-    front, exactly like the monolithic merge), and the final chunk carries
-    the metrics/series snapshots — bounded aggregates that need no
-    chunking.  A session with zero records still yields one final chunk.
+    front), and the final chunk carries the metrics/series snapshots —
+    bounded aggregates that need no chunking.  A session with zero records still yields one final chunk.
     """
     if max_events <= 0:
         raise ObservabilityError("chunk size must be a positive record count")
@@ -238,14 +237,26 @@ def payload_chunks(recorder, max_events: int = DEFAULT_CHUNK_EVENTS) -> Iterator
 class PayloadChunkMerger:
     """Folds one worker session's ordered chunk stream into a recorder.
 
-    Reserves the worker's whole span-id block on the first chunk (the
-    stream declares its total up front), then renumbers and appends each
-    chunk's records as it arrives — so after the final chunk the parent
-    session is byte-identical to one that merged the monolithic payload,
-    while never holding more than one chunk in memory.
+    The only way a foreign session enters a recorder.  Reserves the
+    worker's whole span-id block on the first chunk (the stream declares
+    its total up front), then renumbers and appends each chunk's records
+    as it arrives — so after the final chunk the parent session is
+    byte-identical to a serial run of the same scenario, while never
+    holding more than one chunk in memory.  Streams fold one at a time:
+    a second merger on the same recorder is refused until the first has
+    merged its final chunk, since interleaved streams would interleave
+    records and span-id blocks.  Alert *dedup state* does not travel:
+    each scenario runs its own alert lifecycle (the fire/resolve events
+    are already in the records).
     """
 
     def __init__(self, recorder):
+        if recorder._chunk_merger is not None:
+            raise ObservabilityError(
+                "another chunk stream is mid-flight on this recorder; "
+                "merge its final chunk first"
+            )
+        recorder._chunk_merger = self
         self.recorder = recorder
         self.finished = False
         self._next_seq = 0
@@ -291,6 +302,7 @@ class PayloadChunkMerger:
             self.recorder.metrics.merge(chunk["metrics"])
             self.recorder.series.merge(chunk["series"])
             self.finished = True
+            self.recorder._chunk_merger = None
 
 
 # --------------------------------------------------------------- heartbeats

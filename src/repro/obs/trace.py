@@ -167,7 +167,8 @@ class Recorder:
         self.manifest = manifest
         self._ids = itertools.count(1)
         self._stack: list[int] = []
-        self._chunk_merger = None  # in-flight PayloadChunkMerger, if any
+        # The in-flight PayloadChunkMerger, if any: one stream at a time.
+        self._chunk_merger = None
         if manifest is not None:
             self.sink.write(
                 {
@@ -236,59 +237,12 @@ class Recorder:
             next(self._ids)
         return first
 
-    def to_payload(self) -> dict:
-        """This session's state as a plain (picklable) value tree.
-
-        Captured in a worker process after its scenario finishes; the
-        parent folds it back with :meth:`merge_payload`.  Only complete
-        sessions can travel — open spans mean the run is still in flight.
-        """
-        if self._stack:
-            raise ObservabilityError(
-                "cannot capture a session payload with open spans"
-            )
-        return {
-            "records": self.sink.records,
-            # Ids are allocated at span open and every opened span has
-            # closed (empty stack), so the consumed-id count is the number
-            # of span records.
-            "span_ids": sum(1 for r in self.sink.records if r["type"] == "span"),
-            "metrics": self.metrics.snapshot(),
-            "series": self.series.snapshot(),
-        }
-
-    def merge_payload(self, payload: dict) -> None:
-        """Fold a worker session's :meth:`to_payload` into this session.
-
-        Deterministic by construction: span ids are renumbered into a block
-        reserved off this session's counter, trace records append in the
-        worker's emission order, and metrics/series merge with sequential-
-        composition semantics — so merging worker payloads in submission
-        order reproduces, byte for byte, the session a serial run of the
-        same scenarios would have produced.  Alert *dedup state* does not
-        travel: each scenario runs its own alert lifecycle (the fire/resolve
-        events are already in the records).
-        """
-        if self._stack:
-            raise ObservabilityError(
-                "cannot merge a session payload while spans are open"
-            )
-        if self._chunk_merger is not None:
-            raise ObservabilityError(
-                "cannot merge a monolithic payload while a chunk stream is "
-                "mid-flight; finish it first"
-            )
-        n = int(payload["span_ids"])
-        offset = (self.reserve_span_ids(n) - 1) if n else 0
-        self._merge_records(payload["records"], offset)
-        self.metrics.merge(payload["metrics"])
-        self.series.merge(payload["series"])
-
     def _merge_records(self, records: list[dict], offset: int) -> int:
         """Renumber and append foreign records; returns the span count.
 
-        The shared body of :meth:`merge_payload` and the chunked merge
-        path — one renumbering rule, two transports.
+        The one renumbering rule a worker session's chunk stream goes
+        through (:class:`repro.obs.stream.PayloadChunkMerger`): span ids
+        and parent/enclosing-span references shift by ``offset``.
         """
         spans = 0
         for record in records:
@@ -304,37 +258,6 @@ class Recorder:
                 record["span"] = record["span"] + offset
             self.sink.write(record)
         return spans
-
-    def to_payload_chunks(self, max_events: int | None = None):
-        """This session's payload as an ordered stream of bounded chunks.
-
-        The streaming counterpart of :meth:`to_payload`: yields dicts of
-        at most ``max_events`` trace records each (plus metrics/series on
-        the final chunk), so neither side ever holds the whole session.
-        See :func:`repro.obs.stream.payload_chunks`.
-        """
-        from repro.obs import stream  # local: stream imports obs.metrics
-
-        if max_events is None:
-            max_events = stream.DEFAULT_CHUNK_EVENTS
-        return stream.payload_chunks(self, max_events=max_events)
-
-    def merge_payload_chunk(self, chunk: dict) -> None:
-        """Fold one chunk of a worker's stream into this session.
-
-        Chunks of one worker stream must arrive in sequence order; the
-        stream finishes at its final chunk, after which the next chunk
-        with ``seq == 0`` starts the next worker's stream.  Merging a
-        stream chunk-by-chunk is byte-identical to :meth:`merge_payload`
-        of the same session's monolithic payload.
-        """
-        from repro.obs import stream  # local: stream imports obs.metrics
-
-        if self._chunk_merger is None:
-            self._chunk_merger = stream.PayloadChunkMerger(self)
-        self._chunk_merger.merge(chunk)
-        if self._chunk_merger.finished:
-            self._chunk_merger = None
 
     # --------------------------------------------------------------- metrics
     def counter(self, name: str) -> Counter:
@@ -389,10 +312,10 @@ def stop() -> Recorder:
 def resume(rec: Recorder) -> Recorder:
     """Reinstall a previously-:func:`stop`-ped recorder as the session.
 
-    The parallel layer's serial path runs each scenario in an isolated
+    The parallel layer's inline driver runs each scenario in an isolated
     session: it stops the caller's recorder, records the scenario into a
-    fresh one, then resumes the original and merges the isolated session's
-    payload into it.
+    fresh one, then resumes the original and folds the isolated session's
+    chunk stream into it.
     """
     global _RECORDER
     if _RECORDER is not None:

@@ -13,10 +13,13 @@ order:
 * ``workers>0`` runs jobs in ``spawn``-context worker processes.  Each
   worker rebuilds its scenario from the job's
   :class:`~repro.experiments.scenarios.ScenarioSpec`, records into a
-  fresh session, and ships the result plus the session payload back.
+  fresh session, and ships the result plus the session back.
 
-Either way the parent merges the per-job payloads in submission order, so
-the two paths produce byte-identical traces, metrics and series exports
+Both drivers run the same job body (:func:`_execute`), which always emits
+an observed session as a chunk stream — in memory, or spooled to disk
+under a :class:`StreamConfig` — and the parent folds every stream through
+the same :func:`_fold_session` in submission order.  So the two drivers
+produce byte-identical traces, metrics and series exports
 (tests/experiments/test_parallel.py states this as an equality).
 
 Worker deaths are survivable: a :class:`BrokenProcessPool` (OOM kill,
@@ -171,28 +174,66 @@ class StreamConfig:
         return pathlib.Path(self.dir)
 
 
-def _execute(job: WorkerJob, observe: bool, bucket_seconds: float):
-    """Worker entrypoint: rebuild, run, and capture the session payload.
+def _execute(
+    job: WorkerJob,
+    index: int,
+    observe: bool,
+    bucket_seconds: float,
+    cfg: StreamConfig | None,
+):
+    """The one per-job body: rebuild, run, and emit the session as chunks.
 
-    Module-level so ``spawn`` can pickle it by reference.  Also the serial
-    path's per-job body — both paths run *exactly* this code.
+    Module-level so ``spawn`` can pickle it by reference; the inline
+    driver runs *exactly* this code too.  Returns
+    ``(result, session, stats)``:
+
+    * ``session`` is ``None`` for an unobserved job.  Otherwise it is the
+      job's chunk stream: a list of chunks in memory without ``cfg``, or
+      with ``cfg`` the path of the spool file the chunks were written to
+      (recorded behind a :class:`~repro.obs.stream.SpillingTraceSink`,
+      so peak RSS is bounded by the spill threshold, not the run length);
+    * ``stats`` is ``None`` without ``cfg``; with it, deterministic counts
+      plus the worker's peak RSS, routed exclusively to the resources
+      sidecar.
+
+    Only with ``cfg`` does the job write heartbeats or touch the disk.
     """
+    if cfg is not None:
+        obs_stream.write_heartbeat(
+            cfg.base() / "progress", index, status="start",
+            scenario=_job_label(job), protocol=job.protocol,
+        )
     fn = resolve_protocol(job.protocol)
     scenario = job.build_scenario()
     if not observe:
-        return fn(scenario, **dict(job.kwargs)), None
-    rec = obs_trace.start(bucket_seconds=bucket_seconds)
+        result = fn(scenario, **dict(job.kwargs))
+        if cfg is None:
+            return result, None, None
+        obs_stream.write_heartbeat(
+            cfg.base() / "progress", index, status="done",
+            records=0, spans=0, events=0, chunks=0, sim_time=0.0,
+        )
+        return result, None, {"job": index, "peak_rss_kb": obs_stream.peak_rss_kb()}
+    if cfg is None:
+        sink = obs_trace.TraceSink()
+    else:
+        sink = obs_stream.SpillingTraceSink(
+            cfg.base() / "spill" / f"job-{index:05d}", max_records=cfg.spill_records
+        )
+    rec = obs_trace.start(sink=sink, bucket_seconds=bucket_seconds)
     try:
         result = fn(scenario, **dict(job.kwargs))
     finally:
         obs_trace.stop()
-    return result, rec.to_payload()
+    if cfg is None:
+        return result, list(obs_stream.payload_chunks(rec)), None
+    return (result, *_spool_session(rec, index, cfg))
 
 
 def _job_label(job: WorkerJob) -> str:
-    """The scenario label heartbeats carry — identical on both paths.
+    """The scenario label heartbeats carry — identical on both drivers.
 
-    Serial jobs arrive un-shipped (spec on the scenario, not the job), so
+    Inline jobs arrive un-shipped (spec on the scenario, not the job), so
     look through to the scenario's spec before falling back to its name.
     """
     spec = job.spec
@@ -203,59 +244,21 @@ def _job_label(job: WorkerJob) -> str:
     return str(getattr(job.scenario, "name", "?"))
 
 
-def _execute_streamed(
-    job: WorkerJob,
-    index: int,
-    observe: bool,
-    bucket_seconds: float,
-    dir_str: str,
-    max_chunk_events: int,
-    spill_records: int,
-):
-    """Streamed worker entrypoint: spill, run, spool chunks, heartbeat.
+def _spool_session(rec, index: int, cfg: StreamConfig) -> tuple[str, dict]:
+    """Write a finished session's chunk stream to its spool file.
 
-    Module-level so ``spawn`` can pickle it by reference; also the serial
-    streamed path's per-job body.  Records into a
-    :class:`~repro.obs.stream.SpillingTraceSink` (peak RSS bounded by the
-    spill threshold, not the run length), then writes the session's chunk
-    stream to a spool file the parent folds in submission order.  Returns
-    ``(result, spool_path | None, stats)``; ``stats`` holds only
-    deterministic counts plus the worker's peak RSS, and is routed
-    exclusively to the resources sidecar.
+    Heartbeats every chunk, drops the spill segments once the records are
+    spooled, and returns ``(spool_path, stats)``.
     """
-    base = pathlib.Path(dir_str)
-    progress_dir = base / "progress"
-    obs_stream.write_heartbeat(
-        progress_dir,
-        index,
-        status="start",
-        scenario=_job_label(job),
-        protocol=job.protocol,
-    )
-    fn = resolve_protocol(job.protocol)
-    scenario = job.build_scenario()
-    if not observe:
-        result = fn(scenario, **dict(job.kwargs))
-        obs_stream.write_heartbeat(
-            progress_dir, index, status="done",
-            records=0, spans=0, events=0, chunks=0, sim_time=0.0,
-        )
-        return result, None, {"job": index, "peak_rss_kb": obs_stream.peak_rss_kb()}
-    sink = obs_stream.SpillingTraceSink(
-        base / "spill" / f"job-{index:05d}", max_records=spill_records
-    )
-    rec = obs_trace.start(sink=sink, bucket_seconds=bucket_seconds)
-    try:
-        result = fn(scenario, **dict(job.kwargs))
-    finally:
-        obs_trace.stop()
+    base = cfg.base()
+    progress = base / "progress"
     spool_dir = base / "spool"
     spool_dir.mkdir(parents=True, exist_ok=True)
     spool_path = spool_dir / f"job-{index:05d}.chunks.jsonl"
     records = spans = events = chunks = 0
     sim_time = 0.0
     with open(spool_path, "w", encoding="utf-8") as fh:
-        for chunk in rec.to_payload_chunks(max_events=max_chunk_events):
+        for chunk in obs_stream.payload_chunks(rec, max_events=cfg.max_chunk_events):
             fh.write(
                 json.dumps(chunk, sort_keys=True, separators=(",", ":")) + "\n"
             )
@@ -270,13 +273,13 @@ def _execute_streamed(
                     float(record.get("time_end", record.get("time", 0.0)) or 0.0),
                 )
             obs_stream.write_heartbeat(
-                progress_dir, index, status="chunk", seq=chunk["seq"],
+                progress, index, status="chunk", seq=chunk["seq"],
                 records=records, spans=spans, events=events, sim_time=sim_time,
             )
-    spilled_segments = sink.spilled_segments
-    sink.cleanup()
+    spilled_segments = rec.sink.spilled_segments
+    rec.sink.cleanup()
     obs_stream.write_heartbeat(
-        progress_dir, index, status="done",
+        progress, index, status="done",
         records=records, spans=spans, events=events, chunks=chunks,
         sim_time=sim_time,
     )
@@ -290,7 +293,42 @@ def _execute_streamed(
         "spilled_segments": spilled_segments,
         "peak_rss_kb": obs_stream.peak_rss_kb(),
     }
-    return result, str(spool_path), stats
+    return str(spool_path), stats
+
+
+def _read_spool(path: str, probe) -> Iterator[dict]:
+    """A spool's chunks, parsed one line at a time."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                probe.add_bytes("chunk_bytes_merged", len(line))
+                yield json.loads(line)
+
+
+def _fold_session(parent, index: int, session, probe) -> None:
+    """The one fold: merge a job's chunk stream into the parent session.
+
+    ``session`` is an in-memory chunk list or a spool path; a spool is
+    read one line at a time — the parent never holds more than a single
+    chunk — and deleted once merged.  A stream that ends before its
+    final chunk means the worker died mid-capture; that must fail
+    loudly, not truncate the trace silently.
+    """
+    spool = session if isinstance(session, str) else None
+    chunks = session if spool is None else _read_spool(spool, probe)
+    merger = obs_stream.PayloadChunkMerger(parent)
+    for chunk in chunks:
+        probe.add_count("chunks_merged")
+        with probe.stage("merge_chunks"):
+            merger.merge(chunk)
+    if not merger.finished:
+        where = spool if spool is not None else "in memory"
+        raise ParallelExecutionError(
+            f"chunk stream of job {index} ({where}) ended before its final "
+            "chunk (worker died mid-capture?)"
+        )
+    if spool is not None:
+        os.remove(spool)
 
 
 @contextmanager
@@ -323,59 +361,98 @@ def run_jobs(
     """Run jobs and return their results in submission order.
 
     ``workers=0`` runs inline; ``workers>0`` uses that many ``spawn``
-    worker processes.  When an observation session is active, both paths
-    run each job in an isolated session and merge the captured payloads
-    back in submission order, so the exported trace/metrics/series are
+    worker processes.  When an observation session is active, every job
+    runs in an isolated session whose chunk stream the parent folds back
+    in submission order, so the exported trace/metrics/series are
     identical regardless of ``workers``.
 
-    With a :class:`StreamConfig`, payloads travel as bounded chunk
-    streams through spool files instead of monolithic values: worker
-    peak RSS is O(spill bound), the parent merges O(chunk) at a time,
-    and workers heartbeat their progress — all while producing the very
-    same bytes as the monolithic paths (docs/OBSERVABILITY.md §v4).
+    Without a :class:`StreamConfig` the chunks travel in memory.  With
+    one, they are spooled through disk instead: worker peak RSS is
+    O(spill bound), the parent merges O(chunk) at a time, and workers
+    heartbeat their progress — all while producing the very same bytes
+    (docs/OBSERVABILITY.md §v4).
     """
     jobs = list(jobs)
     if workers < 0:
         raise ParallelExecutionError(f"workers must be >= 0, got {workers}")
     if not jobs:
         return []
-    if stream is not None:
-        if workers == 0:
-            return _run_serial_streamed(jobs, stream)
-        return _run_parallel_streamed(jobs, workers, stream)
-    if workers == 0:
-        return _run_serial(jobs)
-    return _run_parallel(jobs, workers)
-
-
-def _run_serial(jobs: list[WorkerJob]) -> list:
     parent = obs_trace.recorder()
-    if parent is None:
-        return [_execute(job, False, DEFAULT_BUCKET_SECONDS)[0] for job in jobs]
-    bucket_seconds = parent.series.bucket_seconds
-    outcomes = []
-    obs_trace.stop()
-    try:
-        for job in jobs:
-            outcomes.append(_execute(job, True, bucket_seconds))
-    finally:
-        obs_trace.resume(parent)
-    for _, payload in outcomes:
-        parent.merge_payload(payload)
-    return [result for result, _ in outcomes]
+    observe = parent is not None
+    bucket_seconds = parent.series.bucket_seconds if observe else DEFAULT_BUCKET_SECONDS
+    probe = obs_stream.NULL_PROBE
+    if stream is not None and stream.probe is not None:
+        probe = stream.probe
+    # The probe stays in the parent; jobs get a picklable copy without it.
+    cfg = None if stream is None else replace(stream, probe=None)
+    args = (observe, bucket_seconds, cfg)  # _execute's trailing arguments
+    results: list = []
+
+    # Fold each session the moment its job (in submission order)
+    # completes — later workers keep running while earlier chunks fold
+    # in.  A retried job rewrites its spool from scratch, so a
+    # half-written spool from a dead worker is replaced, never merged.
+    def on_result(index: int, outcome) -> None:
+        result, session, stats = outcome
+        probe.add_worker(stats)
+        if session is not None:
+            _fold_session(parent, index, session, probe)
+        results.append(result)
+
+    if workers == 0:
+        _run_inline(jobs, parent, args, on_result, probe)
+    else:
+        shipped = [job.shippable() for job in jobs]
+        with _child_import_path():
+            _run_with_worker_recovery(
+                len(shipped),
+                lambda pool, i: pool.submit(_execute, shipped[i], i, *args),
+                lambda i: f"{shipped[i].spec.describe()} (protocol {shipped[i].protocol!r})",
+                workers,
+                on_result,
+                progress_dir=None if cfg is None else cfg.base() / "progress",
+            )
+    probe.sample_rss("parent")
+    return results
 
 
-#: Placeholder for a job whose outcome has not arrived yet (results and
-#: payloads may legitimately be None, so identity-checked sentinel).
+def _run_inline(
+    jobs: list[WorkerJob],
+    parent,
+    args: tuple,
+    on_result: Callable[[int, object], None],
+    probe,
+) -> None:
+    """Run jobs in this process, each in an isolated observation session.
+
+    The caller's session is stopped around each job (the job body starts
+    its own) and resumed before the job's stream folds back in, so a
+    failing job raises its original exception with the caller's session
+    reinstalled.
+    """
+    for index, job in enumerate(jobs):
+        if parent is not None:
+            obs_trace.stop()
+        try:
+            with probe.stage("execute"):
+                outcome = _execute(job, index, *args)
+        finally:
+            if parent is not None:
+                obs_trace.resume(parent)
+        on_result(index, outcome)
+
+
+#: Placeholder for a job whose outcome has not arrived yet (an
+#: identity-checked sentinel, distinct from any value a job returns).
 _UNSET = object()
 
 
 def _heartbeat_evidence(progress_dir) -> str:
     """Which jobs started but never reported done, per their heartbeats.
 
-    The streamed paths append per-job heartbeats under ``progress/``; when
-    a worker dies, the jobs whose files end without a ``done`` record are
-    the ones that were on the dead worker — the closest thing to a crash
+    With a :class:`StreamConfig`, jobs append heartbeats under
+    ``progress/``; when a worker dies, the jobs whose files end without a
+    ``done`` record are the ones that were on the dead worker — the closest thing to a crash
     log a vanished process leaves behind.
     """
     if progress_dir is None or not pathlib.Path(progress_dir).exists():
@@ -476,128 +553,3 @@ def _run_with_worker_recovery(
                 f"instead of retrying (cause: {cause!r}){suffix}"
             ) from cause
         pending = [index for index in pending if outcomes[index] is _UNSET]
-
-
-def _run_parallel(jobs: list[WorkerJob], workers: int) -> list:
-    parent = obs_trace.recorder()
-    observe = parent is not None
-    bucket_seconds = parent.series.bucket_seconds if observe else DEFAULT_BUCKET_SECONDS
-    shipped = [job.shippable() for job in jobs]
-    results: list = []
-
-    def on_result(index: int, outcome) -> None:
-        result, payload = outcome
-        if observe:
-            parent.merge_payload(payload)
-        results.append(result)
-
-    with _child_import_path():
-        _run_with_worker_recovery(
-            len(shipped),
-            lambda pool, i: pool.submit(_execute, shipped[i], observe, bucket_seconds),
-            lambda i: f"{shipped[i].spec.describe()} (protocol {shipped[i].protocol!r})",
-            workers,
-            on_result,
-        )
-    return results
-
-
-def _merge_chunk_spool(parent, spool_path: str, probe) -> None:
-    """Fold one worker's spooled chunk stream into the parent session.
-
-    Reads the spool one line at a time — the parent never holds more
-    than a single chunk — and deletes it once fully merged.  A spool
-    whose final chunk never arrived means the worker died mid-capture;
-    that must fail loudly, not truncate the trace silently.
-    """
-    merger = obs_stream.PayloadChunkMerger(parent)
-    with open(spool_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            probe.add_bytes("chunk_bytes_merged", len(line))
-            probe.add_count("chunks_merged")
-            with probe.stage("merge_chunks"):
-                merger.merge(json.loads(line))
-    if not merger.finished:
-        raise ParallelExecutionError(
-            f"chunk spool {spool_path} ended before its final chunk "
-            "(worker died mid-capture?)"
-        )
-    os.remove(spool_path)
-
-
-def _stream_probe(cfg: StreamConfig):
-    return cfg.probe if cfg.probe is not None else obs_stream.NULL_PROBE
-
-
-def _run_serial_streamed(jobs: list[WorkerJob], cfg: StreamConfig) -> list:
-    parent = obs_trace.recorder()
-    observe = parent is not None
-    bucket_seconds = (
-        parent.series.bucket_seconds if observe else DEFAULT_BUCKET_SECONDS
-    )
-    probe = _stream_probe(cfg)
-    outcomes = []
-    if observe:
-        obs_trace.stop()
-    try:
-        for index, job in enumerate(jobs):
-            with probe.stage("execute"):
-                outcomes.append(
-                    _execute_streamed(
-                        job, index, observe, bucket_seconds, str(cfg.base()),
-                        cfg.max_chunk_events, cfg.spill_records,
-                    )
-                )
-    finally:
-        if observe:
-            obs_trace.resume(parent)
-    results = []
-    for result, spool_path, stats in outcomes:
-        probe.add_worker(stats)
-        if observe and spool_path is not None:
-            _merge_chunk_spool(parent, spool_path, probe)
-        results.append(result)
-    probe.sample_rss("parent")
-    return results
-
-
-def _run_parallel_streamed(
-    jobs: list[WorkerJob], workers: int, cfg: StreamConfig
-) -> list:
-    parent = obs_trace.recorder()
-    observe = parent is not None
-    bucket_seconds = (
-        parent.series.bucket_seconds if observe else DEFAULT_BUCKET_SECONDS
-    )
-    probe = _stream_probe(cfg)
-    shipped = [job.shippable() for job in jobs]
-    results: list = []
-
-    # Merge each stream the moment its job (in submission order)
-    # completes — later workers keep running while earlier chunks fold
-    # in, and the parent never buffers whole payloads.  A retried job
-    # rewrites its spool from scratch, so a half-written spool from a
-    # dead worker is replaced, never merged.
-    def on_result(index: int, outcome) -> None:
-        result, spool_path, stats = outcome
-        probe.add_worker(stats)
-        if observe and spool_path is not None:
-            _merge_chunk_spool(parent, spool_path, probe)
-        results.append(result)
-
-    with _child_import_path():
-        _run_with_worker_recovery(
-            len(shipped),
-            lambda pool, i: pool.submit(
-                _execute_streamed, shipped[i], i, observe, bucket_seconds,
-                str(cfg.base()), cfg.max_chunk_events, cfg.spill_records,
-            ),
-            lambda i: f"{shipped[i].spec.describe()} (protocol {shipped[i].protocol!r})",
-            workers,
-            on_result,
-            progress_dir=cfg.base() / "progress",
-        )
-    probe.sample_rss("parent")
-    return results

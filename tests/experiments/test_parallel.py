@@ -7,12 +7,18 @@ metrics and series exports.  Failures in a worker must come back as
 :class:`ParallelExecutionError` naming the rebuildable scenario spec.
 """
 
+import json
+
 import pytest
 
 from repro import obs
 from repro.experiments.runner import run_fleet
 from repro.experiments.scenarios import fig5_scenarios, smoke_scenario
-from repro.parallel import ParallelExecutionError
+from repro.obs import Recorder
+from repro.obs.series import DEFAULT_BUCKET_SECONDS
+from repro.obs.stream import NULL_PROBE, payload_chunks
+from repro.parallel import ParallelExecutionError, WorkerJob
+from repro.parallel.pool import _execute, _fold_session
 
 #: More jobs than workers, so the pool must queue and still preserve order.
 SEEDS = (123, 321, 555)
@@ -70,3 +76,39 @@ class TestWorkerFailure:
             with pytest.raises(ValueError, match="keebo_day"):
                 run_fleet([fig5_scenarios()[0]], workers=0)
             assert obs.recorder() is rec
+
+
+def _worker_session():
+    """A finished little session standing in for a worker's."""
+    rec = Recorder()
+    for i in range(4):
+        with rec.span("tick", float(i)):
+            rec.emit("ping", float(i))
+    return rec
+
+
+class TestSessionTransport:
+    """The one chunk-stream transport ``run_jobs`` folds sessions through."""
+
+    def test_unobserved_job_emits_no_session(self):
+        job = WorkerJob(protocol="before_after.row", scenario=smoke_scenario(seed=123))
+        result, session, stats = _execute(job, 0, False, DEFAULT_BUCKET_SECONDS, None)
+        assert result.manifest.seed == 123
+        assert session is None and stats is None
+
+    def test_in_memory_stream_missing_final_chunk_fails(self):
+        chunks = list(payload_chunks(_worker_session(), max_events=3))
+        assert len(chunks) > 1
+        with pytest.raises(ParallelExecutionError, match="before its final chunk"):
+            _fold_session(Recorder(), 0, chunks[:-1], NULL_PROBE)
+
+    def test_spooled_stream_missing_final_chunk_fails(self, tmp_path):
+        spool = tmp_path / "job-00000.chunks.jsonl"
+        chunks = list(payload_chunks(_worker_session(), max_events=3))
+        spool.write_text(
+            "".join(json.dumps(chunk) + "\n" for chunk in chunks[:-1]),
+            encoding="utf-8",
+        )
+        with pytest.raises(ParallelExecutionError, match="before its final chunk"):
+            _fold_session(Recorder(), 0, str(spool), NULL_PROBE)
+        assert spool.exists()  # an incomplete spool is kept as evidence

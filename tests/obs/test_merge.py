@@ -1,14 +1,15 @@
-"""Session merge primitives: payload capture, renumbering, composition.
+"""Session merge primitives: chunk capture, renumbering, composition.
 
 The parallel experiment layer's determinism rests on one identity: running
 scenario A then scenario B in one session produces the same exports as
-running each in an isolated session and merging the payloads in order.
-These tests state that identity directly on synthetic recordings.
+running each in an isolated session and folding their chunk streams in
+order.  These tests state that identity directly on synthetic recordings.
 """
 
 import pytest
 
 from repro.obs import ObservabilityError, Recorder
+from repro.obs.stream import PayloadChunkMerger, payload_chunks
 from repro.obs.trace import resume, start, stop
 
 
@@ -20,6 +21,14 @@ def record_block(rec: Recorder, base: float, label: str) -> None:
             rec.counter("repro.test.events").inc(3, time=base + 2.0)
         rec.gauge("repro.test.depth").set(base, time=base + 3.0)
         rec.histogram("repro.test.lat").observe(base / 10.0, time=base + 4.0)
+
+
+def merge_session(target: Recorder, source: Recorder) -> None:
+    """Fold ``source``'s chunk stream into ``target``."""
+    merger = PayloadChunkMerger(target)
+    for chunk in payload_chunks(source, max_events=3):
+        merger.merge(chunk)
+    assert merger.finished
 
 
 def exports(rec: Recorder) -> tuple[str, str, str]:
@@ -36,7 +45,7 @@ class TestSessionMerge:
         record_block(parent, 100.0, "a")
         worker = Recorder()
         record_block(worker, 700.0, "b")
-        parent.merge_payload(worker.to_payload())
+        merge_session(parent, worker)
 
         assert exports(parent) == exports(serial)
 
@@ -45,7 +54,7 @@ class TestSessionMerge:
         record_block(parent, 0.0, "a")  # consumes span ids 1..2
         worker = Recorder()
         record_block(worker, 50.0, "b")
-        parent.merge_payload(worker.to_payload())
+        merge_session(parent, worker)
         span_ids = [r["id"] for r in parent.sink.records if r["type"] == "span"]
         assert sorted(span_ids) == [1, 2, 3, 4]
         # The merged event points at the renumbered enclosing span.
@@ -59,7 +68,7 @@ class TestSessionMerge:
         parent.gauge("repro.test.level").set(5.0, time=10.0)
         worker = Recorder()
         worker.gauge("repro.test.level").set(2.0, time=20.0)
-        parent.merge_payload(worker.to_payload())
+        merge_session(parent, worker)
         snap = parent.metrics.snapshot()["repro.test.level"]
         assert snap == {"kind": "gauge", "value": 2.0, "updates": 2, "min": 2.0, "max": 5.0}
 
@@ -67,9 +76,9 @@ class TestSessionMerge:
         rec = Recorder()
         span = rec.span("open", 1.0)
         with pytest.raises(ObservabilityError):
-            rec.to_payload()
+            list(payload_chunks(rec))
         span.__exit__(None, None, None)
-        assert rec.to_payload()["span_ids"] == 1
+        assert list(payload_chunks(rec))[0]["span_id_total"] == 1
 
     def test_resume_restores_stopped_session(self):
         rec = start()
@@ -85,5 +94,5 @@ class TestSessionMerge:
         parent = Recorder()
         record_block(parent, 0.0, "a")
         before = exports(parent)
-        parent.merge_payload(Recorder().to_payload())
+        merge_session(parent, Recorder())
         assert exports(parent) == before

@@ -69,17 +69,24 @@ class TestSpillingTraceSink:
         assert len(rec.sink) == 0
 
 
+def _merge(target, source, max_events):
+    """Fold ``source``'s chunk stream into ``target``."""
+    merger = PayloadChunkMerger(target)
+    for chunk in payload_chunks(source, max_events=max_events):
+        merger.merge(chunk)
+    assert merger.finished
+
+
 class TestPayloadChunks:
     def test_chunked_merge_equals_monolithic(self, tmp_path):
-        mono, chunked = Recorder(), Recorder()
+        """Multi-chunk streams equal single-chunk streams of each session."""
+        whole, chunked = Recorder(), Recorder()
         source_a, source_b = _session(seed=1), _session(seed=2, n=7)
-        mono.merge_payload(source_a.to_payload())
-        mono.merge_payload(source_b.to_payload())
         for source in (source_a, source_b):
-            for chunk in source.to_payload_chunks(max_events=5):
-                chunked.merge_payload_chunk(chunk)
-        assert chunked.sink.to_jsonl() == mono.sink.to_jsonl()
-        assert chunked.metrics.to_json() == mono.metrics.to_json()
+            _merge(whole, source, max_events=len(source.sink))
+            _merge(chunked, source, max_events=5)
+        assert chunked.sink.to_jsonl() == whole.sink.to_jsonl()
+        assert chunked.metrics.to_json() == whole.metrics.to_json()
 
     def test_spilled_source_chunks_identically(self, tmp_path):
         plain = _session(seed=3)
@@ -108,7 +115,7 @@ class TestPayloadChunks:
 
     def test_merger_rejects_out_of_order_and_double_finish(self):
         source = _session()
-        chunks = list(source.to_payload_chunks(max_events=5))
+        chunks = list(payload_chunks(source, max_events=5))
         assert len(chunks) > 2
         target = Recorder()
         merger = PayloadChunkMerger(target)
@@ -116,20 +123,33 @@ class TestPayloadChunks:
         with pytest.raises(ObservabilityError):
             merger.merge(chunks[2])  # skipped seq 1
         finished = Recorder()
-        for chunk in source.to_payload_chunks(max_events=5):
-            finished.merge_payload_chunk(chunk)
+        _merge(finished, source, max_events=5)
         done = PayloadChunkMerger(finished)
         done.finished = True
         with pytest.raises(ObservabilityError):
             done.merge(chunks[0])
 
-    def test_monolithic_merge_refused_mid_stream(self):
-        source = _session()
-        chunks = list(source.to_payload_chunks(max_events=5))
+    def test_second_stream_refused_mid_flight(self):
+        chunks = list(payload_chunks(_session(), max_events=5))
         target = Recorder()
-        target.merge_payload_chunk(chunks[0])
-        with pytest.raises(ObservabilityError):
-            target.merge_payload(_session(seed=9).to_payload())
+        first = PayloadChunkMerger(target)
+        first.merge(chunks[0])
+        with pytest.raises(ObservabilityError, match="mid-flight"):
+            PayloadChunkMerger(target)
+        for chunk in chunks[1:]:
+            first.merge(chunk)
+        # Once the first stream merged its final chunk, the next may start.
+        _merge(target, _session(seed=9), max_events=5)
+
+    def test_final_chunk_rejects_span_count_mismatch(self):
+        chunks = list(payload_chunks(_session(), max_events=5))
+        chunks[0] = dict(chunks[0], span_id_total=chunks[0]["span_id_total"] + 1)
+        merger = PayloadChunkMerger(Recorder())
+        for chunk in chunks[:-1]:
+            merger.merge(chunk)
+        with pytest.raises(ObservabilityError, match="integrity"):
+            merger.merge(chunks[-1])
+        assert not merger.finished
 
 
 class TestHeartbeats:

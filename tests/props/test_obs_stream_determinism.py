@@ -2,8 +2,9 @@
 
 A fleet run whose workers stream their observability out as bounded
 payload chunks — through spill-bounded sinks and on-disk chunk spools —
-must export **exactly** the bytes of a serial run that merged monolithic
-payloads: trace JSONL, metrics, series, and the ingested fleet store.
+must export **exactly** the bytes of a plain serial run, whose sessions
+come home as in-memory chunk streams (the "monolithic" baseline in the
+test names): trace JSONL, metrics, series, and the ingested fleet store.
 Chunk/spill bounds are set small enough here that both the spill and the
 multi-chunk paths actually execute (the stats assert it), so the identity
 is proved over the real streaming machinery, not a degenerate single
@@ -39,7 +40,7 @@ def _exports(rec):
     }
 
 
-def _serial_monolithic():
+def _serial_in_memory():
     with obs.observed() as rec:
         result = run_fleet(_scenarios(), workers=0)
     return _exports(rec), result
@@ -64,7 +65,7 @@ class TestStreamedByteIdentity:
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("stream")
-        serial, serial_result = _serial_monolithic()
+        serial, serial_result = _serial_in_memory()
         streamed0, result0, report0, _ = _streamed(tmp_path, workers=0)
         streamed2, result2, report2, cfg2 = _streamed(tmp_path, workers=WORKERS)
         return {
