@@ -122,6 +122,12 @@ class SmartModel:
         self.params = params
         self.decision_interval = decision_interval
         self.original = action_space.original
+        # Anchor of the confidence-ramped suspend floor (_admissible_mask).
+        max_suspend = float(action_space.suspend_seconds.max())
+        if self.original.auto_suspend_seconds <= 0:  # "never suspend" customer
+            self._suspend_anchor = 4 * max_suspend
+        else:
+            self._suspend_anchor = max(self.original.auto_suspend_seconds, max_suspend)
         self._cooldown_until = -1e18
         self._last_structural_change = -1e18
         self._confidence_anchor: float | None = None
@@ -273,10 +279,11 @@ class SmartModel:
         guard = self._guardrail_context(now, current)
         window_hours = guard["window"].duration / HOUR
         base_rate = guard["base"].credits / window_hours if window_hours > 0 else None
+        targets = self.action_space.resulting_configs(current)
         decision: Decision | None = None
         for idx in candidates:
             action = self.action_space.actions[idx]
-            target = self.action_space.apply(current, action)
+            target = targets[idx]
             if decision is not None:
                 context.candidates.append(
                     CandidateEvaluation(idx, action.describe(), float(q[idx]), "not_reached")
@@ -372,30 +379,21 @@ class SmartModel:
         training step would see the fully-locked day-zero mask and the DQN
         would never explore the actions it later becomes allowed to take).
         """
-        mask = self.constraints.action_mask(now, current, self.action_space)
+        space = self.action_space
+        mask = self.constraints.action_mask(now, current, space)
         c = self.confidence(now) if confidence is None else confidence
         # The suspend floor relaxes geometrically from the customer's own
         # setting down to the slider's floor as confidence grows: early on
         # KWO only trims the obvious idle fat; the aggressive 60 s suspends
         # that risk cold caches are earned, not assumed.
-        max_suspend = max(a.suspend_seconds for a in self.action_space.actions)
-        anchor = max(self.original.auto_suspend_seconds, max_suspend)
-        if self.original.auto_suspend_seconds <= 0:  # "never suspend" customer
-            anchor = 4 * max_suspend
         floor = max(self.params.min_auto_suspend, 1.0)
-        suspend_floor = floor * (anchor / floor) ** (1.0 - c)
+        suspend_floor = floor * (self._suspend_anchor / floor) ** (1.0 - c)
         downsize_depth = int(c * self.params.max_downsize_steps)
         size_floor = self.original.size.step(-downsize_depth)
         size_ceiling = self.original.size.step(self.params.max_upsize_steps)
-        for i, action in enumerate(self.action_space.actions):
-            if not mask[i]:
-                continue
-            if not action.keeps_suspend and action.suspend_seconds < suspend_floor - 1e-9:
-                mask[i] = False
-                continue
-            target = self.action_space.apply(current, action)
-            if not size_floor <= target.size <= size_ceiling:
-                mask[i] = False
+        mask &= space.keeps_suspend | (space.suspend_seconds >= suspend_floor - 1e-9)
+        sizes = space.transitions(current).target_sizes
+        mask &= (sizes >= size_floor.value) & (sizes <= size_ceiling.value)
         if not mask.any():
             # A constraint floor can be unreachable in one step (e.g. a rule
             # demanding X-Large while the warehouse sits at Small).  In the
@@ -414,11 +412,6 @@ class SmartModel:
         else:
             original = self.cost_model.estimate_cost(window, self.original)
         return {"window": window, "current": current, "base": base, "original": original}
-
-    def _passes_guardrail(
-        self, guard: dict, target: WarehouseConfig, pressure: bool
-    ) -> bool:
-        return self._guardrail_verdict(guard, target, pressure)[0]
 
     def _guardrail_verdict(
         self, guard: dict, target: WarehouseConfig, pressure: bool

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +72,15 @@ class Action:
         return f"{size}, suspend={suspend}, {cl}"
 
 
+class Transitions(NamedTuple):
+    """Every action's resulting configuration from one starting config."""
+
+    #: ``configs[i]`` is the config that action ``i`` leads to.
+    configs: tuple[WarehouseConfig, ...]
+    #: ``target_sizes[i] == configs[i].size`` as a read-only int array.
+    target_sizes: np.ndarray
+
+
 class ActionSpace:
     """The fixed enumeration of joint actions plus apply/mask helpers.
 
@@ -79,6 +89,11 @@ class ActionSpace:
     ``max_size_headroom`` steps above it (provisioning far beyond what the
     customer ever asked for is a business decision, not an optimization),
     and the cluster cap stays within [1, original max].
+
+    Transitions are tabulated: the first time a config is seen, all of its
+    action outcomes are computed at once and kept, so ``apply`` and masks
+    over the same config are lookups.  The table is derived state bounded
+    by the configs a warehouse actually visits; it is never checkpointed.
     """
 
     def __init__(
@@ -97,6 +112,11 @@ class ActionSpace:
             )
         ]
         self._index = {a: i for i, a in enumerate(self.actions)}
+        #: Per-action columns for vectorized masks.
+        self.keeps_suspend = np.array([a.keeps_suspend for a in self.actions])
+        self.suspend_seconds = np.array([a.suspend_seconds for a in self.actions])
+        self._cluster_cap = min(original.max_clusters, MAX_CLUSTER_COUNT)
+        self._transitions: dict[tuple, Transitions] = {}
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -112,31 +132,43 @@ class ActionSpace:
         """The fully conservative action: change nothing at all."""
         return self.index(Action(0, KEEP_SUSPEND, 0))
 
+    def transitions(self, config: WarehouseConfig) -> Transitions:
+        """The (cached) outcome of every action taken from ``config``."""
+        # 600 and 600.0 compare equal but export differently, and KEEP
+        # actions inherit the caller's value, so the value's type is keyed.
+        key = (config, type(config.auto_suspend_seconds))
+        table = self._transitions.get(key)
+        if table is None:
+            table = self._transitions[key] = self._tabulate(config)
+        return table
+
+    def _tabulate(self, config: WarehouseConfig) -> Transitions:
+        configs = []
+        for action in self.actions:
+            size = config.size.step(action.resize_delta).value
+            size = min(max(size, self.min_size.value), self.max_size.value)
+            new_max = int(config.max_clusters) + action.max_cluster_delta
+            new_max = min(max(new_max, 1), self._cluster_cap)
+            suspend = (
+                config.auto_suspend_seconds
+                if action.keeps_suspend
+                else float(action.suspend_seconds)
+            )
+            configs.append(
+                config.with_changes(
+                    size=WarehouseSize(size),
+                    auto_suspend_seconds=suspend,
+                    max_clusters=new_max,
+                    min_clusters=min(config.min_clusters, new_max),
+                )
+            )
+        sizes = np.array([c.size.value for c in configs], dtype=np.int64)
+        sizes.setflags(write=False)
+        return Transitions(tuple(configs), sizes)
+
     def apply(self, config: WarehouseConfig, action: Action) -> WarehouseConfig:
         """The configuration that results from taking ``action`` now."""
-        new_size = config.size.step(action.resize_delta)
-        new_size = WarehouseSize(
-            int(np.clip(new_size.value, self.min_size.value, self.max_size.value))
-        )
-        new_max = int(
-            np.clip(
-                config.max_clusters + action.max_cluster_delta,
-                1,
-                min(self.original.max_clusters, MAX_CLUSTER_COUNT),
-            )
-        )
-        new_min = min(config.min_clusters, new_max)
-        suspend = (
-            config.auto_suspend_seconds
-            if action.keeps_suspend
-            else float(action.suspend_seconds)
-        )
-        return config.with_changes(
-            size=new_size,
-            auto_suspend_seconds=suspend,
-            max_clusters=new_max,
-            min_clusters=new_min,
-        )
+        return self.transitions(config).configs[self.index(action)]
 
-    def resulting_configs(self, config: WarehouseConfig) -> list[WarehouseConfig]:
-        return [self.apply(config, a) for a in self.actions]
+    def resulting_configs(self, config: WarehouseConfig) -> tuple[WarehouseConfig, ...]:
+        return self.transitions(config).configs

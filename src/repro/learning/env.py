@@ -161,9 +161,8 @@ class WarehouseEnv:
     def step(self, action_index: int) -> EnvStep:
         if self.account is None:
             raise ConfigurationError("call reset() before step()")
-        action = self.action_space.actions[action_index]
         config = self.client.current_config("WH")
-        target = self.action_space.apply(config, action)
+        target = self.action_space.resulting_configs(config)[action_index]
         if target != config:
             self.client.alter_warehouse(
                 "WH",

@@ -100,3 +100,31 @@ class TestActionSpace:
         text = Action(-1, 60.0, 1).describe()
         assert "downsize" in text and "60" in text and "clusters+1" in text
         assert "keep" in Action(0, KEEP_SUSPEND, 0).describe()
+
+
+class TestTransitionTable:
+    def test_resulting_configs_is_an_immutable_cached_tuple(self):
+        space = ActionSpace(original())
+        first = space.resulting_configs(original())
+        assert isinstance(first, tuple)
+        assert space.resulting_configs(original()) is first
+
+    def test_target_sizes_are_read_only(self):
+        space = ActionSpace(original())
+        sizes = space.transitions(original()).target_sizes
+        with pytest.raises(ValueError):
+            sizes[0] = 0
+        assert sizes.tolist() == [c.size.value for c in space.resulting_configs(original())]
+
+    def test_equal_configs_keep_their_suspend_type(self):
+        # 600 == 600.0, but KEEP actions must hand back the caller's value.
+        space = ActionSpace(original(auto_suspend_seconds=600))
+        space.resulting_configs(original(auto_suspend_seconds=600.0))
+        keep = space.index(Action(-1, KEEP_SUSPEND, 0))
+        as_int = space.resulting_configs(original(auto_suspend_seconds=600))[keep]
+        assert type(as_int.auto_suspend_seconds) is int
+
+    def test_per_action_columns(self):
+        space = ActionSpace(original())
+        assert space.keeps_suspend.tolist() == [a.keeps_suspend for a in space.actions]
+        assert space.suspend_seconds.tolist() == [a.suspend_seconds for a in space.actions]

@@ -173,14 +173,14 @@ class TestGuardrail:
         guard = model._guardrail_context(12 * HOUR, current)
         tiny = current.with_changes(size=WarehouseSize.XS)
         # Balanced tolerates only 15% predicted slowdown; XS from M is ~4x.
-        assert not model._passes_guardrail(guard, tiny, pressure=False)
+        assert not model._guardrail_verdict(guard, tiny, pressure=False)[0]
 
     def test_allows_cheap_neutral_move(self):
         account, wh, client, model = build_smart_model(slider=SliderPosition.LOWEST_COST)
         current = client.current_config(wh)
         guard = model._guardrail_context(12 * HOUR, current)
         shorter_suspend = current.with_changes(auto_suspend_seconds=60.0)
-        assert model._passes_guardrail(guard, shorter_suspend, pressure=False)
+        assert model._guardrail_verdict(guard, shorter_suspend, pressure=False)[0]
 
     def test_counts_vetoes(self):
         account, wh, client, model = build_smart_model()
