@@ -67,13 +67,22 @@ class PartitionCache:
         # Snapshot semantics: the hit set is decided against the cache state
         # at access start (insertions during the scan cannot evict a
         # partition this same query was about to read).
-        hit_set = [p in self._entries for p in parts]
-        for p in parts:
+        entries = self._entries
+        hits = sum(p in entries for p in parts)
+        cap = self.max_partitions
+        if cap:
             # (Re-)insert everything: refreshes recency for hits and loads
             # misses; a hit evicted moments ago by this access's own misses
-            # is simply reloaded.
-            self._insert(p)
-        hits = sum(hit_set)
+            # is simply reloaded.  ``parts`` is duplicate-free and
+            # ``len(entries) <= cap`` holds on entry, so one insert
+            # overflows by at most one entry.
+            for p in parts:
+                if p in entries:
+                    entries.move_to_end(p)
+                else:
+                    entries[p] = None
+                    if len(entries) > cap:
+                        entries.popitem(last=False)
         self.hits += hits
         self.misses += len(parts) - hits
         return hits / len(parts)
@@ -84,14 +93,6 @@ class PartitionCache:
         if not parts:
             return 1.0
         return sum(1 for p in parts if p in self._entries) / len(parts)
-
-    def _insert(self, partition: str) -> None:
-        if self.max_partitions == 0:
-            return
-        self._entries[partition] = None
-        self._entries.move_to_end(partition)
-        while len(self._entries) > self.max_partitions:
-            self._entries.popitem(last=False)
 
     def clear(self) -> None:
         """Drop everything (suspend / resize semantics)."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.common.errors import ReproError
@@ -33,17 +32,22 @@ class SimulationError(ReproError):
     scheduled time and label in the message)."""
 
 
-@dataclass(order=True)
 class _Event:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    label: str | None = field(default=None, compare=False)
-    #: Set when the event leaves the heap, so a late ``cancel()`` (e.g. a
-    #: controller stopping itself mid-dispatch) does not touch the pending
-    #: counter for an event that is no longer pending.
-    popped: bool = field(default=False, compare=False)
+    """One scheduled callback.  The heap orders ``(time, seq, event)``
+    tuples; ``seq`` is unique, so events themselves are never compared and
+    the ordering runs as C tuple comparison."""
+
+    __slots__ = ("callback", "cancelled", "label", "popped", "time")
+
+    def __init__(self, time: float, callback: Callable[[], None], label: str | None):
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
+        self.label = label
+        #: Set when the event leaves the heap, so a late ``cancel()`` (e.g. a
+        #: controller stopping itself mid-dispatch) does not touch the pending
+        #: counter for an event that is no longer pending.
+        self.popped = False
 
 
 class EventHandle:
@@ -73,7 +77,7 @@ class Simulation:
 
     def __init__(self, start_time: float = 0.0):
         self.now = float(start_time)
-        self._heap: list[_Event] = []
+        self._heap: list[tuple[float, int, _Event]] = []
         self._seq = itertools.count()
         self.processed_events = 0
         # Live count of schedulable (non-cancelled, not-yet-popped) events.
@@ -91,8 +95,9 @@ class Simulation:
         """
         if time < self.now - 1e-9:
             raise SimulationError(f"cannot schedule at {time} before now={self.now}")
-        event = _Event(max(time, self.now), next(self._seq), callback, label=label)
-        heapq.heappush(self._heap, event)
+        time = max(time, self.now)
+        event = _Event(time, callback, label)
+        heapq.heappush(self._heap, (time, next(self._seq), event))
         self._pending += 1
         return EventHandle(self, event)
 
@@ -140,8 +145,9 @@ class Simulation:
         if end_time < self.now:
             raise SimulationError(f"end_time {end_time} precedes now {self.now}")
         before = self.processed_events
-        while self._heap and self._heap[0].time <= end_time:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] <= end_time:
+            event = heapq.heappop(heap)[2]
             event.popped = True
             if event.cancelled:
                 continue  # removed from the pending count at cancel time
@@ -155,14 +161,16 @@ class Simulation:
     def run_all(self, hard_stop: float | None = None) -> None:
         """Drain the event queue (optionally up to ``hard_stop``)."""
         before = self.processed_events
-        while self._heap:
-            head = self._heap[0]
+        heap = self._heap
+        while heap:
+            head = heap[0][2]
             if head.cancelled:
-                heapq.heappop(self._heap).popped = True
+                heapq.heappop(heap)
+                head.popped = True
                 continue
             if hard_stop is not None and head.time > hard_stop:
                 break
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
             head.popped = True
             self._pending -= 1
             self.now = head.time
@@ -195,7 +203,14 @@ class Simulation:
 
 
 class PeriodicController:
-    """Re-schedules itself every ``interval`` until stopped."""
+    """Re-schedules itself every ``interval`` until stopped.
+
+    A controller can also be *parked*: it schedules nothing until
+    :meth:`rearm`, which resumes it on its original grid — the same float
+    fire times (each the previous one plus ``interval``) that a controller
+    which never parked would produce.  A controller built directly, without
+    :meth:`start`, is parked at the current time.
+    """
 
     def __init__(
         self,
@@ -213,14 +228,17 @@ class PeriodicController:
             callback, "__qualname__", type(callback).__name__
         )
         self._handle: EventHandle | None = None
+        #: The pending fire's time, or the grid slot a parked controller
+        #: last held (fired or cancelled).
+        self._next_fire = sim.now
         self._stopped = False
 
     def start(self, first_fire: float) -> None:
         self._handle = self.sim.schedule(first_fire, self._fire, label=self.name)
+        self._next_fire = self._handle.time
 
     def _fire(self) -> None:
-        if self._stopped:
-            return
+        fired = self._handle
         rec = obs.recorder()
         if rec is None:
             self.callback(self.sim.now)
@@ -228,10 +246,27 @@ class PeriodicController:
             rec.counter("repro.engine.controller_fires").inc(time=self.sim.now)
             with rec.span("engine.controller.fire", self.sim.now, controller=self.name):
                 self.callback(self.sim.now)
-        if not self._stopped:
-            self._handle = self.sim.schedule_in(self.interval, self._fire, label=self.name)
+        # Parked, stopped or re-armed by the callback: schedule nothing here.
+        if self._handle is fired:
+            self.start(self.sim.now + self.interval)
 
-    def stop(self) -> None:
-        self._stopped = True
+    def park(self) -> None:
+        """Stop firing, keeping the grid for :meth:`rearm`."""
         if self._handle is not None:
             self._handle.cancel()
+            self._handle = None
+
+    def rearm(self, after: float) -> None:
+        """Resume a parked controller at its first grid time strictly after
+        ``after``.  A running or stopped controller is left as it is."""
+        if self._handle is not None or self._stopped:
+            return
+        fire = self._next_fire
+        while fire <= after:
+            fire += self.interval
+        self.start(fire)
+
+    def stop(self) -> None:
+        """Stop for good: a later :meth:`rearm` does nothing."""
+        self._stopped = True
+        self.park()

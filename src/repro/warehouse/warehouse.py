@@ -31,7 +31,7 @@ from repro.common.simtime import format_time
 from repro.warehouse.billing import BillingMeter
 from repro.warehouse.cluster import Cluster, ClusterState
 from repro.warehouse.config import WarehouseConfig
-from repro.warehouse.engine import EventHandle, Simulation
+from repro.warehouse.engine import EventHandle, PeriodicController, Simulation
 from repro.warehouse.queries import QueryRecord, QueryRequest, next_query_id
 from repro.warehouse.scheduler import MultiClusterScheduler
 from repro.warehouse.telemetry import ConfigSnapshot, TelemetryStore, WarehouseEvent
@@ -45,7 +45,9 @@ CLUSTER_START_DELAY = 2.0
 CONTENTION_SLOWDOWN = 0.05
 #: Lognormal sigma of run-to-run latency noise.
 LATENCY_NOISE_SIGMA = 0.06
-#: Policy tick spacing while the warehouse is running.
+#: Policy tick spacing while the warehouse is running.  The tick is parked
+#: while the warehouse is suspended or resuming, and re-armed on the grid
+#: anchored at creation (``PeriodicController.rearm``).
 POLICY_TICK_SECONDS = 30.0
 #: Auto-suspend enforcement is lazy: the service sweeps for expired idle
 #: timers on a coarse grid, so a warehouse suspends at the first sweep *at or
@@ -92,7 +94,9 @@ class VirtualWarehouse:
         self._cluster_start_handles: dict[int, EventHandle] = {}
         self._next_cluster_id = 1
         self._exec_ewma = 30.0  # seconds; prior before any query completes
-        self._policy_controller = sim.add_controller(POLICY_TICK_SECONDS, self._policy_tick)
+        self._policy_controller = PeriodicController(
+            sim, POLICY_TICK_SECONDS, self._policy_tick
+        )
         self.telemetry.record_config(
             name, ConfigSnapshot(sim.now, config, initiator="customer")
         )
@@ -100,6 +104,9 @@ class VirtualWarehouse:
             WarehouseEvent(sim.now, name, "create", "customer", {"config": config.describe()})
         )
         if not initially_suspended:
+            # The one inclusive re-arm: a warehouse created running ticks at
+            # its creation instant.
+            self._policy_controller.start(sim.now)
             self._complete_resume()
 
     # ------------------------------------------------------------ inspection
@@ -171,6 +178,7 @@ class VirtualWarehouse:
     def _complete_resume(self) -> None:
         self.state = WarehouseState.RUNNING
         self._resume_handle = None
+        self._policy_controller.rearm(self.sim.now)
         self.telemetry.record_event(
             WarehouseEvent(self.sim.now, self.name, "resume", "system", {})
         )
@@ -351,6 +359,7 @@ class VirtualWarehouse:
         self.draining.clear()
         self.scheduler.reset()
         self.state = WarehouseState.SUSPENDED
+        self._policy_controller.park()
         self._cancel_suspend_check()
         self.telemetry.record_event(WarehouseEvent(now, self.name, "suspend", initiator, {}))
 
@@ -425,13 +434,14 @@ class VirtualWarehouse:
 
     # ----------------------------------------------------------------- ticks
     def _policy_tick(self, now: float) -> None:
-        if self.state != WarehouseState.RUNNING:
-            return
+        # Only a RUNNING warehouse holds a pending tick (see
+        # POLICY_TICK_SECONDS).
         self.scheduler.policy_tick(now)
         self._maybe_schedule_suspend_check()
 
     def shutdown(self) -> None:
-        """Stop periodic work (end of simulation)."""
+        """Stop periodic work for good (end of simulation): a later resume
+        does not re-arm the policy tick."""
         self._policy_controller.stop()
 
     def __repr__(self) -> str:

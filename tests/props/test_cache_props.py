@@ -1,5 +1,7 @@
 """Property-based tests for the partition cache."""
 
+from collections import OrderedDict
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,3 +69,71 @@ class TestCacheProperties:
             cache.access(access)
         cache.clear()
         assert len(cache) == 0
+
+
+class _InsertLoopCache:
+    """The per-insert LRU ``PartitionCache.access`` replaced: each partition
+    went through ``_insert``, which re-read the capacity and evicted in a
+    ``while`` loop.  Kept as the oracle for the inlined loop."""
+
+    def __init__(self, capacity_bytes: float):
+        self.capacity_bytes = float(capacity_bytes)
+        self.entries: OrderedDict[str, None] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    @property
+    def max_partitions(self) -> int:
+        return int(self.capacity_bytes // PARTITION_BYTES)
+
+    def access(self, partitions) -> float:
+        parts = list(dict.fromkeys(partitions))
+        if not parts:
+            return 1.0
+        hit_set = [p in self.entries for p in parts]
+        for p in parts:
+            self._insert(p)
+        hits = sum(hit_set)
+        self.hits += hits
+        self.misses += len(parts) - hits
+        return hits / len(parts)
+
+    def _insert(self, partition: str) -> None:
+        if self.max_partitions == 0:
+            return
+        self.entries[partition] = None
+        self.entries.move_to_end(partition)
+        while len(self.entries) > self.max_partitions:
+            self.entries.popitem(last=False)
+
+    def resize(self, capacity_bytes: float) -> None:
+        self.capacity_bytes = float(capacity_bytes)
+        while len(self.entries) > self.max_partitions:
+            self.entries.popitem(last=False)
+
+
+#: Footprints of up to 8 names from a 6-letter pool (duplicates likely), and
+#: capacities of 0, below and above a footprint; ``None`` keeps the capacity.
+_steps = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from("abcdef"), min_size=0, max_size=8),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=10)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestInlinedAccessMatchesInsertLoop:
+    @given(st.integers(min_value=0, max_value=10), _steps)
+    @settings(max_examples=300, deadline=None)
+    def test_same_ratios_counters_and_lru_order(self, capacity, steps):
+        cache = PartitionCache(capacity * PARTITION_BYTES)
+        oracle = _InsertLoopCache(capacity * PARTITION_BYTES)
+        for access, resize_to in steps:
+            if resize_to is not None:
+                cache.resize(resize_to * PARTITION_BYTES)
+                oracle.resize(resize_to * PARTITION_BYTES)
+            assert cache.access(access) == oracle.access(access)
+            assert (cache.hits, cache.misses) == (oracle.hits, oracle.misses)
+            assert list(cache._entries) == list(oracle.entries)

@@ -15,12 +15,32 @@ class TestSimulation:
         assert fired == ["a", "b"]
 
     def test_ties_fire_in_insertion_order(self):
+        # Heap entries are (time, seq, event) tuples: seq breaks every tie,
+        # so events (whose callbacks do not compare) are never compared.
+        for drain in ("run_until", "run_all"):
+            sim = Simulation()
+            fired = []
+            for i in range(30):
+                sim.schedule(float(i % 3) * 10.0, lambda i=i: fired.append(i))
+            if drain == "run_until":
+                sim.run_until(20.0)
+            else:
+                sim.run_all()
+            assert fired == sorted(range(30), key=lambda i: i % 3)
+
+    def test_seq_counter_repr_counts_scheduled_events(self):
+        # perfbench/harness.py reads the number of events ever scheduled
+        # from ``repr(sim._seq)``; cancelled and dispatched ones count.
         sim = Simulation()
-        fired = []
-        sim.schedule(10.0, lambda: fired.append(1))
-        sim.schedule(10.0, lambda: fired.append(2))
-        sim.run_until(10.0)
-        assert fired == [1, 2]
+        assert repr(sim._seq) == "count(0)"
+        handle = sim.schedule(5.0, lambda: None)
+        sim.schedule_in(1.0, lambda: None)
+        handle.cancel()
+        sim.add_controller(10.0, lambda now: None)
+        sim.run_until(25.0)
+        # 2 plain events + controller fires scheduled at 0, 10, 20, 30.
+        assert repr(sim._seq) == "count(6)"
+        assert sim.processed_events == 4
 
     def test_now_advances_to_end_time(self):
         sim = Simulation()
@@ -128,6 +148,60 @@ class TestPeriodicController:
         sim.run_until(100.0)
         assert ticks == [0.0, 10.0]
 
+    def test_park_then_rearm_keeps_the_grid(self):
+        sim = Simulation(start_time=0.1)
+        ticks = []
+        controller = sim.add_controller(10.0, ticks.append)
+        sim.run_until(25.0)
+        controller.park()
+        sim.run_until(60.0)
+        controller.rearm(60.0)
+        sim.run_until(85.0)
+        # Re-armed strictly after 60.0 on the grid built by repeated
+        # addition from 0.1 — no tick at the parked slots in between.
+        grid = [0.1]
+        while grid[-1] + 10.0 <= 85.0:
+            grid.append(grid[-1] + 10.0)
+        assert ticks == [t for t in grid if t <= 25.0 or t > 60.0]
+
+    def test_rearm_is_strict_and_idempotent(self):
+        sim = Simulation()
+        ticks = []
+        controller = sim.add_controller(10.0, ticks.append)
+        controller.park()
+        sim.run_until(20.0)
+        controller.rearm(20.0)
+        controller.rearm(20.0)  # already armed: no second schedule
+        sim.run_until(40.0)
+        assert ticks == [30.0, 40.0]
+
+    def test_controller_parking_itself_mid_fire(self):
+        sim = Simulation()
+        ticks = []
+        controller = None
+
+        def tick(now):
+            ticks.append(now)
+            if now == 20.0:
+                controller.park()
+
+        controller = sim.add_controller(10.0, tick)
+        sim.run_until(50.0)
+        assert ticks == [0.0, 10.0, 20.0]
+        assert sim.pending_events == 0
+        controller.rearm(sim.now)
+        sim.run_until(70.0)
+        assert ticks == [0.0, 10.0, 20.0, 60.0, 70.0]
+
+    def test_stopped_controller_ignores_rearm(self):
+        sim = Simulation()
+        ticks = []
+        controller = sim.add_controller(10.0, ticks.append)
+        controller.stop()
+        controller.rearm(5.0)
+        sim.run_until(50.0)
+        assert ticks == []
+
     def test_zero_interval_rejected(self):
         with pytest.raises(SimulationError):
             Simulation().add_controller(0.0, lambda t: None)
@@ -198,7 +272,7 @@ class TestPendingCounter:
     @staticmethod
     def _scan(sim):
         """The old O(heap) definition: ground truth for the counter."""
-        return sum(1 for e in sim._heap if not e.cancelled)
+        return sum(1 for e in sim._heap if not e[2].cancelled)
 
     def test_schedule_and_run_keep_counter_exact(self):
         sim = Simulation()

@@ -117,11 +117,69 @@ class TestClusterBoundReconciliation:
 
 
 class TestShutdown:
+    @staticmethod
+    def _spy_ticks(warehouse) -> list[float]:
+        """Record every policy tick the scheduler sees."""
+        ticks: list[float] = []
+        policy_tick = warehouse.scheduler.policy_tick
+
+        def spy(now):
+            ticks.append(now)
+            policy_tick(now)
+
+        warehouse.scheduler.policy_tick = spy
+        return ticks
+
     def test_shutdown_stops_policy_controller(self):
-        account, wh = make_account()
+        account, wh = make_account(auto_suspend_seconds=0.0)
         warehouse = account.warehouse(wh)
+        drive(account, wh, make_requests(make_template("x", base_work_seconds=2.0), [5.0]), MINUTE)
+        assert warehouse.state == WarehouseState.RUNNING
+        ticks = self._spy_ticks(warehouse)
         before = account.sim.pending_events
         warehouse.shutdown()
+        assert account.sim.pending_events == before - 1
         account.run_until(2 * HOUR)
-        # No policy ticks keep re-scheduling themselves.
-        assert account.sim.pending_events < before
+        assert ticks == []
+
+    def test_shutdown_survives_a_later_resume(self):
+        account, wh = make_account()
+        warehouse = account.warehouse(wh)
+        ticks = self._spy_ticks(warehouse)
+        warehouse.shutdown()
+        drive(account, wh, make_requests(make_template("x", base_work_seconds=2.0), [5.0]), MINUTE)
+        # The submit resumed the warehouse, but the tick stays stopped.
+        assert warehouse.state == WarehouseState.RUNNING
+        account.run_until(2 * HOUR)
+        assert ticks == []
+        assert account.sim.pending_events == 0
+
+
+#: Fire times of a 30 s policy tick created at t=0.
+GRID = [30.0 * k for k in range(100)]
+
+
+class TestPolicyTickParking:
+    def test_tick_parks_on_suspend_and_rearms_on_the_grid(self):
+        account, wh = make_account(auto_suspend_seconds=60.0)
+        warehouse = account.warehouse(wh)
+        ticks = TestShutdown._spy_ticks(warehouse)
+        template = make_template("x", base_work_seconds=2.0)
+        account.schedule_workload(wh, make_requests(template, [5.0, 1000.0]))
+        account.run_until(900.0)
+        assert warehouse.state == WarehouseState.SUSPENDED
+        # Suspended: nothing of the warehouse's own is pending.
+        assert account.sim.pending_events == 1  # the arrival at t=1000
+        account.run_until(1200.0)
+        resume1, suspend1, resume2, suspend2 = (
+            e.time
+            for e in account.telemetry.warehouse_events(wh)
+            if e.kind in ("resume", "suspend")
+        )
+        # The suspend sweeps (120 s, 1080 s) run before that instant's tick.
+        assert (suspend1, suspend2) == (120.0, 1080.0)
+        # Ticks only while RUNNING, on the 30 s grid from creation (t=0),
+        # re-armed at the first grid time after each resume.
+        assert ticks == [
+            t for t in GRID if resume1 < t < suspend1 or resume2 < t < suspend2
+        ]
