@@ -9,8 +9,7 @@ Usage::
     python -m repro.cli fig7
     python -m repro.cli onboarding [--days 12]
     python -m repro.cli fleet [--customers 6]
-    python -m repro.cli lint [paths ...] [--format json|sarif]
-    python -m repro.cli analyze [paths ...] [--format json|sarif] [--graph out.dot]
+    python -m repro.cli lint [paths ...] [--format json|sarif] [--graph out.dot]
     python -m repro.cli obs {smoke,summarize,diff,profile,slo,alerts,report} ...
     python -m repro.cli faults {list,describe,run} ...
     python -m repro.cli durability {checkpoint,restore,verify,smoke} ...
@@ -29,7 +28,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import repro.analysis.cli as analysis_cli
 import repro.costmodel.cli as costmodel_cli
 import repro.durability.cli as durability_cli
 import repro.faults.cli as faults_cli
@@ -160,10 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         "lint", help="run the determinism & invariant linter (docs/INVARIANTS.md)"
     )
     lint_cli.configure_parser(lint)
-    analyze = subparsers.add_parser(
-        "analyze", help="run the whole-program static analyzer (docs/ANALYSIS.md)"
-    )
-    analysis_cli.configure_parser(analyze)
     obs = subparsers.add_parser(
         "obs", help="inspect observability traces (docs/OBSERVABILITY.md)"
     )
@@ -193,8 +187,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command == "lint":
         return lint_cli.run(args)
-    if args.command == "analyze":
-        return analysis_cli.run(args)
     if args.command == "obs":
         return obs_cli.run(args)
     if args.command == "faults":

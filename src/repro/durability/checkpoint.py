@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.common.errors import RecoveryError
+from repro.common.stable_json import dumps_json
 from repro.durability.codec import state_checksum
 from repro.durability.io import (
     append_journal_entry,
@@ -35,7 +36,6 @@ from repro.durability.io import (
     frame_entry,
     read_journal,
 )
-from repro.lint.output import dumps_json
 
 SCHEMA = "repro.durability/1"
 

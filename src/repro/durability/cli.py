@@ -27,8 +27,8 @@ import sys
 from typing import IO
 
 from repro.common.errors import RecoveryError
+from repro.common.stable_json import dumps_json
 from repro.durability.checkpoint import CheckpointStore
-from repro.lint.output import dumps_json
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:

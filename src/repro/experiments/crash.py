@@ -42,12 +42,12 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import RecoveryError
 from repro.common.simtime import Window
+from repro.common.stable_json import dumps_json
 from repro.core.optimizer import KeeboService, WarehouseOptimizer
 from repro.experiments.runner import BeforeAfterResult
 from repro.experiments.scenarios import Scenario
 from repro.faults import FaultingWarehouseClient, FaultKind, FaultPlan, FaultSpec
 from repro.faults.plan import PROCESS_KINDS
-from repro.lint.output import dumps_json
 from repro.obs import trace as obs
 from repro.obs.provenance import encode_record
 from repro.obs.store import FleetStore

@@ -5,7 +5,7 @@ control loop above it (constraints, optimizer, smart model), so it lives
 here at the learning layer — the lower of the two — and ``repro.core``
 imports it downward.
 Defining it any higher re-creates the learning -> core layering cycle the
-analyzer rejects (R012, docs/ANALYSIS.md).
+linter rejects (R012, docs/INVARIANTS.md).
 
 Each action jointly sets the three optimization surfaces the paper focuses
 on — warehouse size (resize up/down/keep), the auto-suspend interval

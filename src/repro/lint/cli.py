@@ -8,7 +8,9 @@ Invocations (all equivalent)::
 
 Exit codes: 0 clean, 1 findings, 2 unparseable files or bad usage.
 The ``--format=json`` schema is versioned and documented in
-``docs/INVARIANTS.md``.
+``docs/INVARIANTS.md``.  ``--graph PATH`` additionally writes the
+first-level import graph (Graphviz DOT, or markdown when the path ends in
+``.md``) from the same parse.
 """
 
 from __future__ import annotations
@@ -17,9 +19,13 @@ import argparse
 import sys
 from typing import IO
 
-from repro.lint.engine import LintResult, lint_paths
+from repro.common.stable_json import dump_json
+from repro.lint.contract import REPRO_CONTRACT
+from repro.lint.engine import LintResult, lint_project
 from repro.lint.findings import SEVERITIES
-from repro.lint.output import dump_json, render_sarif
+from repro.lint.graph import to_dot, to_markdown
+from repro.lint.output import render_sarif
+from repro.lint.project import Project
 from repro.lint.rules import iter_rule_docs
 
 #: Bumped whenever the JSON output shape changes incompatibly.
@@ -53,6 +59,12 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="drop findings below this severity (default: warning, i.e. keep all)",
     )
     parser.add_argument(
+        "--graph",
+        metavar="PATH",
+        default=None,
+        help="write the import-graph artifact (.md for markdown, else DOT)",
+    )
+    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -62,7 +74,9 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="AST-based determinism & invariant linter for the repro codebase.",
+        description="AST-based determinism & invariant linter for the repro codebase "
+        "(per-file rules plus whole-program layering, dataflow, pickle-safety "
+        "and exception-contract rules).",
     )
     configure_parser(parser)
     return parser
@@ -93,6 +107,15 @@ def render_json(result: LintResult, out: IO[str]) -> None:
     dump_json(payload, out)
 
 
+def write_graph(project: Project, graph_path: str) -> None:
+    if graph_path.endswith(".md"):
+        text = to_markdown(project, REPRO_CONTRACT.package)
+    else:
+        text = to_dot(project, REPRO_CONTRACT.package, REPRO_CONTRACT.layers)
+    with open(graph_path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 def run(args: argparse.Namespace, out: IO[str] | None = None) -> int:
     """Execute a parsed lint invocation; returns the process exit code."""
     out = out if out is not None else sys.stdout
@@ -101,21 +124,18 @@ def run(args: argparse.Namespace, out: IO[str] | None = None) -> int:
             print(f"{rule_id}  {name:<32} [{severity}] {summary}", file=out)
         return 0
     select = [s.strip() for s in args.select.split(",")] if args.select else None
+    project = Project.load(args.paths)
     try:
-        result = lint_paths(args.paths, select=select, min_severity=args.min_severity)
+        result = lint_project(project, select=select, min_severity=args.min_severity)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
+    if args.graph:
+        write_graph(project, args.graph)
     if args.format == "json":
         render_json(result, out)
     elif args.format == "sarif":
-        render_sarif(
-            result.findings,
-            result.errors,
-            out,
-            tool_name="repro-lint",
-            rule_docs=iter_rule_docs(),
-        )
+        render_sarif(result.findings, result.errors, out)
     else:
         render_human(result, out)
     return result.exit_code()

@@ -17,10 +17,12 @@ confined per R009/R011.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from repro.analysis.graph import find_cycles, module_graph
-from repro.analysis.project import Project
 from repro.lint.findings import Finding
+from repro.lint.graph import find_cycles, first_level, module_graph
+from repro.lint.project import Project
+from repro.lint.rules import Rule, register
 
 RULE_ID = "R012"
 
@@ -51,19 +53,25 @@ REPRO_CONTRACT = LayerContract(
         ("core",),
         ("parallel",),
         ("experiments", "portal"),
-        ("analysis",),
         ("cli",),
     ),
 )
 
 
-def _first_level(package: str, module: str) -> str | None:
-    if module == package:
-        return None  # the root __init__ re-export surface may import anything
-    parts = module.split(".")
-    if parts[0] != package or len(parts) < 2:
-        return None
-    return parts[1]
+@register
+class LayeringRule(Rule):
+    """R012: the import graph obeys the declared layer contract."""
+
+    rule_id = RULE_ID
+    name = "layering-contract"
+    severity = "error"
+    summary = "import-time imports obey the declared layer contract and form no cycles"
+
+    def __init__(self, contract: LayerContract = REPRO_CONTRACT) -> None:
+        self.contract = contract
+
+    def check_project(self, project: Project) -> Iterable[Finding]:
+        return check_layering(project, self.contract)
 
 
 def check_layering(project: Project, contract: LayerContract) -> list[Finding]:
@@ -72,7 +80,7 @@ def check_layering(project: Project, contract: LayerContract) -> list[Finding]:
     prefix = contract.package + "."
     unknown_flagged: set[str] = set()
     for info in project.sorted_modules():
-        src_level = _first_level(contract.package, info.name)
+        src_level = first_level(contract.package, info.name)
         if src_level is None:
             continue
         src_rank = contract.rank(src_level)
@@ -89,7 +97,7 @@ def check_layering(project: Project, contract: LayerContract) -> list[Finding]:
                         message=(
                             f"subpackage {src_level!r} is not assigned to a layer "
                             "in the architecture contract; declare its place in "
-                            "repro.analysis.contract before importing it"
+                            "repro.lint.contract before importing it"
                         ),
                     )
                 )
@@ -99,7 +107,7 @@ def check_layering(project: Project, contract: LayerContract) -> list[Finding]:
                 continue
             if not (edge.target == contract.package or edge.target.startswith(prefix)):
                 continue
-            dst_level = _first_level(contract.package, edge.target)
+            dst_level = first_level(contract.package, edge.target)
             if dst_level is None or dst_level == src_level:
                 continue
             dst_rank = contract.rank(dst_level)

@@ -23,6 +23,9 @@ patterns the per-file rules structurally cannot see:
   ordered output: materialized into a list/tuple, joined, yielded, or
   appended inside a loop.  Wrapping in ``sorted()`` (or any
   order-insensitive consumer: ``set``, ``sum``, ``min``...) clears the tag.
+
+One walk produces all three rules' findings; each rule keeps its own ids
+(the walk runs once per project, see :meth:`Project.derived`).
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.project import Project
 from repro.lint.determinism import WallClockRule
 from repro.lint.findings import Finding
+from repro.lint.project import Project
+from repro.lint.rules import Rule, register
 
 RNG_RULE = "R013"
 WALL_RULE = "R014"
@@ -140,6 +144,49 @@ def check_dataflow(project: Project) -> list[Finding]:
                 _analyze_class(ctx, node, findings, rng_exempt=rng_exempt)
     findings.sort(key=Finding.sort_key)
     return findings
+
+
+class _DataflowRule(Rule):
+    """A rule reporting its own share of the one dataflow walk."""
+
+    def check_project(self, project: Project) -> Iterable[Finding]:
+        return [f for f in project.derived(check_dataflow) if f.rule_id == self.rule_id]
+
+
+@register
+class RngProvenanceRule(_DataflowRule):
+    """R013: generators drawn from flow from the registry."""
+
+    rule_id = RNG_RULE
+    name = "rng-provenance"
+    severity = "error"
+    summary = (
+        "generators drawn from must flow from RngRegistry/fallback_rng "
+        "(catches aliased constructors the per-file R002 cannot resolve)"
+    )
+
+
+@register
+class WallClockTaintRule(_DataflowRule):
+    """R014: wall-clock values never reach persisted output."""
+
+    rule_id = WALL_RULE
+    name = "wallclock-taint"
+    severity = "error"
+    summary = "wall-clock values may not reach persisted state, spans, or payloads"
+
+
+@register
+class UnorderedIterationRule(_DataflowRule):
+    """R015: no unsorted listing or set order frozen into output."""
+
+    rule_id = ORDER_RULE
+    name = "unordered-iteration"
+    severity = "error"
+    summary = (
+        "unsorted filesystem listings / set-valued attributes may not be "
+        "frozen into ordered output"
+    )
 
 
 def _analyze_class(

@@ -1,23 +1,20 @@
-"""Lint driver: file discovery, per-file rule runs, suppression filtering.
+"""Lint engine: one parse, every selected rule, one suppression pass.
 
-The engine is import-light and pure: ``lint_paths`` returns a
-:class:`LintResult`; rendering and exit codes live in ``repro.lint.cli``.
+The engine is pure: :func:`lint_project` returns a :class:`LintResult`;
+rendering and exit codes live in ``repro.lint.cli``.
 """
 
 from __future__ import annotations
 
-import ast
 import pathlib
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.lint.context import FileContext
 from repro.lint.findings import SEVERITIES, Finding
+from repro.lint.project import Project
 from repro.lint.rules import Rule, get_rules
 from repro.lint.suppressions import scan_suppressions
-
-#: Directory names never descended into.
-_SKIP_DIRS = frozenset({".git", "__pycache__", ".pytest_cache", ".venv", "node_modules", "results"})
 
 
 @dataclass
@@ -39,43 +36,44 @@ class LintResult:
         return 1 if self.findings else 0
 
 
-def iter_python_files(paths: Sequence[str | pathlib.Path]) -> list[pathlib.Path]:
-    """Expand files/directories into a sorted list of ``.py`` files."""
-    out: set[pathlib.Path] = set()
-    for raw in paths:
-        path = pathlib.Path(raw)
-        if path.is_dir():
-            for sub in path.rglob("*.py"):
-                if not _SKIP_DIRS.intersection(sub.parts):
-                    out.add(sub)
-        elif path.suffix == ".py":
-            out.add(path)
-    return sorted(out)
+def lint_project(
+    project: Project,
+    select: Iterable[str] | None = None,
+    min_severity: str = "warning",
+    rules: Sequence[Rule] | None = None,
+) -> LintResult:
+    """Run the selected rules over a parsed project.
 
-
-def lint_context(
-    ctx: FileContext, rules: Sequence[Rule], full_run: bool = True
-) -> tuple[list[Finding], int]:
-    """Run ``rules`` over one prepared file context.
-
-    Returns (kept findings, suppressed count); malformed and *unused*
-    suppression directives are reported as R000 findings and cannot be
-    suppressed.  ``full_run`` says whether the complete rule catalogue ran,
-    which is what lets ``disable=all`` directives be judged for staleness.
+    Per-file rules see every file, whole-program rules see the project
+    once.  Then one suppression pass filters every finding and reports
+    malformed and *unused* directives as R000 findings, which cannot be
+    suppressed.  A directive is judged against every rule that ran;
+    ``disable=all`` is judged only when the complete catalogue ran.
     """
-    table = scan_suppressions(ctx.source, ctx.path)
-    kept: list[Finding] = list(table.malformed)
-    suppressed = 0
-    for rule in rules:
-        for finding in rule.check(ctx):
+    rule_objs = list(rules) if rules is not None else get_rules(select)
+    full_run = select is None and rules is None
+    # One import statement can carry several aliases of the same module;
+    # identical whole-program findings collapse (Finding is frozen).
+    whole: dict[str, list[Finding]] = {}
+    for finding in sorted({f for rule in rule_objs for f in rule.check_project(project)}, key=Finding.sort_key):
+        whole.setdefault(finding.file, []).append(finding)
+
+    ran = {rule.rule_id for rule in rule_objs}
+    result = LintResult(errors=list(project.errors), files_scanned=project.files_scanned)
+    for ctx in project.files:
+        table = scan_suppressions(ctx.source, ctx.path)
+        result.findings.extend(table.malformed)
+        per_file = [f for rule in rule_objs for f in rule.check(ctx)]
+        for finding in per_file + whole.get(ctx.path, []):
             if table.is_suppressed(finding.line, finding.rule_id):
-                suppressed += 1
+                result.suppressed += 1
             else:
-                kept.append(finding)
-    kept.extend(
-        table.unused_findings(ctx.path, {rule.rule_id for rule in rules}, full_run)
-    )
-    return kept, suppressed
+                result.findings.append(finding)
+        result.findings.extend(table.unused_findings(ctx.path, ran, full_run))
+    threshold = SEVERITIES.index(min_severity)
+    result.findings = [f for f in result.findings if SEVERITIES.index(f.severity) >= threshold]
+    result.findings.sort(key=Finding.sort_key)
+    return result
 
 
 def lint_source(
@@ -84,19 +82,14 @@ def lint_source(
     select: Iterable[str] | None = None,
     rules: Sequence[Rule] | None = None,
 ) -> list[Finding]:
-    """Lint a source string (the unit-test entry point).
+    """Lint a source string as a one-file project (the unit-test entry point).
 
     ``path`` participates in path-scoped rules (R002's rng.py exemption,
     R007's package scopes), so fixtures can opt in by naming themselves
     accordingly.
     """
-    rule_objs = list(rules) if rules is not None else get_rules(select)
-    ctx = FileContext.from_source(source, path)
-    findings, _ = lint_context(ctx, rule_objs, full_run=select is None and rules is None)
-    for rule in rule_objs:
-        findings.extend(rule.finalize())
-    findings.sort(key=Finding.sort_key)
-    return findings
+    project = Project.from_context(FileContext.from_source(source, path))
+    return lint_project(project, select=select, rules=rules).findings
 
 
 def lint_paths(
@@ -104,29 +97,5 @@ def lint_paths(
     select: Iterable[str] | None = None,
     min_severity: str = "warning",
 ) -> LintResult:
-    """Lint every ``.py`` file under ``paths`` (the CLI entry point)."""
-    rules = get_rules(select)
-    result = LintResult()
-    threshold = SEVERITIES.index(min_severity)
-    for raw in paths:
-        # A typo'd path must not produce a vacuous "0 findings" pass.
-        if not pathlib.Path(raw).exists():
-            result.errors.append(f"{pathlib.Path(raw).as_posix()}: no such file or directory")
-    for path in iter_python_files(paths):
-        result.files_scanned += 1
-        try:
-            source = path.read_text(encoding="utf-8")
-            ctx = FileContext.from_source(source, path.as_posix())
-        except (SyntaxError, UnicodeDecodeError, OSError) as exc:
-            result.errors.append(f"{path.as_posix()}: {exc}")
-            continue
-        findings, suppressed = lint_context(ctx, rules, full_run=select is None)
-        result.findings.extend(findings)
-        result.suppressed += suppressed
-    for rule in rules:
-        result.findings.extend(rule.finalize())
-    result.findings = [
-        f for f in result.findings if SEVERITIES.index(f.severity) >= threshold
-    ]
-    result.findings.sort(key=Finding.sort_key)
-    return result
+    """Lint every ``.py`` file under ``paths``."""
+    return lint_project(Project.load(paths), select=select, min_severity=min_severity)

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import ast
 import builtins
+from typing import Iterable
 
-from repro.analysis.project import Project
 from repro.lint.findings import Finding
+from repro.lint.project import Project
+from repro.lint.rules import Rule, register
 
 RULE_ID = "R017"
 
@@ -41,6 +43,22 @@ def _errors_modules(project: Project) -> list[str]:
 def _is_builtin_exception(name: str) -> bool:
     obj = getattr(builtins, name, None)
     return isinstance(obj, type) and issubclass(obj, BaseException)
+
+
+@register
+class ExceptionContractRule(Rule):
+    """R017: the vendor surface raises typed errors only."""
+
+    rule_id = RULE_ID
+    name = "exception-contract"
+    severity = "error"
+    summary = (
+        "the vendor surface (warehouse/faults/core/costmodel) raises only "
+        "typed common.errors exceptions"
+    )
+
+    def check_project(self, project: Project) -> Iterable[Finding]:
+        return check_exception_contracts(project)
 
 
 def check_exception_contracts(project: Project) -> list[Finding]:

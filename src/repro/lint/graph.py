@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.analysis.project import ImportEdge, Project
+from repro.lint.project import Project
 
 
 def module_graph(project: Project, package: str) -> dict[str, set[str]]:
@@ -93,7 +93,7 @@ def find_cycles(graph: dict[str, set[str]]) -> list[list[str]]:
     return sorted(sccs)
 
 
-def _first_level(package: str, module: str) -> str | None:
+def first_level(package: str, module: str) -> str | None:
     """First-level subpackage of ``module`` under ``package``; None for the
     root module itself (``repro``/``repro.__init__`` re-exports are exempt)."""
     if module == package:
@@ -109,13 +109,13 @@ def package_edges(
     prefix = package + "."
     out: dict[tuple[str, str], dict[str, bool]] = {}
     for info in project.sorted_modules():
-        src = _first_level(package, info.name)
+        src = first_level(package, info.name)
         if src is None:
             continue
         for edge in info.edges:
             if not (edge.target == package or edge.target.startswith(prefix)):
                 continue
-            dst = _first_level(package, edge.target)
+            dst = first_level(package, edge.target)
             if dst is None or dst == src:
                 continue
             entry = out.setdefault((src, dst), {"solid": False, "lazy": False})

@@ -1,19 +1,16 @@
-"""Shared output machinery for the lint and analysis CLIs.
+"""SARIF 2.1.0 rendering of lint findings for code-scanning UIs.
 
-Both ``repro.cli lint`` and ``repro.cli analyze`` render the same
-:class:`~repro.lint.findings.Finding` model, so the serializers live here
-once: byte-stable JSON (sorted keys, sorted findings, trailing newline) and
-SARIF 2.1.0 for code-scanning UIs.  Byte stability is a hard contract —
-two runs over an unchanged tree must produce identical bytes, which is what
-lets CI diff artifacts and the baseline ratchet stay meaningful.
+Byte stability is a hard contract — two runs over an unchanged tree must
+produce identical bytes, which is what lets CI diff the artifacts.
 """
 
 from __future__ import annotations
 
-import json
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
+from repro.common.stable_json import dump_json
 from repro.lint.findings import Finding
+from repro.lint.rules import iter_rule_docs
 
 #: SARIF spec version emitted by :func:`findings_to_sarif`.
 SARIF_VERSION = "2.1.0"
@@ -23,37 +20,13 @@ SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 _SARIF_LEVEL = {"warning": "warning", "error": "error"}
 
 
-def dumps_json(payload: dict) -> str:
-    """The byte-stable JSON text: sorted keys, 2-space indent, trailing LF.
-
-    The single serializer behind every JSON artifact the repo diffs in CI
-    (lint/analyze output, portal exports, attribution reports) — one place
-    to define "stable", so artifacts from different subsystems never drift
-    in formatting.
-    """
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def dump_json(payload: dict, out: IO[str]) -> None:
-    """Serialize ``payload`` byte-stably onto ``out`` (see :func:`dumps_json`)."""
-    out.write(dumps_json(payload))
-
-
-def findings_to_sarif(
-    findings: Sequence[Finding],
-    errors: Sequence[str] = (),
-    *,
-    tool_name: str,
-    rule_docs: Iterable[tuple[str, str, str, str]] = (),
-    information_uri: str = "docs/INVARIANTS.md",
-) -> dict:
+def findings_to_sarif(findings: Sequence[Finding], errors: Sequence[str] = ()) -> dict:
     """Render findings as a SARIF 2.1.0 log (one run, one tool).
 
-    ``rule_docs`` rows are ``(rule_id, name, severity, summary)`` as yielded
-    by the rule registries; only rules that appear there get a ``rules``
-    catalogue entry (SARIF consumers resolve results by ``ruleId`` alone, so
-    uncatalogued rules still render).  File-level errors (unparseable files)
-    become ``toolExecutionNotifications`` so they are not silently dropped.
+    Every registered rule gets a ``rules`` catalogue entry; R000 has none
+    (SARIF consumers resolve results by ``ruleId`` alone, so it still
+    renders).  File-level errors (unparseable files) become
+    ``toolExecutionNotifications`` so they are not silently dropped.
     """
     rules = [
         {
@@ -62,7 +35,7 @@ def findings_to_sarif(
             "shortDescription": {"text": summary},
             "defaultConfiguration": {"level": _SARIF_LEVEL.get(severity, "warning")},
         }
-        for rule_id, name, severity, summary in sorted(rule_docs)
+        for rule_id, name, severity, summary in iter_rule_docs()
     ]
     results = [
         {
@@ -89,8 +62,8 @@ def findings_to_sarif(
     run: dict = {
         "tool": {
             "driver": {
-                "name": tool_name,
-                "informationUri": information_uri,
+                "name": "repro-lint",
+                "informationUri": "docs/INVARIANTS.md",
                 "rules": rules,
             }
         },
@@ -106,16 +79,6 @@ def findings_to_sarif(
     return {"$schema": SARIF_SCHEMA, "version": SARIF_VERSION, "runs": [run]}
 
 
-def render_sarif(
-    findings: Sequence[Finding],
-    errors: Sequence[str],
-    out: IO[str],
-    *,
-    tool_name: str,
-    rule_docs: Iterable[tuple[str, str, str, str]] = (),
-) -> None:
+def render_sarif(findings: Sequence[Finding], errors: Sequence[str], out: IO[str]) -> None:
     """Serialize findings as byte-stable SARIF onto ``out``."""
-    dump_json(
-        findings_to_sarif(findings, errors, tool_name=tool_name, rule_docs=rule_docs),
-        out,
-    )
+    dump_json(findings_to_sarif(findings, errors), out)

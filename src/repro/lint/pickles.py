@@ -23,9 +23,11 @@ This pass proves the property statically across the whole project:
 from __future__ import annotations
 
 import ast
+from typing import Iterable
 
-from repro.analysis.project import Project
 from repro.lint.findings import Finding
+from repro.lint.project import Project
+from repro.lint.rules import Rule, register
 
 RULE_ID = "R016"
 
@@ -35,6 +37,22 @@ REGISTRARS = frozenset({"scenario_factory", "register_protocol"})
 REGISTRIES = frozenset({"SCENARIO_FACTORIES", "_PROTOCOLS"})
 #: Payload constructors whose arguments cross a process boundary.
 PAYLOAD_TYPES = frozenset({"WorkerJob"})
+
+
+@register
+class PickleSafetyRule(Rule):
+    """R016: registrants and worker payloads are spawn-safe."""
+
+    rule_id = RULE_ID
+    name = "pickle-safety"
+    severity = "error"
+    summary = (
+        "scenario factories, protocols, and WorkerJob payloads are spawn-safe "
+        "(no closures, lambdas, or registry bypasses)"
+    )
+
+    def check_project(self, project: Project) -> Iterable[Finding]:
+        return check_pickle_safety(project)
 
 
 def check_pickle_safety(project: Project) -> list[Finding]:

@@ -1,14 +1,14 @@
-"""Whole-program project model: every module parsed once, imports resolved.
+"""Whole-program project model: every file parsed once, imports resolved.
 
-The per-file linter sees one :class:`~repro.lint.context.FileContext` at a
-time; the analysis passes need the *project* — the set of modules, the
-import edges between them (classified top-level / lazy / typing-only), and
-the class hierarchy across files.  :class:`Project` builds all of that in a
-single deterministic sweep so every pass shares one parse.
+Per-file rules see one :class:`~repro.lint.context.FileContext` at a time;
+whole-program rules need the *project* — the set of modules, the import
+edges between them (classified top-level / lazy / typing-only), and the
+class hierarchy across files.  :class:`Project` builds all of that in a
+single deterministic sweep, and both kinds of rule share its one parse.
 
 Module names are derived from the filesystem by climbing ``__init__.py``
 parents, so ``src/repro/core/actuator.py`` becomes ``repro.core.actuator``
-regardless of which directory the analyzer was pointed at.
+regardless of which directory the linter was pointed at.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ from __future__ import annotations
 import ast
 import pathlib
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.lint.context import FileContext, dotted_name
-from repro.lint.engine import iter_python_files
+
+#: Directory names never descended into.
+_SKIP_DIRS = frozenset({".git", "__pycache__", ".pytest_cache", ".venv", "node_modules", "results"})
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,20 @@ class ClassInfo:
     line: int
 
 
+def iter_python_files(paths: Sequence[str | pathlib.Path]) -> list[pathlib.Path]:
+    """Expand files/directories into a sorted list of ``.py`` files."""
+    out: set[pathlib.Path] = set()
+    for raw in paths:
+        path = pathlib.Path(raw)
+        if path.is_dir():
+            for sub in path.rglob("*.py"):
+                if not _SKIP_DIRS.intersection(sub.parts):
+                    out.add(sub)
+        elif path.suffix == ".py":
+            out.add(path)
+    return sorted(out)
+
+
 def module_name_for(path: pathlib.Path) -> str:
     """Dotted module name for ``path``, climbing ``__init__.py`` parents."""
     if path.name == "__init__.py":
@@ -86,13 +102,20 @@ def _is_type_checking_test(ctx: FileContext, test: ast.expr) -> bool:
 
 
 class Project:
-    """All modules under the analyzed paths, with resolved import edges."""
+    """All files under the linted paths, with resolved import edges.
+
+    ``files`` holds every parsed file in path order (what per-file rules
+    see); ``modules`` maps dotted names to modules (what whole-program
+    rules see — two files with one dotted name keep the later one).
+    """
 
     def __init__(self) -> None:
+        self.files: list[FileContext] = []
         self.modules: dict[str, ModuleInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         self.errors: list[str] = []
         self.files_scanned: int = 0
+        self._derived: dict = {}
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -118,6 +141,16 @@ class Project:
         return project
 
     @classmethod
+    def from_context(cls, ctx: FileContext) -> "Project":
+        """A one-file project; the module is named after ``ctx.path``."""
+        project = cls()
+        project.files_scanned = 1
+        name = str(pathlib.PurePosixPath(ctx.path).with_suffix(""))
+        project.add_module(name.replace("/", "."), ctx)
+        project._resolve_edges()
+        return project
+
+    @classmethod
     def from_sources(cls, sources: dict[str, str]) -> "Project":
         """Build a project from ``{dotted_module_name: source}`` (tests)."""
         project = cls()
@@ -134,12 +167,20 @@ class Project:
         return project
 
     def add_module(self, name: str, ctx: FileContext, is_package: bool = False) -> None:
+        self.files.append(ctx)
         info = ModuleInfo(name=name, ctx=ctx, is_package=is_package)
         self._collect_imports(info, ctx.tree.body, lazy=False, typing_only=False)
         self._collect_classes(info)
         self.modules[name] = info
 
     # -------------------------------------------------------------- accessors
+    def derived(self, compute: Callable[["Project"], list]) -> list:
+        """``compute(self)``, evaluated once per project (a pass that feeds
+        several rules walks the code once)."""
+        if compute not in self._derived:
+            self._derived[compute] = compute(self)
+        return self._derived[compute]
+
     def sorted_modules(self) -> list[ModuleInfo]:
         return [self.modules[name] for name in sorted(self.modules)]
 

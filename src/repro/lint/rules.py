@@ -1,22 +1,27 @@
-"""Rule plugin base class and registry.
+"""Rule plugin base class and the one rule registry.
 
 A rule is a class with a stable ``rule_id`` (``R0xx``), a one-line
-``summary``, and a ``check(ctx)`` generator yielding :class:`Finding`
-objects for one file.  Rules that need cross-file state (the whole-project
-pass) additionally implement ``finalize()``, called once after every file
-has been checked.
+``summary``, and one of two hooks:
+
+* ``check(ctx)`` — a per-file pass yielding :class:`Finding` objects for
+  one :class:`~repro.lint.context.FileContext`;
+* ``check_project(project)`` — a whole-program pass over the
+  :class:`~repro.lint.project.Project` (import graph, class hierarchy,
+  every module at once).
 
 New rules self-register via the :func:`register` decorator; the engine
-instantiates one fresh object per rule per run, so instance attributes are
-safe for accumulating state across files.
+instantiates one fresh object per rule per run.
 """
 
 from __future__ import annotations
 
-from typing import ClassVar, Iterable, Iterator, Type
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Type
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
+
+if TYPE_CHECKING:
+    from repro.lint.project import Project
 
 
 class Rule:
@@ -29,10 +34,10 @@ class Rule:
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         """Per-file pass: yield findings for ``ctx``."""
-        raise NotImplementedError
+        return ()
 
-    def finalize(self) -> Iterable[Finding]:
-        """Whole-project pass: yield findings after all files were checked."""
+    def check_project(self, project: "Project") -> Iterable[Finding]:
+        """Whole-program pass: yield findings for the whole ``project``."""
         return ()
 
 
@@ -75,4 +80,4 @@ def iter_rule_docs() -> Iterator[tuple[str, str, str, str]]:
 def _load_builtin() -> None:
     # Imported lazily to avoid a circular import at module load time
     # (builtin rule modules import `register` from here).
-    from repro.lint import determinism, hygiene  # noqa: F401
+    from repro.lint import contract, dataflow, determinism, exceptions, hygiene, pickles  # noqa: F401

@@ -46,7 +46,7 @@ import time
 from typing import IO
 
 from repro.common.simtime import format_time
-from repro.lint.output import dumps_json
+from repro.common.stable_json import dumps_json
 from repro.obs import stream as obs_stream
 from repro.obs import watchtower as obs_watchtower
 from repro.obs.metrics import ObservabilityError

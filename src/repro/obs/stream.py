@@ -35,7 +35,7 @@ import time
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
-from repro.lint.output import dumps_json
+from repro.common.stable_json import dumps_json
 from repro.obs.metrics import ObservabilityError
 
 try:  # pragma: no cover - absent only on non-POSIX platforms

@@ -15,7 +15,7 @@ drifting away from realized outcomes.  The watchtower turns a
   growing past its baselined value by more than the drift tolerance.
 
 Everything is a pure function of the store (plus the baseline dict), so
-reports are byte-stable through ``repro.lint.output.dumps_json`` and a
+reports are byte-stable through ``repro.common.stable_json.dumps_json`` and a
 same-seed fleet produces the identical report every run — which is what
 lets CI gate on it (``repro.cli obs watchtower``, nonzero exit on any
 error-severity finding).

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 
+from repro.common.stable_json import dumps_json
 from repro.core.optimizer import WarehouseOptimizer
-from repro.lint.output import dumps_json
 from repro.portal.dashboards import (
     ActionsDashboard,
     AttributionDashboard,
@@ -127,9 +127,8 @@ def to_json(payload: dict, indent: int = 2) -> str:
     """Serialize an exported dict, validating it is JSON-clean.
 
     Delegates to the repo-wide byte-stable serializer
-    (:func:`repro.lint.output.dumps_json`) at the default indent, so
-    portal exports and lint/analysis artifacts share one formatting
-    contract; a non-default ``indent`` keeps the local path.
+    (:func:`repro.common.stable_json.dumps_json`) at the default indent, so
+    portal exports and lint reports share one formatting contract; a non-default ``indent`` keeps the local path.
     """
     if indent == 2:
         return dumps_json(payload)

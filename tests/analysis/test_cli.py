@@ -1,5 +1,5 @@
-"""Analyzer CLI: exit codes, byte-stable JSON/SARIF, graph artifacts,
-the --update-baseline ratchet flow, and repro.cli wiring."""
+"""The lint CLI on whole-program rules: exit codes, byte-stable JSON/SARIF,
+graph artifacts, and the entry points."""
 
 import io
 import json
@@ -7,7 +7,7 @@ import pathlib
 import subprocess
 import sys
 
-from repro.analysis.cli import JSON_SCHEMA_VERSION, build_parser, run
+from repro.lint.cli import JSON_SCHEMA_VERSION, build_parser, run
 from repro.lint.output import SARIF_VERSION
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -38,21 +38,21 @@ def write_fixture(tmp_path, source=RNG_ALIAS, name="mod.py"):
 class TestExitCodes:
     def test_clean_file_exits_zero(self, tmp_path):
         target = write_fixture(tmp_path, "x = 1\n")
-        code, _ = run_cli([str(target), "--no-baseline"])
+        code, _ = run_cli([str(target)])
         assert code == 0
 
     def test_findings_exit_one(self, tmp_path):
         target = write_fixture(tmp_path)
-        code, out = run_cli([str(target), "--no-baseline"])
+        code, out = run_cli([str(target)])
         assert code == 1 and "R013" in out
 
     def test_nonexistent_path_exits_two(self, tmp_path):
-        code, out = run_cli([str(tmp_path / "nope"), "--no-baseline"])
+        code, out = run_cli([str(tmp_path / "nope")])
         assert code == 2 and "no such file" in out
 
     def test_unknown_rule_id_exits_two(self, tmp_path):
         target = write_fixture(tmp_path, "x = 1\n")
-        code, _ = run_cli([str(target), "--select", "R999", "--no-baseline"])
+        code, _ = run_cli([str(target), "--select", "R999"])
         assert code == 2
 
     def test_list_rules_covers_the_catalogue(self):
@@ -60,42 +60,45 @@ class TestExitCodes:
         assert code == 0
         for rid in ("R012", "R013", "R014", "R015", "R016", "R017"):
             assert rid in out
+        # One registry: every rule id listed exactly once, in order.
+        ids = [line.split()[0] for line in out.splitlines()]
+        assert ids == [f"R{n:03d}" for n in range(1, 20)]
 
 
 class TestJsonOutput:
     def test_schema_fields(self, tmp_path):
         target = write_fixture(tmp_path)
-        code, out = run_cli([str(target), "--format", "json", "--no-baseline"])
+        code, out = run_cli([str(target), "--format", "json"])
         payload = json.loads(out)
         assert payload["version"] == JSON_SCHEMA_VERSION
         assert payload["exit_code"] == code == 1
-        assert payload["files_scanned"] == 1 and payload["modules"] == 1
+        assert payload["files_scanned"] == 1
         assert {f["rule_id"] for f in payload["findings"]} == {"R013"}
 
     def test_two_runs_byte_identical(self, tmp_path):
         target = write_fixture(tmp_path)
-        _, first = run_cli([str(target), "--format", "json", "--no-baseline"])
-        _, second = run_cli([str(target), "--format", "json", "--no-baseline"])
+        _, first = run_cli([str(target), "--format", "json"])
+        _, second = run_cli([str(target), "--format", "json"])
         assert first == second
 
 
 class TestSarifOutput:
     def test_two_runs_byte_identical(self, tmp_path):
         target = write_fixture(tmp_path)
-        _, first = run_cli([str(target), "--format", "sarif", "--no-baseline"])
-        _, second = run_cli([str(target), "--format", "sarif", "--no-baseline"])
+        _, first = run_cli([str(target), "--format", "sarif"])
+        _, second = run_cli([str(target), "--format", "sarif"])
         assert first == second
 
     def test_sarif_shape(self, tmp_path):
         target = write_fixture(tmp_path)
-        _, out = run_cli([str(target), "--format", "sarif", "--no-baseline"])
+        _, out = run_cli([str(target), "--format", "sarif"])
         sarif = json.loads(out)
         assert sarif["version"] == SARIF_VERSION
         (sarif_run,) = sarif["runs"]
         driver = sarif_run["tool"]["driver"]
-        assert driver["name"] == "repro-analyze"
+        assert driver["name"] == "repro-lint"
         rule_ids = [rule["id"] for rule in driver["rules"]]
-        assert rule_ids == ["R012", "R013", "R014", "R015", "R016", "R017"]
+        assert rule_ids == [f"R{n:03d}" for n in range(1, 20)]
         results = sarif_run["results"]
         assert results and all(r["ruleId"] == "R013" for r in results)
         location = results[0]["locations"][0]["physicalLocation"]
@@ -106,14 +109,14 @@ class TestGraphArtifact:
     def test_dot_artifact(self, tmp_path):
         target = write_fixture(tmp_path, "x = 1\n")
         graph = tmp_path / "imports.dot"
-        code, _ = run_cli([str(target), "--graph", str(graph), "--no-baseline"])
+        code, _ = run_cli([str(target), "--graph", str(graph)])
         assert code == 0
         assert graph.read_text().startswith('digraph "repro" {')
 
     def test_markdown_artifact(self, tmp_path):
         graph = tmp_path / "imports.md"
         code, _ = run_cli(
-            [str(REPO_ROOT / "src"), "--graph", str(graph), "--no-baseline"]
+            [str(REPO_ROOT / "src"), "--graph", str(graph)]
         )
         assert code == 0
         text = graph.read_text()
@@ -121,58 +124,11 @@ class TestGraphArtifact:
         assert "| `core` |" in text
 
 
-class TestBaselineRatchet:
-    def test_full_ratchet_cycle(self, tmp_path):
-        target = write_fixture(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        argv = [str(target), "--baseline", str(baseline)]
-
-        # 1. New findings against an absent baseline fail.
-        code, _ = run_cli(argv)
-        assert code == 1
-
-        # 2. --update-baseline blesses them; the run is then green.
-        code, out = run_cli(argv + ["--update-baseline"])
-        assert code == 0 and "2 finding(s) blessed" in out
-        code, out = run_cli(argv)
-        assert code == 0 and "2 baselined" in out
-
-        # 3. Fixing the file strands the blessed entries: stale, red.
-        target.write_text("x = 1\n")
-        code, out = run_cli(argv)
-        assert code == 1 and "stale baseline entry" in out
-
-        # 4. Re-blessing ratchets the baseline down to empty.
-        code, _ = run_cli(argv + ["--update-baseline"])
-        assert code == 0
-        assert json.loads(baseline.read_text())["entries"] == []
-        code, _ = run_cli(argv)
-        assert code == 0
-
-    def test_update_baseline_is_byte_stable(self, tmp_path):
-        target = write_fixture(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        argv = [str(target), "--baseline", str(baseline), "--update-baseline"]
-        run_cli(argv)
-        first = baseline.read_bytes()
-        run_cli(argv)
-        assert baseline.read_bytes() == first
-
-    def test_new_finding_on_top_of_baseline_fails(self, tmp_path):
-        target = write_fixture(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        run_cli([str(target), "--baseline", str(baseline), "--update-baseline"])
-        # A *new* violation in another file is new debt, not covered.
-        write_fixture(tmp_path, RNG_ALIAS, name="other.py")
-        code, out = run_cli([str(tmp_path), "--baseline", str(baseline)])
-        assert code == 1 and "other.py" in out
-
-
 class TestEntryPoints:
-    def test_python_dash_m_repro_analysis(self, tmp_path):
+    def test_python_dash_m_repro_lint_runs_whole_program_rules(self, tmp_path):
         target = write_fixture(tmp_path)
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", str(target), "--no-baseline"],
+            [sys.executable, "-m", "repro.lint", str(target)],
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
@@ -181,8 +137,10 @@ class TestEntryPoints:
         assert proc.returncode == 1
         assert "R013" in proc.stdout
 
-    def test_repro_cli_analyze_subcommand(self, tmp_path):
+    def test_repro_cli_lint_graph_option(self, tmp_path):
         from repro.cli import main
 
         target = write_fixture(tmp_path, "x = 1\n")
-        assert main(["analyze", str(target), "--no-baseline"]) == 0
+        graph = tmp_path / "imports.dot"
+        assert main(["lint", str(target), "--graph", str(graph)]) == 0
+        assert graph.read_text().startswith('digraph "repro" {')

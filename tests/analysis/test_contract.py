@@ -1,7 +1,7 @@
 """R012 layering contract: upward imports, cycles, unknown subpackages."""
 
-from repro.analysis.contract import REPRO_CONTRACT, LayerContract, check_layering
-from repro.analysis.project import Project
+from repro.lint.contract import REPRO_CONTRACT, LayerContract, check_layering
+from repro.lint.project import Project
 
 CONTRACT = LayerContract(package="pkg", layers=(("a",), ("b",)))
 

@@ -2,8 +2,8 @@
 R015 unordered iteration.  Every positive fixture mirrors a pattern the
 per-file rules (R001/R002/R008) structurally cannot see."""
 
-from repro.analysis.dataflow import check_dataflow
-from repro.analysis.project import Project
+from repro.lint.dataflow import check_dataflow
+from repro.lint.project import Project
 
 
 def findings_for(source, name="mod"):

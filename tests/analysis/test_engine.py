@@ -1,13 +1,9 @@
-"""The analysis driver: rule selection, suppressions, result plumbing."""
+"""The unified lint engine on whole-program rules: rule selection,
+suppressions, result plumbing."""
 
 import pytest
 
-from repro.analysis.engine import (
-    RULE_IDS,
-    analyze_paths,
-    analyze_project,
-)
-from repro.analysis.project import Project
+from repro.lint import Project, Rule, all_rules, lint_paths, lint_project
 
 RNG_ALIAS = (
     "import numpy as np\n"
@@ -21,29 +17,32 @@ RNG_ALIAS = (
 
 class TestSelection:
     def test_rule_ids_are_the_r012_r017_band(self):
-        assert RULE_IDS == ("R012", "R013", "R014", "R015", "R016", "R017")
+        whole_program = [
+            cls.rule_id for cls in all_rules() if cls.check_project is not Rule.check_project
+        ]
+        assert whole_program == ["R012", "R013", "R014", "R015", "R016", "R017"]
 
     def test_select_restricts_passes(self):
         project = Project.from_sources({"mod": RNG_ALIAS})
-        assert analyze_project(project, select=["R014"]) == []
-        assert {f.rule_id for f in analyze_project(project, select=["R013"])} == {
+        assert lint_project(project, select=["R014"]).findings == []
+        assert {f.rule_id for f in lint_project(project, select=["R013"]).findings} == {
             "R013"
         }
 
     def test_unknown_rule_id_raises(self):
         project = Project.from_sources({"mod": "x = 1\n"})
         with pytest.raises(KeyError, match="R999"):
-            analyze_project(project, select=["R999"])
+            lint_project(project, select=["R999"])
 
     def test_duplicate_findings_collapse(self):
         # One from-import with two aliases is one violation, not two.
-        from repro.analysis.contract import LayerContract
+        from repro.lint.contract import LayerContract, LayeringRule
 
         project = Project.from_sources(
             {"pkg.a": "from pkg.b import one, two\n", "pkg.b": "one = two = 1\n"}
         )
         contract = LayerContract(package="pkg", layers=(("a",), ("b",)))
-        findings = analyze_project(project, select=["R012"], contract=contract)
+        findings = lint_project(project, rules=[LayeringRule(contract)]).findings
         assert len(findings) == 1
 
 
@@ -63,41 +62,43 @@ class TestSuppressions:
             "    rng = mk(7)  # repro-lint: disable=R013\n"
             "    return rng.normal()  # repro-lint: disable=R013\n",
         )
-        result = analyze_paths([target])
+        result = lint_paths([target])
         assert result.clean and result.suppressed == 2
 
     def test_unused_analysis_directive_is_flagged(self, tmp_path):
         target = self.write(tmp_path, "x = 1  # repro-lint: disable=R013\n")
-        result = analyze_paths([target])
+        result = lint_paths([target])
         (finding,) = result.findings
         assert finding.rule_id == "R000"
         assert "unused suppression for R013" in finding.message
 
-    def test_lint_rule_directives_are_not_judged_here(self, tmp_path):
-        # disable=R001 belongs to the per-file linter; the analyzer must not
-        # call it unused just because R001 did not run in this tool.
+    def test_per_file_rule_directive_is_judged_on_a_full_run(self, tmp_path):
+        # Every rule runs in one pass, so an idle disable=R001 is stale.
         target = self.write(tmp_path, "x = 1  # repro-lint: disable=R001\n")
-        result = analyze_paths([target])
-        assert result.clean
+        (finding,) = lint_paths([target]).findings
+        assert finding.rule_id == "R000"
+        assert "unused suppression for R001" in finding.message
 
-    def test_disable_all_is_not_judged_here(self, tmp_path):
+    def test_idle_disable_all_is_judged_on_a_full_run(self, tmp_path):
         target = self.write(tmp_path, "x = 1  # repro-lint: disable=all\n")
-        result = analyze_paths([target])
-        assert result.clean
+        (finding,) = lint_paths([target]).findings
+        assert finding.rule_id == "R000"
+        assert "unused suppression for all" in finding.message
 
 
 class TestResultPlumbing:
     def test_exit_codes(self, tmp_path):
         clean = tmp_path / "clean.py"
         clean.write_text("x = 1\n")
-        assert analyze_paths([clean]).exit_code() == 0
+        assert lint_paths([clean]).exit_code() == 0
         dirty = tmp_path / "dirty.py"
         dirty.write_text(RNG_ALIAS)
-        assert analyze_paths([dirty]).exit_code() == 1
-        assert analyze_paths([tmp_path / "nope"]).exit_code() == 2
+        assert lint_paths([dirty]).exit_code() == 1
+        assert lint_paths([tmp_path / "nope"]).exit_code() == 2
 
     def test_module_and_file_counts(self, tmp_path):
         (tmp_path / "a.py").write_text("x = 1\n")
         (tmp_path / "b.py").write_text("y = 2\n")
-        result = analyze_paths([tmp_path])
-        assert result.files_scanned == 2 and result.modules == 2
+        project = Project.load([tmp_path])
+        result = lint_project(project)
+        assert result.files_scanned == 2 and len(project.modules) == 2

@@ -1,7 +1,7 @@
 """R017 exception contracts: the vendor surface raises typed errors only."""
 
-from repro.analysis.exceptions import check_exception_contracts
-from repro.analysis.project import Project
+from repro.lint.exceptions import check_exception_contracts
+from repro.lint.project import Project
 
 ERRORS = (
     "class PkgError(Exception):\n"

@@ -1,7 +1,7 @@
 """Import graph: cycle detection and the rendered (byte-stable) artifacts."""
 
-from repro.analysis.graph import find_cycles, module_graph, to_dot, to_markdown
-from repro.analysis.project import Project
+from repro.lint.graph import find_cycles, module_graph, to_dot, to_markdown
+from repro.lint.project import Project
 
 
 def fixture_project():

@@ -1,8 +1,8 @@
 """R016 spawn-safety: registered factories, protocols, and WorkerJob
 payloads must be importable-by-name from a fresh interpreter."""
 
-from repro.analysis.pickles import check_pickle_safety
-from repro.analysis.project import Project
+from repro.lint.pickles import check_pickle_safety
+from repro.lint.project import Project
 
 
 def findings_for(sources):

@@ -1,6 +1,6 @@
 """Project model: module naming, import classification, resolution."""
 
-from repro.analysis.project import Project, module_name_for
+from repro.lint.project import Project, module_name_for
 
 
 def edges_of(project, name):

@@ -2,10 +2,10 @@
 
 import textwrap
 
-from repro.lint import lint_source
-from repro.lint.engine import lint_context
+from repro.lint import lint_paths, lint_source
 from repro.lint.context import FileContext
-from repro.lint.rules import get_rules
+from repro.lint.engine import lint_project
+from repro.lint.project import Project
 
 
 def lint(source: str, path: str = "snippet.py"):
@@ -87,9 +87,9 @@ class TestSuppression:
     def test_suppressed_count_reported(self):
         source = "import time\nt = time.time()  # repro-lint: disable=R001\n"
         ctx = FileContext.from_source(source, "snippet.py")
-        kept, suppressed = lint_context(ctx, get_rules())
-        assert kept == []
-        assert suppressed == 1
+        result = lint_project(Project.from_context(ctx))
+        assert result.findings == []
+        assert result.suppressed == 1
 
 
 class TestUnusedSuppressions:
@@ -121,3 +121,21 @@ class TestUnusedSuppressions:
         assert [f.rule_id for f in found] == ["R000"]
         assert "unused suppression for R005" in found[0].message
         assert "R001" not in found[0].message
+
+    def test_disable_all_used_only_by_a_whole_program_rule(self, tmp_path):
+        # Line 7 is flagged by R014 (wall-clock value reaching json.dumps)
+        # alone.  Per-file and whole-program rules share one suppression
+        # pass, so disable=all there counts as used.
+        target = tmp_path / "mod.py"
+        target.write_text(
+            "import json\n"
+            "import time\n"
+            "\n"
+            "\n"
+            "def stamp():\n"
+            "    t = time.time()  # repro-lint: disable=R001\n"
+            '    return json.dumps({"t": t})  # repro-lint: disable=all\n'
+        )
+        result = lint_paths([target])
+        assert result.findings == [] and result.exit_code() == 0
+        assert result.suppressed == 2
