@@ -69,3 +69,9 @@ class RecoveryError(ReproError):
     pre-crash control-plane state or raises this error — never a silent
     partial restore.
     """
+
+
+class ObservabilityError(ReproError):
+    """The observability layer was driven incorrectly (bad metric name,
+    mismatched metric kinds, stop without start, ...) or handed an
+    artifact it cannot read."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 from typing import IO
 
+from repro.common.cli import flag
 from repro.common.rng import RngRegistry
 from repro.common.simtime import HOUR, Window
 from repro.costmodel.clusters import ClusterCountPredictor
@@ -58,28 +59,7 @@ def _synthetic_records(n: int, horizon: float, seed: int) -> list[QueryRecord]:
     ]
 
 
-def configure_parser(parser: argparse.ArgumentParser) -> None:
-    sub = parser.add_subparsers(dest="costmodel_command", required=True)
-    stream = sub.add_parser(
-        "stream",
-        help="stream a synthetic history through the incremental ledger "
-        "and verify it against a full replay",
-    )
-    stream.add_argument("--rows", type=int, default=400, help="synthetic rows")
-    stream.add_argument(
-        "--hours", type=float, default=6.0, help="window length in sim hours"
-    )
-    stream.add_argument("--seed", type=int, default=20260808)
-    stream.add_argument(
-        "--every", type=int, default=0,
-        help="print the running projection every N rows (0 = quarters)",
-    )
-
-
-def run(args: argparse.Namespace, out: IO[str] | None = None) -> int:
-    import sys
-
-    out = out if out is not None else sys.stdout
+def stream(args: argparse.Namespace, out: IO[str]) -> int:
     window = Window(0.0, args.hours * HOUR)
     records = _synthetic_records(args.rows, window.end, args.seed)
     records = [r for r in records if r.arrival_time < window.end]
@@ -110,3 +90,20 @@ def run(args: argparse.Namespace, out: IO[str] | None = None) -> int:
         print("FAIL: incremental ledger diverged from the full replay", file=out)
         return 1
     return 0
+
+
+#: The ``costmodel`` family: one row per subcommand (repro.common.cli).
+COMMANDS = (
+    (
+        "stream", stream,
+        "stream a synthetic history through the incremental ledger "
+        "and verify it against a full replay",
+        flag("--rows", type=int, default=400, help="synthetic rows"),
+        flag("--hours", type=float, default=6.0, help="window length in sim hours"),
+        flag("--seed", type=int, default=20260808),
+        flag(
+            "--every", type=int, default=0,
+            help="print the running projection every N rows (0 = quarters)",
+        ),
+    ),
+)

@@ -118,6 +118,17 @@ class Scenario:
 SCENARIO_FACTORIES: dict[str, Callable] = {}
 
 
+def bound_factory(
+    registry: dict[str, Callable], name: str, seed: int | None, what: str
+) -> Callable[[], "Scenario"]:
+    """A zero-argument builder for ``registry[name]``, seeded when ``seed``
+    is given; ValueError (``unknown <what> 'name'``) for an unknown name."""
+    factory = registry.get(name)
+    if factory is None:
+        raise ValueError(f"unknown {what} {name!r}")
+    return factory if seed is None else functools.partial(factory, seed=seed)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A picklable scenario recipe: factory name + kwargs (+ list index).

@@ -15,69 +15,27 @@ it records the run and writes the same trace + sidecar set as ``obs
 smoke``, so ``obs diff``/``obs alerts`` work on chaos runs — CI runs the
 same seed twice and asserts the exports are byte-identical.
 
-``run`` exits 0 when the run completed and, for plans that inject hard
-faults, at least one fault was actually injected (a chaos run that injects
-nothing is a rotted plan, not a passing test); 2 for an unknown scenario.
+A chaos run that injects nothing is a rotted plan, not a passing test:
+``run`` exits 1 on it (exit codes: docs/OBSERVABILITY.md §Exit codes).
 """
 
 from __future__ import annotations
 
 import argparse
-import pathlib
 import sys
 from typing import IO
 
-
-def configure_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``faults`` subcommand family."""
-    sub = parser.add_subparsers(dest="faults_command", required=True)
-
-    sub.add_parser("list", help="list the registered chaos scenarios")
-
-    describe = sub.add_parser("describe", help="render a scenario's fault plan")
-    describe.add_argument("scenario", help="chaos scenario name (see `faults list`)")
-    describe.add_argument("--seed", type=int, default=None, help="scenario seed")
-
-    run_p = sub.add_parser("run", help="run a chaos scenario; reconcile fault counts")
-    run_p.add_argument("scenario", help="chaos scenario name (see `faults list`)")
-    run_p.add_argument("--seed", type=int, default=None, help="scenario seed")
-    run_p.add_argument(
-        "--trace",
-        default=None,
-        help=(
-            "record the run: trace JSONL here, sidecars at <trace>.metrics.json, "
-            "<trace>.series.json and <trace>.alerts.json (same layout as obs smoke)"
-        ),
-    )
-    run_p.add_argument(
-        "--crash-at",
-        type=int,
-        default=None,
-        dest="crash_at",
-        help=(
-            "also kill the control plane at this 1-based checkpoint boundary "
-            "and restore it (crash-recovery chaos; see `durability smoke`)"
-        ),
-    )
-    run_p.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        dest="checkpoint_dir",
-        help="with --crash-at: keep the crash run's checkpoint artifacts here",
-    )
+from repro.common.cli import flag
 
 
-def _build(name: str, seed: int | None):
-    """Resolve a chaos scenario by registry name (None on unknown)."""
-    from repro.experiments.scenarios import CHAOS_SCENARIOS
+def _builder(args: argparse.Namespace):
+    """The named chaos scenario's zero-argument builder; ValueError when unknown."""
+    from repro.experiments.scenarios import CHAOS_SCENARIOS, bound_factory
 
-    builder = CHAOS_SCENARIOS.get(name)
-    if builder is None:
-        return None
-    return builder() if seed is None else builder(seed=seed)
+    return bound_factory(CHAOS_SCENARIOS, args.scenario, args.seed, "chaos scenario")
 
 
-def list_scenarios(out: IO[str]) -> int:
+def list_scenarios(args: argparse.Namespace, out: IO[str]) -> int:
     from repro.experiments.scenarios import CHAOS_SCENARIOS
 
     for name in sorted(CHAOS_SCENARIOS):
@@ -91,11 +49,8 @@ def list_scenarios(out: IO[str]) -> int:
     return 0
 
 
-def describe(name: str, seed: int | None, out: IO[str]) -> int:
-    scenario = _build(name, seed)
-    if scenario is None:
-        print(f"error: unknown chaos scenario {name!r}", file=sys.stderr)
-        return 2
+def describe(args: argparse.Namespace, out: IO[str]) -> int:
+    scenario = _builder(args)()
     print(
         f"scenario {scenario.name!r}: {scenario.total_days} day(s), "
         f"keebo_day={scenario.keebo_day}, "
@@ -106,65 +61,34 @@ def describe(name: str, seed: int | None, out: IO[str]) -> int:
     return 0
 
 
-def run_crash_scenario(
-    name: str, seed: int | None, crash_at: int, checkpoint_dir: str | None, out: IO[str]
-) -> int:
-    """Chaos run plus a control-plane crash: client faults and a process
-    death in the same run, with the byte-identity check of the crash
-    harness as the pass criterion."""
-    from repro.experiments.crash import run_with_recovery
-    from repro.experiments.scenarios import CHAOS_SCENARIOS
-    from repro.faults.plan import FaultKind
-
-    builder = CHAOS_SCENARIOS.get(name)
-    if builder is None:
-        print(f"error: unknown chaos scenario {name!r}", file=sys.stderr)
-        return 2
-    build = builder if seed is None else (lambda: builder(seed=seed))
-    result = run_with_recovery(
-        build,
-        kind=FaultKind.CRASH_AT_TICK,
-        crash_boundary=crash_at,
-        crash_dir=checkpoint_dir,
-    )
-    for line in result.summary_lines():
-        print(line, file=out)
-    if checkpoint_dir is not None:
-        print(f"checkpoint artifacts: {checkpoint_dir}", file=out)
-    return 0 if result.ok else 1
-
-
-def run_scenario(
-    name: str,
-    seed: int | None,
-    trace: str | None,
-    out: IO[str],
-    crash_at: int | None = None,
-    checkpoint_dir: str | None = None,
-) -> int:
+def run_scenario(args: argparse.Namespace, out: IO[str]) -> int:
     # Imported here: `faults list/describe` stay usable without pulling in
     # the full experiments stack.
     from repro import obs
+    from repro.experiments.crash import run_with_recovery
     from repro.experiments.runner import run_chaos
+    from repro.faults.plan import FaultKind
 
-    if crash_at is not None:
-        return run_crash_scenario(name, seed, crash_at, checkpoint_dir, out)
-    scenario = _build(name, seed)
-    if scenario is None:
-        print(f"error: unknown chaos scenario {name!r}", file=sys.stderr)
-        return 2
-    if trace is not None:
+    build = _builder(args)
+    if args.crash_at is not None:
+        # Client faults and a control-plane death in the same run; the
+        # crash harness's byte-identity check is the pass criterion.
+        recovery = run_with_recovery(
+            build,
+            kind=FaultKind.CRASH_AT_TICK,
+            crash_boundary=args.crash_at,
+            crash_dir=args.checkpoint_dir,
+        )
+        for line in recovery.summary_lines():
+            print(line, file=out)
+        if args.checkpoint_dir is not None:
+            print(f"checkpoint artifacts: {args.checkpoint_dir}", file=out)
+        return 0 if recovery.ok else 1
+    scenario = build()
+    if args.trace is not None:
         with obs.observed(manifest=scenario.manifest()) as rec:
             chaos, _ = run_chaos(scenario)
-        trace_path = pathlib.Path(trace)
-        rec.sink.dump(trace_path)
-        for suffix, payload in (
-            (".metrics.json", rec.metrics.to_json()),
-            (".series.json", rec.series.to_json()),
-            (".alerts.json", rec.alerts.to_json()),
-        ):
-            sidecar = trace_path.with_name(trace_path.name + suffix)
-            sidecar.write_text(payload, encoding="utf-8")
+        trace_path = rec.dump(args.trace)
         print(f"trace: {trace_path} ({len(rec.sink)} records)", file=out)
     else:
         chaos, _ = run_chaos(scenario)
@@ -180,18 +104,30 @@ def run_scenario(
     return 0
 
 
-def run(args: argparse.Namespace, out: IO[str] | None = None) -> int:
-    """Execute a parsed ``faults`` invocation; returns the process exit code."""
-    out = out if out is not None else sys.stdout
-    if args.faults_command == "list":
-        return list_scenarios(out)
-    if args.faults_command == "describe":
-        return describe(args.scenario, args.seed, out)
-    return run_scenario(
-        args.scenario,
-        args.seed,
-        args.trace,
-        out,
-        crash_at=getattr(args, "crash_at", None),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-    )
+_SCENARIO = flag("scenario", help="chaos scenario name (see `faults list`)")
+_SEED = flag("--seed", type=int, default=None, help="scenario seed")
+
+#: The ``faults`` family: one row per subcommand (repro.common.cli).
+COMMANDS = (
+    ("list", list_scenarios, "list the registered chaos scenarios"),
+    ("describe", describe, "render a scenario's fault plan", _SCENARIO, _SEED),
+    (
+        "run", run_scenario, "run a chaos scenario; reconcile fault counts",
+        _SCENARIO,
+        _SEED,
+        flag(
+            "--trace", default=None,
+            help="record the run: trace JSONL here, sidecars at <trace>.metrics.json, "
+            "<trace>.series.json and <trace>.alerts.json (same layout as obs smoke)",
+        ),
+        flag(
+            "--crash-at", type=int, default=None, dest="crash_at",
+            help="also kill the control plane at this 1-based checkpoint boundary "
+            "and restore it (crash-recovery chaos; see `durability smoke`)",
+        ),
+        flag(
+            "--checkpoint-dir", default=None, dest="checkpoint_dir",
+            help="with --crash-at: keep the crash run's checkpoint artifacts here",
+        ),
+    ),
+)

@@ -19,6 +19,7 @@ import argparse
 import sys
 from typing import IO
 
+from repro.common.cli import flag, run_command
 from repro.common.stable_json import dump_json
 from repro.lint.contract import REPRO_CONTRACT
 from repro.lint.engine import LintResult, lint_project
@@ -32,43 +33,30 @@ from repro.lint.rules import iter_rule_docs
 JSON_SCHEMA_VERSION = 1
 
 
-def configure_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach repro-lint's arguments (shared with ``repro.cli lint``)."""
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
+#: repro-lint's arguments (shared with the ``repro.cli lint`` row).
+FLAGS = (
+    flag(
+        "paths", nargs="*", default=["src"],
         help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("human", "json", "sarif"),
-        default="human",
+    ),
+    flag(
+        "--format", choices=("human", "json", "sarif"), default="human",
         help="output format (default: human)",
-    )
-    parser.add_argument(
-        "--select",
-        metavar="R001,R002,...",
-        default=None,
+    ),
+    flag(
+        "--select", metavar="R001,R002,...", default=None,
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--min-severity",
-        choices=SEVERITIES,
-        default="warning",
+    ),
+    flag(
+        "--min-severity", choices=SEVERITIES, default="warning",
         help="drop findings below this severity (default: warning, i.e. keep all)",
-    )
-    parser.add_argument(
-        "--graph",
-        metavar="PATH",
-        default=None,
+    ),
+    flag(
+        "--graph", metavar="PATH", default=None,
         help="write the import-graph artifact (.md for markdown, else DOT)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalogue and exit",
-    )
+    ),
+    flag("--list-rules", action="store_true", help="print the rule catalogue and exit"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(per-file rules plus whole-program layering, dataflow, pickle-safety "
         "and exception-contract rules).",
     )
-    configure_parser(parser)
+    for names, kwargs in FLAGS:
+        parser.add_argument(*names, **kwargs)
+    parser.set_defaults(run=run)
     return parser
 
 
@@ -116,9 +106,8 @@ def write_graph(project: Project, graph_path: str) -> None:
         handle.write(text)
 
 
-def run(args: argparse.Namespace, out: IO[str] | None = None) -> int:
+def run(args: argparse.Namespace, out: IO[str]) -> int:
     """Execute a parsed lint invocation; returns the process exit code."""
-    out = out if out is not None else sys.stdout
     if args.list_rules:
         for rule_id, name, severity, summary in iter_rule_docs():
             print(f"{rule_id}  {name:<32} [{severity}] {summary}", file=out)
@@ -127,9 +116,8 @@ def run(args: argparse.Namespace, out: IO[str] | None = None) -> int:
     project = Project.load(args.paths)
     try:
         result = lint_project(project, select=select, min_severity=args.min_severity)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    except KeyError as exc:  # an unknown --select id is unusable input
+        raise ValueError(exc.args[0]) from exc
     if args.graph:
         write_graph(project, args.graph)
     if args.format == "json":
@@ -142,8 +130,7 @@ def run(args: argparse.Namespace, out: IO[str] | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(args)
+    return run_command(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -18,12 +18,7 @@ import json
 import math
 import re
 
-from repro.common.errors import ReproError
-
-
-class ObservabilityError(ReproError):
-    """The observability layer was driven incorrectly (bad metric name,
-    mismatched metric kinds, stop without start, ...)."""
+from repro.common.errors import ObservabilityError
 
 
 #: Metric names: dotted lowercase segments, e.g. ``repro.engine.events``.

@@ -45,6 +45,33 @@ _EVENT_KINDS = {
 }
 
 
+def _is_row(row: object) -> bool:
+    """A loaded line has the shape every query relies on."""
+    return (
+        isinstance(row, dict)
+        and all(isinstance(row.get(key), str) for key in ("run", "kind", "warehouse"))
+        and isinstance(row.get("time"), (int, float))
+        and isinstance(row.get("data"), dict)
+    )
+
+
+#: A warehouse's facts before any of its rows is seen.
+_EMPTY_FACTS = {
+    "n_decisions": 0,
+    "n_entries": 0,
+    "entries_conserved": True,
+    "attributed_credits": 0.0,
+    "n_sealed": 0,
+    "n_with_prediction": 0,
+    "sum_abs_error_credits": 0.0,
+    "sum_error_credits": 0.0,
+    "total_predicted_credits": 0.0,
+    "total_realized_credits": 0.0,
+    "mean_abs_error_credits": 0.0,
+    "mean_error_credits": 0.0,
+}
+
+
 class FleetStore:
     """An append-only, queryable store of fleet decision telemetry."""
 
@@ -144,7 +171,7 @@ class FleetStore:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ObservabilityError(f"{path}:{i}: not JSON: {exc}") from exc
-            if not isinstance(row, dict):
+            if not _is_row(row):
                 raise ObservabilityError(f"{path}:{i}: not a store row")
             store.append(row)
         return store
@@ -283,23 +310,7 @@ class FleetStore:
                 out.append({**decision, "alerts": sorted(set(hits))})
         return out
 
-    # ------------------------------------------------------ watchtower views
-    def savings_credits_by_warehouse(self) -> dict[str, float]:
-        """Total attributed savings credits per warehouse (name-sorted).
-
-        Sums every attribution row's shares — the same credits the
-        conservation check in ``obs attribution`` ties to the ledger.
-        """
-        totals: dict[str, float] = {}
-        for position in self._by_kind.get("attribution", []):
-            row = self.rows[position]
-            credited = sum(
-                float(share["credits"])
-                for share in row["data"].get("shares", [])
-            )
-            totals[row["warehouse"]] = totals.get(row["warehouse"], 0.0) + credited
-        return {name: totals[name] for name in sorted(totals)}
-
+    # ------------------------------------------------ per-warehouse views
     def alert_fire_counts(self) -> dict[tuple[str, str], int]:
         """Alert fire counts per ``(run, alert name)``, insertion-keyed."""
         counts: dict[tuple[str, str], int] = {}
@@ -309,38 +320,84 @@ class FleetStore:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def calibration_by_warehouse(self) -> dict[str, dict]:
-        """Per-warehouse what-if calibration from sealed outcomes.
+    def warehouse_facts(self) -> dict[str, dict]:
+        """Per-warehouse decisions, attributed savings and what-if
+        calibration (name-sorted): what ``obs attribution`` reports and the
+        watchtower compares across runs.
 
-        One dict per warehouse (name-sorted): sealed/predicted counts and
-        the mean absolute / signed prediction error in credits — the
-        drift surface the watchtower monitors across runs.
+        Each attribution row's shares are summed left to right and must
+        equal the row's own ``savings_credits`` bit for bit
+        (``entries_conserved``); ``attributed_credits`` totals them.
+        Calibration comes from sealed outcomes: predicted and realized
+        credit totals and the mean absolute / signed prediction error.
         """
-        out: dict[str, dict] = {}
-        for position in self._by_kind.get("outcome", []):
-            row = self.rows[position]
-            agg = out.setdefault(
-                row["warehouse"],
-                {
-                    "n_sealed": 0,
-                    "n_with_prediction": 0,
-                    "sum_abs_error_credits": 0.0,
-                    "sum_error_credits": 0.0,
-                },
-            )
+        facts: dict[str, dict] = {}
+
+        def of(row: dict) -> dict:
+            return facts.setdefault(row["warehouse"], dict(_EMPTY_FACTS))
+
+        for row in self.query(kind="decision"):
+            of(row)["n_decisions"] += 1
+        for row in self.query(kind="attribution"):
+            agg = of(row)
+            credited = 0.0
+            for share in row["data"].get("shares", []):
+                credited += float(share["credits"])
+            if credited != row["data"].get("savings_credits"):
+                agg["entries_conserved"] = False
+            agg["n_entries"] += 1
+            agg["attributed_credits"] += credited
+        for row in self.query(kind="outcome"):
+            agg = of(row)
             agg["n_sealed"] += 1
+            agg["total_realized_credits"] += float(
+                row["data"].get("realized_credits") or 0.0
+            )
             error = row["data"].get("error_credits")
             if error is not None:
                 agg["n_with_prediction"] += 1
                 agg["sum_abs_error_credits"] += abs(float(error))
                 agg["sum_error_credits"] += float(error)
-        for agg in out.values():
+                agg["total_predicted_credits"] += float(
+                    row["data"].get("predicted_credits") or 0.0
+                )
+        for agg in facts.values():
             n = agg["n_with_prediction"]
             agg["mean_abs_error_credits"] = (
                 agg["sum_abs_error_credits"] / n if n else 0.0
             )
             agg["mean_error_credits"] = agg["sum_error_credits"] / n if n else 0.0
-        return {name: out[name] for name in sorted(out)}
+        return {name: facts[name] for name in sorted(facts)}
+
+    def attribution_report(self) -> dict:
+        """The attribution/calibration facts of the store, as plain data.
+
+        ``conserved`` ties each warehouse's attributed credits to its
+        savings ledger with ``==`` on purpose: the provenance layer
+        guarantees bit-exact conservation (split_exact), so any drift at
+        all is a bug worth failing on.  Savings reports predating the
+        credits attribute are skipped, leaving no ledger to check against.
+        """
+        warehouses = self.warehouse_facts()
+        ledger: dict[str, float] = {}
+        for row in self.query(kind="savings_report"):
+            credits = row["data"].get("savings_credits")
+            if credits is not None:
+                name = row["warehouse"]
+                ledger[name] = ledger.get(name, 0.0) + float(credits)
+                warehouses.setdefault(name, dict(_EMPTY_FACTS))
+        for name, agg in warehouses.items():
+            agg["ledger_credits"] = ledger.get(name)
+            agg["conserved"] = agg["entries_conserved"] and (
+                agg["ledger_credits"] is None
+                or agg["attributed_credits"] == agg["ledger_credits"]
+            )
+        return {
+            "schema": 1,
+            "warehouses": {name: warehouses[name] for name in sorted(warehouses)},
+            "top_savings": self.top_savings(),
+            "top_regret": self.top_regret(),
+        }
 
     # --------------------------------------------------------------- rollups
     def rollup(self, bucket_seconds: float = 3600.0) -> list[dict]:

@@ -48,6 +48,15 @@ from repro.obs.series import DEFAULT_BUCKET_SECONDS, SeriesRegistry
 TRACE_SCHEMA_VERSION = 1
 
 
+def sidecar_path(trace_path: str | pathlib.Path, kind: str) -> pathlib.Path:
+    """Where a trace's ``kind`` sidecar lives: ``<trace>.<kind>.json``, or
+    ``<trace>.report.md`` for the markdown run report.  :meth:`Recorder.dump`
+    writes metrics/series/alerts; ``obs campaign`` adds campaign/resources."""
+    path = pathlib.Path(trace_path)
+    extension = "md" if kind == "report" else "json"
+    return path.with_name(f"{path.name}.{kind}.{extension}")
+
+
 def _jsonable(value: object) -> object:
     """Coerce attribute values to plain JSON types (numpy scalars included)."""
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -258,6 +267,18 @@ class Recorder:
                 record["span"] = record["span"] + offset
             self.sink.write(record)
         return spans
+
+    def dump(self, trace_path: str | pathlib.Path) -> pathlib.Path:
+        """Write the trace JSONL and its metrics, series and alerts sidecars."""
+        path = pathlib.Path(trace_path)
+        self.sink.dump(path)
+        for kind, text in (
+            ("metrics", self.metrics.to_json()),
+            ("series", self.series.to_json()),
+            ("alerts", self.alerts.to_json()),
+        ):
+            sidecar_path(path, kind).write_text(text, encoding="utf-8")
+        return path
 
     # --------------------------------------------------------------- metrics
     def counter(self, name: str) -> Counter:

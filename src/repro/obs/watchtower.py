@@ -23,8 +23,11 @@ error-severity finding).
 
 from __future__ import annotations
 
+import json
+import pathlib
 from dataclasses import dataclass
 
+from repro.common.errors import ObservabilityError
 from repro.obs.store import FleetStore
 
 #: Bumped on any incompatible change to baseline / report shapes.
@@ -51,31 +54,28 @@ class WatchtowerThresholds:
     calibration_floor_credits: float = 0.005
 
 
+#: The per-warehouse facts a baseline pins (FleetStore.warehouse_facts keys).
+_FACT_KEYS = (
+    "attributed_credits",
+    "n_decisions",
+    "n_sealed",
+    "n_with_prediction",
+    "mean_abs_error_credits",
+    "mean_error_credits",
+)
+
+
 def fleet_facts(store: FleetStore) -> dict:
     """The per-warehouse facts the watchtower compares across runs.
 
     Warehouses with empty names (manifest rows) are excluded; keys are
     name-sorted so the dict serializes byte-stably.
     """
-    savings = store.savings_credits_by_warehouse()
-    calibration = store.calibration_by_warehouse()
-    decision_counts: dict[str, int] = {}
-    for row in store.query(kind="decision"):
-        name = row["warehouse"]
-        decision_counts[name] = decision_counts.get(name, 0) + 1
-    warehouses = {}
-    for name in sorted(set(savings) | set(calibration) | set(decision_counts)):
-        if not name:
-            continue
-        calib = calibration.get(name, {})
-        warehouses[name] = {
-            "attributed_credits": savings.get(name, 0.0),
-            "n_decisions": decision_counts.get(name, 0),
-            "n_sealed": calib.get("n_sealed", 0),
-            "n_with_prediction": calib.get("n_with_prediction", 0),
-            "mean_abs_error_credits": calib.get("mean_abs_error_credits", 0.0),
-            "mean_error_credits": calib.get("mean_error_credits", 0.0),
-        }
+    warehouses = {
+        name: {key: facts[key] for key in _FACT_KEYS}
+        for name, facts in store.warehouse_facts().items()
+        if name
+    }
     alert_max_fires: dict[str, int] = {}
     for (_, alert), fires in store.alert_fire_counts().items():
         alert_max_fires[alert] = max(alert_max_fires.get(alert, 0), fires)
@@ -97,6 +97,26 @@ def fleet_baseline(store: FleetStore) -> dict:
     regress from.
     """
     return fleet_facts(store)
+
+
+def load_baseline(path: str | pathlib.Path) -> dict:
+    """Read a blessed baseline file; ObservabilityError naming the file
+    unless it has the shape :func:`run_watchtower` compares against."""
+    try:
+        baseline = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ObservabilityError(f"unreadable baseline {path}: {exc}") from exc
+    warehouses = baseline.get("warehouses", {}) if isinstance(baseline, dict) else None
+    if not isinstance(warehouses, dict) or not all(
+        isinstance(facts, dict)
+        and all(
+            isinstance(facts.get(key, 0.0), (int, float))
+            for key in ("attributed_credits", "mean_abs_error_credits")
+        )
+        for facts in warehouses.values()
+    ):
+        raise ObservabilityError(f"{path}: not a watchtower baseline")
+    return baseline
 
 
 def run_watchtower(

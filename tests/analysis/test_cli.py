@@ -7,7 +7,8 @@ import pathlib
 import subprocess
 import sys
 
-from repro.lint.cli import JSON_SCHEMA_VERSION, build_parser, run
+from repro.common.cli import run_command
+from repro.lint.cli import JSON_SCHEMA_VERSION, build_parser
 from repro.lint.output import SARIF_VERSION
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -24,8 +25,7 @@ RNG_ALIAS = (
 
 def run_cli(argv):
     out = io.StringIO()
-    args = build_parser().parse_args(argv)
-    code = run(args, out=out)
+    code = run_command(build_parser().parse_args(argv), out)
     return code, out.getvalue()
 
 

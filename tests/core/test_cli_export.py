@@ -1,5 +1,6 @@
 """Tests for the CLI and the portal JSON export."""
 
+import argparse
 import json
 
 import pytest
@@ -34,6 +35,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Warehouse3" in out
         assert "rel.err" in out
+
+    def test_every_leaf_command_has_a_run_handler(self):
+        def leaves(parser, path=()):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        yield from leaves(sub, (*path, name))
+                    return
+            yield path, parser
+
+        found = list(leaves(build_parser()))
+        assert len(found) >= 30
+        for path, parser in found:
+            assert callable(parser.get_default("run")), " ".join(path)
+
+    def test_experiment_commands_take_only_their_flags(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig7", "--workers", "4"])
+        args = build_parser().parse_args(["fleet", "--workers", "2"])
+        assert args.workers == 2
 
     def test_seed_flag_parsed(self):
         args = build_parser().parse_args(["fig5", "--seed", "123"])

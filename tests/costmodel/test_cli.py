@@ -1,21 +1,11 @@
 """``costmodel stream``: the incremental ledger's stream-and-verify smoke."""
 
-import argparse
-import io
-
-from repro.costmodel.cli import configure_parser, run
-
-
-def parse(argv: list[str]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser()
-    configure_parser(parser)
-    return parser.parse_args(argv)
+from repro.cli import main
 
 
 class TestStream:
-    def test_stream_matches_full_replay_bit_for_bit(self):
-        out = io.StringIO()
-        assert run(parse(["stream", "--rows", "200"]), out=out) == 0
-        text = out.getvalue()
+    def test_stream_matches_full_replay_bit_for_bit(self, capsys):
+        assert main(["costmodel", "stream", "--rows", "200"]) == 0
+        text = capsys.readouterr().out
         assert "divergence=0.0" in text
         assert "FAIL" not in text

@@ -6,7 +6,8 @@ import pathlib
 import subprocess
 import sys
 
-from repro.lint.cli import JSON_SCHEMA_VERSION, build_parser, run
+from repro.common.cli import run_command
+from repro.lint.cli import JSON_SCHEMA_VERSION, build_parser
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -15,8 +16,7 @@ DIRTY = "import time\nt = time.time()\n"
 
 def run_cli(argv, cwd=None):
     out = io.StringIO()
-    args = build_parser().parse_args(argv)
-    code = run(args, out=out)
+    code = run_command(build_parser().parse_args(argv), out)
     return code, out.getvalue()
 
 

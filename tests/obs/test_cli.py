@@ -1,27 +1,21 @@
 """Exit-code and output contract of the `repro.cli obs` subcommands."""
 
-import argparse
 import io
 import json
 import pathlib
 
 import pytest
 
+from repro.cli import build_parser
+from repro.common.cli import run_command
 from repro.obs import Recorder, RunManifest
-from repro.obs.cli import (
-    alerts,
-    attribution,
-    campaign,
-    decisions,
-    diff,
-    profile,
-    report,
-    slo,
-    store_run,
-    summarize,
-    watch,
-    watchtower,
-)
+
+
+def obs(*argv, out=None):
+    """Run ``repro.cli obs <argv>`` through the real parser and exit-code
+    boundary; returns the exit code (stdout lands in ``out``)."""
+    args = build_parser().parse_args(["obs", *map(str, argv)])
+    return run_command(args, out if out is not None else io.StringIO())
 
 
 def _write_trace(path, n_spans=2, n_events=1, extra_attr=None):
@@ -40,7 +34,7 @@ class TestSummarize:
     def test_trace_with_spans_exits_zero(self, tmp_path):
         path = _write_trace(tmp_path / "t.jsonl")
         out = io.StringIO()
-        assert summarize(str(path), out) == 0
+        assert obs("summarize", path, out=out) == 0
         text = out.getvalue()
         assert "scenario=t" in text
         assert "2 spans" in text
@@ -48,20 +42,20 @@ class TestSummarize:
 
     def test_zero_spans_exits_one(self, tmp_path):
         path = _write_trace(tmp_path / "t.jsonl", n_spans=0)
-        assert summarize(str(path), io.StringIO()) == 1
+        assert obs("summarize", path) == 1
 
     def test_missing_file_exits_two(self, tmp_path):
-        assert summarize(str(tmp_path / "absent.jsonl"), io.StringIO()) == 2
+        assert obs("summarize", tmp_path / "absent.jsonl") == 2
 
     def test_garbage_exits_two(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json at all\n")
-        assert summarize(str(path), io.StringIO()) == 2
+        assert obs("summarize", path) == 2
 
     def test_non_record_json_exits_two(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"no_type_key": 1}\n')
-        assert summarize(str(path), io.StringIO()) == 2
+        assert obs("summarize", path) == 2
 
 
 def _write_observed_run(tmp_path, degraded=False):
@@ -85,7 +79,7 @@ class TestSummarizeMetricsSidecar:
     def test_metrics_snapshot_rendered_when_sidecar_present(self, tmp_path):
         path = _write_observed_run(tmp_path)
         out = io.StringIO()
-        assert summarize(str(path), out) == 0
+        assert obs("summarize", path, out=out) == 0
         text = out.getvalue()
         assert "metrics snapshot:" in text
         assert "gauge extremes:" in text
@@ -95,14 +89,14 @@ class TestSummarizeMetricsSidecar:
     def test_no_sidecar_keeps_summary_quiet(self, tmp_path):
         path = _write_trace(tmp_path / "t.jsonl")
         out = io.StringIO()
-        assert summarize(str(path), out) == 0
+        assert obs("summarize", path, out=out) == 0
         assert "metrics snapshot" not in out.getvalue()
 
     def test_corrupt_sidecar_does_not_break_summary(self, tmp_path):
         path = _write_trace(tmp_path / "t.jsonl")
         (tmp_path / "t.jsonl.metrics.json").write_text("not json")
         out = io.StringIO()
-        assert summarize(str(path), out) == 0
+        assert obs("summarize", path, out=out) == 0
         assert "metrics snapshot" not in out.getvalue()
 
     def test_v1_sidecar_without_gauge_extremes_tolerated(self, tmp_path):
@@ -110,7 +104,7 @@ class TestSummarizeMetricsSidecar:
         snapshot = {"repro.test.depth": {"kind": "gauge", "value": 3.0, "updates": 1}}
         (tmp_path / "t.jsonl.metrics.json").write_text(json.dumps(snapshot))
         out = io.StringIO()
-        assert summarize(str(path), out) == 0
+        assert obs("summarize", path, out=out) == 0
         assert "min=3 max=3" in out.getvalue()
 
 
@@ -119,33 +113,33 @@ class TestDiff:
         a = _write_trace(tmp_path / "a.jsonl")
         b = _write_trace(tmp_path / "b.jsonl")
         out = io.StringIO()
-        assert diff(str(a), str(b), out) == 0
+        assert obs("diff", a, b, out=out) == 0
         assert "identical" in out.getvalue()
 
     def test_count_difference_reported(self, tmp_path):
         a = _write_trace(tmp_path / "a.jsonl", n_spans=2)
         b = _write_trace(tmp_path / "b.jsonl", n_spans=3)
         out = io.StringIO()
-        assert diff(str(a), str(b), out) == 1
+        assert obs("diff", a, b, out=out) == 1
         assert "span 'work': 2 vs 3" in out.getvalue()
 
     def test_attr_difference_pinpoints_first_record(self, tmp_path):
         a = _write_trace(tmp_path / "a.jsonl", extra_attr={"x": 1})
         b = _write_trace(tmp_path / "b.jsonl", extra_attr={"x": 2})
         out = io.StringIO()
-        assert diff(str(a), str(b), out) == 1
+        assert obs("diff", a, b, out=out) == 1
         assert "first differing record: line 2" in out.getvalue()
 
     def test_missing_file_exits_two(self, tmp_path):
         a = _write_trace(tmp_path / "a.jsonl")
-        assert diff(str(a), str(tmp_path / "absent.jsonl"), io.StringIO()) == 2
+        assert obs("diff", a, tmp_path / "absent.jsonl") == 2
 
 
 class TestProfile:
     def test_profiles_spans_and_critical_path(self, tmp_path):
         path = _write_observed_run(tmp_path)
         out = io.StringIO()
-        assert profile(str(path), out) == 0
+        assert obs("profile", path, out=out) == 0
         text = out.getvalue()
         assert "profile: 8 spans" in text
         assert "tick" in text
@@ -155,22 +149,22 @@ class TestProfile:
         a = _write_trace(tmp_path / "a.jsonl", n_spans=2)
         b = _write_trace(tmp_path / "b.jsonl", n_spans=3)
         out = io.StringIO()
-        assert profile(str(a), out, diff_path=str(b)) == 0
+        assert obs("profile", a, "--diff", b, out=out) == 0
         assert "count      2 -> 3" in out.getvalue()
 
     def test_zero_spans_exits_one(self, tmp_path):
         path = _write_trace(tmp_path / "t.jsonl", n_spans=0)
-        assert profile(str(path), io.StringIO()) == 1
+        assert obs("profile", path) == 1
 
     def test_missing_file_exits_two(self, tmp_path):
-        assert profile(str(tmp_path / "absent.jsonl"), io.StringIO()) == 2
+        assert obs("profile", tmp_path / "absent.jsonl") == 2
 
 
 class TestSlo:
     def test_healthy_run_evaluates_and_exits_zero(self, tmp_path):
         path = _write_observed_run(tmp_path)
         out = io.StringIO()
-        assert slo(str(path), out) == 0
+        assert obs("slo", path, out=out) == 0
         text = out.getvalue()
         assert "latency-ratio.wh" in text
         assert "compliance=100.0%" in text
@@ -179,14 +173,14 @@ class TestSlo:
     def test_violations_reported_but_still_exit_zero(self, tmp_path):
         path = _write_observed_run(tmp_path, degraded=True)
         out = io.StringIO()
-        assert slo(str(path), out) == 0
+        assert obs("slo", path, out=out) == 0
         text = out.getvalue()
         assert "violation" in text
         assert "ok=False" in text
 
     def test_no_series_sidecar_exits_two(self, tmp_path):
         path = _write_trace(tmp_path / "t.jsonl")
-        assert slo(str(path), io.StringIO()) == 2
+        assert obs("slo", path) == 2
 
     def test_no_evaluable_slo_exits_one(self, tmp_path):
         path = _write_trace(tmp_path / "t.jsonl")
@@ -198,14 +192,14 @@ class TestSlo:
             }
         }
         (tmp_path / "t.jsonl.series.json").write_text(json.dumps(snapshot))
-        assert slo(str(path), io.StringIO()) == 1
+        assert obs("slo", path) == 1
 
 
 class TestAlerts:
     def test_timeline_rendered(self, tmp_path):
         path = _write_observed_run(tmp_path, degraded=True)
         out = io.StringIO()
-        assert alerts(str(path), out) == 0
+        assert obs("alerts", path, out=out) == 0
         text = out.getvalue()
         assert "FIRE" in text
         assert "RESOLVE" in text
@@ -215,18 +209,18 @@ class TestAlerts:
     def test_quiet_run_exits_zero(self, tmp_path):
         path = _write_trace(tmp_path / "t.jsonl")
         out = io.StringIO()
-        assert alerts(str(path), out) == 0
+        assert obs("alerts", path, out=out) == 0
         assert "no alert events" in out.getvalue()
 
     def test_missing_file_exits_two(self, tmp_path):
-        assert alerts(str(tmp_path / "absent.jsonl"), io.StringIO()) == 2
+        assert obs("alerts", tmp_path / "absent.jsonl") == 2
 
 
 class TestReport:
     def test_renders_markdown_with_all_sections(self, tmp_path):
         path = _write_observed_run(tmp_path, degraded=True)
         out = io.StringIO()
-        assert report(str(path), out) == 0
+        assert obs("report", path, out=out) == 0
         markdown = (tmp_path / "t.jsonl.report.md").read_text()
         assert markdown.startswith("# Run report")
         assert "## Alert timeline" in markdown
@@ -237,13 +231,13 @@ class TestReport:
     def test_without_series_sidecar_omits_slo_section(self, tmp_path):
         path = _write_trace(tmp_path / "t.jsonl")
         target = tmp_path / "custom.md"
-        assert report(str(path), io.StringIO(), out_path=str(target)) == 0
+        assert obs("report", path, "--out", target) == 0
         markdown = target.read_text()
         assert "## SLOs" not in markdown
         assert "## Span profile" in markdown
 
     def test_missing_trace_exits_two(self, tmp_path):
-        assert report(str(tmp_path / "absent.jsonl"), io.StringIO()) == 2
+        assert obs("report", tmp_path / "absent.jsonl") == 2
 
 
 class TestSummarizeAlertsSidecar:
@@ -255,7 +249,7 @@ class TestSummarizeAlertsSidecar:
         rec.alerts.fire("monitor.slo_breach.wh", 1200.0, severity="critical")
         (tmp_path / "t.jsonl.alerts.json").write_text(rec.alerts.to_json())
         out = io.StringIO()
-        assert summarize(str(path), out) == 0
+        assert obs("summarize", path, out=out) == 0
         text = out.getvalue()
         assert "alerts sidecar: 3 lifecycle events (2 fires, 1 resolves)" in text
         assert "top alerts by fires:" in text
@@ -264,14 +258,14 @@ class TestSummarizeAlertsSidecar:
     def test_no_sidecar_keeps_summary_quiet(self, tmp_path):
         path = _write_observed_run(tmp_path)
         out = io.StringIO()
-        assert summarize(str(path), out) == 0
+        assert obs("summarize", path, out=out) == 0
         assert "alerts sidecar" not in out.getvalue()
 
     def test_corrupt_sidecar_does_not_break_summary(self, tmp_path):
         path = _write_observed_run(tmp_path)
         (tmp_path / "t.jsonl.alerts.json").write_text("not json")
         out = io.StringIO()
-        assert summarize(str(path), out) == 0
+        assert obs("summarize", path, out=out) == 0
         assert "alerts sidecar" not in out.getvalue()
 
 
@@ -308,7 +302,7 @@ class TestDecisions:
     def test_timeline_and_reason_codes_rendered(self, tmp_path):
         path = _write_provenance_trace(tmp_path / "t.jsonl")
         out = io.StringIO()
-        assert decisions(str(path), out) == 0
+        assert obs("decisions", path, out=out) == 0
         text = out.getvalue()
         assert "learned.apply" in text
         assert "cfg-a" in text
@@ -316,17 +310,17 @@ class TestDecisions:
 
     def test_no_provenance_exits_one(self, tmp_path):
         path = _write_trace(tmp_path / "t.jsonl")
-        assert decisions(str(path), io.StringIO()) == 1
+        assert obs("decisions", path) == 1
 
     def test_missing_file_exits_two(self, tmp_path):
-        assert decisions(str(tmp_path / "absent.jsonl"), io.StringIO()) == 2
+        assert obs("decisions", tmp_path / "absent.jsonl") == 2
 
 
 class TestAttribution:
     def test_conserved_trace_exits_zero(self, tmp_path):
         path = _write_provenance_trace(tmp_path / "t.jsonl")
         out = io.StringIO()
-        assert attribution(str(path), out) == 0
+        assert obs("attribution", path, out=out) == 0
         text = out.getvalue()
         assert "conserved" in text
         assert "VIOLATED" not in text
@@ -334,17 +328,17 @@ class TestAttribution:
     def test_tampered_shares_exit_one(self, tmp_path):
         path = _write_provenance_trace(tmp_path / "t.jsonl", conserve=False)
         out = io.StringIO()
-        assert attribution(str(path), out) == 1
+        assert obs("attribution", path, out=out) == 1
         assert "VIOLATED" in out.getvalue()
 
     def test_no_attribution_events_exits_one(self, tmp_path):
         path = _write_trace(tmp_path / "t.jsonl")
-        assert attribution(str(path), io.StringIO()) == 1
+        assert obs("attribution", path) == 1
 
     def test_out_writes_byte_stable_report(self, tmp_path):
         path = _write_provenance_trace(tmp_path / "t.jsonl")
         target = tmp_path / "attribution.json"
-        assert attribution(str(path), io.StringIO(), out_path=str(target)) == 0
+        assert obs("attribution", path, "--out", target) == 0
         payload = json.loads(target.read_text())
         assert payload["schema"] == 1
         assert payload["warehouses"]["WH"]["conserved"] is True
@@ -355,11 +349,8 @@ class TestStoreSubcommands:
     def _ingest(self, tmp_path):
         trace = _write_provenance_trace(tmp_path / "t.jsonl")
         store_path = tmp_path / "store.jsonl"
-        args = argparse.Namespace(
-            store_command="ingest", traces=[str(trace)], out=str(store_path)
-        )
         out = io.StringIO()
-        assert store_run(args, out) == 0
+        assert obs("store", "ingest", trace, "--out", store_path, out=out) == 0
         return store_path, out.getvalue()
 
     def test_ingest_writes_store(self, tmp_path):
@@ -371,31 +362,22 @@ class TestStoreSubcommands:
 
     def test_query_filters_and_counts(self, tmp_path):
         store_path, _ = self._ingest(tmp_path)
-        args = argparse.Namespace(
-            store_command="query", store=str(store_path), warehouse=None,
-            kind="decision", run=None, since=None, until=None,
-            during_alerts=None, limit=50,
-        )
         out = io.StringIO()
-        assert store_run(args, out) == 0
+        assert obs("store", "query", store_path, "--kind", "decision", out=out) == 0
         text = out.getvalue()
         assert "learned.apply" in text
         assert "1 row" in text
 
     def test_rollup_renders_table(self, tmp_path):
         store_path, _ = self._ingest(tmp_path)
-        args = argparse.Namespace(
-            store_command="rollup", store=str(store_path), bucket=3600.0
-        )
         out = io.StringIO()
-        assert store_run(args, out) == 0
+        assert obs("store", "rollup", store_path, "--bucket", "3600", out=out) == 0
         assert "WH" in out.getvalue()
 
     def test_top_renders_both_rankings(self, tmp_path):
         store_path, _ = self._ingest(tmp_path)
-        args = argparse.Namespace(store_command="top", store=str(store_path), k=5)
         out = io.StringIO()
-        assert store_run(args, out) == 0
+        assert obs("store", "top", store_path, "--k", "5", out=out) == 0
         text = out.getvalue()
         assert "savings" in text
         assert "regret" in text
@@ -420,8 +402,8 @@ class TestSummarizeJson:
     def test_json_format_is_byte_stable_and_machine_readable(self, tmp_path):
         path = _write_trace(tmp_path / "t.jsonl")
         out_a, out_b = io.StringIO(), io.StringIO()
-        assert summarize(str(path), out_a, fmt="json") == 0
-        assert summarize(str(path), out_b, fmt="json") == 0
+        assert obs("summarize", path, "--format", "json", out=out_a) == 0
+        assert obs("summarize", path, "--format", "json", out=out_b) == 0
         assert out_a.getvalue() == out_b.getvalue()
         payload = json.loads(out_a.getvalue())
         assert payload["schema"] == 1
@@ -436,13 +418,13 @@ class TestSummarizeJson:
     def test_json_format_sees_sidecars(self, tmp_path):
         path = _write_observed_run(tmp_path)
         out = io.StringIO()
-        assert summarize(str(path), out, fmt="json") == 0
+        assert obs("summarize", path, "--format", "json", out=out) == 0
         assert json.loads(out.getvalue())["sidecars"]["metrics"] is True
 
     def test_json_zero_spans_still_exits_one(self, tmp_path):
         path = _write_trace(tmp_path / "t.jsonl", n_spans=0)
         out = io.StringIO()
-        assert summarize(str(path), out, fmt="json") == 1
+        assert obs("summarize", path, "--format", "json", out=out) == 1
         assert json.loads(out.getvalue())["n_spans"] == 0
 
 
@@ -451,18 +433,19 @@ class TestProfileFolded:
 
     def test_golden_folded_output(self):
         out = io.StringIO()
-        assert profile(str(self.DATA / "golden_trace.jsonl"), out, folded=True) == 0
+        trace = self.DATA / "golden_trace.jsonl"
+        assert obs("profile", trace, "--folded", out=out) == 0
         golden = (self.DATA / "golden_profile.folded").read_text(encoding="utf-8")
         assert out.getvalue() == golden
 
     def test_folded_zero_spans_exits_one(self, tmp_path):
         path = _write_trace(tmp_path / "t.jsonl", n_spans=0)
-        assert profile(str(path), io.StringIO(), folded=True) == 1
+        assert obs("profile", path, "--folded") == 1
 
     def test_folded_lines_are_stack_weight_pairs(self, tmp_path):
         path = _write_observed_run(tmp_path)
         out = io.StringIO()
-        assert profile(str(path), out, folded=True) == 0
+        assert obs("profile", path, "--folded", out=out) == 0
         for line in out.getvalue().splitlines():
             stack, weight = line.rsplit(" ", 1)
             assert stack
@@ -473,97 +456,61 @@ class TestWatchtowerCli:
     def _store_path(self, tmp_path):
         trace = _write_provenance_trace(tmp_path / "t.jsonl")
         store_path = tmp_path / "store.jsonl"
-        args = argparse.Namespace(
-            store_command="ingest", traces=[str(trace)], out=str(store_path)
-        )
-        assert store_run(args, io.StringIO()) == 0
+        assert obs("store", "ingest", trace, "--out", store_path) == 0
         return store_path
-
-    def _args(self, store_path, **overrides):
-        from repro.obs.watchtower import WatchtowerThresholds
-
-        defaults = dict(
-            store=str(store_path),
-            baseline=None,
-            update_baseline=False,
-            fmt="text",
-            out=None,
-            savings_drop_tolerance=WatchtowerThresholds.savings_drop_tolerance,
-            alert_storm_fires=WatchtowerThresholds.alert_storm_fires,
-            calibration_drift_tolerance=(
-                WatchtowerThresholds.calibration_drift_tolerance
-            ),
-        )
-        defaults.update(overrides)
-        return argparse.Namespace(**defaults)
 
     def test_bless_then_gate_ok(self, tmp_path):
         store_path = self._store_path(tmp_path)
         out = io.StringIO()
-        assert watchtower(self._args(store_path, update_baseline=True), out) == 0
+        assert obs("watchtower", store_path, "--update-baseline", out=out) == 0
         assert "blessed" in out.getvalue()
         assert (tmp_path / "store.jsonl.baseline.json").is_file()
         out = io.StringIO()
-        assert watchtower(self._args(store_path), out) == 0
+        assert obs("watchtower", store_path, out=out) == 0
         assert "verdict: OK" in out.getvalue()
 
     def test_regressed_store_exits_one(self, tmp_path):
         good = self._store_path(tmp_path)
         baseline = tmp_path / "blessed.json"
-        assert watchtower(
-            self._args(good, update_baseline=True, baseline=str(baseline)),
-            io.StringIO(),
+        assert obs(
+            "watchtower", good, "--update-baseline", "--baseline", baseline
         ) == 0
         # A differently-named warehouse regresses (missing from the store).
         bad_trace = _write_provenance_trace(
             tmp_path / "bad.jsonl", warehouse="OTHER_WH"
         )
         bad_store = tmp_path / "bad_store.jsonl"
-        args = argparse.Namespace(
-            store_command="ingest", traces=[str(bad_trace)], out=str(bad_store)
-        )
-        assert store_run(args, io.StringIO()) == 0
+        assert obs("store", "ingest", bad_trace, "--out", bad_store) == 0
         out = io.StringIO()
-        assert watchtower(
-            self._args(bad_store, baseline=str(baseline)), out
-        ) == 1
+        assert obs("watchtower", bad_store, "--baseline", baseline, out=out) == 1
         assert "missing_warehouse" in out.getvalue()
 
     def test_json_and_markdown_renders(self, tmp_path):
         store_path = self._store_path(tmp_path)
         out = io.StringIO()
-        assert watchtower(self._args(store_path, fmt="json"), out) == 0
+        assert obs("watchtower", store_path, "--format", "json", out=out) == 0
         assert json.loads(out.getvalue())["ok"] is True
         report_path = tmp_path / "tower.md"
-        out = io.StringIO()
-        assert watchtower(
-            self._args(store_path, fmt="markdown", out=str(report_path)), out
+        assert obs(
+            "watchtower", store_path, "--format", "markdown", "--out", report_path
         ) == 0
         assert report_path.read_text(encoding="utf-8").startswith(
             "# Fleet watchtower"
         )
 
     def test_missing_store_exits_two(self, tmp_path):
-        assert watchtower(
-            self._args(tmp_path / "absent.jsonl"), io.StringIO()
-        ) == 2
+        assert obs("watchtower", tmp_path / "absent.jsonl") == 2
 
     def test_missing_explicit_baseline_exits_two(self, tmp_path):
         store_path = self._store_path(tmp_path)
-        assert watchtower(
-            self._args(store_path, baseline=str(tmp_path / "nope.json")),
-            io.StringIO(),
+        assert obs(
+            "watchtower", store_path, "--baseline", tmp_path / "nope.json"
         ) == 2
 
 
 class TestWatchCli:
-    def _args(self, directory, **overrides):
-        defaults = dict(
-            dir=str(directory), follow=False, interval=0.01,
-            max_polls=3, summary=None,
-        )
-        defaults.update(overrides)
-        return argparse.Namespace(**defaults)
+    def _watch(self, directory, *flags, out=None):
+        return obs("watch", directory, "--interval", "0.01", *flags, out=out)
 
     def _beats(self, progress, complete=True):
         from repro.obs.stream import write_heartbeat
@@ -583,48 +530,45 @@ class TestWatchCli:
         progress = tmp_path / "progress"
         self._beats(progress)
         out = io.StringIO()
-        assert watch(self._args(tmp_path), out) == 0
+        assert self._watch(tmp_path, out=out) == 0
         text = out.getvalue()
         assert "done" in text
         assert "campaign complete" in text
         # Two renders of the same heartbeats are byte-identical.
         out2 = io.StringIO()
-        assert watch(self._args(tmp_path), out2) == 0
+        assert self._watch(tmp_path, out=out2) == 0
         assert out2.getvalue() == text
 
     def test_accepts_progress_dir_directly_and_writes_summary(self, tmp_path):
         progress = tmp_path / "progress"
         self._beats(progress)
         summary_path = tmp_path / "summary.json"
-        out = io.StringIO()
-        assert watch(
-            self._args(progress, summary=str(summary_path)), out
-        ) == 0
+        assert self._watch(progress, "--summary", summary_path) == 0
         assert json.loads(summary_path.read_text())["complete"] is True
 
     def test_follow_terminates_on_incomplete_campaign(self, tmp_path):
         progress = tmp_path / "progress"
         self._beats(progress, complete=False)
         out = io.StringIO()
-        assert watch(self._args(tmp_path, follow=True, max_polls=2), out) == 0
+        assert self._watch(tmp_path, "--follow", "--max-polls", "2", out=out) == 0
         assert "in flight" in out.getvalue()
 
     def test_missing_dir_exits_two(self, tmp_path):
-        assert watch(self._args(tmp_path / "absent"), io.StringIO()) == 2
+        assert self._watch(tmp_path / "absent") == 2
 
     def test_empty_dir_exits_one(self, tmp_path):
-        assert watch(self._args(tmp_path), io.StringIO()) == 1
+        assert self._watch(tmp_path) == 1
 
 
 class TestCampaignCli:
     def test_streamed_campaign_writes_all_sidecars(self, tmp_path):
-        args = argparse.Namespace(
-            scenarios=1, seed=123, workers=0,
-            out=str(tmp_path / "c.jsonl"), dir=None,
-            chunk_events=200, spill_records=300,
-        )
         out = io.StringIO()
-        assert campaign(args, out) == 0
+        assert obs(
+            "campaign", "--scenarios", "1", "--seed", "123", "--workers", "0",
+            "--out", tmp_path / "c.jsonl",
+            "--chunk-events", "200", "--spill-records", "300",
+            out=out,
+        ) == 0
         assert "campaign: 1 scenario(s)" in out.getvalue()
         for suffix in (
             "", ".metrics.json", ".series.json", ".alerts.json",
@@ -636,8 +580,60 @@ class TestCampaignCli:
         resources = json.loads((tmp_path / "c.jsonl.resources.json").read_text())
         assert resources["schema"] == 1
         # The watch view over the finished campaign renders and exits 0.
-        watch_args = argparse.Namespace(
-            dir=str(tmp_path / "c.jsonl.stream"), follow=False,
-            interval=0.01, max_polls=1, summary=None,
-        )
-        assert watch(watch_args, io.StringIO()) == 0
+        assert obs(
+            "watch", tmp_path / "c.jsonl.stream", "--interval", "0.01",
+            "--max-polls", "1",
+        ) == 0
+
+
+class TestMalformedInputs:
+    """Bad input ends in exit 2 with ``error:`` (or a skipped sidecar
+    section), never a traceback that would read as exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv, files, code",
+        [
+            (["summarize", "{t}"], {"t.jsonl.metrics.json": '{"x": {"kind": "counter"}}'}, 0),
+            (["summarize", "{t}"], {"t.jsonl.metrics.json": '{"x": 1}'}, 0),
+            (["summarize", "{t}"], {"t.jsonl.alerts.json": '{"history": [1]}'}, 0),
+            (["slo", "{t}", "--series", "{d}/s.json"], {"s.json": '{"a": 1}'}, 2),
+            (
+                ["watchtower", "{d}/store.jsonl", "--baseline", "{d}/b.json"],
+                {"store.jsonl": "", "b.json": "[1]"},
+                2,
+            ),
+            (["profile", "{d}/bad.jsonl"], {"bad.jsonl": '{"type": "span"}\n'}, 2),
+        ],
+    )
+    def test_never_a_traceback(self, tmp_path, capsys, argv, files, code):
+        trace = _write_trace(tmp_path / "t.jsonl")
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        out = io.StringIO()
+        assert obs(*(a.format(t=trace, d=tmp_path) for a in argv), out=out) == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith("error: ")
+        else:
+            assert "2 spans" in out.getvalue()
+            assert "sidecar" not in out.getvalue()
+            assert "metrics snapshot" not in out.getvalue()
+
+
+class TestNegativeCounts:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decisions", "t.jsonl", "--top", "-1"],
+            ["attribution", "t.jsonl", "--top", "-1"],
+            ["profile", "t.jsonl", "--top", "-1"],
+            ["store", "query", "s.jsonl", "--limit", "-1"],
+            ["store", "top", "s.jsonl", "--k", "-1"],
+        ],
+    )
+    def test_rejected_at_parse_time(self, capsys, argv):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", *argv])
+        assert exc.value.code == 2
+        assert "must be >= 0, got -1" in capsys.readouterr().err

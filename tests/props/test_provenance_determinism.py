@@ -10,7 +10,6 @@ this is what makes the audit trail trustworthy as a regression artifact.
 from repro import obs
 from repro.experiments.runner import run_before_after, run_fleet
 from repro.experiments.scenarios import smoke_scenario
-from repro.obs.cli import _attribution_report
 from repro.obs.store import FleetStore
 from repro.portal.export import to_json
 
@@ -60,8 +59,8 @@ class TestSameSeedByteIdentity:
         store_a = _store_for(records_a)
         store_b = _store_for(records_b)
         assert store_a.to_jsonl() == store_b.to_jsonl()
-        report_a = to_json(_attribution_report(store_a))
-        report_b = to_json(_attribution_report(store_b))
+        report_a = to_json(store_a.attribution_report())
+        report_b = to_json(store_b.attribution_report())
         assert report_a == report_b
         assert '"conserved": true' in report_a
 
