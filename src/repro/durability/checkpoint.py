@@ -6,6 +6,12 @@ Layout of a checkpoint directory::
     snapshot.json    last compacted full state (atomic, checksummed)
     journal.jsonl    framed delta entries since (at most) that snapshot
 
+``snapshot.json`` is one line of canonical compact sorted-key JSON (see
+:func:`repro.durability.codec.canonical_json`).  The state is encoded
+once; its checksum is the SHA-256 of exactly the state bytes that appear
+in the file, and the wrapper text is assembled around them rather than
+re-encoded.  Directories written under an older ``SCHEMA`` are refused.
+
 Crash-consistency contract
 --------------------------
 Compaction writes the snapshot *first* (atomic rename), then resets the
@@ -28,7 +34,7 @@ from typing import Any
 
 from repro.common.errors import RecoveryError
 from repro.common.stable_json import dumps_json
-from repro.durability.codec import state_checksum
+from repro.durability.codec import canonical_json, state_checksum, text_checksum
 from repro.durability.io import (
     append_journal_entry,
     atomic_write_bytes,
@@ -37,7 +43,7 @@ from repro.durability.io import (
     read_journal,
 )
 
-SCHEMA = "repro.durability/1"
+SCHEMA = "repro.durability/2"
 
 __all__ = ["SCHEMA", "CheckpointLoad", "CheckpointStore"]
 
@@ -97,15 +103,14 @@ class CheckpointStore:
         Ordering matters (see module docstring): snapshot first, basis
         second, so the only crash window produces a *lagging* journal.
         """
-        checksum = state_checksum(state)
-        wrapper = {
-            "schema": SCHEMA,
-            "seq": seq,
-            "time": time,
-            "checksum": checksum,
-            "state": state,
-        }
-        atomic_write_text(self.snapshot_path, dumps_json(wrapper))
+        state_text = canonical_json(state)
+        checksum = text_checksum(state_text)
+        # Sorted wrapper keys: checksum, schema, seq < state < time.  The
+        # head is the canonical text of the first three with its closing
+        # brace dropped, so the file equals canonical_json(wrapper).
+        head = canonical_json({"checksum": checksum, "schema": SCHEMA, "seq": seq})[:-1]
+        text = f'{head},"state":{state_text},"time":{canonical_json(time)}}}\n'
+        atomic_write_text(self.snapshot_path, text)
         basis = {"seq": seq, "kind": "basis", "checksum": checksum}
         atomic_write_bytes(self.journal_path, frame_entry(basis))
 

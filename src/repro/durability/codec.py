@@ -14,8 +14,14 @@ Encoding conventions (all byte-stable):
   therefore not byte-stable across runs.
 - ``WarehouseConfig`` → a sorted-key dict of its six knobs with enum
   members flattened to their names/values.
+- columnar state (the DQN replay buffer) → one array record per column
+  over the filled prefix, never one record per row, so the encode cost
+  tracks the number of columns rather than the number of transitions.
 - floats ride as JSON numbers — ``repr``-based round-tripping in the
   stdlib encoder is exact for finite doubles.
+- canonical text is compact, sorted-key JSON (:func:`canonical_json`),
+  which the stdlib's C encoder produces in one pass; a checksum is the
+  SHA-256 of those exact bytes.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ __all__ = [
     "decode_config",
     "encode_window",
     "decode_window",
+    "canonical_json",
+    "text_checksum",
     "state_checksum",
     "require_keys",
 ]
@@ -101,10 +109,19 @@ def decode_window(state: dict[str, Any]) -> Window:
     return Window(start=float(state["start"]), end=float(state["end"]))
 
 
+def canonical_json(value: Any) -> str:
+    """The canonical text of ``value``: compact, sorted-key JSON."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def text_checksum(text: str) -> str:
+    """SHA-256 hex digest of ``text``'s UTF-8 bytes."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def state_checksum(state: dict[str, Any]) -> str:
     """SHA-256 over the canonical (compact, sorted-key) JSON of ``state``."""
-    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return text_checksum(canonical_json(state))
 
 
 def require_keys(state: dict[str, Any], keys: tuple[str, ...], owner: str) -> None:

@@ -54,7 +54,8 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
 
     The tmp file lives in the destination directory so ``os.replace`` is a
     same-filesystem rename; it is fsync'd before the rename so the rename
-    never publishes an empty inode.
+    never publishes an empty inode, and the directory is fsync'd after it
+    so a power loss cannot undo the rename itself.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -63,6 +64,11 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def atomic_savez(path: Path, *arrays: np.ndarray) -> None:

@@ -102,10 +102,8 @@ class DQNAgent:
         return self.learn_step()
 
     def learn_step(self) -> float:
-        batch = self.buffer.sample(self.config.batch_size, self.rng)
-        states, actions, rewards, next_states, dones, next_masks = self.buffer.as_batches(
-            batch
-        )
+        idx = self.buffer.sample(self.config.batch_size, self.rng)
+        states, actions, rewards, next_states, dones, next_masks = self.buffer.as_batches(idx)
         target_q = self.target.forward(next_states)
         if self.config.double_dqn:
             online_q = np.where(next_masks, self.online.forward(next_states), -np.inf)

@@ -1,5 +1,8 @@
 """Framing and atomic-write primitives: the bytes the recovery contract rests on."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,24 @@ class TestAtomicWrites:
     def test_no_tmp_file_left_behind(self, tmp_path):
         atomic_write_bytes(tmp_path / "b.bin", b"\x00\x01")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b.bin"]
+
+    def test_rename_is_made_durable(self, tmp_path, monkeypatch):
+        """The parent directory is fsync'd after the rename, not before."""
+        calls = []
+        real_replace, real_fsync = os.replace, os.fsync
+
+        def replace(src, dst):
+            calls.append(("replace", None))
+            real_replace(src, dst)
+
+        def fsync(fd):
+            calls.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode)))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "fsync", fsync)
+        atomic_write_bytes(tmp_path / "c.bin", b"payload")
+        assert calls == [("fsync", False), ("replace", None), ("fsync", True)]
 
     def test_savez_roundtrip(self, tmp_path):
         arrays = [np.arange(6).reshape(2, 3), np.ones(4)]

@@ -6,6 +6,7 @@ one case — a torn tail under ``repair=True`` — the contract allows).
 There is no damage pattern that loads silently.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -186,3 +187,25 @@ class TestSchemaConstant:
         store = healthy_store(tmp_path)
         assert json.loads(store.manifest_path.read_text())["schema"] == SCHEMA
         assert json.loads(store.snapshot_path.read_text())["schema"] == SCHEMA
+
+    def test_snapshot_is_canonical_compact_text(self, tmp_path):
+        store = healthy_store(tmp_path)
+        state = {"b": [1.5, {"z": None, "a": "é"}], "a": {"nested": True}}
+        store.write_snapshot(seq=4, time=12.25, state=state)
+        text = store.snapshot_path.read_text()
+        wrapper = json.loads(text)
+        assert text == json.dumps(wrapper, sort_keys=True, separators=(",", ":")) + "\n"
+        state_bytes = json.dumps(state, sort_keys=True, separators=(",", ":")).encode()
+        assert state_bytes in store.snapshot_path.read_bytes()
+        assert wrapper["checksum"] == hashlib.sha256(state_bytes).hexdigest()
+        assert wrapper["seq"] == 4 and wrapper["time"] == 12.25
+
+    @pytest.mark.parametrize("artifact", ["manifest_path", "snapshot_path"])
+    def test_schema_1_directory_refused(self, tmp_path, artifact):
+        store = healthy_store(tmp_path)
+        path = getattr(store, artifact)
+        document = json.loads(path.read_text())
+        document["schema"] = "repro.durability/1"
+        path.write_text(json.dumps(document))
+        with pytest.raises(RecoveryError, match="schema"):
+            store.load()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, RecoveryError
+from repro.durability.codec import decode_array, encode_array
 from repro.learning.agent import DQNAgent, DQNConfig
 from repro.learning.buffer import ReplayBuffer, Transition
 
@@ -19,14 +20,19 @@ def transition(r: float = 1.0, a: int = 0, n_actions: int = 4) -> Transition:
     )
 
 
+def truncate_rewards(state: dict) -> None:
+    rewards = decode_array(state["columns"]["rewards"])
+    state["columns"]["rewards"] = encode_array(rewards[:1])
+
+
 class TestReplayBuffer:
     def test_capacity_ring(self):
         buffer = ReplayBuffer(capacity=3)
         for i in range(5):
             buffer.add(transition(r=float(i)))
         assert len(buffer) == 3
-        rewards = {t.reward for t in buffer._storage}
-        assert rewards == {2.0, 3.0, 4.0}
+        rewards = buffer.as_batches(np.arange(len(buffer)))[2]
+        assert set(rewards.tolist()) == {2.0, 3.0, 4.0}
 
     def test_sample_empty_rejected(self, rng):
         with pytest.raises(ConfigurationError):
@@ -35,6 +41,35 @@ class TestReplayBuffer:
     def test_invalid_capacity(self):
         with pytest.raises(ConfigurationError):
             ReplayBuffer(0)
+
+    @pytest.mark.parametrize(
+        "built, damage",
+        [
+            ((3, 2), lambda state: state.update(cursor=7)),
+            ((9, 9), lambda state: state.update(capacity=3, cursor=0)),
+            ((3, 2), lambda state: state.update(capacity=0)),
+            ((3, 2), lambda state: state.update(cursor=0)),
+            ((3, 2), lambda state: state["columns"].pop("dones")),
+            ((3, 2), truncate_rewards),
+        ],
+        ids=[
+            "cursor-past-capacity",
+            "three-times-capacity",
+            "zero-capacity",
+            "cursor-disagrees-with-size",
+            "missing-column",
+            "unequal-columns",
+        ],
+    )
+    def test_load_refuses_damaged_state(self, built, damage):
+        capacity, added = built
+        buffer = ReplayBuffer(capacity=capacity)
+        for i in range(added):
+            buffer.add(transition(r=float(i)))
+        state = buffer.state_dict()
+        damage(state)
+        with pytest.raises(RecoveryError):
+            ReplayBuffer(capacity=3).load_state_dict(state)
 
     def test_as_batches_shapes(self, rng):
         buffer = ReplayBuffer()
