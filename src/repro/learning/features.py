@@ -142,6 +142,7 @@ class FeatureExtractor:
         h = hour_of_day(now) / 24.0
         d = day_of_week(now) / 7.0
         lat_recent = [r.total_seconds for r in recent]
+        p99_recent = percentile(lat_recent, 99)
         exec_recent = [r.execution_seconds for r in recent]
         queue_recent = [r.queued_seconds for r in recent]
         hits = [r.cache_hit_ratio for r in recent]
@@ -156,11 +157,11 @@ class FeatureExtractor:
                 np.log1p(len(previous)),
                 np.log1p(expected_rate),
                 np.log1p(float(np.mean(exec_recent)) if exec_recent else 0.0),
-                np.log1p(percentile(lat_recent, 99)),
+                np.log1p(p99_recent),
                 np.log1p(float(np.mean(queue_recent)) if queue_recent else 0.0),
                 # Performance relative to the pre-optimization baseline: the
                 # key self-correction signal.
-                min(percentile(lat_recent, 99) / self.baseline.p99_latency, 5.0)
+                min(p99_recent / self.baseline.p99_latency, 5.0)
                 if lat_recent
                 else 0.0,
                 float(np.mean(hits)) if hits else 1.0,

@@ -505,3 +505,51 @@ class DurableWriteDisciplineRule(Rule):
                     "atomic_write_text/atomic_write_bytes from "
                     "repro.durability.io",
                 )
+
+
+@register
+class OnePercentileRule(Rule):
+    """R020: library percentiles go through ``repro.common.stats``.
+
+    ``percentile``/``summarize`` sort once and interpolate in pure Python,
+    bit-identical to numpy's linear method and without numpy's per-call
+    dispatch on short windows.  A direct ``numpy.percentile`` or
+    ``numpy.quantile`` elsewhere in the library is a second path: slower on
+    the windows Algorithm 1 reads every tick, and one keyword argument
+    (``method=``) away from exporting different bits for the same p99.
+    ``repro/common/stats.py`` is exempt; benchmarks and tests are out of
+    scope (they use numpy as the oracle).
+    """
+
+    rule_id = "R020"
+    name = "one-percentile"
+    severity = "error"
+    summary = (
+        "numpy percentile/quantile functions are allowed only in "
+        "repro/common/stats.py; call repro.common.stats.percentile or "
+        "summarize instead"
+    )
+
+    EXEMPT_SUFFIXES = ("repro/common/stats.py",)
+    FORBIDDEN = frozenset(
+        {"numpy.percentile", "numpy.quantile", "numpy.nanpercentile", "numpy.nanquantile"}
+    )
+
+    def _applies(self, path: str) -> bool:
+        return "repro/" in path and not path.endswith(self.EXEMPT_SUFFIXES)
+
+    def check(self, ctx: FileContext) -> Iterable[Finding]:
+        if not self._applies(ctx.path):
+            return
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, (ast.Attribute, ast.Name)):
+                continue
+            qualified = ctx.qualified(node)
+            if qualified in self.FORBIDDEN:
+                yield ctx.finding(
+                    self,
+                    node,
+                    f"{qualified} is a second percentile path; use "
+                    "repro.common.stats.percentile (sort once, "
+                    "bit-identical to numpy's linear method)",
+                )

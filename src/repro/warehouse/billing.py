@@ -12,10 +12,22 @@ Billing rules reproduced here (all load-bearing for the paper's cost model):
 
 The meter records one :class:`UsageSegment` per continuous cluster run at a
 fixed size; a resize closes the segment and opens a new one at the new rate.
+
+Reads cost what the window holds, not the run's history.  At close time a
+segment's billed start, billed end and rate are appended to parallel
+columns, beside a running maximum of the billed ends (sorted, so it can be
+bisected even when a short fresh start's 60 s minimum reaches past a later
+segment's end).  A window query bisects that maximum at ``window.start`` and
+scans only from there: every segment it skips ends at or before the window,
+so its overlap is exactly ``max(0.0, <= 0) == 0.0``, and adding ``+0.0`` to
+a non-negative sum changes no bit.  Skipping keeps the summation order and
+the result bit-identical to a full scan.  Open segments are valued at
+``as_of`` on every read, as before.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.common.errors import WarehouseError
@@ -43,13 +55,18 @@ class UsageSegment:
         """The window of time actually charged for this segment."""
         if self.end is None:
             raise WarehouseError("segment is still open")
-        duration = self.end - self.start
-        if self.fresh_start:
-            duration = max(duration, MINIMUM_BILLED_SECONDS)
-        return Window(self.start, self.start + duration)
+        return Window(self.start, _billed_end(self.start, self.end, self.fresh_start))
 
     def credits(self) -> float:
         return self.billed_window().duration / HOUR * self.size.credits_per_hour
+
+
+def _billed_end(start: float, end: float, fresh_start: bool) -> float:
+    """End of the billed window of a run from ``start`` to ``end``."""
+    duration = end - start
+    if fresh_start:
+        duration = max(duration, MINIMUM_BILLED_SECONDS)
+    return start + duration
 
 
 class BillingMeter:
@@ -57,8 +74,18 @@ class BillingMeter:
 
     def __init__(self, warehouse: str):
         self.warehouse = warehouse
-        self._closed: list[UsageSegment] = []
         self._open: dict[int, UsageSegment] = {}
+        # One entry per closed segment, in closing order.
+        self._starts: list[float] = []  # billed start
+        self._ends: list[float] = []  # billed end
+        self._rates: list[float] = []  # credits per hour
+        self._reach: list[float] = []  # running max of _ends: bisectable
+        self._scanned = 0
+
+    @property
+    def segments_scanned(self) -> int:
+        """Segments read so far: closed segments visited plus open ones valued."""
+        return self._scanned
 
     def open_segment(
         self, cluster_id: int, t: float, size: WarehouseSize, fresh_start: bool = True
@@ -78,7 +105,11 @@ class BillingMeter:
         if t < seg.start:
             raise WarehouseError("cannot close a segment before it started")
         seg.end = t
-        self._closed.append(seg)
+        end = _billed_end(seg.start, t, seg.fresh_start)
+        self._starts.append(seg.start)
+        self._ends.append(end)
+        self._rates.append(seg.size.credits_per_hour)
+        self._reach.append(max(end, self._reach[-1]) if self._reach else end)
         rec = obs.recorder()
         if rec is not None:
             # Segment credits are final at close time (a resize closes and
@@ -105,45 +136,67 @@ class BillingMeter:
     def open_cluster_ids(self) -> list[int]:
         return sorted(self._open)
 
-    def _all_segments(self, as_of: float | None = None) -> list[UsageSegment]:
-        segments = list(self._closed)
-        for seg in self._open.values():
+    def _segments(
+        self, window: Window | None, as_of: float | None
+    ) -> tuple[int, list[tuple[float, float, float]]]:
+        """``(skipped, rows)``: the ``(billed start, billed end, rate)`` rows
+        that can overlap ``window`` (all rows when ``window`` is None), closed
+        ones in closing order, then open ones valued at ``as_of`` (default
+        ``window.end``; none when both are None); ``skipped`` counts the
+        closed rows passed over."""
+        first = 0
+        if window is not None:
+            first = bisect_right(self._reach, window.start)
             if as_of is None:
-                continue
-            snapshot = UsageSegment(seg.cluster_id, seg.size, seg.start, max(as_of, seg.start), seg.fresh_start)
-            segments.append(snapshot)
-        return segments
+                as_of = window.end
+        rows = list(zip(self._starts[first:], self._ends[first:], self._rates[first:]))
+        if as_of is not None:
+            for seg in self._open.values():
+                rows.append(
+                    (
+                        seg.start,
+                        _billed_end(seg.start, max(as_of, seg.start), seg.fresh_start),
+                        seg.size.credits_per_hour,
+                    )
+                )
+        self._scanned += len(rows)
+        return first, rows
 
     def total_credits(self, as_of: float | None = None) -> float:
         """Total credits billed so far (open segments valued at ``as_of``)."""
-        return sum(seg.credits() for seg in self._all_segments(as_of))
+        _, rows = self._segments(None, as_of)
+        return sum((end - start) / HOUR * rate for start, end, rate in rows)
 
     def credits_in_window(self, window: Window, as_of: float | None = None) -> float:
         """Credits attributable to ``window`` (minimum charges included at
         the start of their segment's billed window)."""
+        _, rows = self._segments(window, as_of)
+        lo, hi = window.start, window.end
         total = 0.0
-        for seg in self._all_segments(as_of if as_of is not None else window.end):
-            billed = seg.billed_window()
-            total += billed.overlap(window) / HOUR * seg.size.credits_per_hour
+        for start, end, rate in rows:
+            total += max(0.0, min(end, hi) - max(start, lo)) / HOUR * rate
         return total
 
     def hourly_rollup(self, window: Window, as_of: float | None = None) -> dict[int, float]:
         """WAREHOUSE_METERING_HISTORY: credits per hour index inside ``window``."""
         rollup: dict[int, float] = {}
-        for seg in self._all_segments(as_of if as_of is not None else window.end):
-            billed = seg.billed_window()
-            clipped_start = max(billed.start, window.start)
-            clipped_end = min(billed.end, window.end)
+        _, rows = self._segments(window, as_of)
+        for start, end, rate in rows:
+            clipped_start = max(start, window.start)
+            clipped_end = min(end, window.end)
             if clipped_end <= clipped_start:
                 continue
             for piece in Window(clipped_start, clipped_end).split_hours():
                 h = hour_index(piece.start)
-                rollup[h] = rollup.get(h, 0.0) + piece.duration / HOUR * seg.size.credits_per_hour
+                rollup[h] = rollup.get(h, 0.0) + piece.duration / HOUR * rate
         return rollup
 
     def active_cluster_seconds(self, window: Window, as_of: float | None = None) -> float:
         """Billed cluster-seconds overlapping ``window`` (for utilization KPIs)."""
+        skipped, rows = self._segments(window, as_of)
+        lo, hi = window.start, window.end
+        # Each skipped segment added 0.0, which turns sum()'s int 0 into 0.0.
         return sum(
-            seg.billed_window().overlap(window)
-            for seg in self._all_segments(as_of if as_of is not None else window.end)
+            (max(0.0, min(end, hi) - max(start, lo)) for start, end, _ in rows),
+            0.0 if skipped else 0,
         )

@@ -62,7 +62,7 @@ class TestExitCodes:
             assert rid in out
         # One registry: every rule id listed exactly once, in order.
         ids = [line.split()[0] for line in out.splitlines()]
-        assert ids == [f"R{n:03d}" for n in range(1, 20)]
+        assert ids == [f"R{n:03d}" for n in range(1, 21)]
 
 
 class TestJsonOutput:
@@ -98,7 +98,7 @@ class TestSarifOutput:
         driver = sarif_run["tool"]["driver"]
         assert driver["name"] == "repro-lint"
         rule_ids = [rule["id"] for rule in driver["rules"]]
-        assert rule_ids == [f"R{n:03d}" for n in range(1, 20)]
+        assert rule_ids == [f"R{n:03d}" for n in range(1, 21)]
         results = sarif_run["results"]
         assert results and all(r["ruleId"] == "R013" for r in results)
         location = results[0]["locations"][0]["physicalLocation"]

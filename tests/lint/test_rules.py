@@ -816,3 +816,42 @@ class TestR019DurableWriteDiscipline:
             path="src/repro/portal/reports.py",
         )
         assert found == []
+
+
+class TestR020OnePercentile:
+    def test_numpy_quantile_outside_stats_flagged(self):
+        found = findings_for(
+            """\
+            import numpy as numeric
+
+            def p99(latencies):
+                return float(numeric.quantile(latencies, 0.99))
+            """,
+            "R020",
+            path="src/repro/learning/reward.py",
+        )
+        assert [f.line for f in found] == [4]
+        assert "repro.common.stats.percentile" in found[0].message
+
+    def test_from_import_flagged(self):
+        found = findings_for(
+            """\
+            from numpy import percentile as pct
+
+            def p99(latencies):
+                return pct(latencies, 99)
+            """,
+            "R020",
+            path="src/repro/portal/kpis.py",
+        )
+        assert [f.line for f in found] == [4]
+
+    def test_stats_module_and_benchmarks_clean(self):
+        source = """\
+            import numpy as np
+
+            def p99(values):
+                return float(np.percentile(values, 99))
+            """
+        assert findings_for(source, "R020", path="src/repro/common/stats.py") == []
+        assert findings_for(source, "R020", path="benchmarks/bench_ablation_selfcorrect.py") == []

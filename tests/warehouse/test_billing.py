@@ -126,3 +126,44 @@ class TestBillingMeter:
         meter.open_segment(3, 0.0, WarehouseSize.XS)
         meter.open_segment(1, 0.0, WarehouseSize.XS)
         assert meter.open_cluster_ids == [1, 3]
+
+
+class TestSegmentsScanned:
+    @staticmethod
+    def _meter_with_history(days: int) -> tuple[BillingMeter, float]:
+        """Two clusters cycling every 10 minutes for ``days`` days: short
+        fresh starts (10 s, under the 60 s minimum) and 5-minute runs."""
+        meter = BillingMeter("WH")
+        t = 0.0
+        while t < days * 24 * HOUR:
+            meter.open_segment(1, t, WarehouseSize.XS)
+            meter.open_segment(2, t + 30.0, WarehouseSize.S)
+            meter.close_segment(1, t + 10.0)
+            meter.close_segment(2, t + 330.0)
+            t += 600.0
+        return meter, t
+
+    def test_trailing_hour_scan_does_not_grow_with_history(self):
+        scanned = []
+        for days in (1, 4):
+            meter, now = self._meter_with_history(days)
+            meter.open_segment(1, now, WarehouseSize.M)  # one open segment, valued at now + 60
+            before = meter.segments_scanned
+            meter.credits_in_window(Window(now - HOUR, now + 60.0))
+            scanned.append(meter.segments_scanned - before)
+        assert scanned[0] == scanned[1]
+        # Six 10-minute cycles of two segments end inside the hour, plus the open one.
+        assert scanned[0] == 2 * 6 + 1
+
+    def test_counts_closed_visited_and_open_valued(self):
+        meter = BillingMeter("WH")
+        meter.open_segment(1, 0.0, WarehouseSize.XS)
+        meter.close_segment(1, HOUR)
+        meter.open_segment(2, 0.0, WarehouseSize.XS)
+        assert meter.segments_scanned == 0
+        meter.total_credits()  # open segment not valued without as_of
+        assert meter.segments_scanned == 1
+        meter.total_credits(as_of=2 * HOUR)
+        assert meter.segments_scanned == 3
+        meter.credits_in_window(Window(2 * HOUR, 3 * HOUR))  # closed one skipped
+        assert meter.segments_scanned == 4
