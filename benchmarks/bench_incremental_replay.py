@@ -49,7 +49,7 @@ def test_incremental_replay(benchmark):
     records = synthetic_records(N_QUERIES)
     window = Window(0.0, 6.0 * DAY)
     config = WarehouseConfig(size=WarehouseSize.S, auto_suspend_seconds=120.0)
-    replay = fitted_replay(records, vectorized=True)
+    replay = fitted_replay(records)
     feed = sorted(records, key=lambda r: r.end_time)
     warm, deltas = feed[:-N_DELTAS], feed[-N_DELTAS:]
 
@@ -78,7 +78,6 @@ def test_incremental_replay(benchmark):
         replay.latency_model,
         replay.gap_model,
         replay.cluster_predictor,
-        vectorized=True,
     )
     base = list(warm)
 

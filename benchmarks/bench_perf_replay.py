@@ -4,9 +4,10 @@
 replays per optimization run (§5) — so its counterfactual timeline,
 activation-burst and billing kernels were rewritten as NumPy array code
 (``repro.costmodel.kernels``).  The scalar loops remain as the bit-exact
-reference (tests/props/test_replay_kernels.py proves the equivalence);
-this bench proves the rewrite is actually *fast*, holding the vectorized
-path to a ≥5x speedup on a 10k-query window at full scale.
+test oracle (``tests/props/replay_oracle.py``; tests/props/
+test_replay_kernels.py proves the equivalence); this bench proves the
+rewrite is actually *fast*, holding the library replay to a ≥5x speedup
+over the oracle on a 10k-query window at full scale.
 
 Scale comes from ``REPRO_PERF_SCALE``: ``full`` (default, 10k queries,
 gated) or ``smoke`` (1k queries for CI, numbers recorded but the speedup
@@ -27,6 +28,7 @@ from repro.warehouse.queries import QueryRecord
 from repro.warehouse.types import WarehouseSize
 
 from benchmarks.conftest import record_result, run_once
+from tests.props import replay_oracle
 
 SCALE = os.environ.get("REPRO_PERF_SCALE", "full")
 N_QUERIES = {"full": 10_000, "smoke": 1_000}[SCALE]
@@ -70,13 +72,12 @@ def synthetic_records(n: int, days: float = 5.0) -> list[QueryRecord]:
     return records
 
 
-def fitted_replay(records: list[QueryRecord], vectorized: bool) -> QueryReplay:
+def fitted_replay(records: list[QueryRecord]) -> QueryReplay:
     config = WarehouseConfig(size=WarehouseSize.M, auto_suspend_seconds=300.0)
     return QueryReplay(
         LatencyScalingModel().fit(records),
         GapModel().fit(records),
         ClusterCountPredictor().fit(records, config),
-        vectorized=vectorized,
     )
 
 
@@ -84,20 +85,17 @@ def test_perf_replay(benchmark):
     records = synthetic_records(N_QUERIES)
     window = Window(0.0, 6.0 * DAY)
     config = WarehouseConfig(size=WarehouseSize.S, auto_suspend_seconds=120.0)
-    vectorized = fitted_replay(records, vectorized=True)
-    scalar = fitted_replay(records, vectorized=False)
+    replay = fitted_replay(records)
 
     # The two paths must agree bit for bit before either is worth timing.
-    assert vectorized.replay(records, config, window) == scalar.replay(
-        records, config, window
+    assert replay.replay(records, config, window) == replay_oracle.replay(
+        replay, records, config, window
     )
 
     def compare():
-        t_vec = timeit.timeit(
-            lambda: vectorized.replay(records, config, window), number=REPS
-        )
+        t_vec = timeit.timeit(lambda: replay.replay(records, config, window), number=REPS)
         t_sca = timeit.timeit(
-            lambda: scalar.replay(records, config, window), number=REPS
+            lambda: replay_oracle.replay(replay, records, config, window), number=REPS
         )
         return t_vec, t_sca
 

@@ -17,7 +17,7 @@ from repro.costmodel.clusters import (
     ClusterCountPredictor,
     concurrency_profile,
 )
-from repro.costmodel.gaps import GapModel, GapObservation
+from repro.costmodel.gaps import GapModel
 from repro.costmodel.latency import DEFAULT_GAMMA, LatencyScalingModel, TemplateScaling
 from repro.costmodel.model import ActionImpact, SavingsEstimate, WarehouseCostModel
 from repro.costmodel.replay import QueryReplay, ReplayResult
@@ -27,7 +27,6 @@ __all__ = [
     "TemplateScaling",
     "DEFAULT_GAMMA",
     "GapModel",
-    "GapObservation",
     "ClusterCountPredictor",
     "concurrency_profile",
     "MINI_WINDOW_SECONDS",

@@ -4,7 +4,8 @@
 row (completion order, as a streaming ingest would see it) into an
 :class:`IncrementalReplay`, printing the running projection, and exits
 non-zero unless the ledger's final answer is **bit-identical** to a fresh
-full :class:`QueryReplay` over the same rows (divergence must print 0.0).
+full :class:`QueryReplay` over the same rows: every :class:`ReplayResult`
+field equal, and divergence printed as 0.0.
 
 CI runs this in the observability smoke job: a refactor that breaks the
 streaming fold shows up as a non-zero divergence here before any property
@@ -86,7 +87,7 @@ def stream(args: argparse.Namespace, out: IO[str]) -> int:
         f"full-replay={full.credits:.6f}cr divergence={divergence}",
         file=out,
     )
-    if divergence != 0.0:
+    if divergence != 0.0 or incremental != full:
         print("FAIL: incremental ledger diverged from the full replay", file=out)
         return 1
     return 0

@@ -30,54 +30,24 @@ from repro.warehouse.queries import QueryRecord
 MINI_WINDOW_SECONDS = 300.0
 
 
-def concurrency_profile_scalar(
-    intervals: list[tuple[float, float]], start: float, end: float, step: float
-) -> np.ndarray:
-    """Scalar reference for :func:`concurrency_profile` (see its docstring).
-
-    Kept verbatim as the ground truth the vectorized kernel is equivalence-
-    tested against (``tests/props/test_replay_kernels.py``).
-    """
-    n = max(1, int(math.ceil((end - start) / step)))
-    busy = np.zeros(n)
-    for begin, finish in intervals:
-        lo = max(begin, start)
-        hi = min(finish, end)
-        if hi <= lo:
-            continue
-        first = int((lo - start) // step)
-        last = int((hi - start) // step)
-        for w in range(first, min(last, n - 1) + 1):
-            w_start = start + w * step
-            w_end = w_start + step
-            busy[w] += max(0.0, min(hi, w_end) - max(lo, w_start))
-    return busy / step
-
-
 def concurrency_profile(
     intervals: list[tuple[float, float]] | IntervalArrays,
     start: float,
     end: float,
     step: float,
-    vectorized: bool = True,
 ) -> np.ndarray:
     """Average number of concurrently busy intervals per mini-window.
 
     ``intervals`` are (begin, finish) busy spans — a list of pairs or a
     ``(starts, ends)`` array pair; the result has one entry per mini-window
-    of width ``step`` covering [start, end).  The vectorized path is
-    bit-identical to :func:`concurrency_profile_scalar`.
+    of width ``step`` covering [start, end).
     """
-    if not vectorized:
-        if isinstance(intervals, tuple) and isinstance(intervals[0], np.ndarray):
-            intervals = list(zip(intervals[0].tolist(), intervals[1].tolist()))
-        return concurrency_profile_scalar(intervals, start, end, step)
     begins, finishes = as_interval_arrays(intervals)
     n = max(1, int(math.ceil((end - start) / step)))
     if begins.size == 0:
         return np.zeros(n)
-    # Clip to the profiled range first — exactly the scalar's lo/hi — so the
-    # bucket edges computed from the clipped values match bit for bit.
+    # Clip to the profiled range first — exactly the scalar oracle's lo/hi —
+    # so the bucket edges computed from the clipped values match bit for bit.
     lo = np.maximum(begins, start)
     hi = np.minimum(finishes, end)
     keep = hi > lo
@@ -158,12 +128,9 @@ class ClusterCountPredictor:
         start: float,
         end: float,
         config: WarehouseConfig,
-        vectorized: bool = True,
     ) -> np.ndarray:
         """Predicted average cluster count per mini-window under ``config``."""
-        concurrency = concurrency_profile(
-            intervals, start, end, MINI_WINDOW_SECONDS, vectorized=vectorized
-        )
+        concurrency = concurrency_profile(intervals, start, end, MINI_WINDOW_SECONDS)
         return self.predict_from_concurrency(concurrency, config)
 
     def predict_from_concurrency(

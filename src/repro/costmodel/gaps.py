@@ -39,16 +39,6 @@ MIN_PAIR_SUPPORT = 3
 
 
 @dataclass
-class GapObservation:
-    """The replay-relevant structure of one query's arrival."""
-
-    record: QueryRecord
-    chained: bool
-    #: For chained queries: seconds between predecessor end and this arrival.
-    lag_after_predecessor: float = 0.0
-
-
-@dataclass
 class GapModel:
     """Classifies arrivals and supplies chain lags for the replay."""
 
@@ -82,32 +72,6 @@ class GapModel:
     def is_dependent_pair(self, prev_template: str, next_template: str) -> bool:
         return self._pair_support.get((prev_template, next_template), 0) >= MIN_PAIR_SUPPORT
 
-    def classify(self, records: list[QueryRecord]) -> list[GapObservation]:
-        """Label each record chained/independent with its chain lag."""
-        ordered = sorted(records, key=lambda r: r.arrival_time)
-        out: list[GapObservation] = []
-        for i, record in enumerate(ordered):
-            chained = False
-            lag = 0.0
-            if i > 0:
-                prev = ordered[i - 1]
-                observed_lag = record.arrival_time - prev.end_time
-                flag_says = self.use_flags and record.chained
-                detector_says = (
-                    0.0 <= observed_lag <= CHAIN_WINDOW_SECONDS
-                    and self.is_dependent_pair(prev.template_hash, record.template_hash)
-                )
-                if flag_says or detector_says:
-                    chained = True
-                    if 0.0 <= observed_lag <= CHAIN_WINDOW_SECONDS:
-                        lag = observed_lag
-                    else:
-                        lag = self._pair_lags.get(
-                            (prev.template_hash, record.template_hash), 5.0
-                        )
-            out.append(GapObservation(record, chained, lag))
-        return out
-
     def classify_step(
         self,
         prev_end: float,
@@ -118,7 +82,7 @@ class GapModel:
     ) -> tuple[bool, float]:
         """Classify one adjacent (predecessor, record) pair.
 
-        Scalar twin of a single :meth:`classify_arrays` element — the same
+        Single-element form of :meth:`classify_arrays` — the same
         float comparisons and dictionary lookups, so streaming callers
         (``repro.costmodel.incremental``) that classify rows one at a time
         get bit-identical ``(chained, lag)`` values.  Index 0 of a window
@@ -143,13 +107,14 @@ class GapModel:
         template_hashes: list[str],
         chained_flags: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`classify` over columns sorted by arrival time.
+        """Label each record chained/independent with its chain lag.
 
         Takes parallel arrays (already in arrival order — the caller sorts
         once and extracts all replay columns in the same pass) and returns
-        ``(chained, lag)`` arrays bit-identical to the per-record
-        :class:`GapObservation` fields.  Only the dictionary lookups for
-        chaining *candidates* stay in Python; everything dense is NumPy.
+        ``(chained, lag)`` arrays, bit-identical to the per-record loop in
+        the test oracle (``tests/props/replay_oracle.py``).  Only the
+        dictionary lookups for chaining *candidates* stay in Python;
+        everything dense is NumPy.
         """
         n = int(arrivals.size)
         chained = np.zeros(n, dtype=bool)

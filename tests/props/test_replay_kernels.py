@@ -2,11 +2,11 @@
 
 The NumPy kernels in :mod:`repro.costmodel.kernels` (and the batched
 classify/rescale paths in gaps/latency) promise *bit-identical* results to
-the scalar reference loops they replaced — the ``*_scalar`` implementations
-kept next to their call sites.  These properties drive both paths over
-random telemetry and the edge cases the kernels special-case (empty
-windows, zero-suspend, sub-60-second bursts) and assert exact equality of
-every :class:`ReplayResult` field.
+the scalar reference loops they replaced — kept as the test oracle in
+``tests/props/replay_oracle.py``.  These properties drive the library
+replay and the oracle over random telemetry and the edge cases the kernels
+special-case (empty windows, zero-suspend, sub-60-second bursts) and assert
+exact equality of every :class:`ReplayResult` field.
 """
 
 import math
@@ -21,14 +21,15 @@ from repro.costmodel.clusters import (
     MINI_WINDOW_SECONDS,
     ClusterCountPredictor,
     concurrency_profile,
-    concurrency_profile_scalar,
 )
 from repro.costmodel.gaps import GapModel
 from repro.costmodel.latency import LatencyScalingModel
-from repro.costmodel.replay import QueryReplay, _merge_intervals
+from repro.costmodel.replay import QueryReplay
 from repro.warehouse.config import WarehouseConfig
 from repro.warehouse.queries import QueryRecord
 from repro.warehouse.types import WarehouseSize
+
+from tests.props import replay_oracle as oracle
 
 HORIZON = 6 * HOUR
 
@@ -86,14 +87,18 @@ def to_records(rows) -> list[QueryRecord]:
     ]
 
 
-def replay_pair(records) -> tuple[QueryReplay, QueryReplay]:
-    """Vectorized and scalar replays sharing *fitted* component models."""
-    latency = LatencyScalingModel().fit(records)
-    gaps = GapModel().fit(records)
-    clusters = ClusterCountPredictor()
+def fitted_replay(records) -> QueryReplay:
+    """A library replay over *fitted* component models."""
+    return QueryReplay(
+        LatencyScalingModel().fit(records), GapModel().fit(records), ClusterCountPredictor()
+    )
+
+
+def both_paths(replay, records, config, window):
+    """(library result, oracle result) over the same models and inputs."""
     return (
-        QueryReplay(latency, gaps, clusters, vectorized=True),
-        QueryReplay(latency, gaps, clusters, vectorized=False),
+        replay.replay(records, config, window),
+        oracle.replay(replay, records, config, window),
     )
 
 
@@ -113,33 +118,26 @@ class TestReplayEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_replay_results_bit_identical(self, rows, suspend, size):
         records = to_records(rows)
-        fast, slow = replay_pair(records)
         config = WarehouseConfig(size=size, auto_suspend_seconds=suspend)
         window = Window(0.0, HORIZON)
-        assert_results_identical(
-            fast.replay(records, config, window), slow.replay(records, config, window)
-        )
+        assert_results_identical(*both_paths(fitted_replay(records), records, config, window))
 
     @given(record_rows)
     @settings(max_examples=40, deadline=None)
     def test_empty_window_equivalence(self, rows):
         """A window past every arrival clips all intervals to nothing."""
         records = to_records(rows)
-        fast, slow = replay_pair(records)
         config = WarehouseConfig(size=WarehouseSize.S, auto_suspend_seconds=300.0)
         window = Window(HORIZON + DAY_PAD, HORIZON + DAY_PAD + HOUR)
-        assert_results_identical(
-            fast.replay(records, config, window), slow.replay(records, config, window)
-        )
+        assert_results_identical(*both_paths(fitted_replay(records), records, config, window))
 
     def test_zero_suspend_never_suspends_path(self):
         """auto_suspend=0 means "never suspends": one burst to window end."""
         records = to_records([(100.0, 60.0, 0, WarehouseSize.S, 1.0, False)])
-        fast, slow = replay_pair(records)
         config = WarehouseConfig(size=WarehouseSize.S, auto_suspend_seconds=0.0)
         window = Window(0.0, HORIZON)
-        fast_result = fast.replay(records, config, window)
-        assert_results_identical(fast_result, slow.replay(records, config, window))
+        fast_result, slow_result = both_paths(fitted_replay(records), records, config, window)
+        assert_results_identical(fast_result, slow_result)
         assert fast_result.n_bursts == 1
         assert fast_result.active_seconds == HORIZON - 100.0
 
@@ -147,11 +145,10 @@ class TestReplayEquivalence:
         """Bursts under 60 s bill the 60 s minimum in both paths."""
         rows = [(10.0, 2.0, 0, WarehouseSize.S, 1.0, False)]
         records = to_records(rows)
-        fast, slow = replay_pair(records)
         config = WarehouseConfig(size=WarehouseSize.S, auto_suspend_seconds=30.0)
         window = Window(0.0, HOUR)
-        fast_result = fast.replay(records, config, window)
-        assert_results_identical(fast_result, slow.replay(records, config, window))
+        fast_result, slow_result = both_paths(fitted_replay(records), records, config, window)
+        assert_results_identical(fast_result, slow_result)
         assert fast_result.credits > 0.0
 
     @given(record_rows, suspends)
@@ -159,17 +156,10 @@ class TestReplayEquivalence:
     def test_unfitted_models_equivalence(self, rows, suspend):
         """Unfitted gap/latency models (the onboarding state) agree too."""
         records = to_records(rows)
-        fast = QueryReplay(
-            LatencyScalingModel(), GapModel(), ClusterCountPredictor(), vectorized=True
-        )
-        slow = QueryReplay(
-            LatencyScalingModel(), GapModel(), ClusterCountPredictor(), vectorized=False
-        )
+        replay = QueryReplay(LatencyScalingModel(), GapModel(), ClusterCountPredictor())
         config = WarehouseConfig(size=WarehouseSize.M, auto_suspend_seconds=suspend)
         window = Window(0.0, HORIZON)
-        assert_results_identical(
-            fast.replay(records, config, window), slow.replay(records, config, window)
-        )
+        assert_results_identical(*both_paths(replay, records, config, window))
 
 
 DAY_PAD = 3 * HOUR
@@ -182,7 +172,7 @@ class TestKernelEquivalence:
         spans = sorted((s, s + d) for s, d in raw)
         window = Window(0.0, HORIZON)
         n_windows = max(1, int(math.ceil(window.duration / MINI_WINDOW_SECONDS)))
-        scalar = QueryReplay._coverage_scalar(spans, window, n_windows)
+        scalar = oracle.coverage(spans, window, n_windows)
         starts, ends = kernels.as_interval_arrays(spans)
         vectorized = kernels.bucketed_overlap(
             starts, ends, window.start, MINI_WINDOW_SECONDS, n_windows
@@ -193,7 +183,7 @@ class TestKernelEquivalence:
     @settings(max_examples=100, deadline=None)
     def test_concurrency_profile_matches_scalar(self, raw):
         spans = sorted((s, s + d) for s, d in raw)
-        scalar = concurrency_profile_scalar(spans, 0.0, HORIZON, MINI_WINDOW_SECONDS)
+        scalar = oracle.concurrency_profile(spans, 0.0, HORIZON, MINI_WINDOW_SECONDS)
         vectorized = concurrency_profile(spans, 0.0, HORIZON, MINI_WINDOW_SECONDS)
         assert np.array_equal(scalar, vectorized)
 
@@ -202,7 +192,7 @@ class TestKernelEquivalence:
     def test_merge_intervals_matches_scalar(self, raw):
         # The replay feeds intervals sorted by (start, end) — mirror that.
         spans = sorted((s, s + d) for s, d in raw)
-        expected = _merge_intervals(spans)
+        expected = oracle.merge_intervals(spans)
         starts, ends = kernels.merge_intervals(*kernels.as_interval_arrays(spans))
         assert list(zip(starts.tolist(), ends.tolist())) == expected
 
@@ -216,7 +206,7 @@ class TestKernelEquivalence:
             return
         window = Window(0.0, HORIZON)
         config = WarehouseConfig(size=WarehouseSize.S, auto_suspend_seconds=suspend)
-        expected = QueryReplay._activation_bursts_scalar(spans, config, window)
+        expected = oracle.activation_bursts(spans, config, window)
         starts, ends = kernels.activation_bursts(
             *kernels.as_interval_arrays(spans), suspend, window.end
         )
@@ -231,7 +221,7 @@ class TestKernelEquivalence:
         per_window = np.asarray(seconds, dtype=np.float64)
         window = Window(offset, offset + per_window.size * MINI_WINDOW_SECONDS + 1.0)
         rate = 4.0
-        scalar = QueryReplay._hourly_credits_scalar(per_window, window, rate)
+        scalar = oracle.hourly_credits(per_window, window, rate)
         vectorized = kernels.hourly_credit_sums(
             per_window, window.start, MINI_WINDOW_SECONDS, HOUR, rate
         )
