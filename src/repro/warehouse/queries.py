@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.common.errors import ConfigurationError
 from repro.warehouse.types import WarehouseSize
@@ -60,6 +60,12 @@ class QueryTemplate:
         Defaults to XS (never spills).
     spill_multiplier:
         Extra slowdown per size step below ``min_memory_size``.
+
+    Attributes
+    ----------
+    template_hash:
+        Hash of the template name, the only template identity telemetry
+        exposes; computed once, at construction.
     """
 
     name: str
@@ -82,10 +88,29 @@ class QueryTemplate:
             raise ConfigurationError("bytes_scanned must be non-negative")
         if self.spill_multiplier < 1.0:
             raise ConfigurationError("spill_multiplier must be >= 1.0")
+        self._memoize()
 
-    @property
-    def template_hash(self) -> str:
-        return hash_text(f"template:{self.name}")
+    def _memoize(self) -> None:
+        """Set up the per-template constants the simulator reads on every
+        query start.  They live outside the fields, so equality, hash, repr
+        and pickle see only the fields."""
+        object.__setattr__(self, "template_hash", hash_text(f"template:{self.name}"))
+        # Filled per size on first use: a template meets only a few sizes.
+        object.__setattr__(self, "_execution", [None] * len(WarehouseSize))
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._memoize()
+
+    def execution(self, size: WarehouseSize) -> tuple[float, int]:
+        """``(warm_latency(size), spill_steps(size))``, computed once per size."""
+        constants = self._execution[size]
+        if constants is None:
+            constants = self._execution[size] = (self.warm_latency(size), self.spill_steps(size))
+        return constants
 
     def spill_steps(self, size: WarehouseSize) -> int:
         """Size steps below the working-set threshold (0 = no spill)."""

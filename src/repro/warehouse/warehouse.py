@@ -45,9 +45,12 @@ CLUSTER_START_DELAY = 2.0
 CONTENTION_SLOWDOWN = 0.05
 #: Lognormal sigma of run-to-run latency noise.
 LATENCY_NOISE_SIGMA = 0.06
-#: Policy tick spacing while the warehouse is running.  The tick is parked
-#: while the warehouse is suspended or resuming, and re-armed on the grid
-#: anchored at creation (``PeriodicController.rearm``).
+#: Policy tick spacing while the warehouse is running.  The tick parks
+#: whenever it cannot act: while the warehouse is suspended or resuming, and
+#: after a fire that leaves nothing queued and no cluster above a
+#: one-cluster floor.  It is re-armed on the grid anchored at creation
+#: (``PeriodicController.rearm``) when a submit leaves a queue, and when a
+#: resume, a finished cluster start or an ``alter`` leaves it able to act.
 POLICY_TICK_SECONDS = 30.0
 #: Auto-suspend enforcement is lazy: the service sweeps for expired idle
 #: timers on a coarse grid, so a warehouse suspends at the first sweep *at or
@@ -166,6 +169,10 @@ class VirtualWarehouse:
             self._begin_resume()
         elif self.state == WarehouseState.RUNNING:
             self.scheduler.dispatch(now)
+            # Only the queue changed, and a parked tick stays parked while
+            # it is empty (see _wake_policy_tick).
+            if self.scheduler.queue:
+                self._policy_controller.rearm(now)
         # RESUMING: the queue drains when the resume completes.
         return record
 
@@ -178,13 +185,13 @@ class VirtualWarehouse:
     def _complete_resume(self) -> None:
         self.state = WarehouseState.RUNNING
         self._resume_handle = None
-        self._policy_controller.rearm(self.sim.now)
         self.telemetry.record_event(
             WarehouseEvent(self.sim.now, self.name, "resume", "system", {})
         )
         for _ in range(self.config.min_clusters):
             self._start_cluster_now()
         self.scheduler.dispatch(self.sim.now)
+        self._wake_policy_tick()
         self._maybe_schedule_suspend_check()
 
     # --------------------------------------------------------------- cluster
@@ -244,6 +251,7 @@ class VirtualWarehouse:
         cluster.state = ClusterState.RUNNING
         cluster.last_busy_at = self.sim.now
         self.meter.open_segment(cluster.cluster_id, self.sim.now, self.config.size)
+        self._wake_policy_tick()
         self.scheduler.dispatch(self.sim.now)
 
     def _retire_one_cluster(self, now: float) -> None:
@@ -275,7 +283,7 @@ class VirtualWarehouse:
         record, request = pending.record, pending.request
         template = request.template
         hit_ratio = cluster.cache.access(template.partitions)
-        warm = template.warm_latency(self.config.size)
+        warm, spill_steps = template.execution(self.config.size)
         cache_mult = 1.0 + (template.cold_multiplier - 1.0) * (1.0 - hit_ratio)
         contention_mult = 1.0 + CONTENTION_SLOWDOWN * len(cluster.running)
         noise = float(self.rng.lognormal(0.0, LATENCY_NOISE_SIGMA))
@@ -286,7 +294,6 @@ class VirtualWarehouse:
         record.warehouse_size = self.config.size
         record.cluster_number = cluster.ordinal
         record.cache_hit_ratio = hit_ratio
-        spill_steps = template.spill_steps(self.config.size)
         if spill_steps:
             # Rough working-set proxy: each missing size step spills another
             # copy of the scanned bytes to storage.
@@ -317,11 +324,15 @@ class VirtualWarehouse:
             return
         if self.config.auto_suspend_seconds <= 0:
             return
-        self._cancel_suspend_check()
         due = self.last_activity + self.config.auto_suspend_seconds
         # Lazy enforcement: round the deadline up to the next sweep.
-        due = math.ceil(due / SUSPEND_SWEEP_SECONDS) * SUSPEND_SWEEP_SECONDS
-        self._suspend_handle = self.sim.schedule(max(due, self.sim.now), self._suspend_check)
+        due = max(math.ceil(due / SUSPEND_SWEEP_SECONDS) * SUSPEND_SWEEP_SECONDS, self.sim.now)
+        handle = self._suspend_handle
+        if handle is not None:
+            if handle.time == due:
+                return  # unchanged: keep the pending check and its tie order
+            handle.cancel()
+        self._suspend_handle = self.sim.schedule(due, self._suspend_check)
 
     def _cancel_suspend_check(self) -> None:
         if self._suspend_handle is not None:
@@ -341,8 +352,10 @@ class VirtualWarehouse:
         """Suspend now: stop billing, drop every cluster's cache."""
         if self.state == WarehouseState.SUSPENDED:
             return
-        if self.running_query_count > 0:
-            raise WarehouseError(f"cannot suspend {self.name}: queries are running")
+        if not self.is_idle:
+            # A queued query would be stranded: a suspended warehouse only
+            # resumes on its next submit, however long that takes.
+            raise WarehouseError(f"cannot suspend {self.name}: queries are running or queued")
         now = self.sim.now
         for handle in self._cluster_start_handles.values():
             handle.cancel()
@@ -404,6 +417,7 @@ class VirtualWarehouse:
             self._maybe_schedule_suspend_check()
         if self.state == WarehouseState.RUNNING:
             self._reconcile_cluster_bounds(now)
+            self._wake_policy_tick()
         return new
 
     def _apply_resize(self, size: WarehouseSize, now: float, initiator: str) -> None:
@@ -438,6 +452,26 @@ class VirtualWarehouse:
         # POLICY_TICK_SECONDS).
         self.scheduler.policy_tick(now)
         self._maybe_schedule_suspend_check()
+        if not self._policy_tick_can_act():
+            self._policy_controller.park()
+
+    def _policy_tick_can_act(self) -> bool:
+        """Could a policy tick change anything?  With nothing queued it
+        cannot dispatch or scale out, and with no cluster above the floor it
+        cannot scale in.  A floor above one counts as able to act: an
+        ``alter`` that lowers it at a grid instant is seen by that instant's
+        tick, and :meth:`PeriodicController.rearm` only resumes strictly
+        after now."""
+        return (
+            bool(self.scheduler.queue)
+            or self.config.min_clusters > 1
+            or len(self.active_clusters()) > 1
+        )
+
+    def _wake_policy_tick(self) -> None:
+        """Re-arm the parked policy tick on its grid if it could act."""
+        if self._policy_tick_can_act():
+            self._policy_controller.rearm(self.sim.now)
 
     def shutdown(self) -> None:
         """Stop periodic work for good (end of simulation): a later resume

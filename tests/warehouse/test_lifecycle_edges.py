@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.common.errors import WarehouseError
 from repro.common.simtime import HOUR, MINUTE
+from repro.warehouse.account import Account
+from repro.warehouse.api import CloudWarehouseClient
 from repro.warehouse.cluster import ClusterState
 from repro.warehouse.types import WarehouseSize, WarehouseState
 
@@ -51,6 +54,32 @@ class TestResumeEdges:
         warehouse.resume()
         account.run_until(2 * MINUTE)
         assert warehouse.state == WarehouseState.RUNNING
+
+    def test_suspend_while_resuming_with_a_queue_is_refused(self):
+        # Suspending here used to strand the queued query: SUSPENDED with
+        # queue_length 1, no row and nothing pending to ever run it.
+        account = Account(seed=7)
+        warehouse = account.create_warehouse("WH")
+        account.schedule_workload("WH", make_requests(make_template("x"), [10.0]))
+        account.run_until(10.5)
+        assert warehouse.state == WarehouseState.RESUMING
+        assert warehouse.queue_length == 1
+        with pytest.raises(WarehouseError, match="queued"):
+            CloudWarehouseClient(account).suspend_warehouse("WH")
+        account.run_until(HOUR)
+        assert len(account.telemetry.query_history("WH")) == 1
+        assert warehouse.state == WarehouseState.SUSPENDED
+        assert warehouse.queue_length == 0
+        assert account.sim.pending_events == 0
+
+    def test_suspend_while_resuming_idle_cancels_the_resume(self):
+        account, wh = make_account()
+        warehouse = account.warehouse(wh)
+        warehouse.resume()
+        assert warehouse.state == WarehouseState.RESUMING
+        warehouse.suspend()
+        assert warehouse.state == WarehouseState.SUSPENDED
+        assert account.sim.pending_events == 0
 
     def test_query_arriving_during_resume_waits_for_clusters(self):
         account, wh = make_account()
@@ -131,25 +160,33 @@ class TestShutdown:
         return ticks
 
     def test_shutdown_stops_policy_controller(self):
-        account, wh = make_account(auto_suspend_seconds=0.0)
+        # One slot, two long queries: the second queues, so a tick is pending.
+        account, wh = make_account(auto_suspend_seconds=0.0, max_concurrency=1)
         warehouse = account.warehouse(wh)
-        drive(account, wh, make_requests(make_template("x", base_work_seconds=2.0), [5.0]), MINUTE)
+        template = make_template("x", base_work_seconds=300.0, n_partitions=0)
+        drive(account, wh, make_requests(template, [5.0, 5.0]), MINUTE)
         assert warehouse.state == WarehouseState.RUNNING
+        assert warehouse.queue_length == 1
         ticks = self._spy_ticks(warehouse)
         before = account.sim.pending_events
         warehouse.shutdown()
         assert account.sim.pending_events == before - 1
         account.run_until(2 * HOUR)
         assert ticks == []
+        # Completions still drain the queue without the tick.
+        assert len(account.telemetry.query_history(wh)) == 2
 
     def test_shutdown_survives_a_later_resume(self):
-        account, wh = make_account()
+        account, wh = make_account(max_concurrency=1)
         warehouse = account.warehouse(wh)
         ticks = self._spy_ticks(warehouse)
         warehouse.shutdown()
-        drive(account, wh, make_requests(make_template("x", base_work_seconds=2.0), [5.0]), MINUTE)
-        # The submit resumed the warehouse, but the tick stays stopped.
+        template = make_template("x", base_work_seconds=300.0, n_partitions=0)
+        drive(account, wh, make_requests(template, [5.0, 5.0]), MINUTE)
+        # The submit resumed the warehouse and left a queue, which would
+        # re-arm a parked tick, but the tick stays stopped.
         assert warehouse.state == WarehouseState.RUNNING
+        assert warehouse.queue_length == 1
         account.run_until(2 * HOUR)
         assert ticks == []
         assert account.sim.pending_events == 0
@@ -161,25 +198,54 @@ GRID = [30.0 * k for k in range(100)]
 
 class TestPolicyTickParking:
     def test_tick_parks_on_suspend_and_rearms_on_the_grid(self):
-        account, wh = make_account(auto_suspend_seconds=60.0)
+        # One slot and two ~57 s queries per burst: the second waits in the
+        # queue, which is what the tick can act on.
+        account, wh = make_account(auto_suspend_seconds=60.0, max_concurrency=1)
         warehouse = account.warehouse(wh)
         ticks = TestShutdown._spy_ticks(warehouse)
-        template = make_template("x", base_work_seconds=2.0)
-        account.schedule_workload(wh, make_requests(template, [5.0, 1000.0]))
+        template = make_template("x", base_work_seconds=100.0, n_partitions=0)
+        account.schedule_workload(wh, make_requests(template, [5.0, 5.0, 1000.0, 1000.0]))
         account.run_until(900.0)
         assert warehouse.state == WarehouseState.SUSPENDED
         # Suspended: nothing of the warehouse's own is pending.
-        assert account.sim.pending_events == 1  # the arrival at t=1000
-        account.run_until(1200.0)
+        assert account.sim.pending_events == 2  # the arrivals at t=1000
+        account.run_until(1500.0)
         resume1, suspend1, resume2, suspend2 = (
             e.time
             for e in account.telemetry.warehouse_events(wh)
             if e.kind in ("resume", "suspend")
         )
-        # The suspend sweeps (120 s, 1080 s) run before that instant's tick.
-        assert (suspend1, suspend2) == (120.0, 1080.0)
-        # Ticks only while RUNNING, on the 30 s grid from creation (t=0),
-        # re-armed at the first grid time after each resume.
-        assert ticks == [
-            t for t in GRID if resume1 < t < suspend1 or resume2 < t < suspend2
-        ]
+        rows = account.telemetry.query_history(wh)
+        drained = [rows[1].start_time, rows[3].start_time]
+        assert resume1 < drained[0] < suspend1 < resume2 < drained[1] < suspend2
+        # Ticks only on the 30 s grid from creation (t=0): from the first
+        # grid time after each resume while the queue holds a query, plus
+        # the one after it drains, which finds nothing to act on and parks.
+        expected = []
+        for resume, drain in zip((resume1, resume2), drained):
+            expected += [t for t in GRID if resume < t < drain]
+            expected.append(next(t for t in GRID if t > drain))
+        assert ticks == expected
+
+    def test_idle_running_warehouse_schedules_only_its_suspend_check(self):
+        account, wh = make_account(auto_suspend_seconds=600.0)
+        warehouse = account.warehouse(wh)
+        drive(account, wh, make_requests(make_template("x", base_work_seconds=2.0), [5.0]), MINUTE)
+        (row,) = account.telemetry.query_history(wh)
+        assert warehouse.state == WarehouseState.RUNNING and warehouse.is_idle
+        # From the last completion on, the one pending event is the check.
+        assert account.sim.pending_events == 1
+        scheduled = []
+        schedule = account.sim.schedule
+
+        def spy(time, callback, label=None):
+            scheduled.append(time)
+            return schedule(time, callback, label=label)
+
+        account.sim.schedule = spy
+        processed = account.sim.processed_events
+        account.run_until(2 * HOUR)
+        (suspend,) = account.telemetry.warehouse_events(wh, kind="suspend")
+        assert suspend.time == 660.0 > row.end_time + 600.0
+        assert scheduled == []
+        assert account.sim.processed_events == processed + 1

@@ -1,5 +1,9 @@
 """Tests for query templates, requests and telemetry records."""
 
+import copy
+import pickle
+from dataclasses import asdict, fields, replace
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -37,6 +41,33 @@ class TestQueryTemplate:
     def test_template_hash_stable(self):
         assert template().template_hash == template().template_hash
         assert template(name="a").template_hash != template(name="b").template_hash
+
+
+class TestExecutionMemo:
+    @pytest.mark.parametrize(
+        "min_memory",
+        [WarehouseSize.XS, WarehouseSize.M, WarehouseSize.XL, WarehouseSize.SIZE_6XL],
+    )
+    def test_memo_is_the_definitions_at_every_size(self, min_memory):
+        t = template(scale_exponent=0.7, min_memory_size=min_memory, spill_multiplier=2.5)
+        for size in WarehouseSize:
+            assert t.execution(size) == (t.warm_latency(size), t.spill_steps(size))
+        assert t.template_hash == hash_text("template:t")
+
+    def test_equality_hash_repr_and_pickle_see_only_the_fields(self):
+        t = template(min_memory_size=WarehouseSize.L)
+        twin = template(min_memory_size=WarehouseSize.L)
+        assert t == twin and hash(t) == hash(twin)
+        assert "_execution" not in repr(t) and "template_hash" not in repr(t)
+        assert list(asdict(t)) == [f.name for f in fields(t)]
+        payload = pickle.dumps(t)
+        assert b"_execution" not in payload and b"template_hash" not in payload
+        for clone in (pickle.loads(payload), copy.deepcopy(t), replace(t)):
+            assert clone == t and hash(clone) == hash(t)
+            assert clone.template_hash == t.template_hash
+            assert [clone.execution(s) for s in WarehouseSize] == [
+                t.execution(s) for s in WarehouseSize
+            ]
 
 
 class TestQueryRequest:
