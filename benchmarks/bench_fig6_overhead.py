@@ -155,7 +155,9 @@ def test_replay_disabled_obs_overhead(benchmark):
         )
         t_internal = min(
             timeit.repeat(
-                lambda: replay._replay_impl(records, config, window), number=n, repeat=3
+                lambda: replay._replay_impl(replay.history(records, window), config),
+                number=n,
+                repeat=3,
             )
         )
         return t_public, t_internal

@@ -35,7 +35,7 @@ from repro.common.simtime import Window
 from repro.costmodel.clusters import ClusterCountPredictor
 from repro.costmodel.gaps import GapModel
 from repro.costmodel.latency import LatencyScalingModel
-from repro.costmodel.replay import QueryReplay, ReplayResult
+from repro.costmodel.replay import QueryReplay, ReplayHistory, ReplayResult
 from repro.warehouse.api import CloudWarehouseClient
 from repro.warehouse.config import WarehouseConfig
 from repro.warehouse.queries import QueryRecord
@@ -128,16 +128,18 @@ class ConsolidationAdvisor:
             return None
         merged = sorted(records_a + records_b, key=lambda r: r.arrival_time)
         replay = self._fit_replay(merged, config_a if config_a.size >= config_b.size else config_b)
-        separate = (
-            replay.replay(records_a, config_a, window).credits
-            + replay.replay(records_b, config_b, window).credits
-        )
+        # One history per workload: its prep and per-size stages are shared
+        # by every config it is replayed under below.
+        history_a = replay.history(records_a, window)
+        history_b = replay.history(records_b, window)
+        history_merged = replay.history(merged, window)
+        separate = history_a.cost(config_a).credits + history_b.cost(config_b).credits
         best: ConsolidationRecommendation | None = None
         for target in self._candidate_targets(config_a, config_b):
-            merged_result = replay.replay(merged, target, window)
+            merged_result = history_merged.cost(target)
             factors = {
-                a: self._latency_factor(replay, records_a, config_a, target, window),
-                b: self._latency_factor(replay, records_b, config_b, target, window),
+                a: self._latency_factor(history_a, config_a, target),
+                b: self._latency_factor(history_b, config_b, target),
             }
             candidate = ConsolidationRecommendation(
                 warehouses=(a, b),
@@ -174,16 +176,12 @@ class ConsolidationAdvisor:
         )
         return [base, base.with_changes(size=base.size.step(1))]
 
+    @staticmethod
     def _latency_factor(
-        self,
-        replay: QueryReplay,
-        records: list[QueryRecord],
-        own_config: WarehouseConfig,
-        target: WarehouseConfig,
-        window: Window,
+        history: ReplayHistory, own_config: WarehouseConfig, target: WarehouseConfig
     ) -> float:
-        own: ReplayResult = replay.replay(records, own_config, window)
-        merged: ReplayResult = replay.replay(records, target, window)
+        own: ReplayResult = history.cost(own_config)
+        merged: ReplayResult = history.cost(target)
         if own.avg_latency <= 0:
             return 1.0
         return merged.avg_latency / own.avg_latency

@@ -277,7 +277,7 @@ class SmartModel:
         quiet = feedback.recent_queries < MIN_ACTIVITY_FOR_STRUCTURAL
         pressure = feedback.queue_length > 0 or feedback.latency_ratio > 1.15
         guard = self._guardrail_context(now, current)
-        window_hours = guard["window"].duration / HOUR
+        window_hours = guard["snapshot"].window.duration / HOUR
         base_rate = guard["base"].credits / window_hours if window_hours > 0 else None
         targets = self.action_space.resulting_configs(current)
         decision: Decision | None = None
@@ -403,15 +403,14 @@ class SmartModel:
         return mask
 
     def _guardrail_context(self, now: float, current: WarehouseConfig) -> dict:
-        """Replay the recent window under the current *and* the customer's
-        original configuration once per tick (candidates reuse both)."""
+        """Snapshot the recent window once per tick and replay it under the
+        current *and* the customer's original configuration (candidates
+        reuse both, and replay from the same snapshot)."""
         window = Window(max(0.0, now - GUARDRAIL_LOOKBACK), now)
-        base = self.cost_model.estimate_cost(window, current)
-        if self.original == current:
-            original = base
-        else:
-            original = self.cost_model.estimate_cost(window, self.original)
-        return {"window": window, "current": current, "base": base, "original": original}
+        snapshot = self.cost_model.snapshot(window)
+        base = snapshot.cost(current)
+        original = base if self.original == current else snapshot.cost(self.original)
+        return {"snapshot": snapshot, "current": current, "base": base, "original": original}
 
     def _guardrail_verdict(
         self, guard: dict, target: WarehouseConfig, pressure: bool
@@ -432,7 +431,7 @@ class SmartModel:
         ``pressure`` reports live performance stress: without it, upsizing
         (which can only cost money) needs a predicted saving to be worth it.
         """
-        candidate = self.cost_model.estimate_cost(guard["window"], target)
+        candidate = guard["snapshot"].cost(target)
         base = guard["base"]
         original = guard["original"]
         reference_latency = max(original.avg_latency, 1e-9)

@@ -122,26 +122,12 @@ class ClusterCountPredictor:
                 peak[w] = max(peak[w], float(r.cluster_number))
         return peak
 
-    def predict(
-        self,
-        intervals: list[tuple[float, float]] | IntervalArrays,
-        start: float,
-        end: float,
-        config: WarehouseConfig,
-    ) -> np.ndarray:
-        """Predicted average cluster count per mini-window under ``config``."""
-        concurrency = concurrency_profile(intervals, start, end, MINI_WINDOW_SECONDS)
-        return self.predict_from_concurrency(concurrency, config)
-
     def predict_from_concurrency(
         self, concurrency: np.ndarray, config: WarehouseConfig
     ) -> np.ndarray:
-        """Cluster counts from a precomputed concurrency profile.
-
-        The tail of :meth:`predict`, exposed so callers that maintain the
-        concurrency profile themselves (``repro.costmodel.incremental``) run
-        the identical float program.
-        """
+        """Predicted average cluster count per mini-window under ``config``,
+        from the mini-windows' :func:`concurrency_profile` (the replay and
+        the incremental ledger each maintain their own)."""
         analytic = self._analytic_clusters(concurrency, config)
         k = self.calibration if self.calibrate else 1.0
         predicted = analytic * k

@@ -47,7 +47,7 @@ class GapModel:
     _pair_lags: dict[tuple[str, str], float] = field(default_factory=dict)
     fitted: bool = False
     #: Bumped by every :meth:`fit`; caches keyed on classification results
-    #: (``QueryReplay``'s history memo) invalidate on it.
+    #: (the incremental ledger's per-config state) invalidate on it.
     fit_generation: int = 0
 
     def fit(self, records: list[QueryRecord]) -> "GapModel":

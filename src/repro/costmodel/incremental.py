@@ -1,9 +1,9 @@
 """Incremental what-if ledger: O(delta) streaming cost model.
 
-:class:`QueryReplay` memoizes the config-independent prep of one telemetry
-snapshot, but the memo key is the *identity* of the records list — so in a
-streaming setting, where every new QUERY_HISTORY row produces a new list,
-each savings refresh pays a full-window recompute.  This module maintains
+A :class:`~repro.costmodel.replay.ReplayHistory` shares the replay's prep
+across the configs asked about *one* fetched window, but in a streaming
+setting every new QUERY_HISTORY row makes a new window, so each savings
+refresh would pay a full-window recompute.  This module maintains
 the what-if ledger *online*: :class:`IncrementalReplay` ingests one row at a
 time and keeps, per candidate configuration, enough folded state that the
 next :class:`~repro.costmodel.replay.ReplayResult` costs O(delta + buckets)

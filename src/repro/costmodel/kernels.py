@@ -12,9 +12,10 @@ result of the scalar reference it replaces (kept as the test oracle
 ``tests/props/test_replay_kernels.py``).
 That is only possible because the accumulation *order* is preserved:
 
-* :func:`bucketed_overlap` expands every (span, bucket) pair explicitly and
-  accumulates with ``np.add.at`` — unbuffered, element order — in the same
-  span-major / bucket-ascending order the scalar nested loop uses, and
+* :func:`bucketed_overlap` (and its ``k``-row form :func:`bucketed_overlaps`)
+  expands every (span, bucket) pair explicitly and accumulates with
+  ``np.add.at`` — unbuffered, element order — in the same span-major /
+  bucket-ascending order the scalar nested loop uses, and
   computes each bucket edge with the very expressions the scalar code uses
   (``origin + w * width`` and ``w_start + width``, never ``(w + 1) * width``);
 * :func:`merge_intervals` and :func:`activation_bursts` group sorted spans
@@ -31,6 +32,8 @@ Sums that the scalar references already perform with ``np.ndarray.sum()``
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -71,10 +74,40 @@ def bucketed_overlap(
     nested loops: for every span, the overlap with each
     bucket it touches is accumulated into that bucket.  Spans are *not*
     required to be disjoint — overlapping spans stack, which is exactly what
-    the concurrency profile wants.
+    the concurrency profile wants.  The one-row case of
+    :func:`bucketed_overlaps`.
     """
     out = np.zeros(n_buckets, dtype=np.float64)
     overlap_into(out, starts, ends, origin, width, n_buckets)
+    return out
+
+
+def bucketed_overlaps(
+    interval_sets: Sequence[IntervalArrays],
+    origin: float,
+    width: float,
+    n_buckets: int,
+) -> np.ndarray:
+    """:func:`bucketed_overlap` of ``k`` interval sets in one pass: ``(k, n)``.
+
+    The replay covers the same buckets with several interval sets (the raw
+    spans for the concurrency profile and the merged busy intervals).  All
+    sets share one ragged expansion and one
+    ``np.add.at`` into the flattened ``(k, n_buckets)`` output; row ``r``'s
+    updates land at ``r * n_buckets + bucket`` in span-major order, so every
+    row accumulates exactly as its own :func:`bucketed_overlap` call would.
+    """
+    out = np.zeros((len(interval_sets), n_buckets), dtype=np.float64)
+    rows = np.repeat(
+        np.arange(0, out.size, n_buckets, dtype=np.int64),
+        [starts.size for starts, _ in interval_sets],
+    )
+    _add_overlaps(
+        out.reshape(-1),
+        np.concatenate([starts for starts, _ in interval_sets]),
+        np.concatenate([ends for _, ends in interval_sets]),
+        rows, origin, width, n_buckets,
+    )
     return out
 
 
@@ -95,6 +128,20 @@ def overlap_into(
     over the concatenated span set.  ``repro.costmodel.incremental`` builds
     its frozen-prefix/live-suffix coverage folds on exactly this property.
     """
+    _add_overlaps(out, starts, ends, None, origin, width, n_buckets)
+
+
+def _add_overlaps(
+    flat: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    row_offsets: np.ndarray | None,
+    origin: float,
+    width: float,
+    n_buckets: int,
+) -> None:
+    """Add each span's overlap with each bucket into ``flat[row_offset +
+    bucket]``; ``row_offsets=None`` puts every span in one row at 0."""
     if starts.size == 0 or n_buckets <= 0:
         return
     first = np.floor_divide(starts - origin, width).astype(np.int64)
@@ -103,26 +150,31 @@ def overlap_into(
     np.minimum(last, n_buckets - 1, out=last)
     counts = last - first + 1
     touching = counts > 0
-    if not touching.any():
-        return
-    first = first[touching]
-    counts = counts[touching]
-    span_starts = starts[touching]
-    span_ends = ends[touching]
-    # Ragged expansion: one row per (span, bucket) pair, span-major with
-    # buckets ascending within each span — the scalar loop's order.
-    span_of_pair = np.repeat(np.arange(first.size), counts)
-    bucket_offset = np.arange(int(counts.sum())) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    buckets = first[span_of_pair] + bucket_offset
+    if not touching.all():
+        if not touching.any():
+            return
+        first = first[touching]
+        counts = counts[touching]
+        starts = starts[touching]
+        ends = ends[touching]
+        if row_offsets is not None:
+            row_offsets = row_offsets[touching]
+    # Ragged expansion: one entry per (span, bucket) pair, span-major with
+    # buckets ascending within each span — the scalar loop's order.  Pair
+    # ``j`` of a span whose pairs begin at ``offsets[span]`` is bucket
+    # ``first[span] + (j - offsets[span])``.
+    offsets = np.cumsum(counts)
+    offsets -= counts
+    buckets = np.repeat(first - offsets, counts)
+    buckets += np.arange(buckets.size)
     bucket_start = origin + buckets * width
     bucket_end = bucket_start + width
-    overlap = np.minimum(span_ends[span_of_pair], bucket_end) - np.maximum(
-        span_starts[span_of_pair], bucket_start
-    )
+    overlap = np.minimum(np.repeat(ends, counts), bucket_end)
+    overlap -= np.maximum(np.repeat(starts, counts), bucket_start)
     np.maximum(overlap, 0.0, out=overlap)
-    np.add.at(out, buckets, overlap)
+    if row_offsets is not None:
+        buckets += np.repeat(row_offsets, counts)
+    np.add.at(flat, buckets, overlap)
 
 
 def merge_intervals(starts: np.ndarray, ends: np.ndarray) -> IntervalArrays:

@@ -56,7 +56,7 @@ class LatencyScalingModel:
     _warehouse_gamma: float = DEFAULT_GAMMA
     fitted: bool = False
     #: Bumped by every :meth:`fit`; caches keyed on per-template gammas
-    #: (``QueryReplay``'s history memo) invalidate on it.
+    #: (the incremental ledger's per-config state) invalidate on it.
     fit_generation: int = 0
 
     def fit(self, records: list[QueryRecord]) -> "LatencyScalingModel":

@@ -24,7 +24,7 @@ from repro.common.simtime import Window
 from repro.costmodel.clusters import ClusterCountPredictor
 from repro.costmodel.gaps import GapModel
 from repro.costmodel.latency import LatencyScalingModel
-from repro.costmodel.replay import QueryReplay, ReplayResult
+from repro.costmodel.replay import QueryReplay, ReplayHistory, ReplayResult
 from repro.durability.codec import decode_window, encode_window, require_keys
 from repro.warehouse.api import CloudWarehouseClient
 from repro.warehouse.config import WarehouseConfig
@@ -100,12 +100,7 @@ class WarehouseCostModel:
 
     # ----------------------------------------------------------- durability
     def state_dict(self) -> dict:
-        """Fitted estimator state (StateCodec).
-
-        The replay memo is a pure cache keyed on fit generations and is
-        deliberately not captured: it rebuilds on demand and never affects
-        outputs.
-        """
+        """Fitted estimator state (StateCodec)."""
         return {
             "latency_model": self.latency_model.state_dict(),
             "gap_model": self.gap_model.state_dict(),
@@ -136,11 +131,21 @@ class WarehouseCostModel:
             )
 
     # ------------------------------------------------------------- estimates
+    def snapshot(self, window: Window) -> ReplayHistory:
+        """Fetch ``window``'s QUERY_HISTORY once, for what-ifs under many
+        configs: ``snapshot(window).cost(config)``.
+
+        The snapshot computes the config-independent replay prep once and
+        each size's stages once, so asking it about ``n`` configs costs one
+        fetch plus the per-config tails.  Take a new snapshot for a new
+        window, a later instant or after :meth:`fit`.
+        """
+        self._require_fit()
+        return self.replay.history(self.client.query_history(self.warehouse, window), window)
+
     def estimate_cost(self, window: Window, config: WarehouseConfig) -> ReplayResult:
         """What-if: billed credits for ``window`` under ``config``."""
-        self._require_fit()
-        records = self.client.query_history(self.warehouse, window)
-        return self.replay.replay(records, config, window)
+        return self.snapshot(window).cost(config)
 
     def estimate_without_keebo(self, window: Window) -> ReplayResult:
         """The §5.1 baseline: replay under the customer's *original* settings
@@ -172,9 +177,9 @@ class WarehouseCostModel:
         Used by the smart model to veto actions whose predicted latency
         impact exceeds what the slider allows (§4.3's "cost model" input).
         """
-        self._require_fit()
-        base = self.estimate_cost(window, from_config)
-        candidate = self.estimate_cost(window, to_config)
+        snapshot = self.snapshot(window)
+        base = snapshot.cost(from_config)
+        candidate = snapshot.cost(to_config)
         if base.avg_latency > 0:
             latency_factor = candidate.avg_latency / base.avg_latency
         else:

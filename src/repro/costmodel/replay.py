@@ -22,7 +22,11 @@ The result also carries counterfactual latency statistics so the smart
 model can ask "what would this action do to performance" (§4.3).
 
 The replay runs continuously at fleet scale, so the hot steps are
-vectorized NumPy kernels (:mod:`repro.costmodel.kernels`).  This module is
+vectorized NumPy kernels (:mod:`repro.costmodel.kernels`), and one fetched
+window answers many configs: a :class:`ReplayHistory` computes the
+config-independent prep once and the size-dependent stages (step 1 and the
+busy coverage) once per warehouse size, so a replay pays only steps 2–4
+for its own config.  This module is
 the one what-if program in the library: the streaming ledger
 (:mod:`repro.costmodel.incremental`) calls :func:`counterfactual_spans` and
 :func:`bill` rather than repeating them.  The pre-vectorization loops live
@@ -41,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.common.errors import ConfigurationError
 from repro.common.simtime import HOUR, Window
 from repro.common.stats import percentile
 from repro.obs import trace as obs
@@ -166,6 +171,150 @@ def bill(
     return credits, cluster_seconds, hourly
 
 
+@dataclass(frozen=True)
+class _SizeStage:
+    """The replay stages that depend on the config only through its size."""
+
+    #: Window-clipped counterfactual busy spans, sorted by ``(start, end)``.
+    starts: np.ndarray
+    ends: np.ndarray
+    #: Average concurrently busy spans per mini-window.
+    concurrency: np.ndarray
+    #: Seconds of each mini-window covered by the merged busy intervals.
+    busy_overlap: np.ndarray
+    n_queries: int
+    avg_latency: float
+    p99_latency: float
+
+
+class ReplayHistory:
+    """One window of QUERY_HISTORY, prepared once for replays under many configs.
+
+    Built by :meth:`QueryReplay.history` (the cost model's
+    :meth:`~repro.costmodel.model.WarehouseCostModel.snapshot` fetches the
+    window once and wraps it).  Each stage is computed on first use and
+    kept for the life of the object:
+
+    * the config-independent prep — arrival-ordered columns, chain
+      classification, per-record gammas;
+    * per :class:`~repro.warehouse.types.WarehouseSize`, the size stage —
+      rescaled latencies, counterfactual spans, merged busy coverage,
+      concurrency profile, mean and p99 latency.
+
+    A replay then runs only the per-config tail: activation bursts, their
+    coverage, the cluster-count prediction and :func:`bill`.  The caches
+    live exactly as long as the question: a tick's guardrail builds one
+    history, replays base, original and every candidate from it, and drops
+    it.  The history reads its models lazily, so refitting them between
+    replays of one history is not supported; build a new one after a fit.
+    The kernels never write into the cached arrays (they allocate fresh
+    outputs), which is what makes sharing them across replays safe.
+    """
+
+    def __init__(
+        self, query_replay: "QueryReplay", records: list[QueryRecord], window: Window
+    ):
+        self.query_replay = query_replay
+        self.records = records
+        self.window = window
+        self._prep: tuple | None = None
+        self._sizes: dict[WarehouseSize, _SizeStage] = {}
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def cost(self, config: WarehouseConfig) -> ReplayResult:
+        """What-if: this window replayed under ``config``."""
+        return self.query_replay.replay(self, config, self.window)
+
+    def _prepared(self) -> tuple:
+        """Config-independent prep: columns, chain flags and lags, gammas."""
+        if self._prep is None:
+            columns = _columns(self.records)
+            raw_arrivals, end_times, _, _, _, chained_flags, templates = columns
+            chained, lags = self.query_replay.gap_model.classify_arrays(
+                raw_arrivals, end_times, templates, chained_flags
+            )
+            gammas = self.query_replay.latency_model.gamma_array(templates)
+            self._prep = (columns, chained, lags, gammas)
+        return self._prep
+
+    def size_stage(self, size: WarehouseSize) -> _SizeStage:
+        """The size-dependent stages under ``size``, computed once per size."""
+        stage = self._sizes.get(size)
+        if stage is None:
+            stage = self._sizes[size] = self._compute_size_stage(size)
+        return stage
+
+    def _compute_size_stage(self, size: WarehouseSize) -> _SizeStage:
+        columns, chained, lags, gammas = self._prepared()
+        raw_arrivals, _, exec_seconds, cache_hits, size_values, _, templates = columns
+        window = self.window
+        latencies = self.query_replay.latency_model.rescale_batch(
+            templates, size_values, cache_hits, exec_seconds, size, gammas=gammas
+        )
+        _, starts, ends = counterfactual_spans(raw_arrivals, latencies, chained, lags, window)
+        # The spans are already clipped to the window, so this is the
+        # concurrency profile's overlap pass over them, sharing one
+        # expansion with the merged busy intervals.
+        spans_overlap, busy_overlap = kernels.bucketed_overlaps(
+            ((starts, ends), kernels.merge_intervals(starts, ends)),
+            window.start, MINI_WINDOW_SECONDS, _n_mini_windows(window),
+        )
+        n_queries = len(latencies)
+        return _SizeStage(
+            starts=starts,
+            ends=ends,
+            concurrency=spans_overlap / MINI_WINDOW_SECONDS,
+            busy_overlap=busy_overlap,
+            n_queries=n_queries,
+            avg_latency=float(np.mean(latencies)) if n_queries else 0.0,
+            p99_latency=percentile(latencies, 99),
+        )
+
+
+def _n_mini_windows(window: Window) -> int:
+    return max(1, int(math.ceil(window.duration / MINI_WINDOW_SECONDS)))
+
+
+def _columns(
+    records: list[QueryRecord],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """Arrival-ordered replay columns extracted in one pass."""
+    ordered = sorted(records, key=operator.attrgetter("arrival_time"))
+    n = len(ordered)
+    # One flattened fromiter for all four float columns beats one pass
+    # per column; attrgetter + map keeps the extraction loop in C.
+    flat = np.fromiter(
+        itertools.chain.from_iterable(map(_FLOAT_COLUMNS, ordered)),
+        dtype=np.float64,
+        count=4 * n,
+    ).reshape(n, 4)
+    # Enum attribute access per record is measurably slow; map the enum
+    # members to their float values through a precomputed dict instead.
+    size_values = np.fromiter(
+        map(
+            _SIZE_VALUES.__getitem__,
+            map(operator.attrgetter("warehouse_size"), ordered),
+        ),
+        dtype=np.float64,
+        count=n,
+    )
+    chained_flags = np.fromiter(
+        map(operator.attrgetter("chained"), ordered), dtype=bool, count=n
+    )
+    templates = list(map(operator.attrgetter("template_hash"), ordered))
+    return (
+        np.ascontiguousarray(flat[:, 0]),
+        np.ascontiguousarray(flat[:, 1]),
+        np.ascontiguousarray(flat[:, 2]),
+        np.ascontiguousarray(flat[:, 3]),
+        size_values,
+        chained_flags,
+        templates,
+    )
+
+
 @dataclass
 class QueryReplay:
     """Replays telemetry under a hypothetical configuration."""
@@ -173,53 +322,57 @@ class QueryReplay:
     latency_model: LatencyScalingModel
     gap_model: GapModel
     cluster_predictor: ClusterCountPredictor
-    #: Memo of the config-independent history prep (column extraction,
-    #: chain classification, per-record gammas).  The smart model replays
-    #: one telemetry snapshot under many candidate configs, so every
-    #: replay after the first reuses the prep.  Keyed on the *identity* of
-    #: the records list (query_history builds a fresh list per fetch and
-    #: QueryRecord is frozen) plus both models' ``fit_generation``.
-    _history_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def history(self, records: list[QueryRecord], window: Window) -> ReplayHistory:
+        """``records`` (the QUERY_HISTORY of ``window``) prepared for replays."""
+        return ReplayHistory(self, records, window)
 
     def replay(
-        self, records: list[QueryRecord], config: WarehouseConfig, window: Window
+        self,
+        records: list[QueryRecord] | ReplayHistory,
+        config: WarehouseConfig,
+        window: Window,
     ) -> ReplayResult:
-        if not records:
+        """What-if of ``window`` under ``config``.
+
+        ``records`` is either the window's raw QUERY_HISTORY rows or a
+        :class:`ReplayHistory` of them, whose cached stages the replay
+        reuses; a history must come from this replay and this window.
+        """
+        if isinstance(records, ReplayHistory):
+            history = records
+            if history.query_replay is not self or history.window != window:
+                raise ConfigurationError(
+                    "ReplayHistory replayed by another QueryReplay or over another window"
+                )
+        else:
+            history = self.history(records, window)
+        if not history.records:
             return ReplayResult(0.0, 0.0, 0.0, 0, 0, 0.0, 0.0)
         rec = obs.recorder()
         if rec is None:
             # Disabled-observability fast path: no span bookkeeping and no
             # config.describe() dict per what-if call (the smart model makes
             # thousands per run — bench_fig6_overhead.py measures this).
-            return self._replay_impl(records, config, window)
+            return self._replay_impl(history, config)
         with rec.span(
             "costmodel.replay", window.end, config=config.describe()
         ) as sp:
-            result = self._replay_impl(records, config, window)
+            result = self._replay_impl(history, config)
             self._observe(sp, result, window)
         return result
 
-    def _replay_impl(
-        self, records: list[QueryRecord], config: WarehouseConfig, window: Window
-    ) -> ReplayResult:
-        columns, chained, lags, gammas = self._history_prep(records)
-        raw_arrivals, _, exec_seconds, cache_hits, size_values, _, templates = columns
-        latencies = self.latency_model.rescale_batch(
-            templates, size_values, cache_hits, exec_seconds, config.size,
-            gammas=gammas,
+    def _replay_impl(self, history: ReplayHistory, config: WarehouseConfig) -> ReplayResult:
+        """The per-config tail over the history's cached size stage."""
+        window = history.window
+        stage = history.size_stage(config.size)
+        burst_starts, burst_ends = self._activation_bursts(
+            stage.starts, stage.ends, config, window
         )
-        _, starts, ends = counterfactual_spans(raw_arrivals, latencies, chained, lags, window)
-        burst_starts, burst_ends = self._activation_bursts(starts, ends, config, window)
-        n_windows = max(1, int(math.ceil(window.duration / MINI_WINDOW_SECONDS)))
-        predicted = self.cluster_predictor.predict(
-            (starts, ends), window.start, window.end, config
-        )
+        predicted = self.cluster_predictor.predict_from_concurrency(stage.concurrency, config)
         burst_overlap = kernels.bucketed_overlap(
-            burst_starts, burst_ends, window.start, MINI_WINDOW_SECONDS, n_windows
-        )
-        busy_overlap = kernels.bucketed_overlap(
-            *kernels.merge_intervals(starts, ends),
-            window.start, MINI_WINDOW_SECONDS, n_windows,
+            burst_starts, burst_ends, window.start, MINI_WINDOW_SECONDS,
+            _n_mini_windows(window),
         )
         durations = [
             end - start for start, end in zip(burst_starts.tolist(), burst_ends.tolist())
@@ -227,20 +380,19 @@ class QueryReplay:
         credits, cluster_seconds, hourly = bill(
             predicted,
             burst_overlap,
-            busy_overlap,
+            stage.busy_overlap,
             [MINIMUM_BILLED_SECONDS - d for d in durations if d < MINIMUM_BILLED_SECONDS],
             config,
             window,
         )
-        n_queries = len(latencies)
         return ReplayResult(
             credits=credits,
             active_seconds=sum(durations),
             cluster_seconds=cluster_seconds,
-            n_queries=n_queries,
+            n_queries=stage.n_queries,
             n_bursts=len(durations),
-            avg_latency=float(np.mean(latencies)) if n_queries else 0.0,
-            p99_latency=percentile(latencies, 99),
+            avg_latency=stage.avg_latency,
+            p99_latency=stage.p99_latency,
             hourly_credits=hourly,
         )
 
@@ -270,71 +422,6 @@ class QueryReplay:
         )
 
     # -------------------------------------------------------------- steps
-    def _history_prep(self, records: list[QueryRecord]):
-        """Config-independent replay prep, memoized per telemetry snapshot.
-
-        Everything here is a pure function of the records and the fitted
-        gap/latency models, so one extraction serves every what-if config
-        replayed against the same history.  The downstream kernels never
-        write into these arrays (they allocate fresh outputs), which is
-        what makes sharing them across replays safe.
-        """
-        key = (
-            len(records),
-            self.gap_model.fit_generation,
-            self.latency_model.fit_generation,
-        )
-        memo = self._history_memo
-        if memo is not None and memo[0] is records and memo[1] == key:
-            return memo[2]
-        columns = self._columns(records)
-        raw_arrivals, end_times, _, _, _, chained_flags, templates = columns
-        chained, lags = self.gap_model.classify_arrays(
-            raw_arrivals, end_times, templates, chained_flags
-        )
-        gammas = self.latency_model.gamma_array(templates)
-        prepared = (columns, chained, lags, gammas)
-        self._history_memo = (records, key, prepared)
-        return prepared
-
-    @staticmethod
-    def _columns(
-        records: list[QueryRecord],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
-        """Arrival-ordered replay columns extracted in one pass."""
-        ordered = sorted(records, key=operator.attrgetter("arrival_time"))
-        n = len(ordered)
-        # One flattened fromiter for all four float columns beats one pass
-        # per column; attrgetter + map keeps the extraction loop in C.
-        flat = np.fromiter(
-            itertools.chain.from_iterable(map(_FLOAT_COLUMNS, ordered)),
-            dtype=np.float64,
-            count=4 * n,
-        ).reshape(n, 4)
-        # Enum attribute access per record is measurably slow; map the enum
-        # members to their float values through a precomputed dict instead.
-        size_values = np.fromiter(
-            map(
-                _SIZE_VALUES.__getitem__,
-                map(operator.attrgetter("warehouse_size"), ordered),
-            ),
-            dtype=np.float64,
-            count=n,
-        )
-        chained_flags = np.fromiter(
-            map(operator.attrgetter("chained"), ordered), dtype=bool, count=n
-        )
-        templates = list(map(operator.attrgetter("template_hash"), ordered))
-        return (
-            np.ascontiguousarray(flat[:, 0]),
-            np.ascontiguousarray(flat[:, 1]),
-            np.ascontiguousarray(flat[:, 2]),
-            np.ascontiguousarray(flat[:, 3]),
-            size_values,
-            chained_flags,
-            templates,
-        )
-
     @staticmethod
     def _activation_bursts(
         starts: np.ndarray, ends: np.ndarray, config: WarehouseConfig, window: Window

@@ -62,7 +62,8 @@ def sweep_configs(
     """
     if not sizes or not suspends:
         raise ConfigurationError("sweep needs at least one size and one suspend value")
-    base = model.estimate_cost(window, reference)
+    snapshot = model.snapshot(window)
+    base = snapshot.cost(reference)
     reference_latency = max(base.avg_latency, 1e-9)
     cluster_options = list(max_clusters) if max_clusters else [reference.max_clusters]
     points = [SweepPoint(reference, base, 1.0)]
@@ -79,7 +80,7 @@ def sweep_configs(
                 if config in seen:
                     continue
                 seen.add(config)
-                result = model.estimate_cost(window, config)
+                result = snapshot.cost(config)
                 points.append(
                     SweepPoint(config, result, result.avg_latency / reference_latency)
                 )

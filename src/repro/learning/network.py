@@ -10,13 +10,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, RecoveryError
 from repro.common.rng import fallback_rng
 from repro.durability.codec import decode_array, encode_array, require_keys
 
 
 class MLP:
-    """Fully-connected ReLU network with a linear head."""
+    """Fully-connected ReLU network with a linear head.
+
+    Weights, biases, their gradients and both Adam moments each live in one
+    contiguous float64 vector, laid out weights first then biases, layer by
+    layer.  ``weights``/``biases`` (and the moment lists ``_m``/``_v``) are
+    per-layer views of those vectors: backward writes each layer's gradient
+    straight into its view, and Adam is one pass of in-place ufuncs over
+    the whole vector.  Every element sees the same float operations, in the
+    same order, as an Adam loop over separate arrays, so training is
+    bit-identical to it (``tests/props/test_mlp_props.py``).
+    """
 
     def __init__(
         self,
@@ -33,21 +43,36 @@ class MLP:
         self.learning_rate = learning_rate
         rng = rng or fallback_rng()
         dims = [input_dim, *hidden, output_dim]
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(dims, dims[1:]):
+        layers = list(zip(dims, dims[1:]))
+        self._shapes = [*layers, *((fan_out,) for _, fan_out in layers)]
+        n_params = sum(int(np.prod(shape)) for shape in self._shapes)
+        self._params = np.zeros(n_params)
+        self._grads = np.zeros(n_params)
+        self._m_flat = np.zeros(n_params)
+        self._v_flat = np.zeros(n_params)
+        self._scratch = (np.empty(n_params), np.empty(n_params))
+        params = self._views(self._params)
+        self.weights: list[np.ndarray] = params[: len(layers)]
+        self.biases: list[np.ndarray] = params[len(layers) :]
+        grads = self._views(self._grads)
+        self._grads_w, self._grads_b = grads[: len(layers)], grads[len(layers) :]
+        for w, (fan_in, fan_out) in zip(self.weights, layers):
             # He initialization, appropriate for ReLU layers.
             scale = np.sqrt(2.0 / fan_in)
-            self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
-        # Adam state.
+            w[...] = rng.normal(0.0, scale, size=(fan_in, fan_out))
+        # Adam state: per-array views, in weights-then-biases order.
         self._t = 0
-        self._m = [np.zeros_like(w) for w in self.weights] + [
-            np.zeros_like(b) for b in self.biases
-        ]
-        self._v = [np.zeros_like(w) for w in self.weights] + [
-            np.zeros_like(b) for b in self.biases
-        ]
+        self._m = self._views(self._m_flat)
+        self._v = self._views(self._v_flat)
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-array views of a flat vector, in weights-then-biases order."""
+        views, offset = [], 0
+        for shape in self._shapes:
+            size = int(np.prod(shape))
+            views.append(flat[offset : offset + size].reshape(shape))
+            offset += size
+        return views
 
     # ------------------------------------------------------------ inference
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -75,54 +100,56 @@ class MLP:
         td_error = q[idx, actions] - targets
         loss = float(0.5 * np.mean(td_error**2))
 
-        # Backward pass: gradient flows only through the taken actions.
+        # Backward pass: gradient flows only through the taken actions, and
+        # each layer's gradient is written into its view of the flat vector.
         grad_q = np.zeros_like(q)
         grad_q[idx, actions] = td_error / batch
-        grads_w: list[np.ndarray] = [None] * len(self.weights)
-        grads_b: list[np.ndarray] = [None] * len(self.biases)
         delta = grad_q
         for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w[layer] = activations[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
+            np.matmul(activations[layer].T, delta, out=self._grads_w[layer])
+            delta.sum(axis=0, out=self._grads_b[layer])
             if layer > 0:
                 delta = (delta @ self.weights[layer].T) * (activations[layer] > 0)
-        self._adam_update(grads_w, grads_b)
+        self._adam_step()
         return loss
 
-    def _adam_update(
-        self,
-        grads_w: list[np.ndarray],
-        grads_b: list[np.ndarray],
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
+    def _adam_step(
+        self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
     ) -> None:
+        """One Adam update of every parameter from the flat gradient."""
         self._t += 1
-        params = self.weights + self.biases
-        grads = grads_w + grads_b
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self._m[i] = beta1 * self._m[i] + (1 - beta1) * g
-            self._v[i] = beta2 * self._v[i] + (1 - beta2) * g**2
-            m_hat = self._m[i] / (1 - beta1**self._t)
-            v_hat = self._v[i] / (1 - beta2**self._t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        g, m, v = self._grads, self._m_flat, self._v_flat
+        a, b = self._scratch
+        # m = beta1 * m + (1 - beta1) * g
+        np.multiply(m, beta1, out=m)
+        np.multiply(g, 1 - beta1, out=a)
+        np.add(m, a, out=m)
+        # v = beta2 * v + (1 - beta2) * g**2
+        np.multiply(v, beta2, out=v)
+        np.square(g, out=a)
+        np.multiply(a, 1 - beta2, out=a)
+        np.add(v, a, out=v)
+        # p -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+        np.divide(v, 1 - beta2**self._t, out=a)
+        np.sqrt(a, out=a)
+        np.add(a, eps, out=a)
+        np.divide(m, 1 - beta1**self._t, out=b)
+        np.multiply(b, self.learning_rate, out=b)
+        np.divide(b, a, out=b)
+        np.subtract(self._params, b, out=self._params)
 
     # --------------------------------------------------------------- weights
     def get_parameters(self) -> list[np.ndarray]:
         return [w.copy() for w in self.weights] + [b.copy() for b in self.biases]
 
     def set_parameters(self, params: list[np.ndarray]) -> None:
-        n = len(self.weights)
-        if len(params) != n + len(self.biases):
+        views = self.weights + self.biases
+        if len(params) != len(views):
             raise ConfigurationError("parameter list has wrong length")
-        for i in range(n):
-            if params[i].shape != self.weights[i].shape:
-                raise ConfigurationError("parameter shape mismatch")
-            self.weights[i] = params[i].copy()
-        for i in range(len(self.biases)):
-            if params[n + i].shape != self.biases[i].shape:
-                raise ConfigurationError("parameter shape mismatch")
-            self.biases[i] = params[n + i].copy()
+        if any(p.shape != view.shape for p, view in zip(params, views)):
+            raise ConfigurationError("parameter shape mismatch")
+        for p, view in zip(params, views):
+            view[...] = p
 
     def clone_weights_from(self, other: "MLP") -> None:
         """Hard target-network sync."""
@@ -140,11 +167,27 @@ class MLP:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        """Restore :meth:`state_dict`; a damaged state changes nothing.
+
+        Refuses with :class:`RecoveryError` Adam moments whose count or
+        shapes disagree with the parameters, and a negative step count
+        (left unchecked, a ``(1,)`` moment would train on by broadcasting).
+        Parameter lists are checked by :meth:`set_parameters`.
+        """
         require_keys(state, ("weights", "biases", "adam_t", "adam_m", "adam_v"), "MLP")
+        t = int(state["adam_t"])
+        if t < 0:
+            raise RecoveryError(f"MLP adam_t {t} is negative")
+        m = [decode_array(s) for s in state["adam_m"]]
+        v = [decode_array(s) for s in state["adam_v"]]
+        for key, moments in (("adam_m", m), ("adam_v", v)):
+            shapes = [moment.shape for moment in moments]
+            if shapes != [view.shape for view in self._m]:
+                raise RecoveryError(f"MLP {key} shapes {shapes} disagree with the parameters")
         self.set_parameters(
             [decode_array(s) for s in state["weights"]]
             + [decode_array(s) for s in state["biases"]]
         )
-        self._t = int(state["adam_t"])
-        self._m = [decode_array(s) for s in state["adam_m"]]
-        self._v = [decode_array(s) for s in state["adam_v"]]
+        self._t = t
+        for view, moment in zip(self._m + self._v, m + v):
+            view[...] = moment

@@ -8,11 +8,14 @@ from repro.learning.actions import ActionSpace
 from repro.core.constraints import ConstraintRule, ConstraintSet
 from repro.core.monitoring import RealTimeFeedback
 from repro.core.sliders import SliderPosition, slider_params
-from repro.core.smart_model import DecisionKind, SmartModel
+from repro.core.smart_model import GUARDRAIL_LOOKBACK, DecisionKind, SmartModel
+from repro.costmodel.gaps import GapModel
+from repro.costmodel.latency import LatencyScalingModel
 from repro.costmodel.model import WarehouseCostModel
 from repro.learning.agent import DQNAgent, DQNConfig
 from repro.learning.features import FEATURE_DIM, FeatureExtractor, WorkloadBaseline
 from repro.warehouse.api import CloudWarehouseClient
+from repro.warehouse.telemetry import TelemetryStore
 from repro.warehouse.types import WarehouseSize
 
 from tests.conftest import drive, make_account, make_requests, make_template
@@ -181,6 +184,50 @@ class TestGuardrail:
         guard = model._guardrail_context(12 * HOUR, current)
         shorter_suspend = current.with_changes(auto_suspend_seconds=60.0)
         assert model._guardrail_verdict(guard, shorter_suspend, pressure=False)[0]
+
+    def test_one_history_snapshot_per_tick(self, monkeypatch):
+        """A tick that replays base, original and three vetoed candidates
+        fetches the guardrail window once, prepares it once, and rescales
+        latencies once per warehouse size."""
+        account, wh, client, model = build_smart_model(slider=SliderPosition.BALANCED)
+        client.alter_warehouse(wh, auto_suspend_seconds=300.0)
+        current = client.current_config(wh)
+        assert current != model.original and current.size == model.original.size
+        now = 12 * HOUR
+        guard_window = Window(now - GUARDRAIL_LOOKBACK, now)
+        calls = {"fetch": 0, "prep": 0, "sizes": []}
+
+        def spy(owner, name, record):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                record(args, kwargs)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        def fetched(args, kwargs):
+            window = args[2] if len(args) > 2 else kwargs.get("window")
+            calls["fetch"] += window == guard_window
+
+        spy(TelemetryStore, "query_history", fetched)
+        spy(GapModel, "classify_arrays", lambda a, k: calls.__setitem__("prep", calls["prep"] + 1))
+        spy(LatencyScalingModel, "rescale_batch", lambda a, k: calls["sizes"].append(a[5]))
+        # The agent ranks three downsizes first; Balanced vetoes them all.
+        downsizes = [
+            i
+            for i, target in enumerate(model.action_space.resulting_configs(current))
+            if target.size < current.size and target.auto_suspend_seconds in (60.0, 300.0, 600.0)
+        ][:3]
+        q = np.zeros(len(model.action_space))
+        q[downsizes] = [3.0, 2.0, 1.0]
+        model.agent.q_values = lambda state: q
+        decision = model.next_action(now, feedback())
+        assert decision.reason_code == "hold.all_vetoed"
+        assert [c.verdict for c in model.last_context.candidates] == ["vetoed"] * 3
+        assert calls["fetch"] == 1
+        assert calls["prep"] == 1
+        assert calls["sizes"] == [current.size, WarehouseSize.S]
 
     def test_counts_vetoes(self):
         account, wh, client, model = build_smart_model()

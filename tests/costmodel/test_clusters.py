@@ -27,6 +27,12 @@ def rec(start: float, dur: float, cluster: int = 1) -> QueryRecord:
     )
 
 
+def predict(predictor, intervals, end, config):
+    """The replay's prediction over ``intervals`` in ``[0, end)``."""
+    profile = concurrency_profile(intervals, 0.0, end, MINI_WINDOW_SECONDS)
+    return predictor.predict_from_concurrency(profile, config)
+
+
 class TestConcurrencyProfile:
     def test_single_interval_full_window(self):
         profile = concurrency_profile([(0.0, 300.0)], 0.0, 300.0, 300.0)
@@ -74,18 +80,18 @@ class TestPredictor:
         # Demand for 10 concurrent queries on 2-slot clusters -> 5 clusters,
         # clipped to the configured max of 3.
         intervals = [(0.0, MINI_WINDOW_SECONDS)] * 10
-        predicted = predictor.predict(intervals, 0.0, MINI_WINDOW_SECONDS, config)
+        predicted = predict(predictor, intervals, MINI_WINDOW_SECONDS, config)
         assert predicted[0] == 3.0
 
     def test_predict_zero_where_inactive(self):
         config = WarehouseConfig(max_clusters=3)
         predictor = ClusterCountPredictor().fit([], config)
-        predicted = predictor.predict([(0.0, 100.0)], 0.0, 2 * MINI_WINDOW_SECONDS, config)
+        predicted = predict(predictor, [(0.0, 100.0)], 2 * MINI_WINDOW_SECONDS, config)
         assert predicted[0] >= 1.0
         assert predicted[1] == 0.0
 
     def test_min_clusters_floor(self):
         config = WarehouseConfig(min_clusters=2, max_clusters=4)
         predictor = ClusterCountPredictor().fit([], config)
-        predicted = predictor.predict([(0.0, 100.0)], 0.0, MINI_WINDOW_SECONDS, config)
+        predicted = predict(predictor, [(0.0, 100.0)], MINI_WINDOW_SECONDS, config)
         assert predicted[0] >= 2.0

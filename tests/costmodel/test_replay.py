@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.common.simtime import HOUR, Window
 from repro.costmodel.clusters import ClusterCountPredictor
 from repro.costmodel.gaps import GapModel
@@ -54,6 +55,16 @@ class TestReplayBasics:
         expected = (60 + 300) / HOUR * 2.0
         assert result.credits == pytest.approx(expected, rel=0.05)
         assert result.n_bursts == 1
+
+    def test_history_belongs_to_its_replay_and_window(self, replay):
+        records = [rec(100.0, 60.0)]
+        history = replay.history(records, Window(0, HOUR))
+        assert replay.replay(history, config(), Window(0, HOUR)) == history.cost(config())
+        with pytest.raises(ConfigurationError):
+            replay.replay(history, config(), Window(0, 2 * HOUR))
+        other = QueryReplay(LatencyScalingModel(), GapModel(), ClusterCountPredictor())
+        with pytest.raises(ConfigurationError):
+            other.replay(history, config(), Window(0, HOUR))
 
     def test_bursts_merge_within_suspend_gap(self, replay):
         records = [rec(0.0, 60.0), rec(200.0, 60.0)]  # gap 140 < 300

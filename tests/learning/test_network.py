@@ -3,8 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, RecoveryError
+from repro.durability.codec import canonical_json, encode_array
 from repro.learning.network import MLP
+
+
+def broadcastable_moments(state: dict) -> None:
+    state["adam_m"] = [encode_array(np.zeros(1)) for _ in state["adam_m"]]
+
+
+def trained() -> MLP:
+    rng = np.random.default_rng(4)
+    net = MLP(3, 2, hidden=(5,), rng=rng)
+    for _ in range(3):
+        net.train_step(rng.normal(size=(4, 3)), rng.integers(0, 2, size=4), rng.normal(size=4))
+    return net
 
 
 class TestMLP:
@@ -76,3 +89,35 @@ class TestMLP:
         params = net.get_parameters()
         params[0][:] = 999.0
         assert not np.allclose(net.weights[0], 999.0)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            broadcastable_moments,
+            lambda state: state["adam_m"].pop(),
+            lambda state: state["adam_v"].append(state["adam_v"][0]),
+            lambda state: state["adam_v"].__setitem__(0, encode_array(np.zeros((5, 3)))),
+            lambda state: state.update(adam_t=-1),
+        ],
+        ids=[
+            "broadcastable-moments",
+            "short-moment-list",
+            "long-moment-list",
+            "transposed-moment",
+            "negative-step",
+        ],
+    )
+    def test_load_refuses_damaged_state(self, damage):
+        state = trained().state_dict()
+        damage(state)
+        net = MLP(3, 2, hidden=(5,), rng=np.random.default_rng(9))
+        before = canonical_json(net.state_dict())
+        with pytest.raises(RecoveryError):
+            net.load_state_dict(state)
+        assert canonical_json(net.state_dict()) == before
+
+    def test_state_round_trip_is_byte_identical(self):
+        net = trained()
+        other = MLP(3, 2, hidden=(5,), rng=np.random.default_rng(9))
+        other.load_state_dict(net.state_dict())
+        assert canonical_json(other.state_dict()) == canonical_json(net.state_dict())

@@ -161,6 +161,21 @@ class TestReplayEquivalence:
         window = Window(0.0, HORIZON)
         assert_results_identical(*both_paths(replay, records, config, window))
 
+    @given(record_rows, st.lists(st.tuples(sizes, suspends), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_history_shared_across_configs_bit_identical(self, rows, configs):
+        """One history replayed under many configs (sizes repeat, so the
+        size stage is reused) agrees with a fresh oracle replay of each."""
+        records = to_records(rows)
+        replay = fitted_replay(records)
+        window = Window(0.0, HORIZON)
+        history = replay.history(records, window)
+        for size, suspend in configs:
+            config = WarehouseConfig(size=size, auto_suspend_seconds=suspend)
+            assert_results_identical(
+                history.cost(config), oracle.replay(replay, records, config, window)
+            )
+
 
 DAY_PAD = 3 * HOUR
 
@@ -178,6 +193,32 @@ class TestKernelEquivalence:
             starts, ends, window.start, MINI_WINDOW_SECONDS, n_windows
         )
         assert np.array_equal(scalar, vectorized)
+
+    @given(st.lists(span_lists, min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_bucketed_overlaps_rows_match_scalar(self, raws):
+        """Each row of the one-pass ``(k, n)`` kernel is its set's oracle
+        ``coverage`` (and, over window-clipped spans, ``concurrency_profile``
+        times the step)."""
+        window = Window(0.0, HORIZON)
+        n_windows = max(1, int(math.ceil(window.duration / MINI_WINDOW_SECONDS)))
+        span_sets = [sorted((s, s + d) for s, d in raw) for raw in raws]
+        together = kernels.bucketed_overlaps(
+            [kernels.as_interval_arrays(spans) for spans in span_sets],
+            window.start, MINI_WINDOW_SECONDS, n_windows,
+        )
+        assert together.shape == (len(span_sets), n_windows)
+        for row, spans in zip(together, span_sets):
+            assert np.array_equal(row, oracle.coverage(spans, window, n_windows))
+            clipped = [
+                (max(s, window.start), min(e, window.end))
+                for s, e in spans
+                if min(e, window.end) > max(s, window.start)
+            ]
+            profile = oracle.concurrency_profile(
+                clipped, window.start, window.end, MINI_WINDOW_SECONDS
+            )
+            assert np.array_equal(row / MINI_WINDOW_SECONDS, profile)
 
     @given(span_lists)
     @settings(max_examples=100, deadline=None)
