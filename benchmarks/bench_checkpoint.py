@@ -9,8 +9,8 @@ bench records what that durability costs and what a restore buys:
 * **restore latency** — one crash + restore at the final boundary, timed
   alone: the pause a recovering control plane actually takes, with no
   retraining and no vendor calls;
-* **artifact size** — snapshot + journal bytes at end of run, the durable
-  footprint per warehouse.
+* **artifact size** — snapshot, journal and log-segment bytes at end of
+  run, the durable footprint per warehouse.
 
 All wall-clock numbers are recorded, not gated (machine-dependent); the
 deterministic claim — restored state equals pre-crash state — is asserted
@@ -92,6 +92,7 @@ def test_checkpoint_overhead_and_restore(benchmark, tmp_path):
             ),
             "snapshot_bytes": store.snapshot_path.stat().st_size,
             "journal_bytes": store.journal_path.stat().st_size,
+            "segment_bytes": store.segment_path.stat().st_size,
         }
 
     data = run_once(benchmark, protocol)

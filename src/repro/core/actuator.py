@@ -455,14 +455,15 @@ class Actuator:
         )
 
     def state_dict(self) -> dict:
-        """Log + counters + breaker/policy state (StateCodec).
+        """Counters + breaker/policy state (StateCodec).
 
-        Pending retries are exported separately (:meth:`pending_retry_state`)
-        because restoring them schedules simulator events, which the service
-        sequences explicitly after all components exist.
+        The log is an append-only log; the optimizer's checkpoint carries
+        it.  Pending retries are exported separately
+        (:meth:`pending_retry_state`) because restoring them schedules
+        simulator events, which the service sequences explicitly after all
+        components exist.
         """
         return {
-            "log": [self.encode_log_entry(e) for e in self.log],
             "errors": self.errors,
             "retries_scheduled": self.retries_scheduled,
             "generation": self._generation,
@@ -473,10 +474,9 @@ class Actuator:
     def load_state_dict(self, state: dict) -> None:
         require_keys(
             state,
-            ("log", "errors", "retries_scheduled", "generation", "retry_policy", "breaker"),
+            ("errors", "retries_scheduled", "generation", "retry_policy", "breaker"),
             "Actuator",
         )
-        self.log = [self.decode_log_entry(e) for e in state["log"]]
         self.errors = int(state["errors"])
         self.retries_scheduled = int(state["retries_scheduled"])
         self._generation = int(state["generation"])

@@ -97,17 +97,6 @@ class SavingsLedger:
             n_backoffs=int(state["n_backoffs"]),
         )
 
-    def state_dict(self) -> dict:
-        return {
-            "warehouse": self.warehouse,
-            "entries": [self.encode_entry(e) for e in self.entries],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        require_keys(state, ("warehouse", "entries"), "SavingsLedger")
-        self.warehouse = state["warehouse"]
-        self.entries = [self.decode_entry(e) for e in state["entries"]]
-
     # ------------------------------------------------------------- queries
     def total_savings_credits(self, window: Window | None = None) -> float:
         return sum(
@@ -282,16 +271,14 @@ class LiveLedger:
         re-feeds them from telemetry (which survives a control-plane crash)
         and :meth:`IncrementalReplay.verify_restored` checks count and
         checksum, mirroring how the rest of the control plane never
-        duplicates telemetry into checkpoints.
+        duplicates telemetry into checkpoints.  ``reconciliations`` is an
+        append-only log; the optimizer's checkpoint carries it.
         """
         return {
             "warehouse": self.warehouse,
             "cursor": self.cursor,
             "unaligned_periods": self.unaligned_periods,
             "replay": self.replay.state_dict(),
-            "reconciliations": [
-                self.encode_reconciliation(e) for e in self.reconciliations
-            ],
         }
 
     def load_state_dict(self, state: dict, records: list[QueryRecord]) -> None:
@@ -302,23 +289,10 @@ class LiveLedger:
         and the restored ledger must match the captured row count and
         id-checksum byte for byte or a ``RecoveryError`` surfaces.
         """
-        require_keys(
-            state,
-            (
-                "warehouse",
-                "cursor",
-                "unaligned_periods",
-                "replay",
-                "reconciliations",
-            ),
-            "LiveLedger",
-        )
+        require_keys(state, ("warehouse", "cursor", "unaligned_periods", "replay"), "LiveLedger")
         self.warehouse = state["warehouse"]
         self.cursor = float(state["cursor"])
         self.unaligned_periods = int(state["unaligned_periods"])
-        self.reconciliations = [
-            self.decode_reconciliation(e) for e in state["reconciliations"]
-        ]
         period = decode_window(state["replay"]["window"])
         self.replay = self._fresh_replay(period)
         self.replay.load_state_dict(state["replay"])

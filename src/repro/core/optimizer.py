@@ -33,14 +33,22 @@ from repro.common.errors import (
 from repro.common.simtime import DAY, HOUR, Window
 from repro.common.stats import percentile
 from repro.durability import CheckpointLoad, CheckpointStore
-from repro.durability.codec import decode_config, decode_window, encode_config
+from repro.durability.codec import (
+    AppendLog,
+    canonical_json,
+    canonical_object,
+    decode_config,
+    decode_window,
+    encode_config,
+)
 from repro.faults.plan import PROCESS_OPERATION, FaultKind, FaultPlan, FaultSpec
 from repro.obs import trace as obs
 from repro.obs.provenance import (
-    AttributionLedger,
     DecisionContext,
     DecisionOutcome,
     ProvenanceLog,
+    decode_record,
+    encode_record,
 )
 from repro.learning.actions import ActionSpace
 from repro.core.actuator import Actuator
@@ -51,7 +59,13 @@ from repro.core.policy_advisor import ScalingPolicyAdvisor
 from repro.core.pricing import Invoice, ValueBasedPricing
 from repro.core.registry import ModelRegistry
 from repro.core.sliders import SliderPosition, slider_params
-from repro.core.smart_model import Decision, DecisionKind, SmartModel
+from repro.core.smart_model import (
+    Decision,
+    DecisionKind,
+    SmartModel,
+    decode_decision,
+    encode_decision,
+)
 from repro.costmodel.model import SavingsEstimate, WarehouseCostModel
 from repro.learning.agent import DQNAgent, DQNConfig
 from repro.learning.env import WarehouseEnv, reconstruct_workload
@@ -104,31 +118,6 @@ class OptimizerConfig:
             raise ConfigurationError("intervals must be positive")
         if self.training_window < self.episode_length:
             raise ConfigurationError("training window shorter than one episode")
-
-
-def encode_decision(decision: Decision) -> dict:
-    """StateCodec shape for one decision-tick outcome."""
-    return {
-        "kind": decision.kind.value,
-        "target": encode_config(decision.target),
-        "reason": decision.reason,
-        "action_index": decision.action_index,
-        "q_value": decision.q_value,
-        "reason_code": decision.reason_code,
-    }
-
-
-def decode_decision(state: dict) -> Decision:
-    action_index = state["action_index"]
-    q_value = state["q_value"]
-    return Decision(
-        kind=DecisionKind(state["kind"]),
-        target=decode_config(state["target"]),
-        reason=state["reason"],
-        action_index=None if action_index is None else int(action_index),
-        q_value=None if q_value is None else float(q_value),
-        reason_code=state["reason_code"],
-    )
 
 
 class WarehouseOptimizer:
@@ -811,21 +800,31 @@ class WarehouseOptimizer:
             return None
         return self._controller._handle.time
 
-    def marks(self) -> dict:
-        """Append-only high-water marks; the next journal delta starts here.
+    def logs(self) -> dict[str, AppendLog]:
+        """The append-only logs a checkpoint seals, by name.
 
-        Everything below a mark is immutable: ledger/attribution/log entries
-        and decisions are append-only frozen values, and provenance records
-        below ``unsealed_from`` are sealed (``seal_until`` and ``note_apply``
+        Every entry below ``sealed`` is an immutable value: ledger,
+        attribution and actuator entries, reconciliations and decisions
+        are frozen once appended, and provenance records below
+        ``unsealed_from`` are sealed (``seal_until`` and ``note_apply``
         only touch records at or above the live mark).
         """
-        return {
-            "ledger": len(self.ledger.entries),
-            "attribution": len(self.provenance.attribution.entries),
-            "log": len(self.actuator.log),
-            "decisions": len(self.decisions),
-            "provenance": self.provenance.unsealed_from,
-        }
+        actuator, ledger, live = self.actuator, self.ledger, self.live_ledger
+        attribution = self.provenance.attribution
+        frozen = [
+            ("actuator", actuator.log, actuator.encode_log_entry, actuator.decode_log_entry),
+            ("attribution", attribution.entries, attribution.encode_entry, attribution.decode_entry),
+            ("decisions", self.decisions, encode_decision, decode_decision),
+            ("ledger", ledger.entries, ledger.encode_entry, ledger.decode_entry),
+        ]
+        if live is not None:
+            codec = (live.encode_reconciliation, live.decode_reconciliation)
+            frozen.append(("reconciliations", live.reconciliations, *codec))
+        logs = {name: AppendLog(entries, *codec, len(entries)) for name, entries, *codec in frozen}
+        logs["provenance"] = AppendLog(
+            self.provenance.records, encode_record, decode_record, self.provenance.unsealed_from
+        )
+        return logs
 
     def _scalar_state(self) -> dict:
         return {
@@ -855,80 +854,61 @@ class WarehouseOptimizer:
         exporter = getattr(self.client, "fault_state_dict", None)
         return None if exporter is None else exporter()
 
-    def state_dict(self) -> dict:
-        """Full durable state (snapshot vocabulary).
-
-        ``training_reports`` are deliberately not captured: they are
-        onboarding diagnostics, never read by the decision loop or any
-        export the crash-consistency invariant covers.
-        """
+    def model_state(self) -> dict:
+        """The array-bearing parts a delta never carries (:attr:`model_version`
+        moves whenever they may have changed), the agent aside: the
+        service reuses the agent's text while its step counters stand."""
         return {
             "warehouse": self.warehouse,
             "original_config": encode_config(self.action_space.original),
             "baseline": self.baseline.state_dict(),
             "cost_model": self.cost_model.state_dict(),
-            "agent": self.agent.state_dict(),
+        }
+
+    def state_dict(self) -> dict:
+        """Full durable state: the models, the small states, every log whole.
+
+        ``training_reports`` are deliberately not captured: they are
+        onboarding diagnostics, never read by the decision loop or any
+        export the crash-consistency invariant covers.
+        """
+        state, sealed = self.delta_state({})
+        for name, tail in state["logs"].items():
+            tail["entries"][:0] = sealed[name]
+            tail["from"] = 0
+        return {**self.model_state(), "agent": self.agent.state_dict(), **state}
+
+    def delta_state(self, marks: dict[str, int]) -> tuple[dict, dict[str, list]]:
+        """Journal-entry vocabulary, and the log entries sealed since ``marks``.
+
+        The small states travel whole, each log as its open tail; the
+        entries sealed since the last checkpoint (from 0 for a log without
+        a mark) are returned apart, for the store to keep once.  Arrays
+        (agent networks, replay buffer, cost-model estimators, the
+        baseline) are *not* here — :attr:`model_version` guarantees the
+        service compacts to a full snapshot whenever they may have moved.
+        """
+        sealed, tails = {}, {}
+        for name, log in self.logs().items():
+            sealed[name], tails[name] = log.since(marks.get(name, 0))
+        state = {
             "monitor": self.monitor.state_dict(),
             "smart_model": self.smart_model.state_dict(),
             "policy_advisor": self.policy_advisor.state_dict(),
             "actuator": self.actuator.state_dict(),
-            "ledger": self.ledger.state_dict(),
+            # Small by construction (counts + checksums, never row data), so
+            # it travels whole like the other compact states.
             "live_ledger": (
                 None if self.live_ledger is None else self.live_ledger.state_dict()
             ),
             "provenance": self.provenance.state_dict(),
-            "decisions": [encode_decision(d) for d in self.decisions],
+            "logs": tails,
             "scalars": self._scalar_state(),
             "pending_retries": self.actuator.pending_retry_state(),
             "controller_next_fire": self.controller_next_fire,
             "client_faults": self._client_fault_state(),
         }
-
-    def delta_state(self, marks: dict) -> dict:
-        """Journal-entry vocabulary: small full states + append-only tails.
-
-        Arrays (agent networks, replay buffer, cost-model estimators, the
-        baseline) are *not* here — :attr:`model_version` guarantees the
-        service compacts to a full snapshot whenever they may have moved.
-        """
-        actuator = self.actuator.state_dict()
-        log = actuator.pop("log")
-        return {
-            "monitor": self.monitor.state_dict(),
-            "smart_model": self.smart_model.state_dict(),
-            "policy_advisor": self.policy_advisor.state_dict(),
-            "actuator": actuator,
-            "log_from": marks["log"],
-            "log": log[marks["log"]:],
-            "ledger_from": marks["ledger"],
-            "ledger": [
-                SavingsLedger.encode_entry(e)
-                for e in self.ledger.entries[marks["ledger"]:]
-            ],
-            "attribution_from": marks["attribution"],
-            "attribution": [
-                AttributionLedger.encode_entry(e)
-                for e in self.provenance.attribution.entries[marks["attribution"]:]
-            ],
-            "decisions_from": marks["decisions"],
-            "decisions": [
-                encode_decision(d) for d in self.decisions[marks["decisions"]:]
-            ],
-            "provenance": {
-                "from": marks["provenance"],
-                "records": self.provenance.export_records(marks["provenance"]),
-                "unsealed_from": self.provenance.unsealed_from,
-            },
-            # Small by construction (counts + checksums, never row data), so
-            # it travels whole in every delta like the other compact states.
-            "live_ledger": (
-                None if self.live_ledger is None else self.live_ledger.state_dict()
-            ),
-            "scalars": self._scalar_state(),
-            "pending_retries": self.actuator.pending_retry_state(),
-            "controller_next_fire": self.controller_next_fire,
-            "client_faults": self._client_fault_state(),
-        }
+        return state, sealed
 
     def load_durable_state(self, state: dict) -> None:
         """Rebuild every component from a checkpoint, without onboarding.
@@ -977,7 +957,6 @@ class WarehouseOptimizer:
         )
         self.smart_model.load_state_dict(state["smart_model"])
         self.policy_advisor.load_state_dict(state["policy_advisor"])
-        self.ledger.load_state_dict(state["ledger"])
         live_state = state["live_ledger"]
         if live_state is not None:
             period = decode_window(live_state["replay"]["window"])
@@ -995,8 +974,12 @@ class WarehouseOptimizer:
                 live_state,
                 self.account.telemetry.query_history(self.warehouse, period),
             )
+        logs = self.logs()
+        if set(state["logs"]) != set(logs):
+            raise RecoveryError(f"checkpoint logs {sorted(state['logs'])} != kept {sorted(logs)}")
+        for name, log in logs.items():
+            log.load(state["logs"][name])
         self.provenance.load_state_dict(state["provenance"])
-        self.decisions = [decode_decision(d) for d in state["decisions"]]
         self._load_scalars(state["scalars"])
         faults_state = state["client_faults"]
         if faults_state is not None:
@@ -1029,12 +1012,16 @@ class WarehouseOptimizer:
         return counts
 
 
-def merge_checkpoint_entries(state: dict, entries: list[dict]) -> dict:
-    """Fold journal deltas onto a snapshot state, newest last.
+def merge_checkpoint_entries(
+    state: dict, entries: list[dict], sealed: dict[str, list]
+) -> dict:
+    """Fold journal deltas onto a snapshot state, then put each log's
+    sealed entries (``sealed``, keyed ``"<warehouse>/<log>"``) in front of
+    its open tail, so every log comes back whole.
 
     The journal vocabulary is owned here (the store is schema-agnostic):
-    list-valued fields replay as truncate-to-mark + extend, everything else
-    is a whole-value overwrite.  Mutates and returns ``state``.
+    every part of a delta, open log tails included, overwrites the one
+    before it.  Mutates and returns ``state``.
     """
     for entry in entries:
         if entry.get("kind") != "delta":
@@ -1045,38 +1032,22 @@ def merge_checkpoint_entries(state: dict, entries: list[dict]) -> dict:
                 "journal entry warehouses do not match the snapshot"
             )
         for warehouse, delta in deltas.items():
-            base = state["optimizers"][warehouse]
-            for key in (
-                "monitor",
-                "smart_model",
-                "policy_advisor",
-                "live_ledger",
-                "scalars",
-                "pending_retries",
-                "controller_next_fire",
-                "client_faults",
-            ):
-                base[key] = delta[key]
-            log = base["actuator"]["log"][: delta["log_from"]] + delta["log"]
-            base["actuator"] = dict(delta["actuator"], log=log)
-            base["ledger"]["entries"] = (
-                base["ledger"]["entries"][: delta["ledger_from"]] + delta["ledger"]
-            )
-            provenance = base["provenance"]
-            provenance["records"] = (
-                provenance["records"][: delta["provenance"]["from"]]
-                + delta["provenance"]["records"]
-            )
-            provenance["unsealed_from"] = delta["provenance"]["unsealed_from"]
-            provenance["attribution"]["entries"] = (
-                provenance["attribution"]["entries"][: delta["attribution_from"]]
-                + delta["attribution"]
-            )
-            base["decisions"] = (
-                base["decisions"][: delta["decisions_from"]] + delta["decisions"]
-            )
+            state["optimizers"][warehouse].update(delta)
         state["rng_states"] = entry["rng_states"]
         state["process_fired"] = entry["process_fired"]
+    unspliced = set(sealed)
+    for warehouse, base in state["optimizers"].items():
+        for name, tail in base["logs"].items():
+            key = f"{warehouse}/{name}"
+            unspliced.discard(key)
+            prefix = sealed.get(key, [])
+            if tail["from"] != len(prefix):
+                raise RecoveryError(
+                    f"{key} tail starts at {tail['from']}, {len(prefix)} entries are sealed"
+                )
+            base["logs"][name] = {"from": 0, "entries": prefix + tail["entries"]}
+    if unspliced:
+        raise RecoveryError(f"sealed entries of logs the state does not keep: {sorted(unspliced)}")
     return state
 
 
@@ -1107,7 +1078,8 @@ class _DurabilityRuntime:
         self.seq = 0
         self.entries_since_snapshot = 0
         self.model_versions: dict[str, tuple] = {}
-        self.marks: dict[str, dict] = {}
+        #: Per warehouse, each log's sealed length at the last checkpoint.
+        self.marks: dict[str, dict[str, int]] = {}
         #: Plan indices of process specs that already fired (one shot each).
         self.process_fired: set[int] = set()
         #: Fault kind value of a process fault that fired this tick; the
@@ -1262,10 +1234,16 @@ class KeeboService:
         now = self.account.sim.now
         names = sorted(self.optimizers)
         versions = {wh: self.optimizers[wh].model_version for wh in names}
+        deltas, sealed = {}, {}
+        for wh in names:
+            deltas[wh], heads = self.optimizers[wh].delta_state(d.marks.get(wh, {}))
+            sealed.update((f"{wh}/{name}", head) for name, head in heads.items() if head)
         if force_snapshot or versions != d.model_versions or (
             d.entries_since_snapshot >= d.compact_every
         ):
-            d.store.write_snapshot(seq=d.seq, time=now, state=self._capture_state())
+            d.store.write_snapshot(
+                seq=d.seq, time=now, state_text=self._snapshot_text(deltas), sealed=sealed
+            )
             d.entries_since_snapshot = 0
             d.model_versions = versions
             obs.counter("repro.durability.snapshots").inc(time=now)
@@ -1276,38 +1254,50 @@ class KeeboService:
                     "seq": d.seq,
                     "kind": "delta",
                     "time": now,
-                    "optimizers": {
-                        wh: self.optimizers[wh].delta_state(d.marks[wh])
-                        for wh in names
-                    },
-                    "rng_states": self.account.rngs.export_states(
-                        ("keebo.", "faults.")
-                    ),
-                    "process_fired": sorted(d.process_fired),
-                }
+                    **self._service_state(deltas),
+                },
+                sealed,
             )
             d.entries_since_snapshot += 1
             written = "delta"
         d.seq += 1
-        d.marks = {wh: self.optimizers[wh].marks() for wh in names}
+        # Each open tail starts at its log's sealed length: the next mark.
+        d.marks = {
+            wh: {name: tail["from"] for name, tail in deltas[wh]["logs"].items()} for wh in names
+        }
         obs.counter("repro.durability.checkpoints").inc(time=now)
         obs.gauge("repro.durability.journal_entries").set(
             d.entries_since_snapshot, time=now
         )
         return written
 
-    def _capture_state(self) -> dict:
+    def _service_state(self, optimizers: dict | None) -> dict:
         d = self._durability
         return {
             "account": self.account.name,
             "compact_every": d.compact_every,
-            "optimizers": {
-                wh: self.optimizers[wh].state_dict()
-                for wh in sorted(self.optimizers)
-            },
+            "optimizers": optimizers,
             "rng_states": self.account.rngs.export_states(("keebo.", "faults.")),
             "process_fired": sorted(d.process_fired),
         }
+
+    def _capture_state(self) -> dict:
+        """The whole durable state, every log whole (what a restore rebuilds)."""
+        names = sorted(self.optimizers)
+        return self._service_state({wh: self.optimizers[wh].state_dict() for wh in names})
+
+    def _snapshot_text(self, deltas: dict[str, dict]) -> str:
+        """The snapshot state's canonical text, assembled from per-part texts
+        (it equals ``canonical_json`` of the state it spells out), so the
+        agent's unchanged text is not encoded again."""
+        optimizers = {}
+        for wh, delta in deltas.items():
+            optimizer = self.optimizers[wh]
+            state = {**optimizer.model_state(), **delta}
+            parts = {key: canonical_json(value) for key, value in state.items()}
+            optimizers[wh] = canonical_object({**parts, "agent": optimizer.agent.state_text()})
+        parts = {key: canonical_json(value) for key, value in self._service_state(None).items()}
+        return canonical_object({**parts, "optimizers": canonical_object(optimizers)})
 
     def _next_process_fault(self, now: float) -> FaultSpec | None:
         """First armed process spec that triggers this tick, if any.
@@ -1422,7 +1412,7 @@ class KeeboService:
         store = CheckpointStore(directory)
         load = store.load(expected_config_hash=config_hash, repair=repair)
         try:
-            state = merge_checkpoint_entries(load.state, load.entries)
+            state = merge_checkpoint_entries(load.state, load.entries, load.sealed)
             self._rebuild(
                 store, load, state, slider, constraints, optimizer_config, process_plan
             )
@@ -1483,7 +1473,10 @@ class KeeboService:
         d.seq = int(load.snapshot["seq"]) + len(load.entries) + 1
         d.entries_since_snapshot = len(load.entries)
         d.model_versions = {wh: self.optimizers[wh].model_version for wh in names}
-        d.marks = {wh: self.optimizers[wh].marks() for wh in names}
+        d.marks = {
+            wh: {name: log.sealed for name, log in self.optimizers[wh].logs().items()}
+            for wh in names
+        }
         d.process_fired = set(state["process_fired"])
         last_time = (
             float(load.entries[-1]["time"]) if load.entries

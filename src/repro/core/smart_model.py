@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.simtime import HOUR, Window
-from repro.durability.codec import require_keys
+from repro.durability.codec import decode_config, encode_config, require_keys
 from repro.obs.provenance import CandidateEvaluation, DecisionContext
 from repro.learning.actions import ActionSpace
 from repro.core.constraints import ConstraintSet
@@ -95,6 +95,31 @@ class Decision:
     def typed_reason(self) -> str:
         """The reason code, falling back to the decision kind."""
         return self.reason_code or self.kind.value
+
+
+def encode_decision(decision: Decision) -> dict:
+    """StateCodec shape for one decision-tick outcome."""
+    return {
+        "kind": decision.kind.value,
+        "target": encode_config(decision.target),
+        "reason": decision.reason,
+        "action_index": decision.action_index,
+        "q_value": decision.q_value,
+        "reason_code": decision.reason_code,
+    }
+
+
+def decode_decision(state: dict) -> Decision:
+    action_index = state["action_index"]
+    q_value = state["q_value"]
+    return Decision(
+        kind=DecisionKind(state["kind"]),
+        target=decode_config(state["target"]),
+        reason=state["reason"],
+        action_index=None if action_index is None else int(action_index),
+        q_value=None if q_value is None else float(q_value),
+        reason_code=state["reason_code"],
+    )
 
 
 class SmartModel:

@@ -3,14 +3,16 @@ crash-consistent restore (docs/ROBUSTNESS.md §v2).
 
 The subsystem is split by responsibility:
 
-- :mod:`repro.durability.io` — atomic writes and journal framing.  The
-  only module allowed to open durable artifacts for writing (lint rule
-  R019 enforces the discipline everywhere else).
-- :mod:`repro.durability.codec` — the :class:`StateCodec` protocol and
-  byte-stable encoders for arrays, configs, and windows.
+- :mod:`repro.durability.io` — atomic writes, journal framing and the
+  log segment's append.  The only module allowed to open durable
+  artifacts for writing (lint rule R019 enforces the discipline
+  everywhere else).
+- :mod:`repro.durability.codec` — the :class:`StateCodec` protocol,
+  byte-stable encoders for arrays, configs, and windows, per-part
+  canonical text, and the append-only log codec (:class:`AppendLog`).
 - :mod:`repro.durability.checkpoint` — the on-disk store (MANIFEST +
-  snapshot + journal) with compaction, torn-tail repair, and the
-  process-level fault-injection hooks.
+  log segment + snapshot + journal) with compaction, torn-tail repair,
+  and the process-level fault-injection hooks.
 
 What *state* goes into a checkpoint is owned by the components
 themselves (``state_dict``/``load_state_dict``) and orchestrated by

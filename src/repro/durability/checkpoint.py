@@ -1,29 +1,55 @@
-"""The on-disk checkpoint store: MANIFEST + snapshot + recovery journal.
+"""The on-disk checkpoint store: MANIFEST + snapshot + journal + log segment.
 
 Layout of a checkpoint directory::
 
     MANIFEST.json    identity: schema, account, config_hash, cadence
-    snapshot.json    last compacted full state (atomic, checksummed)
+    segment.jsonl    append-only sealed log entries, one frame per compaction
+    snapshot.json    last compacted state (atomic, checksummed)
     journal.jsonl    framed delta entries since (at most) that snapshot
 
 ``snapshot.json`` is one line of canonical compact sorted-key JSON (see
-:func:`repro.durability.codec.canonical_json`).  The state is encoded
-once; its checksum is the SHA-256 of exactly the state bytes that appear
-in the file, and the wrapper text is assembled around them rather than
-re-encoded.  Directories written under an older ``SCHEMA`` are refused.
+:func:`repro.durability.codec.canonical_json`): ``checksum``, ``schema``,
+``segment``, ``seq``, ``state`` and ``time``.  The caller hands the
+state in as canonical text, so it is encoded once; the checksum is the
+SHA-256 of the file's own bytes with the checksum field taken out, and
+the wrapper is assembled around the state text rather than re-encoded.
+Directories written under an older ``SCHEMA`` are refused.
+
+The log segment
+---------------
+Append-only logs (provenance, decisions, the actuator log, the savings
+and attribution ledgers, live-ledger reconciliations) grow for as long
+as the service runs, so no checkpoint re-encodes their sealed entries.
+Every checkpoint hands the store the entries sealed since the previous
+one, keyed by opaque log names: a delta carries them in its journal
+entry (``sealed``), and each compaction appends the batch the journal
+gathered since the last snapshot, plus its own, to ``segment.jsonl`` as
+one frame (framed like the journal, fsync'd).  The snapshot's
+``segment`` field records the prefix it relies on: its byte length, its
+frame count, and per log the ``count`` of sealed entries with a
+``chain`` checksum (each frame's batch text hashed onto the previous
+chain).  The state itself carries only each log's open tail.  On load,
+every byte of the referenced prefix must parse and chain exactly;
+:attr:`CheckpointLoad.sealed` hands back the segment's entries followed
+by the journal's, for the caller to splice in front of its tails.
 
 Crash-consistency contract
 --------------------------
-Compaction writes the snapshot *first* (atomic rename), then resets the
-journal to a single ``basis`` marker carrying the snapshot's seq and
-checksum (atomic rename).  A crash between the two leaves a journal
-whose basis *lags* the snapshot — benign, the overlapped entries are
-discarded on load.  A journal basis *ahead* of the snapshot can only
-mean the snapshot write was lost after the journal moved on
-(``stale_snapshot``) and is a hard :class:`RecoveryError`.  Journal
-appends can tear mid-line on crash; torn *tails* are truncated under
-``repair=True`` and fatal otherwise; corruption anywhere earlier is
-always fatal.
+Compaction first cuts the segment back to the prefix the current
+snapshot references and appends the new frame (one fsync), then writes
+the snapshot (atomic rename), then resets the journal to a single
+``basis`` marker carrying the snapshot's seq and checksum (atomic
+rename).  A crash after the append leaves segment bytes past the
+referenced prefix — benign residue, never read and cut by the next
+compaction.  A crash between the snapshot and the journal reset leaves
+a journal whose basis *lags* the snapshot — benign, the overlapped
+entries are discarded on load.  A journal basis *ahead* of the snapshot
+can only mean the snapshot write was lost after the journal moved on
+(``stale_snapshot``) and is a hard :class:`RecoveryError`; so is any
+damage inside the referenced segment prefix, with or without repair.
+Journal appends can tear mid-line on crash; torn *tails* are truncated
+under ``repair=True`` and fatal otherwise; corruption anywhere earlier
+is always fatal.
 """
 
 from __future__ import annotations
@@ -34,18 +60,26 @@ from typing import Any
 
 from repro.common.errors import RecoveryError
 from repro.common.stable_json import dumps_json
-from repro.durability.codec import canonical_json, state_checksum, text_checksum
+from repro.durability.codec import canonical_json, canonical_object, text_checksum
 from repro.durability.io import (
     append_journal_entry,
+    append_segment_frame,
     atomic_write_bytes,
     atomic_write_text,
+    frame_bytes,
     frame_entry,
+    read_frames,
     read_journal,
 )
 
-SCHEMA = "repro.durability/2"
+SCHEMA = "repro.durability/3"
 
 __all__ = ["SCHEMA", "CheckpointLoad", "CheckpointStore"]
+
+
+def _chain(previous: str, batch_text: str) -> str:
+    """A log's chained checksum after one more sealed batch."""
+    return text_checksum(previous + batch_text)
 
 
 class CheckpointLoad:
@@ -57,15 +91,24 @@ class CheckpointLoad:
         snapshot: dict[str, Any],
         entries: list[dict[str, Any]],
         repairs: list[str],
+        sealed: dict[str, list],
+        residue_bytes: int,
     ):
         self.manifest = manifest
-        self.snapshot = snapshot  # wrapper: schema/seq/time/checksum/state
+        self.snapshot = snapshot  # wrapper: checksum/schema/segment/seq/state/time
         self.entries = entries  # journal entries with seq > snapshot seq
         self.repairs = repairs  # torn-tail truncations applied (repair mode)
+        self.sealed = sealed  # log name -> sealed entries: segment prefix + journal
+        self.residue_bytes = residue_bytes  # segment bytes past that prefix
 
     @property
     def state(self) -> dict[str, Any]:
         return self.snapshot["state"]
+
+    @property
+    def segment_entries(self) -> int:
+        """Sealed entries in the segment prefix the snapshot references."""
+        return sum(log["count"] for log in self.snapshot["segment"]["logs"].values())
 
 
 class CheckpointStore:
@@ -82,6 +125,12 @@ class CheckpointStore:
         self.manifest_path = self.directory / "MANIFEST.json"
         self.snapshot_path = self.directory / "snapshot.json"
         self.journal_path = self.directory / "journal.jsonl"
+        self.segment_path = self.directory / "segment.jsonl"
+        #: The segment prefix the newest snapshot written or loaded refers to.
+        self.segment: dict[str, Any] = {"bytes": 0, "frames": 0, "logs": {}}
+        #: Entries the journal sealed since that snapshot, by log name: the
+        #: head of the next segment frame.
+        self.pending: dict[str, list] = {}
 
     # ------------------------------------------------------------------
     # writes
@@ -97,26 +146,69 @@ class CheckpointStore:
         }
         atomic_write_text(self.manifest_path, dumps_json(manifest))
 
-    def write_snapshot(self, *, seq: int, time: float, state: dict[str, Any]) -> None:
-        """Compact: publish a full-state snapshot, then reset the journal.
+    def write_snapshot(
+        self, *, seq: int, time: float, state_text: str, sealed: dict[str, list]
+    ) -> None:
+        """Compact: seal log entries, publish the snapshot, reset the journal.
 
-        Ordering matters (see module docstring): snapshot first, basis
-        second, so the only crash window produces a *lagging* journal.
+        ``state_text`` is the state's canonical text; ``sealed`` maps log
+        names to the entries sealed since the last checkpoint, which the
+        frame appends after those the journal holds.  Ordering matters
+        (see module docstring): segment first, snapshot second, basis
+        third, so every crash window leaves a readable directory.
         """
-        state_text = canonical_json(state)
-        checksum = text_checksum(state_text)
-        # Sorted wrapper keys: checksum, schema, seq < state < time.  The
-        # head is the canonical text of the first three with its closing
-        # brace dropped, so the file equals canonical_json(wrapper).
-        head = canonical_json({"checksum": checksum, "schema": SCHEMA, "seq": seq})[:-1]
-        text = f'{head},"state":{state_text},"time":{canonical_json(time)}}}\n'
-        atomic_write_text(self.snapshot_path, text)
+        for name, batch in sealed.items():
+            self.pending.setdefault(name, []).extend(batch)
+        segment = self._seal(self.pending)
+        parts = {
+            "schema": canonical_json(SCHEMA),
+            "segment": canonical_json(segment),
+            "seq": canonical_json(seq),
+            "state": state_text,
+            "time": canonical_json(time),
+        }
+        checksum = text_checksum(canonical_object(parts))
+        text = canonical_object({"checksum": canonical_json(checksum), **parts})
+        atomic_write_text(self.snapshot_path, text + "\n")
+        self.segment, self.pending = segment, {}
         basis = {"seq": seq, "kind": "basis", "checksum": checksum}
         atomic_write_bytes(self.journal_path, frame_entry(basis))
 
-    def append(self, payload: dict[str, Any]) -> None:
-        """Append one delta entry (payload must carry a contiguous seq)."""
-        append_journal_entry(self.journal_path, payload)
+    def _seal(self, sealed: dict[str, list]) -> dict[str, Any]:
+        """Append ``sealed`` as the next segment frame; the new reference."""
+        prefix = self.segment
+        logs = dict(prefix["logs"])
+        batches: dict[str, str] = {}
+        chains: dict[str, str] = {}
+        for name in sorted(sealed):
+            if not sealed[name]:
+                continue
+            batches[name] = canonical_json(sealed[name])
+            held = logs.get(name, {"chain": "", "count": 0})
+            chain = _chain(held["chain"], batches[name])
+            logs[name] = {"chain": chain, "count": held["count"] + len(sealed[name])}
+            chains[name] = canonical_json(chain)
+        body = canonical_object(
+            {
+                "chains": canonical_object(chains),
+                "logs": canonical_object(batches),
+                "seq": canonical_json(prefix["frames"]),
+            }
+        )
+        frame = frame_bytes(body.encode("utf-8"))
+        append_segment_frame(self.segment_path, frame, prefix["bytes"])
+        return {"bytes": prefix["bytes"] + len(frame), "frames": prefix["frames"] + 1, "logs": logs}
+
+    def append(self, payload: dict[str, Any], sealed: dict[str, list]) -> None:
+        """Append one delta entry (payload must carry a contiguous seq).
+
+        ``sealed`` maps log names to the entries sealed since the last
+        checkpoint; the entry carries them, and the next compaction moves
+        them into the segment.
+        """
+        append_journal_entry(self.journal_path, {**payload, "sealed": sealed})
+        for name, batch in sealed.items():
+            self.pending.setdefault(name, []).extend(batch)
 
     # ------------------------------------------------------------------
     # reads
@@ -132,6 +224,9 @@ class CheckpointStore:
                 f"the running scenario {expected_config_hash!r}"
             )
         snapshot = self._read_snapshot()
+        # Before the journal: a repair truncates its torn tail on disk, so
+        # every refusal that does not depend on the journal comes first.
+        sealed = self._read_segment(snapshot["segment"])
         scan = read_journal(self.journal_path, start_seq=None, repair=repair)
         repairs = [f"truncated torn journal tail ({scan.torn_tail})"] if scan.torn_tail else []
         if not scan.entries:
@@ -147,6 +242,7 @@ class CheckpointStore:
         if basis["seq"] == snapshot["seq"] and basis["checksum"] != snapshot["checksum"]:
             raise RecoveryError("journal basis checksum does not match the snapshot")
         entries = [entry for entry in scan.entries[1:] if entry["seq"] > snapshot["seq"]]
+        pending: dict[str, list] = {}
         expected = snapshot["seq"] + 1
         for entry in entries:
             if entry["seq"] != expected:
@@ -154,7 +250,19 @@ class CheckpointStore:
                     f"journal entry seq {entry['seq']} != expected {expected} after snapshot"
                 )
             expected += 1
-        return CheckpointLoad(manifest, snapshot, entries, repairs)
+            batches = entry.pop("sealed", None)
+            if not isinstance(batches, dict) or not all(
+                isinstance(batch, list) for batch in batches.values()
+            ):
+                raise RecoveryError(f"journal entry seq {entry['seq']} has no sealed batches")
+            for name, batch in batches.items():
+                pending.setdefault(name, []).extend(batch)
+        self.segment, self.pending = snapshot["segment"], pending
+        for name, batch in pending.items():
+            sealed[name] = sealed.get(name, []) + batch
+        size = self.segment_path.stat().st_size if self.segment_path.exists() else 0
+        residue = size - self.segment["bytes"]
+        return CheckpointLoad(manifest, snapshot, entries, repairs, sealed, residue)
 
     def verify(self, *, expected_config_hash: str | None = None) -> dict[str, Any]:
         """Non-raising validation report (CLI ``durability verify``)."""
@@ -164,6 +272,9 @@ class CheckpointStore:
             "errors": [],
             "snapshot_seq": None,
             "journal_entries": None,
+            "segment_frames": None,
+            "segment_entries": None,
+            "segment_residue_bytes": None,
         }
         try:
             load = self.load(expected_config_hash=expected_config_hash, repair=False)
@@ -173,6 +284,9 @@ class CheckpointStore:
         report["ok"] = True
         report["snapshot_seq"] = load.snapshot["seq"]
         report["journal_entries"] = len(load.entries)
+        report["segment_frames"] = load.snapshot["segment"]["frames"]
+        report["segment_entries"] = load.segment_entries
+        report["segment_residue_bytes"] = load.residue_bytes
         return report
 
     def _read_manifest(self) -> dict[str, Any]:
@@ -198,14 +312,64 @@ class CheckpointStore:
             wrapper = json.loads(text)
         except ValueError as exc:
             raise RecoveryError(f"{self.snapshot_path.name} is not valid JSON") from exc
-        for key in ("schema", "seq", "time", "checksum", "state"):
+        for key in ("schema", "segment", "seq", "time", "checksum", "state"):
             if not isinstance(wrapper, dict) or key not in wrapper:
                 raise RecoveryError(f"{self.snapshot_path.name} missing {key!r}")
         if wrapper["schema"] != SCHEMA:
             raise RecoveryError(f"{self.snapshot_path.name} schema is not {SCHEMA!r}")
-        if state_checksum(wrapper["state"]) != wrapper["checksum"]:
+        # The file is canonical text: its checksum field comes first, and
+        # the rest of the line is the checksummed body.
+        head = canonical_object({"checksum": canonical_json(wrapper["checksum"])})[:-1] + ","
+        body = "{" + text[len(head):].removesuffix("\n")
+        if not text.startswith(head) or text_checksum(body) != wrapper["checksum"]:
             raise RecoveryError(f"{self.snapshot_path.name} checksum mismatch (corrupt state)")
         return wrapper
+
+    def _read_segment(self, reference: Any) -> dict[str, list]:
+        """The sealed entries of the segment prefix ``reference`` names.
+
+        Every frame must parse, number contiguously and chain exactly, and
+        the per-log counts and chains must equal the reference's.
+        """
+        try:
+            size, frame_count, logs = (
+                int(reference["bytes"]), int(reference["frames"]), reference["logs"]
+            )
+            if size < 0 or frame_count < 0:
+                raise ValueError("negative prefix")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RecoveryError(f"{self.snapshot_path.name} segment reference is malformed") from exc
+        frames = read_frames(self.segment_path, size)
+        if len(frames) != frame_count:
+            raise RecoveryError(
+                f"{self.segment_path.name} prefix holds {len(frames)} frames, "
+                f"the snapshot references {frame_count}"
+            )
+        sealed: dict[str, list] = {}
+        chains: dict[str, str] = {}
+        for frame in frames:
+            batches, declared = frame.get("logs"), frame.get("chains")
+            if not (isinstance(batches, dict) and isinstance(declared, dict)) or set(
+                batches
+            ) != set(declared):
+                raise RecoveryError(f"{self.segment_path.name} frame {frame['seq']} is malformed")
+            for name, batch in batches.items():
+                if not isinstance(batch, list):
+                    raise RecoveryError(f"{self.segment_path.name} frame {frame['seq']} is malformed")
+                chain = _chain(chains.get(name, ""), canonical_json(batch))
+                if declared[name] != chain:
+                    raise RecoveryError(
+                        f"{self.segment_path.name} frame {frame['seq']}: chained checksum "
+                        f"mismatch for log {name!r}"
+                    )
+                chains[name] = chain
+                sealed.setdefault(name, []).extend(batch)
+        found = {name: {"chain": chains[name], "count": len(sealed[name])} for name in sealed}
+        if found != logs:
+            raise RecoveryError(
+                f"{self.segment_path.name} prefix does not match the snapshot's log counts and chains"
+            )
+        return sealed
 
     # ------------------------------------------------------------------
     # fault-injection hooks (repro.faults process-level kinds)

@@ -8,14 +8,17 @@ Invocations (via the main CLI)::
     python -m repro.cli durability smoke [--kind torn_write]    # crash-recovery run
 
 ``checkpoint`` runs a scenario with checkpoints enabled and leaves the
-durable artifacts (MANIFEST.json, snapshot.json, journal.jsonl) behind for
-inspection.  ``restore`` performs a *dry-run* recovery: it loads the
-artifacts, replays the journal over the snapshot exactly as a live restore
-would, and reports what state would come back — without needing the
-simulated world the checkpoint was taken in.  ``verify`` audits the
-artifacts without replaying.  ``smoke`` runs the full crash-recovery
-experiment (:func:`repro.experiments.crash.run_with_recovery`) and writes
-the recovery report; CI's ``crash-recovery-smoke`` job is this command.
+durable artifacts (MANIFEST.json, segment.jsonl, snapshot.json,
+journal.jsonl) behind for inspection.  ``restore`` performs a *dry-run*
+recovery: it loads the artifacts, replays the journal over the snapshot
+and puts the sealed log entries back in front of each log's tail exactly
+as a live restore would, and reports what state would come back —
+without needing the simulated world the checkpoint was taken in.
+``verify`` audits the artifacts without replaying.  Both report the
+segment's frame and entry counts.  ``smoke`` runs the full
+crash-recovery experiment
+(:func:`repro.experiments.crash.run_with_recovery`) and writes the
+recovery report; CI's ``crash-recovery-smoke`` job is this command.
 
 Corruption or a violated invariant exits 1 (exit codes:
 docs/OBSERVABILITY.md §Exit codes).
@@ -67,7 +70,8 @@ def checkpoint(args: argparse.Namespace, out: IO[str]) -> int:
     print(
         f"checkpointed {args.scenario!r} (seed={account.rngs.seed}) to {args.dir}: "
         f"snapshot seq {report['snapshot_seq']}, "
-        f"{report['journal_entries']} journal entr(ies)",
+        f"{report['journal_entries']} journal entr(ies), "
+        f"{report['segment_frames']} segment frame(s)",
         file=out,
     )
     return 0
@@ -79,7 +83,7 @@ def restore(args: argparse.Namespace, out: IO[str]) -> int:
     store = CheckpointStore(args.dir)
     try:
         load = store.load(repair=args.repair)
-        state = merge_checkpoint_entries(load.state, load.entries)
+        state = merge_checkpoint_entries(load.state, load.entries, load.sealed)
     except RecoveryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -89,12 +93,19 @@ def restore(args: argparse.Namespace, out: IO[str]) -> int:
         f"{len(load.entries)} delta entr(ies), {len(load.repairs)} repair(s)",
         file=out,
     )
+    print(
+        f"  segment: {load.snapshot['segment']['frames']} frame(s), "
+        f"{load.segment_entries} sealed entr(ies), "
+        f"{load.residue_bytes} residue byte(s)",
+        file=out,
+    )
     for warehouse in sorted(state["optimizers"]):
         opt = state["optimizers"][warehouse]
+        counts = {name: len(log["entries"]) for name, log in opt["logs"].items()}
         print(
-            f"  {warehouse}: {len(opt['ledger'])} ledger entr(ies), "
-            f"{len(opt['decisions'])} decision(s), "
-            f"{len(opt['actuator']['log'])} actuation(s), "
+            f"  {warehouse}: {counts['ledger']} ledger entr(ies), "
+            f"{counts['decisions']} decision(s), "
+            f"{counts['actuator']} actuation(s), "
             f"next tick t={opt['controller_next_fire']:g}",
             file=out,
         )

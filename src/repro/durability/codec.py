@@ -21,7 +21,12 @@ Encoding conventions (all byte-stable):
   stdlib encoder is exact for finite doubles.
 - canonical text is compact, sorted-key JSON (:func:`canonical_json`),
   which the stdlib's C encoder produces in one pass; a checksum is the
-  SHA-256 of those exact bytes.
+  SHA-256 of those exact bytes.  :func:`canonical_object` assembles the
+  canonical text of a dict from its values' canonical texts, so a part
+  whose text has not changed is never encoded again.
+- an append-only log (:class:`AppendLog`) is encoded from the last
+  checkpoint's mark on, once: the entries sealed since go to the store,
+  the still-open rest travels as ``{"from": sealed, "entries": [...]}``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Callable, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -47,9 +52,11 @@ __all__ = [
     "encode_window",
     "decode_window",
     "canonical_json",
+    "canonical_object",
     "text_checksum",
     "state_checksum",
     "require_keys",
+    "AppendLog",
 ]
 
 
@@ -114,6 +121,21 @@ def canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def canonical_object(parts: dict[str, str]) -> str:
+    """The canonical text of a dict whose values are already canonical texts.
+
+    Equal to ``canonical_json({key: json.loads(text) ...})``: keys are
+    sorted and encoded by the same encoder, values are spliced in as is.
+    """
+    chunks = ["{"]
+    for key in sorted(parts):
+        chunks += (json.dumps(key), ":", parts[key], ",")
+    if parts:
+        chunks.pop()  # the trailing comma
+    chunks.append("}")
+    return "".join(chunks)  # one copy of each part's text
+
+
 def text_checksum(text: str) -> str:
     """SHA-256 hex digest of ``text``'s UTF-8 bytes."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -129,3 +151,33 @@ def require_keys(state: dict[str, Any], keys: tuple[str, ...], owner: str) -> No
     missing = [key for key in keys if key not in state]
     if missing:
         raise RecoveryError(f"{owner} state missing keys: {', '.join(missing)}")
+
+
+class AppendLog(NamedTuple):
+    """One append-only log as a checkpoint sees it.
+
+    ``entries`` is the owner's live list.  ``entries[:sealed]`` never
+    change again, so the checkpoint store keeps each of them once (the
+    journal until the next compaction, then the segment); entries past
+    ``sealed`` may still change (an open provenance record is sealed
+    later) and travel in every checkpoint's state as the *open tail*
+    ``{"from": sealed, "entries": [...]}``.
+    """
+
+    entries: list
+    encode: Callable[[Any], dict]
+    decode: Callable[[dict], Any]
+    sealed: int
+
+    def since(self, mark: int) -> tuple[list[dict], dict[str, Any]]:
+        """Encode the entries from ``mark`` (the sealed length at the last
+        checkpoint) on, once: those sealed since, and the open tail."""
+        encoded = [self.encode(e) for e in self.entries[mark:]]
+        cut = self.sealed - mark
+        return encoded[:cut], {"from": self.sealed, "entries": encoded[cut:]}
+
+    def load(self, whole: dict[str, Any]) -> None:
+        """Replace the live entries, in place, with a whole log (a tail from 0)."""
+        if whole["from"] != 0:
+            raise RecoveryError(f"a whole log starts at 0, not {whole['from']}")
+        self.entries[:] = [self.decode(e) for e in whole["entries"]]

@@ -3,10 +3,10 @@
 Every durable control-plane artifact in the repo goes through this module
 (lint rule R019 enforces it): writes are tmp-file + ``os.replace`` so a
 crash mid-write leaves either the old bytes or the new bytes, never a
-torn file.  The journal is the one deliberate exception — it is
-append-only, so a crash can tear its *tail*; the framing below exists so
-a torn tail is detected (and, in repair mode, truncated) instead of
-silently replayed.
+torn file.  The journal and the log segment are the deliberate
+exceptions — they are append-only, so a crash can tear or extend their
+*tail*; the framing below exists so a damaged tail is detected instead
+of silently replayed.
 
 Journal framing
 ---------------
@@ -18,6 +18,11 @@ One entry per line::
 is ``zlib.crc32`` of those bytes.  Payloads are compact sorted-key JSON so
 the same entry always frames to the same bytes.  Entries additionally
 carry a ``seq`` field checked to be contiguous by the reader.
+
+The log segment (:func:`append_segment_frame`, :func:`read_frames`) uses
+the same framing, one frame per compaction.  Its reader is strict: the
+snapshot names the exact byte prefix it relies on, so any defect inside
+it is fatal and bytes past it are never parsed.
 """
 
 from __future__ import annotations
@@ -37,8 +42,11 @@ __all__ = [
     "atomic_write_text",
     "atomic_write_bytes",
     "atomic_savez",
+    "frame_bytes",
     "frame_entry",
     "append_journal_entry",
+    "append_segment_frame",
+    "read_frames",
     "read_journal",
     "JournalScan",
 ]
@@ -83,10 +91,14 @@ def atomic_savez(path: Path, *arrays: np.ndarray) -> None:
     atomic_write_bytes(Path(path), buffer.getvalue())
 
 
+def frame_bytes(body: bytes) -> bytes:
+    """Frame one payload's canonical bytes as ``<length> <crc32> <body>\\n``."""
+    return b"%d %08x " % (len(body), zlib.crc32(body)) + body + b"\n"
+
+
 def frame_entry(payload: dict[str, Any]) -> bytes:
     """Serialise one journal entry to its framed line."""
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return b"%d %08x " % (len(body), zlib.crc32(body)) + body + b"\n"
+    return frame_bytes(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8"))
 
 
 def append_journal_entry(path: Path, payload: dict[str, Any]) -> None:
@@ -96,6 +108,51 @@ def append_journal_entry(path: Path, payload: dict[str, Any]) -> None:
         handle.write(line)
         handle.flush()
         os.fsync(handle.fileno())
+
+
+def append_segment_frame(path: Path, frame: bytes, keep_bytes: int) -> None:
+    """Cut the segment back to its first ``keep_bytes``, then append ``frame``.
+
+    ``keep_bytes`` is the prefix the newest snapshot references; anything
+    past it is residue of a compaction that crashed between this append
+    and its snapshot rename.  One fsync covers the cut and the append.
+    """
+    with open(path, "ab") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        if size < keep_bytes:
+            raise RecoveryError(
+                f"{Path(path).name} holds {size} bytes, below the {keep_bytes}-byte "
+                "prefix the snapshot references"
+            )
+        handle.truncate(keep_bytes)
+        handle.write(frame)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
+def read_frames(path: Path, size: int) -> list[dict[str, Any]]:
+    """The framed payloads in the first ``size`` bytes of ``path``.
+
+    Frames must carry contiguous ``seq`` numbers from 0.  Any defect —
+    a short file, a torn or corrupt frame, a gap — raises
+    :class:`RecoveryError`; no repair applies inside a referenced prefix.
+    """
+    path = Path(path)
+    data = b""
+    if path.exists():
+        with open(path, "rb") as handle:
+            data = handle.read(size)
+    if len(data) < size:
+        raise RecoveryError(
+            f"{path.name} holds {len(data)} bytes, below the {size}-byte prefix "
+            "the snapshot references"
+        )
+    frames: list[dict[str, Any]] = []
+    for payload, error, _ in _frames(data, 0):
+        if payload is None:
+            raise RecoveryError(f"corruption in {path.name}: {error}")
+        frames.append(payload)
+    return frames
 
 
 class JournalScan:
@@ -135,6 +192,30 @@ def _parse_line(raw: bytes, lineno: int) -> tuple[dict[str, Any] | None, str | N
     return payload, None
 
 
+def _frames(data: bytes, start_seq: int | None):
+    """Yield ``(payload, error, end offset)`` per framed line, in order,
+    stopping after the first defect (``payload`` None).  Sequence numbers
+    must count up from ``start_seq`` (``None``: from the first line's)."""
+    offset = lineno = 0
+    expected = start_seq
+    while offset < len(data):
+        lineno += 1
+        newline = data.find(b"\n", offset)
+        end = len(data) if newline < 0 else newline + 1
+        payload, error = _parse_line(data[offset:end], lineno)
+        if payload is not None and expected is None:
+            expected = payload["seq"]
+        if payload is not None and payload["seq"] != expected:
+            payload, error = None, (
+                f"line {lineno}: seq {payload['seq']} != expected {expected} (gap or replay)"
+            )
+        yield payload, error, end
+        if payload is None:
+            return
+        expected += 1
+        offset = end
+
+
 def read_journal(path: Path, *, start_seq: int | None, repair: bool = False) -> JournalScan:
     """Read and validate a framed journal.
 
@@ -153,22 +234,9 @@ def read_journal(path: Path, *, start_seq: int | None, repair: bool = False) -> 
     data = path.read_bytes()
     entries: list[dict[str, Any]] = []
     good_bytes = 0
-    offset = 0
-    lineno = 0
-    expected = start_seq
-    while offset < len(data):
-        lineno += 1
-        newline = data.find(b"\n", offset)
-        raw = data[offset:] if newline < 0 else data[offset : newline + 1]
-        payload, error = _parse_line(raw, lineno)
-        if payload is not None and expected is None:
-            expected = payload["seq"]
-        if payload is not None and payload["seq"] != expected:
-            payload, error = None, (
-                f"line {lineno}: seq {payload['seq']} != expected {expected} (gap or replay)"
-            )
+    for payload, error, end in _frames(data, start_seq):
         if payload is None:
-            at_tail = newline < 0 or newline + 1 == len(data)
+            at_tail = end == len(data)
             if at_tail and repair:
                 with open(path, "ab") as handle:
                     handle.truncate(good_bytes)
@@ -176,7 +244,5 @@ def read_journal(path: Path, *, start_seq: int | None, repair: bool = False) -> 
             kind = "torn journal tail" if at_tail else "mid-journal corruption"
             raise RecoveryError(f"{kind} in {path.name}: {error}")
         entries.append(payload)
-        expected += 1
-        offset = newline + 1
-        good_bytes = offset
+        good_bytes = end
     return JournalScan(entries, good_bytes, None)

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import fallback_rng
-from repro.durability.codec import require_keys
+from repro.durability.codec import canonical_json, require_keys
 from repro.learning.buffer import ReplayBuffer, Transition
 from repro.learning.network import MLP
 
@@ -66,6 +66,8 @@ class DQNAgent:
         self.buffer = ReplayBuffer(self.config.buffer_capacity)
         self.train_steps = 0
         self.env_steps = 0
+        #: ``((train_steps, env_steps), text)`` of the last :meth:`state_text`.
+        self._state_text: tuple | None = None
 
     # -------------------------------------------------------------- policies
     @property
@@ -134,6 +136,7 @@ class DQNAgent:
     def restore(self, params: list[np.ndarray]) -> None:
         self.online.set_parameters(params)
         self.target.set_parameters(params)
+        self._state_text = None
 
     # ----------------------------------------------------------- durability
     def state_dict(self) -> dict:
@@ -152,7 +155,21 @@ class DQNAgent:
             "env_steps": self.env_steps,
         }
 
+    def state_text(self) -> str:
+        """``canonical_json(state_dict())``, encoded once per step count.
+
+        Only :meth:`learn_step` changes the networks and only an exploring
+        :meth:`act` precedes a buffer write, each bumping one counter, so
+        the text stands while ``(train_steps, env_steps)`` does;
+        :meth:`load_state_dict` and :meth:`restore` drop it.
+        """
+        steps = (self.train_steps, self.env_steps)
+        if self._state_text is None or self._state_text[0] != steps:
+            self._state_text = (steps, canonical_json(self.state_dict()))
+        return self._state_text[1]
+
     def load_state_dict(self, state: dict) -> None:
+        self._state_text = None
         require_keys(
             state, ("online", "target", "buffer", "train_steps", "env_steps"), "DQNAgent"
         )

@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.common.errors import RecoveryError
 from repro.common.simtime import Window
 from repro.obs import trace as obs
 from repro.obs.manifest import config_hash
@@ -424,18 +425,6 @@ class AttributionLedger:
             ),
         )
 
-    def state_dict(self) -> dict:
-        return {
-            "warehouse": self.warehouse,
-            "entries": [self.encode_entry(e) for e in self.entries],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Rebuild entries directly — no :meth:`attribute` calls, so a
-        restore never re-emits ``provenance.attribution`` trace events."""
-        self.warehouse = state["warehouse"]
-        self.entries = [self.decode_entry(e) for e in state["entries"]]
-
     def per_decision_credits(self) -> dict[int, float]:
         """Total credits attributed to each decision seq (and to
         :data:`UNATTRIBUTED`), across all entries."""
@@ -568,32 +557,19 @@ class ProvenanceLog:
         return self._unsealed_from
 
     def state_dict(self) -> dict:
-        return {
-            "records": [encode_record(r) for r in self.records],
-            "unsealed_from": self._unsealed_from,
-            "attribution": self.attribution.state_dict(),
-        }
+        """The sealed mark.  The records and the attribution entries are
+        append-only logs; the optimizer's checkpoint carries them."""
+        return {"unsealed_from": self._unsealed_from}
 
     def load_state_dict(self, state: dict) -> None:
-        self.records = [decode_record(r) for r in state["records"]]
-        self._unsealed_from = int(state["unsealed_from"])
-        self.attribution.load_state_dict(state["attribution"])
-
-    def export_records(self, start: int) -> list[dict]:
-        """Records from ``start`` on, re-serialized — the journal delta.
-
-        Records below the ``unsealed_from`` mark captured at the previous
-        checkpoint are sealed and immutable (sealing and ``note_apply``
-        only ever touch records at or above the live mark), so a delta
-        from that mark covers every mutation since.
-        """
-        return [encode_record(r) for r in self.records[start:]]
-
-    def replace_records_from(self, start: int, states: list[dict], unsealed_from: int) -> None:
-        """Apply a journal delta: truncate to ``start``, extend, re-mark."""
-        del self.records[start:]
-        self.records.extend(decode_record(s) for s in states)
-        self._unsealed_from = int(unsealed_from)
+        """Restore the sealed mark over records already loaded."""
+        unsealed_from = int(state["unsealed_from"])
+        if not 0 <= unsealed_from <= len(self.records):
+            raise RecoveryError(
+                f"provenance sealed mark {unsealed_from} is outside its "
+                f"{len(self.records)} records"
+            )
+        self._unsealed_from = unsealed_from
 
     # ------------------------------------------------------------ reporting
     @property

@@ -84,10 +84,12 @@ class TestChecksumAndKeys:
 
 class TestStateCodecProtocol:
     def test_core_components_implement_protocol(self):
-        from repro.core.ledger import SavingsLedger
+        from repro.core.actuator import CircuitBreaker
         from repro.learning.buffer import ReplayBuffer
         from repro.learning.network import MLP
 
-        assert isinstance(SavingsLedger(warehouse="WH"), StateCodec)
+        # SavingsLedger left the protocol: its entries are an append-only
+        # log the optimizer's checkpoint carries (tests/durability/test_logs.py).
+        assert isinstance(CircuitBreaker(), StateCodec)
         assert isinstance(ReplayBuffer(capacity=8), StateCodec)
         assert isinstance(MLP(4, 3, (8,), np.random.default_rng(0)), StateCodec)
