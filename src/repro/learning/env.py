@@ -185,12 +185,19 @@ class WarehouseEnv:
             self.reward_config,
         )
         done = self.now >= self.window.end - 1e-9
-        return EnvStep(self._state(), reward, done, credits, records)
+        return EnvStep(self._state(interval, records), reward, done, credits, records)
 
     # ----------------------------------------------------------------- state
-    def _state(self) -> np.ndarray:
+    def _state(
+        self, fetched: Window | None = None, rows: list[QueryRecord] | None = None
+    ) -> np.ndarray:
+        """Features at ``now``; ``rows``, fetched for ``fetched`` at this
+        instant, stand in for an equal recent window."""
         recent_w, previous_w = interval_windows(self.now, self.decision_interval)
-        recent = self.client.query_history("WH", recent_w)
+        if recent_w == fetched:
+            recent = rows
+        else:
+            recent = self.client.query_history("WH", recent_w)
         previous = self.client.query_history("WH", previous_w)
         info = self.client.describe_warehouse("WH")
         return self.features.extract(self.now, recent, previous, info)

@@ -36,6 +36,7 @@ the fleet store (:mod:`repro.obs.store`) work from a trace file alone.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.common.errors import RecoveryError
@@ -369,9 +370,19 @@ class AttributionLedger:
         self, window: Window, savings_credits: float, decisions: list[DecisionRecord]
     ) -> AttributionEntry:
         """Split one reported period's savings across the decisions whose
-        governed windows overlap it, weighted by overlap seconds."""
+        governed windows overlap it, weighted by overlap seconds.
+
+        ``decisions`` are one log's records: in time order, one ``interval``,
+        each governing a window inside ``[time, time + interval]``.  Those
+        with ``time >= window.end`` or ``time + interval <= window.start``
+        overlap by exactly ``0.0``; bisection skips both runs.
+        """
+        hi = bisect_left(decisions, window.end, key=lambda d: d.time)
+        lo = bisect_right(decisions, window.start, hi=hi, key=lambda d: d.time + d.interval)
         active = [
-            (d, window.overlap(d.window)) for d in decisions if window.overlap(d.window) > 0
+            (d, overlap)
+            for d in decisions[lo:hi]
+            if (overlap := window.overlap(d.window)) > 0
         ]
         if active:
             shares = split_exact(savings_credits, [overlap for _, overlap in active])

@@ -14,7 +14,7 @@ capacity determined by warehouse size.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.common.errors import ConfigurationError
 
@@ -52,31 +52,30 @@ class PartitionCache:
     def used_bytes(self) -> float:
         return len(self._entries) * PARTITION_BYTES
 
-    def access(self, partitions: Iterable[str]) -> float:
-        """Touch ``partitions``; return the hit ratio of this access.
+    def access(self, footprint: Sequence[str]) -> float:
+        """Touch a query's ``footprint``; return the hit ratio of this access.
 
-        Missing partitions are loaded (inserted) and hits are refreshed, so
-        a repeated access is fully warm.  An empty access counts as fully
-        warm (ratio 1.0) because a query that scans nothing cannot miss.
-        A query's footprint is a *set*: duplicate partition names in one
-        access are collapsed (they would otherwise self-hit mid-access).
+        ``footprint`` holds no name twice (``QueryTemplate.footprint``: a
+        query reads each partition once).  Missing partitions are loaded
+        (inserted) and hits are refreshed, so a repeated access is fully
+        warm.  An empty access counts as fully warm (ratio 1.0) because a
+        query that scans nothing cannot miss.
         """
-        parts = list(dict.fromkeys(partitions))
-        if not parts:
+        if not footprint:
             return 1.0
         # Snapshot semantics: the hit set is decided against the cache state
         # at access start (insertions during the scan cannot evict a
         # partition this same query was about to read).
         entries = self._entries
-        hits = sum(p in entries for p in parts)
+        hits = len(entries.keys() & footprint)
         cap = self.max_partitions
         if cap:
             # (Re-)insert everything: refreshes recency for hits and loads
             # misses; a hit evicted moments ago by this access's own misses
-            # is simply reloaded.  ``parts`` is duplicate-free and
+            # is simply reloaded.  ``footprint`` is duplicate-free and
             # ``len(entries) <= cap`` holds on entry, so one insert
             # overflows by at most one entry.
-            for p in parts:
+            for p in footprint:
                 if p in entries:
                     entries.move_to_end(p)
                 else:
@@ -84,8 +83,8 @@ class PartitionCache:
                     if len(entries) > cap:
                         entries.popitem(last=False)
         self.hits += hits
-        self.misses += len(parts) - hits
-        return hits / len(parts)
+        self.misses += len(footprint) - hits
+        return hits / len(footprint)
 
     def peek_hit_ratio(self, partitions: Iterable[str]) -> float:
         """Hit ratio ``access`` would see, without mutating the cache."""

@@ -48,20 +48,8 @@ class Cluster:
         self.cache = PartitionCache(self.size.cache_capacity_bytes)
 
     @property
-    def is_available(self) -> bool:
-        """Can this cluster accept a query right now?"""
-        return self.state == ClusterState.RUNNING and self.free_slots > 0
-
-    @property
     def free_slots(self) -> int:
         return max(0, self.max_concurrency - len(self.running))
-
-    @property
-    def load(self) -> float:
-        """Fraction of concurrency slots in use (0.0 when not running)."""
-        if self.state != ClusterState.RUNNING:
-            return 0.0
-        return len(self.running) / self.max_concurrency
 
     def begin_query(self, record: QueryRecord, now: float) -> None:
         if self.state != ClusterState.RUNNING:

@@ -32,14 +32,18 @@ class SimulationError(ReproError):
     scheduled time and label in the message)."""
 
 
-class _Event:
-    """One scheduled callback.  The heap orders ``(time, seq, event)``
-    tuples; ``seq`` is unique, so events themselves are never compared and
-    the ordering runs as C tuple comparison."""
+class Event:
+    """One scheduled callback, and the handle :meth:`Simulation.schedule`
+    returns for it.  The heap orders ``(time, seq, event)`` tuples; ``seq``
+    is unique, so events themselves are never compared and the ordering
+    runs as C tuple comparison."""
 
-    __slots__ = ("callback", "cancelled", "label", "popped", "time")
+    __slots__ = ("_sim", "callback", "cancelled", "label", "popped", "time")
 
-    def __init__(self, time: float, callback: Callable[[], None], label: str | None):
+    def __init__(
+        self, sim: "Simulation", time: float, callback: Callable[[], None], label: str | None
+    ):
+        self._sim = sim
         self.time = time
         self.callback = callback
         self.cancelled = False
@@ -49,27 +53,12 @@ class _Event:
         #: counter for an event that is no longer pending.
         self.popped = False
 
-
-class EventHandle:
-    """Returned by :meth:`Simulation.schedule`; allows cancellation."""
-
-    def __init__(self, sim: "Simulation", event: _Event):
-        self._sim = sim
-        self._event = event
-
     def cancel(self) -> None:
-        event = self._event
-        if not event.cancelled and not event.popped:
+        """Drop the callback; the pending counter moves only for an event
+        still in the heap."""
+        if not self.cancelled and not self.popped:
             self._sim._pending -= 1
-        event.cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def time(self) -> float:
-        return self._event.time
+        self.cancelled = True
 
 
 class Simulation:
@@ -77,7 +66,7 @@ class Simulation:
 
     def __init__(self, start_time: float = 0.0):
         self.now = float(start_time)
-        self._heap: list[tuple[float, int, _Event]] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self.processed_events = 0
         # Live count of schedulable (non-cancelled, not-yet-popped) events.
@@ -87,8 +76,9 @@ class Simulation:
 
     def schedule(
         self, time: float, callback: Callable[[], None], label: str | None = None
-    ) -> EventHandle:
-        """Schedule ``callback`` to run at ``time`` (>= now).
+    ) -> Event:
+        """Schedule ``callback`` to run at ``time`` (>= now); the returned
+        event cancels it.
 
         ``label`` names the event in failure context and traces (controllers
         pass their own name; plain events may leave it unset).
@@ -96,14 +86,14 @@ class Simulation:
         if time < self.now - 1e-9:
             raise SimulationError(f"cannot schedule at {time} before now={self.now}")
         time = max(time, self.now)
-        event = _Event(time, callback, label)
+        event = Event(self, time, callback, label)
         heapq.heappush(self._heap, (time, next(self._seq), event))
         self._pending += 1
-        return EventHandle(self, event)
+        return event
 
     def schedule_in(
         self, delay: float, callback: Callable[[], None], label: str | None = None
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
@@ -123,7 +113,7 @@ class Simulation:
         controller.start(self.now if start is None else start)
         return controller
 
-    def _dispatch(self, event: _Event) -> None:
+    def _dispatch(self, event: Event) -> None:
         """Run one event's callback, wrapping failures with when/what context."""
         try:
             event.callback()
@@ -227,7 +217,7 @@ class PeriodicController:
         self.name = name or getattr(
             callback, "__qualname__", type(callback).__name__
         )
-        self._handle: EventHandle | None = None
+        self._handle: Event | None = None
         #: The pending fire's time, or the grid slot a parked controller
         #: last held (fired or cancelled).
         self._next_fire = sim.now

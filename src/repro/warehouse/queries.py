@@ -66,6 +66,10 @@ class QueryTemplate:
     template_hash:
         Hash of the template name, the only template identity telemetry
         exposes; computed once, at construction.
+    footprint:
+        ``partitions`` without repeats, in first-seen order: the set of
+        partitions one execution reads, which is what the cache is handed.
+        Computed once, at construction.
     """
 
     name: str
@@ -95,6 +99,7 @@ class QueryTemplate:
         query start.  They live outside the fields, so equality, hash, repr
         and pickle see only the fields."""
         object.__setattr__(self, "template_hash", hash_text(f"template:{self.name}"))
+        object.__setattr__(self, "footprint", tuple(dict.fromkeys(self.partitions)))
         # Filled per size on first use: a template meets only a few sizes.
         object.__setattr__(self, "_execution", [None] * len(WarehouseSize))
 

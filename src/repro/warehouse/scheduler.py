@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
+from repro.warehouse.cluster import ClusterState
 from repro.warehouse.types import ScalingPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -69,15 +70,19 @@ class MultiClusterScheduler:
             self._consider_scale_out(now)
 
     def _pick_cluster(self):
-        """Least-loaded available, non-draining cluster (lowest id on ties)."""
-        candidates = [
-            c
-            for c in self.warehouse.active_clusters()
-            if c.is_available and c.cluster_id not in self.warehouse.draining
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda c: (c.load, c.cluster_id))
+        """Least-loaded RUNNING, non-draining cluster with a free slot, lowest
+        id on ties: the first minimum of ``(load, cluster_id)`` in
+        ``clusters`` order, found in one pass."""
+        wh = self.warehouse
+        draining = wh.draining
+        best = best_key = None
+        for c in wh.clusters.values():
+            n, slots = len(c.running), c.max_concurrency
+            if n < slots and c.state is ClusterState.RUNNING and c.cluster_id not in draining:
+                key = (n / slots, c.cluster_id)
+                if best is None or key < best_key:
+                    best, best_key = c, key
+        return best
 
     # ------------------------------------------------------------- scale out
     def _consider_scale_out(self, now: float) -> None:

@@ -31,7 +31,7 @@ from repro.common.simtime import format_time
 from repro.warehouse.billing import BillingMeter
 from repro.warehouse.cluster import Cluster, ClusterState
 from repro.warehouse.config import WarehouseConfig
-from repro.warehouse.engine import EventHandle, PeriodicController, Simulation
+from repro.warehouse.engine import Event, PeriodicController, Simulation
 from repro.warehouse.queries import QueryRecord, QueryRequest, next_query_id
 from repro.warehouse.scheduler import MultiClusterScheduler
 from repro.warehouse.telemetry import ConfigSnapshot, TelemetryStore, WarehouseEvent
@@ -91,10 +91,13 @@ class VirtualWarehouse:
         self.state = WarehouseState.SUSPENDED
         self.clusters: dict[int, Cluster] = {}
         self.draining: set[int] = set()
+        #: Queries executing on any cluster: +1 when one starts, -1 when it
+        #: completes (the sum of ``len(c.running)`` over the clusters).
+        self._running = 0
         self.last_activity = sim.now
-        self._suspend_handle: EventHandle | None = None
-        self._resume_handle: EventHandle | None = None
-        self._cluster_start_handles: dict[int, EventHandle] = {}
+        self._suspend_handle: Event | None = None
+        self._resume_handle: Event | None = None
+        self._cluster_start_handles: dict[int, Event] = {}
         self._next_cluster_id = 1
         self._exec_ewma = 30.0  # seconds; prior before any query completes
         self._policy_controller = PeriodicController(
@@ -131,11 +134,11 @@ class VirtualWarehouse:
 
     @property
     def running_query_count(self) -> int:
-        return sum(len(c.running) for c in self.clusters.values())
+        return self._running
 
     @property
     def is_idle(self) -> bool:
-        return self.running_query_count == 0 and self.queue_length == 0
+        return not self._running and not self.scheduler.queue
 
     def recent_execution_seconds(self) -> float:
         """EWMA of recent execution times (drives ECONOMY scale-out)."""
@@ -282,7 +285,7 @@ class VirtualWarehouse:
     def _begin_execution(self, pending: _PendingQuery, cluster: Cluster, now: float) -> None:
         record, request = pending.record, pending.request
         template = request.template
-        hit_ratio = cluster.cache.access(template.partitions)
+        hit_ratio = cluster.cache.access(template.footprint)
         warm, spill_steps = template.execution(self.config.size)
         cache_mult = 1.0 + (template.cold_multiplier - 1.0) * (1.0 - hit_ratio)
         contention_mult = 1.0 + CONTENTION_SLOWDOWN * len(cluster.running)
@@ -299,11 +302,13 @@ class VirtualWarehouse:
             # copy of the scanned bytes to storage.
             record.bytes_spilled = template.bytes_scanned * spill_steps
         cluster.begin_query(record, now)
+        self._running += 1
         self.sim.schedule_in(duration, lambda: self._complete_query(record, cluster))
 
     def _complete_query(self, record: QueryRecord, cluster: Cluster) -> None:
         now = self.sim.now
         cluster.finish_query(record.query_id, now)
+        self._running -= 1
         record.end_time = now
         record.completed = True
         self.telemetry.record_query(record)

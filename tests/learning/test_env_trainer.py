@@ -66,7 +66,7 @@ class TestReconstruction:
 
 
 class TestWarehouseEnv:
-    def make_env(self, seed=0):
+    def make_env(self, seed=0, window=Window(0, 6 * HOUR)):
         records, model, config = history_from_sim()
         requests = reconstruct_workload(records, model)
         space = ActionSpace(config)
@@ -76,11 +76,34 @@ class TestWarehouseEnv:
             WorkloadBaseline.fit(records),
             space,
             RewardConfig(),
-            Window(0, 6 * HOUR),
+            window,
             decision_interval=1200.0,
             seed=seed,
         )
         return env, space
+
+    def test_step_state_equals_fresh_fetches(self, monkeypatch):
+        """A step's state reuses the rows it fetched for its interval as the
+        recent window, and only when the two windows are equal: the last
+        interval here is cut short by the episode's end, so that step
+        fetches the recent window itself."""
+        env, space = self.make_env(window=Window(0, 6 * HOUR + 500.0))
+        env.reset()
+        fetches = []
+        query_history = CloudWarehouseClient.query_history
+
+        def counted(client, warehouse, window=None, include_overhead=False):
+            fetches.append(window)
+            return query_history(client, warehouse, window, include_overhead)
+
+        monkeypatch.setattr(CloudWarehouseClient, "query_history", counted)
+        done = False
+        while not done:
+            fetches.clear()
+            outcome = env.step(space.noop_index)
+            done = outcome.done
+            assert len(fetches) == (3 if done else 2)
+            np.testing.assert_array_equal(outcome.state, env._state())
 
     def test_reset_returns_state(self):
         env, _ = self.make_env()

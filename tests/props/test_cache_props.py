@@ -1,4 +1,9 @@
-"""Property-based tests for the partition cache."""
+"""Property-based tests for the partition cache.
+
+``PartitionCache.access`` takes a query's footprint, which holds no name
+twice.  Accesses here are drawn as partition lists that may repeat names
+and handed over as the footprint of a template with those partitions.
+"""
 
 from collections import OrderedDict
 
@@ -6,10 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.warehouse.cache import PARTITION_BYTES, PartitionCache
+from repro.warehouse.queries import QueryTemplate
+
+
+def template_with(partitions) -> QueryTemplate:
+    return QueryTemplate("t", base_work_seconds=1.0, partitions=tuple(partitions))
+
 
 partition_names = st.text(alphabet="abcdef", min_size=1, max_size=3)
 access_sequences = st.lists(
-    st.lists(partition_names, min_size=0, max_size=8), min_size=1, max_size=30
+    st.lists(partition_names, min_size=0, max_size=8).map(
+        lambda names: template_with(names).footprint
+    ),
+    min_size=1,
+    max_size=30,
 )
 capacities = st.integers(min_value=0, max_value=12)
 
@@ -57,8 +72,7 @@ class TestCacheProperties:
         touches = 0
         for access in accesses:
             cache.access(access)
-            # A query's footprint is a set: duplicates collapse.
-            touches += len(set(access))
+            touches += len(access)
         assert cache.hits + cache.misses == touches
 
     @given(capacities, access_sequences)
@@ -72,9 +86,10 @@ class TestCacheProperties:
 
 
 class _InsertLoopCache:
-    """The per-insert LRU ``PartitionCache.access`` replaced: each partition
-    went through ``_insert``, which re-read the capacity and evicted in a
-    ``while`` loop.  Kept as the oracle for the inlined loop."""
+    """The per-insert LRU ``PartitionCache.access`` replaced: each access
+    deduplicated its partitions itself, and each partition went through
+    ``_insert``, which re-read the capacity and evicted in a ``while`` loop.
+    Kept as the oracle for the inlined loop over a template's footprint."""
 
     def __init__(self, capacity_bytes: float):
         self.capacity_bytes = float(capacity_bytes)
@@ -130,10 +145,11 @@ class TestInlinedAccessMatchesInsertLoop:
     def test_same_ratios_counters_and_lru_order(self, capacity, steps):
         cache = PartitionCache(capacity * PARTITION_BYTES)
         oracle = _InsertLoopCache(capacity * PARTITION_BYTES)
-        for access, resize_to in steps:
+        for partitions, resize_to in steps:
             if resize_to is not None:
                 cache.resize(resize_to * PARTITION_BYTES)
                 oracle.resize(resize_to * PARTITION_BYTES)
-            assert cache.access(access) == oracle.access(access)
+            footprint = template_with(partitions).footprint
+            assert cache.access(footprint) == oracle.access(partitions)
             assert (cache.hits, cache.misses) == (oracle.hits, oracle.misses)
             assert list(cache._entries) == list(oracle.entries)

@@ -54,17 +54,25 @@ class TestExecutionMemo:
             assert t.execution(size) == (t.warm_latency(size), t.spill_steps(size))
         assert t.template_hash == hash_text("template:t")
 
+    def test_footprint_drops_repeats_in_first_seen_order(self):
+        t = template(partitions=("b", "a", "b", "c", "a"))
+        assert t.footprint == ("b", "a", "c")
+        assert template().footprint == ()
+
     def test_equality_hash_repr_and_pickle_see_only_the_fields(self):
-        t = template(min_memory_size=WarehouseSize.L)
-        twin = template(min_memory_size=WarehouseSize.L)
+        t = template(min_memory_size=WarehouseSize.L, partitions=("p1", "p0", "p1"))
+        twin = template(min_memory_size=WarehouseSize.L, partitions=("p1", "p0", "p1"))
         assert t == twin and hash(t) == hash(twin)
         assert "_execution" not in repr(t) and "template_hash" not in repr(t)
+        assert "footprint" not in repr(t)
         assert list(asdict(t)) == [f.name for f in fields(t)]
         payload = pickle.dumps(t)
         assert b"_execution" not in payload and b"template_hash" not in payload
+        assert b"footprint" not in payload
         for clone in (pickle.loads(payload), copy.deepcopy(t), replace(t)):
             assert clone == t and hash(clone) == hash(t)
             assert clone.template_hash == t.template_hash
+            assert clone.footprint == t.footprint == ("p1", "p0")
             assert [clone.execution(s) for s in WarehouseSize] == [
                 t.execution(s) for s in WarehouseSize
             ]
