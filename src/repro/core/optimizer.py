@@ -342,12 +342,7 @@ class WarehouseOptimizer:
             degraded = self._degraded_reason(now, feedback)
             if degraded:
                 decision = self._safe_mode_tick(now, degraded)
-                self.decisions.append(decision)
-                sp.set(decision=decision.kind.value)
-                obs.counter(
-                    f"repro.optimizer.decisions.{decision.kind.value}"
-                ).inc(time=now)
-                self._record_provenance(now, feedback, decision)
+                self._commit(now, sp, feedback, decision, DecisionContext())
                 last = self.actuator.last_applied
                 if last is not None and last.time == now:
                     self.provenance.note_apply(last.succeeded, last.error)
@@ -365,18 +360,14 @@ class WarehouseOptimizer:
                 decision = Decision(
                     DecisionKind.HOLD, self._held_config(), reason, reason_code=code
                 )
-                context = None
+                context = DecisionContext()
             else:
                 try:
-                    decision = self.smart_model.next_action(now, feedback)
-                    context = self.smart_model.last_context
+                    decision, context = self.smart_model.next_action(now, feedback)
                 except (TelemetryError, WarehouseError) as exc:
                     decision = self._decision_error_fallback(now, exc)
-                    context = None
-            self.decisions.append(decision)
-            sp.set(decision=decision.kind.value)
-            obs.counter(f"repro.optimizer.decisions.{decision.kind.value}").inc(time=now)
-            self._record_provenance(now, feedback, decision, context=context)
+                    context = DecisionContext()
+            self._commit(now, sp, feedback, decision, context)
             self._record_alerts(now, feedback, decision)
             if decision.kind == DecisionKind.BACKOFF:
                 obs.emit(
@@ -438,9 +429,15 @@ class WarehouseOptimizer:
             reason_code=f"decision_error.{exc_type}",
         )
 
-    def _record_provenance(
-        self, now: float, feedback, decision: Decision, context=None
+    def _commit(
+        self, now: float, sp, feedback, decision: Decision, context: DecisionContext
     ) -> None:
+        """Log the tick's decision: the decision list, the tick span's
+        ``decision`` attribute, the per-kind counter and an open provenance
+        record carrying what the decision weighed."""
+        self.decisions.append(decision)
+        sp.set(decision=decision.kind.value)
+        obs.counter(f"repro.optimizer.decisions.{decision.kind.value}").inc(time=now)
         breaker = self.actuator.breaker
         self.provenance.record(
             now,
@@ -449,7 +446,7 @@ class WarehouseOptimizer:
             reason_code=decision.typed_reason,
             target=decision.target.describe(),
             feedback=feedback,
-            context=context if context is not None else DecisionContext(),
+            context=context,
             action_index=decision.action_index,
             q_value=decision.q_value,
             safe_mode=self.safe_mode,

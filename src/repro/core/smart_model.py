@@ -39,6 +39,7 @@ from repro.core.constraints import ConstraintSet
 from repro.core.monitoring import RealTimeFeedback
 from repro.core.sliders import SliderParams
 from repro.costmodel.model import WarehouseCostModel
+from repro.costmodel.replay import ReplayHistory, ReplayResult
 from repro.learning.agent import DQNAgent
 from repro.learning.features import FeatureExtractor, interval_windows
 from repro.warehouse.api import CloudWarehouseClient
@@ -122,6 +123,71 @@ def decode_decision(state: dict) -> Decision:
     )
 
 
+@dataclass(frozen=True)
+class Guardrail:
+    """One tick's cost-model evidence (§4.3): the recent window's snapshot
+    and its replays under the current and the customer's original config.
+
+    Every candidate is judged against the same snapshot, so a tick fetches
+    and prepares its window once however many candidates it weighs.
+    """
+
+    snapshot: ReplayHistory
+    current: WarehouseConfig
+    base: ReplayResult
+    original: ReplayResult
+
+    def predicted(self, estimate: ReplayResult) -> float | None:
+        """``estimate``'s credits as a per-hour rate — the guardrail window
+        and the decision interval differ, so the rate is the comparable
+        unit.  ``None`` for an empty window."""
+        window_hours = self.snapshot.window.duration / HOUR
+        return estimate.credits / window_hours if window_hours > 0 else None
+
+    def verdict(
+        self, target: WarehouseConfig, params: SliderParams, pressure: bool
+    ) -> tuple[bool, ReplayResult]:
+        """Cost-model veto: reject actions predicted to slow queries beyond
+        the slider's ceiling, or to raise cost beyond the slider's cost
+        tolerance.  This is C4's safety net against a mistrained Q-function:
+        whatever the agent believes, an action must look good to the
+        what-if replay before it is applied.  Returns ``(passes, estimate)``
+        so provenance can record the what-if that justified the verdict.
+
+        Latency is judged against the *original* configuration's replay, not
+        the current one.  Judging against the current config creates a
+        ratchet: once the warehouse drifts above the customer's size, every
+        downsize looks like a "slowdown" and is vetoed forever, even though
+        it merely returns to the performance the customer provisioned for.
+
+        ``pressure`` reports live performance stress: without it, upsizing
+        (which can only cost money) needs a predicted saving to be worth it.
+        """
+        candidate = self.snapshot.cost(target)
+        base, original = self.base, self.original
+        reference_latency = max(original.avg_latency, 1e-9)
+        latency_factor = (
+            candidate.avg_latency / reference_latency if original.avg_latency > 0 else 1.0
+        )
+        if latency_factor > params.max_latency_factor + 1e-9:
+            return False, candidate
+        credits_delta = candidate.credits - base.credits
+        slows_vs_base = candidate.avg_latency > base.avg_latency + 1e-9
+        if slows_vs_base and credits_delta >= 0:
+            return False, candidate
+        # Upsizing costs money; it needs either live performance pressure, a
+        # predicted saving, or a slider so performance-leaning (tolerance
+        # >= 0.5, i.e. Best Performance) that speed is worth buying outright.
+        speed_buyer = params.cost_increase_tolerance >= 0.5
+        upsize = target.size > self.current.size
+        if upsize and not pressure and not speed_buyer and credits_delta >= 0:
+            return False, candidate
+        allowed_increase = params.cost_increase_tolerance * max(base.credits, 1e-6)
+        if credits_delta > allowed_increase + 1e-9:
+            return False, candidate
+        return True, candidate
+
+
 class SmartModel:
     """Decision policy for one warehouse."""
 
@@ -158,10 +224,6 @@ class SmartModel:
         self._confidence_anchor: float | None = None
         self._confidence_tau: float = 0.0
         self.guardrail_vetoes = 0
-        #: What the model evaluated during the most recent ``next_action``
-        #: call — candidate what-ifs and the chosen target's predicted
-        #: cost rate.  Read by the optimizer's provenance log.
-        self.last_context = DecisionContext()
 
     # ----------------------------------------------------------- durability
     def state_dict(self) -> dict:
@@ -224,8 +286,16 @@ class SmartModel:
         return min(1.0, raw / 0.95)
 
     # ------------------------------------------------------------- decisions
-    def next_action(self, now: float, feedback: RealTimeFeedback) -> Decision:
-        self.last_context = DecisionContext()
+    def next_action(
+        self, now: float, feedback: RealTimeFeedback
+    ) -> tuple[Decision, DecisionContext]:
+        """Decide this tick, returning the decision with what it weighed.
+
+        Reflex decisions (external conflict, constraint floor, back-off,
+        cooldown) price nothing, so their context is empty; a learned
+        decision's context carries every candidate it considered and the
+        what-if of the target it settled on.
+        """
         current = self.client.current_config(self.warehouse)
 
         if feedback.external_change:
@@ -234,7 +304,7 @@ class SmartModel:
                 current,
                 "external configuration change detected",
                 reason_code="external_conflict.detected",
-            )
+            ), DecisionContext()
 
         # Mandatory resource floors from active rules apply before anything.
         floored = self.constraints.enforce_floor(now, current)
@@ -244,7 +314,7 @@ class SmartModel:
                 floored,
                 "active rule requires resources",
                 reason_code="constraint_floor.active_rule",
-            )
+            ), DecisionContext()
 
         if feedback.needs_backoff(self.params) or feedback.spike_detected(self.params):
             target = self._safe_config(now, current)
@@ -260,7 +330,7 @@ class SmartModel:
                 reason_code=(
                     "backoff.degradation" if degradation else "backoff.spike"
                 ),
-            )
+            ), DecisionContext()
 
         if now < self._cooldown_until:
             return Decision(
@@ -268,7 +338,7 @@ class SmartModel:
                 current,
                 "cooldown after back-off",
                 reason_code="hold.cooldown",
-            )
+            ), DecisionContext()
 
         return self._learned_decision(now, current, feedback)
 
@@ -283,8 +353,8 @@ class SmartModel:
 
     def _learned_decision(
         self, now: float, current: WarehouseConfig, feedback: RealTimeFeedback
-    ) -> Decision:
-        context = self.last_context
+    ) -> tuple[Decision, DecisionContext]:
+        context = DecisionContext()
         state = self._state(now)
         mask = self._admissible_mask(now, current)
         context.admissible_actions = int(mask.sum())
@@ -294,95 +364,71 @@ class SmartModel:
                 current,
                 "no admissible action",
                 reason_code="hold.no_admissible",
-            )
+            ), context
         q = self.agent.q_values(state)
         order = np.argsort(np.where(mask, q, -np.inf))[::-1]
         candidates = [int(i) for i in order[:GUARDRAIL_CANDIDATES] if mask[i]]
         dwelling = now - self._last_structural_change < STRUCTURAL_DWELL
         quiet = feedback.recent_queries < MIN_ACTIVITY_FOR_STRUCTURAL
         pressure = feedback.queue_length > 0 or feedback.latency_ratio > 1.15
-        guard = self._guardrail_context(now, current)
-        window_hours = guard["snapshot"].window.duration / HOUR
-        base_rate = guard["base"].credits / window_hours if window_hours > 0 else None
+        guard = self._guardrail(now, current)
         targets = self.action_space.resulting_configs(current)
         decision: Decision | None = None
+        # Keeping or holding the current configuration prices it with the
+        # already-computed base replay.
+        chosen = guard.base
         for idx in candidates:
             action = self.action_space.actions[idx]
             target = targets[idx]
+            structural = self._is_structural(current, target)
+            estimate: ReplayResult | None = None
             if decision is not None:
-                context.candidates.append(
-                    CandidateEvaluation(idx, action.describe(), float(q[idx]), "not_reached")
-                )
-                continue
-            if target == current:
-                context.candidates.append(
-                    CandidateEvaluation(
-                        idx, action.describe(), float(q[idx]), "chosen",
-                        predicted_credits_per_hour=base_rate,
-                        predicted_avg_latency=guard["base"].avg_latency,
-                    )
-                )
-                context.predicted_credits_per_hour = base_rate
-                context.predicted_avg_latency = guard["base"].avg_latency
+                verdict = "not_reached"
+            elif target == current:
+                verdict, estimate = "chosen", guard.base
                 decision = Decision(
                     DecisionKind.LEARNED, current, "best action keeps settings",
                     action_index=idx, q_value=float(q[idx]),
                     reason_code="learned.keep",
                 )
-                continue
-            structural = self._is_structural(current, target)
-            if structural and (dwelling or quiet):
+            elif structural and (dwelling or quiet):
                 # Too soon, or no workload evidence to judge by.
-                context.candidates.append(
-                    CandidateEvaluation(
-                        idx, action.describe(), float(q[idx]),
-                        "dwell" if dwelling else "quiet",
+                verdict = "dwell" if dwelling else "quiet"
+            else:
+                passes, estimate = guard.verdict(target, self.params, pressure)
+                if passes:
+                    verdict, chosen = "chosen", estimate
+                    if structural:
+                        self._last_structural_change = now
+                    decision = Decision(
+                        DecisionKind.LEARNED, target, action.describe(),
+                        action_index=idx, q_value=float(q[idx]),
+                        reason_code="learned.apply",
                     )
-                )
-                continue
-            passes, estimate = self._guardrail_verdict(guard, target, pressure)
-            rate = estimate.credits / window_hours if window_hours > 0 else None
-            if passes:
-                if structural:
-                    self._last_structural_change = now
-                context.candidates.append(
-                    CandidateEvaluation(
-                        idx, action.describe(), float(q[idx]), "chosen",
-                        predicted_credits_per_hour=rate,
-                        predicted_avg_latency=estimate.avg_latency,
-                    )
-                )
-                context.predicted_credits_per_hour = rate
-                context.predicted_avg_latency = estimate.avg_latency
-                decision = Decision(
-                    DecisionKind.LEARNED,
-                    target,
-                    action.describe(),
-                    action_index=idx,
-                    q_value=float(q[idx]),
-                    reason_code="learned.apply",
-                )
-                continue
+                else:
+                    verdict = "vetoed"
+                    self.guardrail_vetoes += 1
             context.candidates.append(
                 CandidateEvaluation(
-                    idx, action.describe(), float(q[idx]), "vetoed",
-                    predicted_credits_per_hour=rate,
-                    predicted_avg_latency=estimate.avg_latency,
+                    idx, action.describe(), float(q[idx]), verdict,
+                    predicted_credits_per_hour=(
+                        None if estimate is None else guard.predicted(estimate)
+                    ),
+                    predicted_avg_latency=(
+                        None if estimate is None else estimate.avg_latency
+                    ),
                 )
             )
-            self.guardrail_vetoes += 1
-        if decision is not None:
-            return decision
-        # Holding keeps the current configuration, whose what-if is the
-        # already-computed base replay.
-        context.predicted_credits_per_hour = base_rate
-        context.predicted_avg_latency = guard["base"].avg_latency
-        return Decision(
-            DecisionKind.HOLD,
-            current,
-            "all candidates vetoed by cost model",
-            reason_code="hold.all_vetoed",
-        )
+        context.predicted_credits_per_hour = guard.predicted(chosen)
+        context.predicted_avg_latency = chosen.avg_latency
+        if decision is None:
+            decision = Decision(
+                DecisionKind.HOLD,
+                current,
+                "all candidates vetoed by cost model",
+                reason_code="hold.all_vetoed",
+            )
+        return decision, context
 
     # ------------------------------------------------------------- internals
     def _state(self, now: float) -> np.ndarray:
@@ -427,7 +473,7 @@ class SmartModel:
             mask[self.action_space.noop_index] = True
         return mask
 
-    def _guardrail_context(self, now: float, current: WarehouseConfig) -> dict:
+    def _guardrail(self, now: float, current: WarehouseConfig) -> Guardrail:
         """Snapshot the recent window once per tick and replay it under the
         current *and* the customer's original configuration (candidates
         reuse both, and replay from the same snapshot)."""
@@ -435,51 +481,7 @@ class SmartModel:
         snapshot = self.cost_model.snapshot(window)
         base = snapshot.cost(current)
         original = base if self.original == current else snapshot.cost(self.original)
-        return {"snapshot": snapshot, "current": current, "base": base, "original": original}
-
-    def _guardrail_verdict(
-        self, guard: dict, target: WarehouseConfig, pressure: bool
-    ):
-        """Cost-model veto: reject actions predicted to slow queries beyond
-        the slider's ceiling, or to raise cost beyond the slider's cost
-        tolerance.  This is C4's safety net against a mistrained Q-function:
-        whatever the agent believes, an action must look good to the
-        what-if replay before it is applied.  Returns ``(passes, estimate)``
-        so provenance can record the what-if that justified the verdict.
-
-        Latency is judged against the *original* configuration's replay, not
-        the current one.  Judging against the current config creates a
-        ratchet: once the warehouse drifts above the customer's size, every
-        downsize looks like a "slowdown" and is vetoed forever, even though
-        it merely returns to the performance the customer provisioned for.
-
-        ``pressure`` reports live performance stress: without it, upsizing
-        (which can only cost money) needs a predicted saving to be worth it.
-        """
-        candidate = guard["snapshot"].cost(target)
-        base = guard["base"]
-        original = guard["original"]
-        reference_latency = max(original.avg_latency, 1e-9)
-        latency_factor = (
-            candidate.avg_latency / reference_latency if original.avg_latency > 0 else 1.0
-        )
-        if latency_factor > self.params.max_latency_factor + 1e-9:
-            return False, candidate
-        credits_delta = candidate.credits - base.credits
-        slows_vs_base = candidate.avg_latency > base.avg_latency + 1e-9
-        if slows_vs_base and credits_delta >= 0:
-            return False, candidate
-        current = guard["current"]
-        # Upsizing costs money; it needs either live performance pressure, a
-        # predicted saving, or a slider so performance-leaning (tolerance
-        # >= 0.5, i.e. Best Performance) that speed is worth buying outright.
-        speed_buyer = self.params.cost_increase_tolerance >= 0.5
-        if target.size > current.size and not pressure and not speed_buyer and credits_delta >= 0:
-            return False, candidate
-        allowed_increase = self.params.cost_increase_tolerance * max(base.credits, 1e-6)
-        if credits_delta > allowed_increase + 1e-9:
-            return False, candidate
-        return True, candidate
+        return Guardrail(snapshot, current, base, original)
 
     def _safe_config(self, now: float, current: WarehouseConfig) -> WarehouseConfig:
         """The back-off target: one step toward the original configuration,

@@ -19,7 +19,7 @@ from repro.costmodel.clusters import (
 )
 from repro.costmodel.gaps import GapModel
 from repro.costmodel.latency import DEFAULT_GAMMA, LatencyScalingModel, TemplateScaling
-from repro.costmodel.model import ActionImpact, SavingsEstimate, WarehouseCostModel
+from repro.costmodel.model import SavingsEstimate, WarehouseCostModel
 from repro.costmodel.replay import QueryReplay, ReplayResult
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "ReplayResult",
     "WarehouseCostModel",
     "SavingsEstimate",
-    "ActionImpact",
     "BytesBilledModel",
     "BytesBilledEstimate",
     "EngineComparison",

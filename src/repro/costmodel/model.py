@@ -49,24 +49,6 @@ class SavingsEstimate:
         return self.savings_credits / self.without_keebo_credits
 
 
-@dataclass(frozen=True)
-class ActionImpact:
-    """Predicted effect of moving a warehouse between two configurations."""
-
-    credits_delta: float
-    latency_factor: float
-    from_credits: float
-    to_credits: float
-
-    @property
-    def saves_money(self) -> bool:
-        return self.credits_delta < 0
-
-    @property
-    def slows_down(self) -> bool:
-        return self.latency_factor > 1.0
-
-
 class WarehouseCostModel:
     """Per-warehouse cost model: fit on telemetry, then ask what-ifs."""
 
@@ -165,28 +147,3 @@ class WarehouseCostModel:
         without = self.estimate_without_keebo(window)
         actual = self.actual_credits(window)
         return SavingsEstimate(window, without.credits, actual)
-
-    def predict_action_impact(
-        self,
-        window: Window,
-        from_config: WarehouseConfig,
-        to_config: WarehouseConfig,
-    ) -> ActionImpact:
-        """Replay a recent window under both configurations and compare.
-
-        Used by the smart model to veto actions whose predicted latency
-        impact exceeds what the slider allows (§4.3's "cost model" input).
-        """
-        snapshot = self.snapshot(window)
-        base = snapshot.cost(from_config)
-        candidate = snapshot.cost(to_config)
-        if base.avg_latency > 0:
-            latency_factor = candidate.avg_latency / base.avg_latency
-        else:
-            latency_factor = 1.0
-        return ActionImpact(
-            credits_delta=candidate.credits - base.credits,
-            latency_factor=latency_factor,
-            from_credits=base.credits,
-            to_credits=candidate.credits,
-        )

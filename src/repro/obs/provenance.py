@@ -83,11 +83,12 @@ class CandidateEvaluation:
 class DecisionContext:
     """What the smart model saw and priced while choosing, for one tick.
 
-    Filled by :meth:`repro.core.smart_model.SmartModel.next_action` from
-    work it already does (the guardrail replays); the optimizer copies it
-    into the :class:`DecisionRecord`.  A fresh context is installed at the
-    top of every ``next_action`` call, so a stale one can never leak
-    between ticks.
+    Returned by :meth:`repro.core.smart_model.SmartModel.next_action`
+    beside its decision, filled from work it already does (the guardrail
+    replays); the optimizer copies it into the :class:`DecisionRecord`.
+    Each call builds its own context, and ticks that price nothing
+    (reflex decisions, degraded or dark-telemetry holds) record an empty
+    one.
     """
 
     admissible_actions: int = 0

@@ -14,7 +14,7 @@ capacity determined by warehouse size.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.common.errors import ConfigurationError
 
@@ -85,13 +85,6 @@ class PartitionCache:
         self.hits += hits
         self.misses += len(footprint) - hits
         return hits / len(footprint)
-
-    def peek_hit_ratio(self, partitions: Iterable[str]) -> float:
-        """Hit ratio ``access`` would see, without mutating the cache."""
-        parts = list(dict.fromkeys(partitions))
-        if not parts:
-            return 1.0
-        return sum(1 for p in parts if p in self._entries) / len(parts)
 
     def clear(self) -> None:
         """Drop everything (suspend / resize semantics)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from repro.common.errors import ConfigurationError
 from repro.warehouse.types import WarehouseSize
@@ -181,7 +181,6 @@ class QueryRecord:
     is_overhead: bool = False
     chained: bool = False
     completed: bool = False
-    extra: dict = field(default_factory=dict)
 
     @property
     def total_seconds(self) -> float:

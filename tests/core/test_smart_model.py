@@ -70,12 +70,12 @@ def build_smart_model(slider=SliderPosition.BALANCED, constraints=None, hours=12
 class TestDecisions:
     def test_external_conflict_decision(self):
         account, wh, client, model = build_smart_model()
-        decision = model.next_action(12 * HOUR, feedback(external_change=True))
+        decision, context = model.next_action(12 * HOUR, feedback(external_change=True))
         assert decision.kind == DecisionKind.EXTERNAL_CONFLICT
 
     def test_backoff_on_degradation(self):
         account, wh, client, model = build_smart_model()
-        decision = model.next_action(
+        decision, context = model.next_action(
             12 * HOUR, feedback(latency_ratio=5.0, recent_queries=20)
         )
         assert decision.kind == DecisionKind.BACKOFF
@@ -83,14 +83,14 @@ class TestDecisions:
     def test_cooldown_after_backoff(self):
         account, wh, client, model = build_smart_model()
         model.next_action(12 * HOUR, feedback(latency_ratio=5.0, recent_queries=20))
-        decision = model.next_action(12 * HOUR + 600, feedback())
+        decision, context = model.next_action(12 * HOUR + 600, feedback())
         assert decision.kind == DecisionKind.HOLD
 
     def test_backoff_restores_toward_original(self):
         account, wh, client, model = build_smart_model()
         # Simulate Keebo having downsized and shortened suspend earlier.
         client.alter_warehouse(wh, size=WarehouseSize.XS, auto_suspend_seconds=60.0)
-        decision = model.next_action(
+        decision, context = model.next_action(
             12 * HOUR, feedback(latency_ratio=5.0, recent_queries=20)
         )
         assert decision.kind == DecisionKind.BACKOFF
@@ -102,7 +102,7 @@ class TestDecisions:
             [ConstraintRule("force", min_size=WarehouseSize.XL, min_clusters=2)]
         )
         account, wh, client, model = build_smart_model(constraints=rules)
-        decision = model.next_action(12 * HOUR, feedback())
+        decision, context = model.next_action(12 * HOUR, feedback())
         assert decision.kind == DecisionKind.CONSTRAINT_FLOOR
         assert decision.target.size == WarehouseSize.XL
 
@@ -110,18 +110,18 @@ class TestDecisions:
         rules = ConstraintSet([ConstraintRule("nodown", allow_downsize=False)])
         account, wh, client, model = build_smart_model(constraints=rules)
         for i in range(12):
-            decision = model.next_action(12 * HOUR + i * 600, feedback())
+            decision, context = model.next_action(12 * HOUR + i * 600, feedback())
             assert decision.target.size >= WarehouseSize.M
 
     def test_never_exceeds_original_size_on_balanced(self):
         account, wh, client, model = build_smart_model()
         for i in range(12):
-            decision = model.next_action(12 * HOUR + i * 600, feedback())
+            decision, context = model.next_action(12 * HOUR + i * 600, feedback())
             assert decision.target.size <= WarehouseSize.M
 
     def test_quiet_periods_block_structural_changes(self):
         account, wh, client, model = build_smart_model()
-        decision = model.next_action(12 * HOUR, feedback(recent_queries=0))
+        decision, context = model.next_action(12 * HOUR, feedback(recent_queries=0))
         current = client.current_config(wh)
         assert decision.target.size == current.size
         assert decision.target.max_clusters == current.max_clusters
@@ -173,17 +173,17 @@ class TestGuardrail:
     def test_vetoes_large_predicted_slowdown(self):
         account, wh, client, model = build_smart_model(slider=SliderPosition.BALANCED)
         current = client.current_config(wh)
-        guard = model._guardrail_context(12 * HOUR, current)
+        guard = model._guardrail(12 * HOUR, current)
         tiny = current.with_changes(size=WarehouseSize.XS)
         # Balanced tolerates only 15% predicted slowdown; XS from M is ~4x.
-        assert not model._guardrail_verdict(guard, tiny, pressure=False)[0]
+        assert not guard.verdict(tiny, model.params, pressure=False)[0]
 
     def test_allows_cheap_neutral_move(self):
         account, wh, client, model = build_smart_model(slider=SliderPosition.LOWEST_COST)
         current = client.current_config(wh)
-        guard = model._guardrail_context(12 * HOUR, current)
+        guard = model._guardrail(12 * HOUR, current)
         shorter_suspend = current.with_changes(auto_suspend_seconds=60.0)
-        assert model._guardrail_verdict(guard, shorter_suspend, pressure=False)[0]
+        assert guard.verdict(shorter_suspend, model.params, pressure=False)[0]
 
     def test_one_history_snapshot_per_tick(self, monkeypatch):
         """A tick that replays base, original and three vetoed candidates
@@ -222,9 +222,9 @@ class TestGuardrail:
         q = np.zeros(len(model.action_space))
         q[downsizes] = [3.0, 2.0, 1.0]
         model.agent.q_values = lambda state: q
-        decision = model.next_action(now, feedback())
+        decision, context = model.next_action(now, feedback())
         assert decision.reason_code == "hold.all_vetoed"
-        assert [c.verdict for c in model.last_context.candidates] == ["vetoed"] * 3
+        assert [c.verdict for c in context.candidates] == ["vetoed"] * 3
         assert calls["fetch"] == 1
         assert calls["prep"] == 1
         assert calls["sizes"] == [current.size, WarehouseSize.S]

@@ -69,36 +69,38 @@ class TestFitAndEstimate:
 
 
 class TestActionImpact:
+    """What-ifs between two configurations, replayed from one snapshot."""
+
     def test_downsize_predicts_slower_cheaper_or_equal(self):
         account, wh, client = build_history(24.0)
         window = Window(0, 24 * HOUR)
         model = WarehouseCostModel(client, wh).fit(window)
         current = client.current_config(wh)
-        impact = model.predict_action_impact(
-            window, current, current.with_changes(size=WarehouseSize.XS)
-        )
-        assert impact.latency_factor > 1.0
-        assert impact.slows_down
+        snapshot = model.snapshot(window)
+        base = snapshot.cost(current)
+        small = snapshot.cost(current.with_changes(size=WarehouseSize.XS))
+        assert small.avg_latency / base.avg_latency > 1.0
 
     def test_upsize_predicts_faster(self):
         account, wh, client = build_history(24.0)
         window = Window(0, 24 * HOUR)
         model = WarehouseCostModel(client, wh).fit(window)
         current = client.current_config(wh)
-        impact = model.predict_action_impact(
-            window, current, current.with_changes(size=WarehouseSize.L)
-        )
-        assert impact.latency_factor < 1.0
-        assert not impact.slows_down
+        snapshot = model.snapshot(window)
+        base = snapshot.cost(current)
+        big = snapshot.cost(current.with_changes(size=WarehouseSize.L))
+        assert big.avg_latency / base.avg_latency < 1.0
 
     def test_identity_impact_is_neutral(self):
         account, wh, client = build_history(12.0)
         window = Window(0, 12 * HOUR)
         model = WarehouseCostModel(client, wh).fit(window)
         current = client.current_config(wh)
-        impact = model.predict_action_impact(window, current, current)
-        assert impact.credits_delta == pytest.approx(0.0, abs=1e-9)
-        assert impact.latency_factor == pytest.approx(1.0)
+        snapshot = model.snapshot(window)
+        base = snapshot.cost(current)
+        same = snapshot.cost(current)
+        assert same.credits - base.credits == pytest.approx(0.0, abs=1e-9)
+        assert same.avg_latency / base.avg_latency == pytest.approx(1.0)
 
 
 class TestSavingsEstimate:

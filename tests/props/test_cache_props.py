@@ -58,15 +58,6 @@ class TestCacheProperties:
 
     @given(capacities, access_sequences)
     @settings(max_examples=100, deadline=None)
-    def test_peek_matches_access_ratio(self, capacity, accesses):
-        cache = PartitionCache(capacity * PARTITION_BYTES)
-        for access in accesses:
-            predicted = cache.peek_hit_ratio(access)
-            actual = cache.access(access)
-            assert predicted == actual
-
-    @given(capacities, access_sequences)
-    @settings(max_examples=100, deadline=None)
     def test_hits_plus_misses_equals_touches(self, capacity, accesses):
         cache = PartitionCache(capacity * PARTITION_BYTES)
         touches = 0

@@ -53,15 +53,6 @@ class TestPartitionCache:
         assert len(cache) == 0
         assert cache.access(["a"]) == 0.0
 
-    def test_peek_does_not_mutate(self):
-        cache = cache_for(4)
-        cache.access(["a"])
-        assert cache.peek_hit_ratio(["a", "b"]) == pytest.approx(0.5)
-        assert "b" not in cache
-
-    def test_peek_empty_is_warm(self):
-        assert cache_for(4).peek_hit_ratio([]) == 1.0
-
     def test_clear_drops_everything(self):
         cache = cache_for(4)
         cache.access(["a", "b"])

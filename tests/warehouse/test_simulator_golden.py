@@ -28,7 +28,7 @@ from repro.workloads.mixed import (
     make_unpredictable_workload,
 )
 
-GOLDEN_DIGEST = "12d0e7dd4f73d664c250b080f679ff2dcbbbc85753bd86ed860200138f63f0ae"
+GOLDEN_DIGEST = "401ef2837de35c66e45cb6b2c2b361bfc97e28176396f0603994d16fefcbca63"
 
 HORIZON = 2 * DAY
 
