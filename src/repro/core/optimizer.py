@@ -288,25 +288,26 @@ class WarehouseOptimizer:
         """Offline DRL training on the telemetry-reconstructed workload."""
         if episodes <= 0:
             return TrainingReport()
-        requests = reconstruct_workload(records, self.cost_model.latency_model)
         span = obs.span(
             "optimizer.train",
             history.end,
             warehouse=self.warehouse,
             episodes=episodes,
-            requests=len(requests),
+            requests=len(records),
         )
         original = self.action_space.original
         # Train on the most recent episode-length slice; each episode
         # re-simulates it under a different seed.
-        episode_start = max(history.start, history.end - self.config.episode_length)
+        episode = Window(
+            max(history.start, history.end - self.config.episode_length), history.end
+        )
         env = WarehouseEnv(
-            requests,
+            reconstruct_workload(records, self.cost_model.latency_model, episode),
             original,
             self.baseline,
             self.action_space,
             self.params.reward_config(),
-            Window(episode_start, history.end),
+            episode,
             decision_interval=self.config.decision_interval,
             # Full confidence during offline training: the ramp gates live
             # rollout only (see SmartModel._admissible_mask).

@@ -44,14 +44,23 @@ MAX_SYNTHETIC_PARTITIONS = 64
 
 
 def reconstruct_workload(
-    records: list[QueryRecord], latency_model: LatencyScalingModel
+    records: list[QueryRecord],
+    latency_model: LatencyScalingModel,
+    window: Window,
 ) -> list[QueryRequest]:
-    """Rebuild a replayable workload from telemetry metadata only."""
+    """Rebuild a replayable workload from telemetry metadata only.
+
+    Each template is fit on every record of its template hash; requests
+    (and the templates they use) are built only for the records arriving
+    in ``window``, the episode a :class:`WarehouseEnv` replays.
+    """
     by_template: dict[str, list[QueryRecord]] = defaultdict(list)
     for r in records:
         by_template[r.template_hash].append(r)
+    records = [r for r in records if window.contains(r.arrival_time)]
     templates: dict[str, QueryTemplate] = {}
-    for tpl_hash, rs in by_template.items():
+    for tpl_hash in dict.fromkeys(r.template_hash for r in records):
+        rs = by_template[tpl_hash]
         gamma = latency_model.gamma(tpl_hash)
         warm = [r for r in rs if r.cache_hit_ratio >= MIN_FIT_CACHE_HIT]
         cold = [r for r in rs if r.cache_hit_ratio < MIN_FIT_CACHE_HIT]
@@ -121,7 +130,9 @@ class WarehouseEnv:
     ):
         if window.duration < decision_interval:
             raise ConfigurationError("episode window shorter than one decision interval")
-        self.requests = [r for r in requests if window.contains(r.arrival_time)]
+        # The episode's requests, as ``reconstruct_workload(..., window)``
+        # built them: every one arrives inside ``window``.
+        self.requests = requests
         self.original = original
         self.baseline = baseline
         self.action_space = action_space

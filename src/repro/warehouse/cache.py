@@ -14,6 +14,7 @@ capacity determined by warehouse size.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 from typing import Sequence
 
 from repro.common.errors import ConfigurationError
@@ -28,13 +29,24 @@ class PartitionCache:
 
     Only identity (partition name) matters; all partitions have the same
     size, so capacity is equivalently a max partition count.
+
+    Membership is exact after every access; recency is kept only for an
+    eviction that can read it.  An access that cannot evict (its misses
+    fit) adds its misses and logs its footprint.  The LRU order is rebuilt
+    from that log before an access that can evict, on :meth:`resize`, and
+    whenever the log holds more footprints than the cache holds
+    partitions.  :meth:`clear` drops the log unread: a suspended cluster's
+    cache never needed its order.
     """
 
     def __init__(self, capacity_bytes: float):
         if capacity_bytes < 0:
             raise ConfigurationError("cache capacity must be non-negative")
         self.capacity_bytes = float(capacity_bytes)
+        #: Every cached partition; least recent first once ``_log`` is empty.
         self._entries: OrderedDict[str, None] = OrderedDict()
+        #: Footprints accessed since the order was last rebuilt, oldest first.
+        self._log: list[Sequence[str]] = []
         self.hits = 0
         self.misses = 0
 
@@ -68,8 +80,21 @@ class PartitionCache:
         # partition this same query was about to read).
         entries = self._entries
         hits = len(entries.keys() & footprint)
+        misses = len(footprint) - hits
         cap = self.max_partitions
-        if cap:
+        if len(entries) + misses <= cap:
+            # Nothing can be evicted: load the misses (assigning a cached
+            # partition leaves its place as it is) and defer the recency.
+            if misses:
+                for p in footprint:
+                    entries[p] = None
+            log = self._log
+            log.append(footprint)
+            if len(log) > len(entries):
+                self._replay()
+        elif cap:
+            self._replay()
+            entries = self._entries
             # (Re-)insert everything: refreshes recency for hits and loads
             # misses; a hit evicted moments ago by this access's own misses
             # is simply reloaded.  ``footprint`` is duplicate-free and
@@ -83,12 +108,29 @@ class PartitionCache:
                     if len(entries) > cap:
                         entries.popitem(last=False)
         self.hits += hits
-        self.misses += len(footprint) - hits
+        self.misses += misses
         return hits / len(footprint)
+
+    def _replay(self) -> None:
+        """Apply the logged footprints' recency to the order.
+
+        None of them evicted, so the eager loop would have left the
+        partitions they did not touch in their order, ahead of the touched
+        ones in order of last touch; that order is built directly.
+        """
+        log = self._log
+        if not log:
+            return
+        last_touch = dict.fromkeys(chain.from_iterable(map(reversed, reversed(log))))
+        order = [p for p in self._entries if p not in last_touch]
+        order.extend(reversed(last_touch))
+        self._entries = OrderedDict.fromkeys(order)
+        log.clear()
 
     def clear(self) -> None:
         """Drop everything (suspend / resize semantics)."""
         self._entries.clear()
+        self._log.clear()
 
     def resize(self, capacity_bytes: float) -> None:
         """Change capacity.  The simulator clears on resize anyway, but a
@@ -96,5 +138,6 @@ class PartitionCache:
         if capacity_bytes < 0:
             raise ConfigurationError("cache capacity must be non-negative")
         self.capacity_bytes = float(capacity_bytes)
+        self._replay()
         while len(self._entries) > self.max_partitions:
             self._entries.popitem(last=False)

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable
+from typing import Callable, Sequence, TypeVar
 
 from repro.common.errors import ReproError
 from repro.common.simtime import format_time
 from repro.obs import trace as obs
+
+T = TypeVar("T")
 
 
 class SimulationError(ReproError):
@@ -61,15 +63,68 @@ class Event:
         self.cancelled = True
 
 
+class _Feed:
+    """A stream of pre-scheduled callbacks, :meth:`Simulation.feed`'s.
+
+    ``items`` are in due order; item ``k`` is due at ``times[k]`` with seq
+    ``base + k``, from the block of numbers the stream reserved when it was
+    fed.  The heap holds only the stream's next item: when that entry pops,
+    :meth:`callback` pushes the following one and delivers the item.  A
+    slotted class rather than a closure: picklable when its items and
+    ``deliver`` are, and free of closure-in-loop bugs.  It is never
+    cancelled and carries no label; the run loops read both as they read
+    an event's.
+    """
+
+    __slots__ = ("_base", "_deliver", "_heap", "_items", "_next", "_times", "popped")
+
+    cancelled = False
+    label = None
+
+    def __init__(
+        self,
+        heap: list,
+        times: list[float],
+        items: list[T],
+        deliver: Callable[[T], None],
+        base: int,
+    ):
+        self._heap = heap
+        self._times = times
+        self._items = items
+        self._deliver = deliver
+        self._base = base
+        self._next = 0
+        self.popped = False
+
+    def callback(self) -> None:
+        """Deliver the item whose entry just popped; queue the next one first."""
+        k = self._next
+        following = self._next = k + 1
+        if following < len(self._times):
+            heapq.heappush(
+                self._heap, (self._times[following], self._base + following, self)
+            )
+        self._deliver(self._items[k])
+
+
 class Simulation:
-    """The event loop.  ``now`` only moves forward."""
+    """The event loop.  ``now`` only moves forward.
+
+    The heap holds ``(time, seq, event)`` entries: one per :class:`Event`,
+    and one per :meth:`feed` stream.  ``seq`` comes from ``_seq``, an
+    ``itertools.count`` whose repr reads the number of events ever
+    scheduled (a fed stream reserves one number per item).
+    """
 
     def __init__(self, start_time: float = 0.0):
         self.now = float(start_time)
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Event | _Feed]] = []
         self._seq = itertools.count()
         self.processed_events = 0
-        # Live count of schedulable (non-cancelled, not-yet-popped) events.
+        # Live count of schedulable (non-cancelled, not-yet-popped) events,
+        # fed items included: one fed stream's heap entry stands for all of
+        # its undelivered items.
         # Maintained incrementally so ``pending_events`` — read by the obs
         # queue-depth gauge after every run — is O(1), not an O(heap) scan.
         self._pending = 0
@@ -90,6 +145,42 @@ class Simulation:
         heapq.heappush(self._heap, (time, next(self._seq), event))
         self._pending += 1
         return event
+
+    def feed(
+        self, times: Sequence[float], items: Sequence[T], deliver: Callable[[T], None]
+    ) -> None:
+        """Schedule ``deliver(items[i])`` at ``times[i]`` for every ``i``.
+
+        The dispatch order, ``repr(_seq)``, ``pending_events`` and
+        ``processed_events`` are those of one :meth:`schedule` call per item
+        in list order; ``times`` need not be sorted.  Every time is checked
+        before anything is scheduled: one before ``now`` raises and
+        schedules nothing.  Unlike :meth:`schedule`, the heap holds one
+        entry for the whole stream, not one per item.
+
+        The stream reserves a block of ``len(times)`` seq numbers and hands
+        them out in due order (time, then list index).  No other entry's
+        seq lies inside the block, so each tie with another entry breaks as
+        it would for the per-item events, and within the stream due order
+        is the per-item events' order too.
+        """
+        n = len(times)
+        if not n:
+            return
+        earliest = min(times)
+        if earliest < self.now - 1e-9:
+            raise SimulationError(f"cannot schedule at {earliest} before now={self.now}")
+        if earliest < self.now:
+            times = [max(t, self.now) for t in times]
+        # A stable sort: equal times stay in list order.
+        order = sorted(range(n), key=times.__getitem__)
+        times = [times[i] for i in order]
+        items = [items[i] for i in order]
+        base = next(self._seq)
+        self._seq = itertools.count(base + n)
+        self._pending += n
+        stream = _Feed(self._heap, times, items, deliver, base)
+        heapq.heappush(self._heap, (times[0], base, stream))
 
     def schedule_in(
         self, delay: float, callback: Callable[[], None], label: str | None = None
@@ -113,8 +204,9 @@ class Simulation:
         controller.start(self.now if start is None else start)
         return controller
 
-    def _dispatch(self, event: Event) -> None:
-        """Run one event's callback, wrapping failures with when/what context."""
+    def _dispatch(self, event: Event | _Feed) -> None:
+        """Run the callback of the event due now, wrapping failures with
+        when/what context."""
         try:
             event.callback()
         except Exception as exc:
@@ -126,7 +218,7 @@ class Simulation:
                 error=type(exc).__name__,
             )
             raise SimulationError(
-                f"event scheduled at t={event.time:.3f} ({format_time(event.time)})"
+                f"event scheduled at t={self.now:.3f} ({format_time(self.now)})"
                 f"{where} raised {type(exc).__name__}: {exc}"
             ) from exc
 
@@ -136,13 +228,14 @@ class Simulation:
             raise SimulationError(f"end_time {end_time} precedes now {self.now}")
         before = self.processed_events
         heap = self._heap
+        pop = heapq.heappop
         while heap and heap[0][0] <= end_time:
-            event = heapq.heappop(heap)[2]
+            time, _, event = pop(heap)
             event.popped = True
             if event.cancelled:
                 continue  # removed from the pending count at cancel time
             self._pending -= 1
-            self.now = event.time
+            self.now = time
             self._dispatch(event)
             self.processed_events += 1
         self.now = end_time
@@ -153,17 +246,17 @@ class Simulation:
         before = self.processed_events
         heap = self._heap
         while heap:
-            head = heap[0][2]
+            time, _, head = heap[0]
             if head.cancelled:
                 heapq.heappop(heap)
                 head.popped = True
                 continue
-            if hard_stop is not None and head.time > hard_stop:
+            if hard_stop is not None and time > hard_stop:
                 break
             heapq.heappop(heap)
             head.popped = True
             self._pending -= 1
-            self.now = head.time
+            self.now = time
             self._dispatch(head)
             self.processed_events += 1
         if hard_stop is not None:
@@ -182,12 +275,17 @@ class Simulation:
 
     @property
     def pending_events(self) -> int:
-        """Live (non-cancelled, not-yet-dispatched) event count, O(1).
+        """Live (non-cancelled, not-yet-dispatched) event count, O(1),
+        counting every undelivered item of a :meth:`feed` stream.
 
         ``_record_progress`` reads this after every ``run_until`` — with the
         old full-heap scan that made an observed run O(events²).  The
-        counter is maintained at schedule/cancel/pop time; the invariant is
-        locked by ``tests/warehouse/test_engine.py::TestPendingCounter``.
+        counter is maintained at schedule/feed/cancel/pop time.  For
+        programs that only :meth:`schedule`, it equals a scan of the heap's
+        live entries (``tests/warehouse/test_engine.py::TestPendingCounter``);
+        with a feed, one heap entry stands for many items, so the check is
+        against one ``schedule`` per item instead
+        (``tests/props/test_arrival_feed_props.py``).
         """
         return self._pending
 

@@ -102,6 +102,8 @@ class QueryTemplate:
         object.__setattr__(self, "footprint", tuple(dict.fromkeys(self.partitions)))
         # Filled per size on first use: a template meets only a few sizes.
         object.__setattr__(self, "_execution", [None] * len(WarehouseSize))
+        # Filled per instance key on first use.
+        object.__setattr__(self, "_text_hashes", {})
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -116,6 +118,15 @@ class QueryTemplate:
         if constants is None:
             constants = self._execution[size] = (self.warm_latency(size), self.spill_steps(size))
         return constants
+
+    def text_hash(self, instance_key: str) -> str:
+        """The full-text hash of the instance ``instance_key``, computed once."""
+        digest = self._text_hashes.get(instance_key)
+        if digest is None:
+            digest = self._text_hashes[instance_key] = hash_text(
+                f"query:{self.name}:{instance_key}"
+            )
+        return digest
 
     def spill_steps(self, size: WarehouseSize) -> int:
         """Size steps below the working-set threshold (0 = no spill)."""
@@ -146,7 +157,7 @@ class QueryRequest:
 
     @property
     def text_hash(self) -> str:
-        return hash_text(f"query:{self.template.name}:{self.instance_key}")
+        return self.template.text_hash(self.instance_key)
 
     @property
     def template_hash(self) -> str:

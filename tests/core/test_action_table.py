@@ -62,10 +62,11 @@ class TestEnvMaskIsFresh:
         drive(account, wh, make_requests(template, [10.0 + i * 200.0 for i in range(60)]),
               4 * HOUR)
         records = account.telemetry.query_history(wh)
-        requests = reconstruct_workload(records, LatencyScalingModel().fit(records))
+        window = Window(0, 2 * HOUR)
+        requests = reconstruct_workload(records, LatencyScalingModel().fit(records), window)
         env = WarehouseEnv(
             requests, space.original, WorkloadBaseline.fit(records), space, RewardConfig(),
-            Window(0, 2 * HOUR), decision_interval=1200.0, mask_fn=mask_fn,
+            window, decision_interval=1200.0, mask_fn=mask_fn,
         )
         env.reset()
         return env

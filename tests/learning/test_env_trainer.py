@@ -18,6 +18,10 @@ from repro.warehouse.types import WarehouseSize
 from tests.conftest import drive, make_account, make_requests, make_template
 
 
+#: Covers every arrival of ``history_from_sim()``'s default 12 hours.
+HISTORY = Window(0, 12 * HOUR)
+
+
 def history_from_sim(hours: float = 12.0):
     account, wh = make_account(seed=5, size=WarehouseSize.S, auto_suspend_seconds=300.0)
     template = make_template("w", base_work_seconds=20.0, n_partitions=3)
@@ -31,13 +35,13 @@ def history_from_sim(hours: float = 12.0):
 class TestReconstruction:
     def test_request_per_record(self):
         records, model, _ = history_from_sim()
-        requests = reconstruct_workload(records, model)
+        requests = reconstruct_workload(records, model, HISTORY)
         assert len(requests) == len(records)
         assert [r.arrival_time for r in requests] == [rec.arrival_time for rec in records]
 
     def test_base_work_inferred_from_latency(self):
         records, model, _ = history_from_sim()
-        requests = reconstruct_workload(records, model)
+        requests = reconstruct_workload(records, model, HISTORY)
         # Observed on S with gamma ~0.7 default: base_work ~ 20/2^0.8*2^0.7.
         base = requests[0].template.base_work_seconds
         warm_on_s = requests[0].template.warm_latency(WarehouseSize.S)
@@ -47,28 +51,45 @@ class TestReconstruction:
 
     def test_partitions_synthesized_from_bytes(self):
         records, model, _ = history_from_sim()
-        requests = reconstruct_workload(records, model)
+        requests = reconstruct_workload(records, model, HISTORY)
         template = requests[0].template
         assert len(template.partitions) == 3
         assert all(p.startswith("recon.") for p in template.partitions)
 
     def test_cold_multiplier_estimated(self):
         records, model, _ = history_from_sim()
-        requests = reconstruct_workload(records, model)
+        requests = reconstruct_workload(records, model, HISTORY)
         # History has cold and warm runs of the same template.
         assert requests[0].template.cold_multiplier > 1.0
+
+    def test_window_keeps_each_template_fit_on_all_records(self):
+        account, wh = make_account(seed=5, size=WarehouseSize.S, auto_suspend_seconds=300.0)
+        steady = make_template("w", base_work_seconds=20.0, n_partitions=3)
+        early = make_template("e", base_work_seconds=8.0, n_partitions=2)
+        # Unsorted on purpose: the early template's arrivals come last.
+        requests = make_requests(steady, [10.0 + i * 200.0 for i in range(200)])
+        requests += make_requests(early, [30.0 + i * 300.0 for i in range(40)])
+        drive(account, wh, requests, 12 * HOUR)
+        records = account.telemetry.query_history(wh)
+        model = LatencyScalingModel().fit(records)
+        window = Window(6 * HOUR, 12 * HOUR)
+        full = reconstruct_workload(records, model, HISTORY)
+        sliced = reconstruct_workload(records, model, window)
+        assert sliced == [r for r in full if window.contains(r.arrival_time)]
+        assert len({r.template_hash for r in sliced}) == 1
+        assert len({r.template_hash for r in full}) == 2
 
     def test_no_ground_truth_leakage(self):
         """Reconstruction only sees telemetry fields, never template names."""
         records, model, _ = history_from_sim()
-        requests = reconstruct_workload(records, model)
+        requests = reconstruct_workload(records, model, HISTORY)
         assert all(r.template.name.startswith("recon.") for r in requests)
 
 
 class TestWarehouseEnv:
     def make_env(self, seed=0, window=Window(0, 6 * HOUR)):
         records, model, config = history_from_sim()
-        requests = reconstruct_workload(records, model)
+        requests = reconstruct_workload(records, model, window)
         space = ActionSpace(config)
         env = WarehouseEnv(
             requests,
@@ -164,7 +185,8 @@ class TestWarehouseEnv:
 class TestOfflineTrainer:
     def test_training_runs_and_reports(self):
         records, model, config = history_from_sim()
-        requests = reconstruct_workload(records, model)
+        window = Window(0, 6 * HOUR)
+        requests = reconstruct_workload(records, model, window)
         space = ActionSpace(config)
         env = WarehouseEnv(
             requests,
@@ -172,7 +194,7 @@ class TestOfflineTrainer:
             WorkloadBaseline.fit(records),
             space,
             RewardConfig(),
-            Window(0, 6 * HOUR),
+            window,
             decision_interval=1200.0,
         )
         agent = DQNAgent(

@@ -6,13 +6,16 @@ attributed credits sum **exactly** — bit for bit, no epsilon — to
 machinery adversarially and then check the invariant on a real run.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.common.simtime import HOUR, Window
+from repro.core.monitoring import RealTimeFeedback
 from repro.experiments.runner import run_before_after
 from repro.experiments.scenarios import chaos_smoke_scenario, smoke_scenario
+from repro.obs.manifest import config_hash
 from repro.obs.provenance import (
     UNATTRIBUTED,
     AttributionLedger,
@@ -156,6 +159,57 @@ class TestProvenanceLogLifecycle:
             breaker_consecutive_failures=0,
             retries_scheduled=0,
         )
+
+    def _record_feedback(self, log, feedback):
+        return log.record(
+            0.0,
+            kind="learned",
+            reason="r",
+            reason_code="learned.apply",
+            target="cfg",
+            feedback=feedback,
+            context=DecisionContext(),
+            action_index=None,
+            q_value=None,
+            safe_mode=False,
+            breaker_state="closed",
+            breaker_consecutive_failures=0,
+            retries_scheduled=0,
+        )
+
+    def test_feedback_hash_is_the_config_hash(self):
+        # Every field of a RealTimeFeedback is a scalar, so the record keeps
+        # all of them, and its hash is the canonical hash of the feedback.
+        feedback = RealTimeFeedback(
+            time=600.0,
+            queue_length=2,
+            running_queries=1,
+            recent_queries=9,
+            recent_p99=12.5,
+            latency_ratio=1.25,
+            mean_queue_seconds=0.5,
+            arrival_zscore=-0.75,
+            unseen_template_fraction=0.1,
+            external_change=False,
+            telemetry_ok=False,
+            telemetry_age_seconds=300.0,
+        )
+        record = self._record_feedback(self._log(), feedback)
+        assert set(record.feedback) == {f.name for f in dataclasses.fields(feedback)}
+        assert record.feedback_hash == config_hash(feedback)
+
+    def test_feedback_hash_of_a_partly_kept_feedback(self):
+        # A non-scalar field is left out of the record's field dict, but
+        # the hash still covers the whole feedback.
+        @dataclasses.dataclass(frozen=True)
+        class Tagged:
+            ratio: float
+            tags: tuple = ("a", "b")
+
+        record = self._record_feedback(self._log(), Tagged(1.5))
+        assert record.feedback == {"ratio": 1.5}
+        assert record.feedback_hash == config_hash(Tagged(1.5))
+        assert record.feedback_hash != config_hash({"ratio": 1.5})
 
     def test_seal_until_is_strict_and_incremental(self):
         log = self._log()

@@ -7,7 +7,7 @@ and handed over as the footprint of a template with those partitions.
 
 from collections import OrderedDict
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.warehouse.cache import PARTITION_BYTES, PartitionCache
@@ -117,6 +117,9 @@ class _InsertLoopCache:
         while len(self.entries) > self.max_partitions:
             self.entries.popitem(last=False)
 
+    def clear(self) -> None:
+        self.entries.clear()
+
 
 #: Footprints of up to 8 names from a 6-letter pool (duplicates likely), and
 #: capacities of 0, below and above a footprint; ``None`` keeps the capacity.
@@ -128,6 +131,17 @@ _steps = st.lists(
     min_size=1,
     max_size=40,
 )
+
+
+def lru_order(cache: PartitionCache) -> list[str]:
+    """The cache's LRU order, least recent first, read without rebuilding
+    it: a copy of the entries with the deferred footprints' recency applied
+    the eager way, one ``move_to_end`` per touched partition."""
+    entries = OrderedDict(cache._entries)
+    for footprint in cache._log:
+        for p in footprint:
+            entries.move_to_end(p)
+    return list(entries)
 
 
 class TestInlinedAccessMatchesInsertLoop:
@@ -143,4 +157,67 @@ class TestInlinedAccessMatchesInsertLoop:
             footprint = template_with(partitions).footprint
             assert cache.access(footprint) == oracle.access(partitions)
             assert (cache.hits, cache.misses) == (oracle.hits, oracle.misses)
-            assert list(cache._entries) == list(oracle.entries)
+            assert lru_order(cache) == list(oracle.entries)
+
+
+#: One cache operation: an access (a partition list from a pool small enough
+#: to repeat names across accesses, so logs outgrow the cache and compact),
+#: a resize (shrinks included) or a clear.
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("access"), st.lists(st.sampled_from("abcdefghij"), max_size=6)),
+        st.tuples(st.just("resize"), st.integers(min_value=0, max_value=12)),
+        st.tuples(st.just("clear"), st.none()),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+class TestDeferredRecencyMatchesInsertLoop:
+    """Accesses that cannot evict only log their footprint; the order is
+    rebuilt before an access that can evict, on resize, and when the log
+    outgrows the cache.  Against the eager insert loop, after every
+    operation: the same ratio, counters, membership and LRU order, with the
+    log never holding more footprints than the cache holds partitions."""
+
+    @given(st.integers(min_value=0, max_value=12), _operations)
+    @settings(max_examples=400, deadline=None)
+    # Fills a 4-partition cache without evicting, refreshes "a" through the
+    # log, then a miss evicts: the victim is "b", not the older "a".
+    @example(4, [("access", list("ab")), ("access", list("cd")), ("access", ["a"]),
+                 ("access", ["e"])])
+    # The same 2-partition footprint ten times compacts the log, twice.
+    @example(3, [("access", list("ab"))] * 10 + [("access", list("cd"))])
+    # A shrink picks its victims from the logged order; a clear drops the log.
+    @example(6, [("access", list("abc")), ("access", ["a"]), ("resize", 2),
+                 ("access", list("dab")), ("clear", None), ("access", ["e"])])
+    @example(0, [("access", list("ab")), ("access", list("ab")), ("resize", 0)])
+    def test_same_ratios_counters_membership_and_order(self, capacity, operations):
+        cache = PartitionCache(capacity * PARTITION_BYTES)
+        oracle = _InsertLoopCache(capacity * PARTITION_BYTES)
+        for kind, argument in operations:
+            if kind == "access":
+                footprint = template_with(argument).footprint
+                assert cache.access(footprint) == oracle.access(argument)
+            elif kind == "resize":
+                cache.resize(argument * PARTITION_BYTES)
+                oracle.resize(argument * PARTITION_BYTES)
+            else:
+                cache.clear()
+                oracle.clear()
+            assert (cache.hits, cache.misses) == (oracle.hits, oracle.misses)
+            assert len(cache) == len(oracle.entries)
+            assert all(p in cache for p in oracle.entries)
+            assert lru_order(cache) == list(oracle.entries)
+            assert len(cache._log) <= len(cache)
+
+    def test_accesses_that_cannot_evict_leave_the_order_unbuilt(self):
+        cache = PartitionCache(8 * PARTITION_BYTES)
+        cache.access(("a", "b"))
+        cache.access(("c",))
+        cache.access(("a",))
+        assert list(cache._entries) == ["a", "b", "c"]  # insertion order only
+        assert len(cache._log) == 3
+        cache.clear()
+        assert not cache._log and len(cache) == 0

@@ -1,8 +1,13 @@
 """Tests for the discrete-event engine."""
 
+import heapq
+
 import pytest
 
+from repro.common.simtime import DAY
+from repro.experiments.scenarios import fig5_scenarios
 from repro.warehouse.engine import Simulation, SimulationError
+from tests.conftest import make_account, make_requests, make_template
 
 
 class TestSimulation:
@@ -341,3 +346,70 @@ class TestPendingCounter:
             assert sim.pending_events == self._scan(sim)
         sim.run_all()
         assert sim.pending_events == self._scan(sim) == 0
+
+
+class TestArrivalFeed:
+    """``Simulation.feed`` and ``Account.schedule_workload`` on top of it."""
+
+    def test_unsorted_stream_runs_in_time_then_list_order(self):
+        sim = Simulation()
+        fired = []
+        sim.feed([30.0, 10.0, 20.0, 10.0], ["a", "b", "c", "d"], fired.append)
+        sim.run_all()
+        assert fired == ["b", "d", "c", "a"]
+        assert repr(sim._seq) == "count(4)"
+        assert sim.processed_events == 4
+
+    def test_time_within_tolerance_before_now_runs_at_now(self):
+        sim = Simulation(start_time=100.0)
+        seen = []
+        sim.feed([100.0 - 1e-10, 100.5], ["a", "b"], lambda item: seen.append((item, sim.now)))
+        sim.run_all()
+        assert seen == [("a", 100.0), ("b", 100.5)]
+
+    def test_arrival_failure_names_its_time(self):
+        sim = Simulation()
+
+        def deliver(item):
+            raise ValueError(item)
+
+        sim.feed([5.0, 7.0], ["first", "second"], deliver)
+        with pytest.raises(SimulationError, match=r"t=5\.000 .* raised ValueError: first"):
+            sim.run_all()
+
+    def test_arrival_before_now_raises_and_schedules_nothing(self):
+        account, wh = make_account()
+        account.run_until(100.0)
+        sim = account.sim
+        before = (repr(sim._seq), sim.pending_events, list(sim._heap))
+        late_then_early = make_requests(make_template("x"), [150.0, 200.0, 50.0])
+        with pytest.raises(SimulationError, match="before now=100"):
+            account.schedule_workload(wh, late_then_early)
+        assert (repr(sim._seq), sim.pending_events, list(sim._heap)) == before
+        account.run_until(300.0)
+        assert account.telemetry.query_history(wh) == []
+
+    def test_heap_does_not_grow_with_run_length(self, monkeypatch):
+        """On a Figure 5 warehouse (BI dashboards), the longest the heap
+        gets over two simulated days is at most 1.25x its longest over one
+        day; with one heap entry per pre-scheduled arrival it was 2.2x."""
+        longest = [0]
+        push = heapq.heappush
+
+        def measured_push(heap, item):
+            push(heap, item)
+            longest[0] = max(longest[0], len(heap))
+
+        monkeypatch.setattr(heapq, "heappush", measured_push)
+
+        def longest_heap(days: int) -> int:
+            scenario = fig5_scenarios()[3]
+            scenario.total_days = days
+            longest[0] = 0
+            scenario.schedule()
+            scenario.account.run_until(days * DAY)
+            return longest[0]
+
+        one_day, two_days = longest_heap(1), longest_heap(2)
+        assert one_day > 0
+        assert two_days <= 1.25 * one_day
