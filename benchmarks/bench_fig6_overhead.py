@@ -110,8 +110,8 @@ def test_replay_disabled_obs_overhead(benchmark):
     The smart model makes thousands of what-if replays per run, so replay
     is the one call site where per-call span bookkeeping would add up.
     The disabled fast path returns before any span or ``config.describe()``
-    work; this bench holds it to near-parity with calling the replay
-    internals directly.
+    work; this bench holds it to near-parity with calling its unobserved
+    tail (``QueryReplay.tail``) directly.
     """
     from repro.common.simtime import HOUR, Window
     from repro.costmodel.replay import QueryReplay
@@ -150,7 +150,7 @@ def test_replay_disabled_obs_overhead(benchmark):
         return replay.replay(records, config, window)
 
     def internal():
-        return replay._replay_impl(replay.history(records, window), config)
+        return replay.tail(replay.history(records, window), config)
 
     def compare():
         assert not obs.enabled()

@@ -42,7 +42,6 @@ GATED_RESULTS = {
     "fig6_replay_disabled_overhead": "bench_fig6_overhead.py",
     "perf_replay": "bench_perf_replay.py",
     "perf_fleet": "bench_perf_fleet.py",
-    "incremental_replay": "bench_incremental_replay.py",
     "store_ingest": "bench_store_ingest.py",
     "stream_merge": "bench_stream_merge.py",
 }

@@ -23,7 +23,6 @@ import functools
 import sys
 from typing import IO
 
-import repro.costmodel.cli as costmodel_cli
 import repro.durability.cli as durability_cli
 import repro.faults.cli as faults_cli
 import repro.lint.cli as lint_cli
@@ -176,10 +175,6 @@ COMMANDS = (
     (
         "durability", durability_cli.COMMANDS,
         "checkpoint/restore/verify control-plane state (docs/ROBUSTNESS.md)",
-    ),
-    (
-        "costmodel", costmodel_cli.COMMANDS,
-        "smoke-drive the incremental what-if ledger (docs/PERFORMANCE.md)",
     ),
 )
 

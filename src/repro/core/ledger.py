@@ -11,30 +11,28 @@ matters for value-based pricing: the invoice amount is exactly the sum of
 what was reported to the customer, period by period, not a retroactive
 recomputation under a later (possibly refitted) cost model.
 
-:class:`LiveLedger` is the streaming half: it keeps an
-:class:`~repro.costmodel.incremental.IncrementalReplay` warm over the
-*open* report period so the projected without-Keebo cost is available on
-every decision tick at O(delta) cost, instead of only once per
-``report_interval`` after a full-window recompute.  At each period close
-the streamed projection is reconciled against the authoritative full
-estimate — the two are bit-identical whenever the period boundaries
-line up, which turns the reconciliation into a free runtime self-check
-of the incremental ledger.
+:class:`LiveLedger` is the streaming half: it keeps the open report
+period's completed QUERY_HISTORY rows so the projected without-Keebo cost
+is available on every decision tick, as one replay of those rows by the
+cost model's :class:`~repro.costmodel.replay.QueryReplay`.  At each
+period close the streamed projection is reconciled against the
+authoritative full estimate.  Both sides run the same replay program, so
+they are bit-identical whenever the period boundaries line up and the
+ledger admitted exactly the rows the estimate fetched, which turns the
+reconciliation into a free runtime self-check of the ledger's row
+admission.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, RecoveryError
 from repro.common.simtime import Window
-from repro.costmodel.clusters import ClusterCountPredictor
-from repro.costmodel.gaps import GapModel
-from repro.costmodel.incremental import IncrementalReplay
-from repro.costmodel.latency import LatencyScalingModel
 from repro.costmodel.model import SavingsEstimate
-from repro.costmodel.replay import ReplayResult
-from repro.durability.codec import decode_window, encode_window, require_keys
+from repro.costmodel.replay import QueryReplay, ReplayResult
+from repro.durability.codec import decode_window, encode_window, require_keys, state_checksum
 from repro.warehouse.config import WarehouseConfig
 from repro.warehouse.queries import QueryRecord
 
@@ -129,8 +127,8 @@ class LiveReconciliation:
     ``aligned`` is True when the streamed period's boundaries matched the
     report period exactly; only then is ``divergence`` meaningful.  An
     aligned divergence must be ``0.0`` to the bit — both sides replay the
-    same rows under the same models — so any non-zero value is an
-    incremental-ledger defect surfacing at runtime, not noise.
+    same rows with the same program and models — so any non-zero value is
+    a live-ledger defect surfacing at runtime, not noise.
     """
 
     window: Window
@@ -151,59 +149,53 @@ class LiveLedger:
     the next with :meth:`roll`.
     """
 
-    def __init__(
-        self,
-        warehouse: str,
-        latency_model: LatencyScalingModel,
-        gap_model: GapModel,
-        cluster_predictor: ClusterCountPredictor,
-        period: Window,
-    ):
+    def __init__(self, warehouse: str, replay: QueryReplay, period: Window):
         self.warehouse = warehouse
-        self.latency_model = latency_model
-        self.gap_model = gap_model
-        self.cluster_predictor = cluster_predictor
+        self.replay = replay
+        self.period = period
         self.cursor = period.start
         self.reconciliations: list[LiveReconciliation] = []
         self.unaligned_periods = 0
-        self._seen: set = set()
-        self.replay = self._fresh_replay(period)
-
-    def _fresh_replay(self, period: Window) -> IncrementalReplay:
-        return IncrementalReplay(
-            self.latency_model,
-            self.gap_model,
-            self.cluster_predictor,
-            period,
-        )
-
-    @property
-    def period(self) -> Window:
-        return self.replay.window
+        #: The period's streamed rows by query id, in admission order.
+        self._rows: dict[int, QueryRecord] = {}
 
     @property
     def rows_streamed(self) -> int:
-        return self.replay.n_records
+        return len(self._rows)
 
     # -------------------------------------------------------------- streaming
-    def ingest(self, records: list[QueryRecord], now: float) -> int:
-        """Stream the period's completed rows; returns how many were new."""
+    def _admit(self, records: list[QueryRecord], visible_at: float = math.inf) -> int:
+        """Keep the new rows arriving inside the period and completed by
+        ``visible_at``; returns how many were kept."""
         period = self.period
         fresh = 0
         for record in records:
-            if record.query_id in self._seen:
+            if record.query_id in self._rows:
                 continue
             if not (period.start <= record.arrival_time < period.end):
                 continue
-            self.replay.observe(record)
-            self._seen.add(record.query_id)
+            if record.end_time > visible_at:
+                continue
+            self._rows[record.query_id] = record
             fresh += 1
+        return fresh
+
+    def ingest(self, records: list[QueryRecord], now: float) -> int:
+        """Stream the period's completed rows; returns how many were new."""
+        fresh = self._admit(records)
         self.cursor = max(self.cursor, now)
         return fresh
 
     def projection(self, config: WarehouseConfig) -> ReplayResult:
-        """The running what-if for the open period."""
-        return self.replay.result(config)
+        """The running what-if for the open period: the cost model's replay
+        of the rows streamed so far.
+
+        It runs the replay's unobserved tail, so a projection per tick adds
+        no trace record (the authoritative estimate at period close is the
+        observed replay).
+        """
+        history = self.replay.history(list(self._rows.values()), self.period)
+        return self.replay.tail(history, config)
 
     # ------------------------------------------------------------- period end
     def reconcile(
@@ -236,9 +228,9 @@ class LiveLedger:
         return entry
 
     def roll(self, period: Window) -> None:
-        """Open the next period with a fresh streaming replay."""
-        self.replay = self._fresh_replay(period)
-        self._seen = set()
+        """Open the next period with no rows streamed."""
+        self.period = period
+        self._rows = {}
         self.cursor = period.start
 
     # ------------------------------------------------------------- durability
@@ -264,46 +256,51 @@ class LiveLedger:
             rows_streamed=int(state["rows_streamed"]),
         )
 
+    def _id_checksum(self) -> str:
+        return state_checksum({"ids": sorted(self._rows)})
+
     def state_dict(self) -> dict:
         """Canonical durable state (StateCodec vocabulary).
 
-        The replay's row *contents* are deliberately not captured — restore
-        re-feeds them from telemetry (which survives a control-plane crash)
-        and :meth:`IncrementalReplay.verify_restored` checks count and
-        checksum, mirroring how the rest of the control plane never
-        duplicates telemetry into checkpoints.  ``reconciliations`` is an
-        append-only log; the optimizer's checkpoint carries it.
+        The row *contents* are deliberately not captured — restore re-feeds
+        them from telemetry (which survives a control-plane crash) and
+        checks them against the captured count and id checksum, mirroring
+        how the rest of the control plane never duplicates telemetry into
+        checkpoints.  ``reconciliations`` is an append-only log; the
+        optimizer's checkpoint carries it.
         """
         return {
             "warehouse": self.warehouse,
             "cursor": self.cursor,
             "unaligned_periods": self.unaligned_periods,
-            "replay": self.replay.state_dict(),
+            "replay": {
+                "window": encode_window(self.period),
+                "n_records": self.rows_streamed,
+                "id_checksum": self._id_checksum(),
+            },
         }
 
     def load_state_dict(self, state: dict, records: list[QueryRecord]) -> None:
         """Restore from a checkpoint plus the telemetry rows to re-feed.
 
         ``records`` is the period's QUERY_HISTORY; only rows that were
-        visible at the checkpoint (completed by ``cursor``) are replayed,
+        visible at the checkpoint (completed by ``cursor``) are re-admitted,
         and the restored ledger must match the captured row count and
-        id-checksum byte for byte or a ``RecoveryError`` surfaces.
+        id checksum or a ``RecoveryError`` surfaces.
         """
         require_keys(state, ("warehouse", "cursor", "unaligned_periods", "replay"), "LiveLedger")
+        streamed = state["replay"]
+        require_keys(streamed, ("window", "n_records", "id_checksum"), "LiveLedger replay")
         self.warehouse = state["warehouse"]
         self.cursor = float(state["cursor"])
         self.unaligned_periods = int(state["unaligned_periods"])
-        period = decode_window(state["replay"]["window"])
-        self.replay = self._fresh_replay(period)
-        self.replay.load_state_dict(state["replay"])
-        self._seen = set()
-        for record in records:
-            if record.query_id in self._seen:
-                continue
-            if not (period.start <= record.arrival_time < period.end):
-                continue
-            if record.end_time > self.cursor:
-                continue  # not yet visible when the checkpoint was taken
-            self.replay.observe(record)
-            self._seen.add(record.query_id)
-        self.replay.verify_restored()
+        self.period = decode_window(streamed["window"])
+        self._rows = {}
+        self._admit(records, visible_at=self.cursor)
+        n, checksum = int(streamed["n_records"]), str(streamed["id_checksum"])
+        if self.rows_streamed != n or self._id_checksum() != checksum:
+            raise RecoveryError(
+                f"live ledger restore mismatch: re-fed {self.rows_streamed} rows "
+                f"(checksum {self._id_checksum()[:12]}), checkpoint recorded "
+                f"{n} (checksum {checksum[:12]})"
+            )

@@ -106,10 +106,11 @@ class OptimizerConfig:
     #: breaker is open.
     telemetry_staleness_threshold: float = 1800.0
     #: Stream the open report period through a :class:`LiveLedger` so the
-    #: projected without-Keebo cost updates on every decision tick at
-    #: O(delta) cost, and every period close reconciles the streamed
-    #: projection against the full estimate (docs/OBSERVABILITY.md).  Off by
-    #: default: the extra obs series would perturb golden traces.
+    #: projected without-Keebo cost updates on every decision tick (one
+    #: replay of the period's rows), and every period close reconciles the
+    #: streamed projection against the full estimate
+    #: (docs/OBSERVABILITY.md).  Off by default: the extra obs series would
+    #: perturb golden traces.
     live_ledger: bool = False
     agent: DQNConfig = field(default_factory=DQNConfig)
 
@@ -256,9 +257,7 @@ class WarehouseOptimizer:
     def _open_live_ledger(self, start: float) -> None:
         self.live_ledger = LiveLedger(
             self.warehouse,
-            self.cost_model.latency_model,
-            self.cost_model.gap_model,
-            self.cost_model.cluster_predictor,
+            self.cost_model.replay,
             Window(start, start + self.config.report_interval),
         )
 
@@ -661,7 +660,7 @@ class WarehouseOptimizer:
 
     # ----------------------------------------------------------- live ledger
     def _stream_live_ledger(self, now: float) -> None:
-        """Feed freshly completed rows; O(delta) per tick, no vendor calls.
+        """Feed freshly completed rows and replay the period; no vendor calls.
 
         Reads the account's telemetry directly (like provenance sealing):
         client reads would be metered as KWO overhead and consume
@@ -685,8 +684,8 @@ class WarehouseOptimizer:
     def _reconcile_live_ledger(self, now: float, estimate: SavingsEstimate) -> None:
         """Close the streamed period against the authoritative estimate.
 
-        An aligned reconciliation must diverge by exactly 0.0 — the
-        incremental ledger is bit-identical to the full replay — so a
+        An aligned reconciliation must diverge by exactly 0.0 — the live
+        projection is the same replay over the same rows — so a
         non-zero divergence is alerted as an invariant break, not logged as
         noise.
         """
@@ -958,16 +957,10 @@ class WarehouseOptimizer:
         live_state = state["live_ledger"]
         if live_state is not None:
             period = decode_window(live_state["replay"]["window"])
-            self.live_ledger = LiveLedger(
-                self.warehouse,
-                self.cost_model.latency_model,
-                self.cost_model.gap_model,
-                self.cost_model.cluster_predictor,
-                period,
-            )
+            self.live_ledger = LiveLedger(self.warehouse, self.cost_model.replay, period)
             # Re-feed from the account's telemetry (it survives a
-            # control-plane crash); verify_restored inside checks the row
-            # count and id-checksum against the captured state.
+            # control-plane crash); the load checks the row count and id
+            # checksum against the captured state.
             self.live_ledger.load_state_dict(
                 live_state,
                 self.account.telemetry.query_history(self.warehouse, period),

@@ -126,8 +126,7 @@ class ClusterCountPredictor:
         self, concurrency: np.ndarray, config: WarehouseConfig
     ) -> np.ndarray:
         """Predicted average cluster count per mini-window under ``config``,
-        from the mini-windows' :func:`concurrency_profile` (the replay and
-        the incremental ledger each maintain their own)."""
+        from the mini-windows' :func:`concurrency_profile`."""
         analytic = self._analytic_clusters(concurrency, config)
         k = self.calibration if self.calibrate else 1.0
         predicted = analytic * k

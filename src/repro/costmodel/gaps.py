@@ -46,8 +46,8 @@ class GapModel:
     _pair_support: dict[tuple[str, str], int] = field(default_factory=dict)
     _pair_lags: dict[tuple[str, str], float] = field(default_factory=dict)
     fitted: bool = False
-    #: Bumped by every :meth:`fit`; caches keyed on classification results
-    #: (the incremental ledger's per-config state) invalidate on it.
+    #: Bumped by every :meth:`fit`; part of the optimizer's
+    #: ``model_version``, so a refit forces a checkpoint compaction.
     fit_generation: int = 0
 
     def fit(self, records: list[QueryRecord]) -> "GapModel":
@@ -71,34 +71,6 @@ class GapModel:
 
     def is_dependent_pair(self, prev_template: str, next_template: str) -> bool:
         return self._pair_support.get((prev_template, next_template), 0) >= MIN_PAIR_SUPPORT
-
-    def classify_step(
-        self,
-        prev_end: float,
-        arrival: float,
-        prev_template: str,
-        template: str,
-        chained_flag: bool,
-    ) -> tuple[bool, float]:
-        """Classify one adjacent (predecessor, record) pair.
-
-        Single-element form of :meth:`classify_arrays` — the same
-        float comparisons and dictionary lookups, so streaming callers
-        (``repro.costmodel.incremental``) that classify rows one at a time
-        get bit-identical ``(chained, lag)`` values.  Index 0 of a window
-        has no predecessor and is never chained; that case is the caller's.
-        """
-        observed = arrival - prev_end
-        in_window = 0.0 <= observed <= CHAIN_WINDOW_SECONDS
-        flag_says = self.use_flags and chained_flag
-        detector_says = in_window and (
-            self._pair_support.get((prev_template, template), 0) >= MIN_PAIR_SUPPORT
-        )
-        if not (flag_says or detector_says):
-            return False, 0.0
-        if in_window:
-            return True, float(observed)
-        return True, self._pair_lags.get((prev_template, template), 5.0)
 
     def classify_arrays(
         self,

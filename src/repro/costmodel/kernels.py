@@ -78,7 +78,7 @@ def bucketed_overlap(
     :func:`bucketed_overlaps`.
     """
     out = np.zeros(n_buckets, dtype=np.float64)
-    overlap_into(out, starts, ends, origin, width, n_buckets)
+    _add_overlaps(out, starts, ends, None, origin, width, n_buckets)
     return out
 
 
@@ -109,26 +109,6 @@ def bucketed_overlaps(
         rows, origin, width, n_buckets,
     )
     return out
-
-
-def overlap_into(
-    out: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    origin: float,
-    width: float,
-    n_buckets: int,
-) -> None:
-    """Accumulate span/bucket overlaps into an existing coverage array.
-
-    The in-place form of :func:`bucketed_overlap`: because ``np.add.at``
-    applies its updates sequentially in pair order, accumulating a *suffix*
-    of spans into an ``out`` that already holds the sums of the prefix (in
-    span order) reproduces, bit for bit, one :func:`bucketed_overlap` call
-    over the concatenated span set.  ``repro.costmodel.incremental`` builds
-    its frozen-prefix/live-suffix coverage folds on exactly this property.
-    """
-    _add_overlaps(out, starts, ends, None, origin, width, n_buckets)
 
 
 def _add_overlaps(

@@ -55,8 +55,8 @@ class LatencyScalingModel:
     _templates: dict[str, TemplateScaling] = field(default_factory=dict)
     _warehouse_gamma: float = DEFAULT_GAMMA
     fitted: bool = False
-    #: Bumped by every :meth:`fit`; caches keyed on per-template gammas
-    #: (the incremental ledger's per-config state) invalidate on it.
+    #: Bumped by every :meth:`fit`; part of the optimizer's
+    #: ``model_version``, so a refit forces a checkpoint compaction.
     fit_generation: int = 0
 
     def fit(self, records: list[QueryRecord]) -> "LatencyScalingModel":

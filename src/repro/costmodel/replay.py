@@ -26,10 +26,10 @@ vectorized NumPy kernels (:mod:`repro.costmodel.kernels`), and one fetched
 window answers many configs: a :class:`ReplayHistory` computes the
 config-independent prep once and the size-dependent stages (step 1 and the
 busy coverage) once per warehouse size, so a replay pays only steps 2–4
-for its own config.  This module is
-the one what-if program in the library: the streaming ledger
-(:mod:`repro.costmodel.incremental`) calls :func:`counterfactual_spans` and
-:func:`bill` rather than repeating them.  The pre-vectorization loops live
+for its own config.  This module is the one what-if program in the
+library: the guardrail, the savings estimate and the live ledger's
+per-tick projection (:class:`~repro.core.ledger.LiveLedger`) all replay
+through :class:`QueryReplay`.  The pre-vectorization loops live
 on only as a test oracle (``tests/props/replay_oracle.py``), which
 ``tests/props/test_replay_kernels.py`` holds bit-identical to this path.
 See docs/PERFORMANCE.md.
@@ -347,23 +347,29 @@ class QueryReplay:
                 )
         else:
             history = self.history(records, window)
-        if not history.records:
-            return ReplayResult(0.0, 0.0, 0.0, 0, 0, 0.0, 0.0)
         rec = obs.recorder()
-        if rec is None:
+        if rec is None or not history.records:
             # Disabled-observability fast path: no span bookkeeping and no
             # config.describe() dict per what-if call (the smart model makes
             # thousands per run — bench_fig6_overhead.py measures this).
-            return self._replay_impl(history, config)
+            # An empty window is not observed either.
+            return self.tail(history, config)
         with rec.span(
             "costmodel.replay", window.end, config=config.describe()
         ) as sp:
-            result = self._replay_impl(history, config)
+            result = self.tail(history, config)
             self._observe(sp, result, window)
         return result
 
-    def _replay_impl(self, history: ReplayHistory, config: WarehouseConfig) -> ReplayResult:
-        """The per-config tail over the history's cached size stage."""
+    def tail(self, history: ReplayHistory, config: WarehouseConfig) -> ReplayResult:
+        """The per-config tail over the history's cached size stage.
+
+        This is :meth:`replay` without its span: callers that must not add
+        trace records (the live ledger's per-tick projection) call it
+        directly on a history of this replay.
+        """
+        if not history.records:
+            return ReplayResult(0.0, 0.0, 0.0, 0, 0, 0.0, 0.0)
         window = history.window
         stage = history.size_stage(config.size)
         burst_starts, burst_ends = self._activation_bursts(

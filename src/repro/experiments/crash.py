@@ -43,16 +43,14 @@ from dataclasses import dataclass, field
 from repro.common.errors import RecoveryError
 from repro.common.simtime import Window
 from repro.common.stable_json import dumps_json
-from repro.core.optimizer import KeeboService, WarehouseOptimizer
-from repro.experiments.runner import BeforeAfterResult
+from repro.core.optimizer import WarehouseOptimizer
+from repro.experiments.runner import BeforeAfterResult, before_after_result, onboard
 from repro.experiments.scenarios import Scenario
-from repro.faults import FaultingWarehouseClient, FaultKind, FaultPlan, FaultSpec
+from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.faults.plan import PROCESS_KINDS
 from repro.obs import trace as obs
 from repro.obs.provenance import encode_record
 from repro.obs.store import FleetStore
-from repro.portal.dashboards import savings_dashboard
-from repro.warehouse.api import CloudWarehouseClient
 
 #: Seconds past each cadence multiple at which the durability controller
 #: fires (see :meth:`KeeboService.enable_checkpoints`).
@@ -230,7 +228,10 @@ def _drive(
 ):
     """One full run with checkpoints enabled; returns (exports, result, ...).
 
-    Both the reference and the crash run go through this driver with the
+    The run is :func:`~repro.experiments.runner.run_before_after`'s §7.1
+    protocol (its :func:`~repro.experiments.runner.onboard` and
+    :func:`~repro.experiments.runner.before_after_result`) with
+    checkpoints and segmented ``run_until`` calls in between.  Both the reference and the crash run go through this driver with the
     same segmented ``run_until`` boundaries, so their event dispatch,
     checkpoint ticks, and fault-plan RNG draws are identical call for
     call; only the reaction to a pending crash differs.
@@ -238,20 +239,8 @@ def _drive(
     manifest = scenario.manifest()
     config_hash = manifest.config_hash
     with obs.observed(manifest=manifest) as rec:
-        scenario.schedule()
+        service, _ = onboard(scenario)
         account = scenario.account
-        account.run_until(scenario.keebo_start)
-        client_factory = None
-        if scenario.fault_plan is not None:
-            client_plan = scenario.fault_plan
-            client_factory = lambda acct: FaultingWarehouseClient(acct, client_plan)  # noqa: E731
-        service = KeeboService(account, client_factory=client_factory)
-        service.onboard_warehouse(
-            scenario.warehouse,
-            slider=scenario.slider,
-            constraints=scenario.constraints,
-            config=scenario.optimizer_config,
-        )
         service.enable_checkpoints(
             directory,
             cadence_seconds,
@@ -280,31 +269,9 @@ def _drive(
                 repairs += len(load.repairs)
             boundary += cadence_seconds
         account.run_until(scenario.horizon)
+        # A restore replaces the optimizer: finish with the live one.
         optimizer = service.optimizer(scenario.warehouse)
-        # The §7.1 tail, mirrored from run_before_after: dashboard, then
-        # shutdown *before* the attribution rollup so trailing provenance
-        # records are sealed.
-        client = CloudWarehouseClient(account)
-        dashboard = savings_dashboard(
-            client,
-            scenario.warehouse,
-            Window(0.0, scenario.horizon),
-            scenario.keebo_start,
-        )
-        post_window = Window(scenario.keebo_start, scenario.horizon)
-        estimate = optimizer.estimate_savings(post_window)
-        optimizer.shutdown()
-        result = BeforeAfterResult(
-            scenario=scenario.name,
-            dashboard=dashboard,
-            decision_counts=optimizer.decision_counts(),
-            estimated_savings_fraction=estimate.savings_fraction,
-            guardrail_vetoes=optimizer.smart_model.guardrail_vetoes,
-            manifest=manifest,
-            attribution=optimizer.provenance.summary(
-                optimizer.ledger.total_savings_credits()
-            ),
-        )
+        result = before_after_result(scenario, optimizer, manifest)
         exports = _collect_exports(rec, optimizer, drop_restore_events=act_on_crash)
         restore_events = sum(
             1

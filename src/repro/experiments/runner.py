@@ -68,11 +68,10 @@ class BeforeAfterResult:
         return float(np.mean(post) / np.mean(pre) - 1.0)
 
 
-def run_before_after(scenario: Scenario) -> tuple[BeforeAfterResult, WarehouseOptimizer]:
-    """Run the §7.1 protocol on one scenario."""
-    if scenario.keebo_day is None:
-        raise ValueError("before/after protocol needs a keebo_day")
-    manifest = scenario.manifest()
+def onboard(scenario: Scenario) -> tuple[KeeboService, WarehouseOptimizer]:
+    """The §7.1 protocol up to onboarding: schedule the workload, run the
+    pre-Keebo days and onboard the warehouse (through a fault-injecting
+    client when the scenario carries a fault plan)."""
     scenario.schedule()
     account = scenario.account
     account.run_until(scenario.keebo_start)
@@ -87,8 +86,16 @@ def run_before_after(scenario: Scenario) -> tuple[BeforeAfterResult, WarehouseOp
         constraints=scenario.constraints,
         config=scenario.optimizer_config,
     )
-    account.run_until(scenario.horizon)
-    client = CloudWarehouseClient(account)
+    return service, optimizer
+
+
+def before_after_result(
+    scenario: Scenario, optimizer: WarehouseOptimizer, manifest: RunManifest
+) -> BeforeAfterResult:
+    """The §7.1 protocol's tail once the run reached the horizon: the
+    savings dashboard, the post-onboarding estimate, shutdown and the
+    result."""
+    client = CloudWarehouseClient(scenario.account)
     dashboard = savings_dashboard(
         client, scenario.warehouse, Window(0.0, scenario.horizon), scenario.keebo_start
     )
@@ -97,7 +104,7 @@ def run_before_after(scenario: Scenario) -> tuple[BeforeAfterResult, WarehouseOp
     # Shut down before summarizing: shutdown seals the trailing provenance
     # records, so the attribution rollup sees realized outcomes.
     optimizer.shutdown()
-    result = BeforeAfterResult(
+    return BeforeAfterResult(
         scenario=scenario.name,
         dashboard=dashboard,
         decision_counts=optimizer.decision_counts(),
@@ -108,7 +115,16 @@ def run_before_after(scenario: Scenario) -> tuple[BeforeAfterResult, WarehouseOp
             optimizer.ledger.total_savings_credits()
         ),
     )
-    return result, optimizer
+
+
+def run_before_after(scenario: Scenario) -> tuple[BeforeAfterResult, WarehouseOptimizer]:
+    """Run the §7.1 protocol on one scenario."""
+    if scenario.keebo_day is None:
+        raise ValueError("before/after protocol needs a keebo_day")
+    manifest = scenario.manifest()
+    _, optimizer = onboard(scenario)
+    scenario.account.run_until(scenario.horizon)
+    return before_after_result(scenario, optimizer, manifest), optimizer
 
 
 @dataclass

@@ -54,14 +54,6 @@ class Action:
     max_cluster_delta: int
 
     @property
-    def is_noop_shape(self) -> bool:
-        """True when the action changes neither size nor cluster cap.
-
-        (It may still change the suspend interval.)
-        """
-        return self.resize_delta == 0 and self.max_cluster_delta == 0
-
-    @property
     def keeps_suspend(self) -> bool:
         return self.suspend_seconds == KEEP_SUSPEND
 

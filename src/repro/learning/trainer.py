@@ -32,16 +32,8 @@ class TrainingReport:
     episodes: list[EpisodeStats] = field(default_factory=list)
 
     @property
-    def final_reward(self) -> float:
-        return self.episodes[-1].total_reward if self.episodes else 0.0
-
-    @property
     def reward_curve(self) -> list[float]:
         return [e.total_reward for e in self.episodes]
-
-    @property
-    def credits_curve(self) -> list[float]:
-        return [e.total_credits for e in self.episodes]
 
 
 class OfflineTrainer:

@@ -52,10 +52,6 @@ class ModuleInfo:
     is_package: bool = False
     edges: list[ImportEdge] = field(default_factory=list)
 
-    @property
-    def package_parts(self) -> tuple[str, ...]:
-        return tuple(self.name.split("."))
-
 
 @dataclass(frozen=True)
 class ClassInfo:
@@ -183,10 +179,6 @@ class Project:
 
     def sorted_modules(self) -> list[ModuleInfo]:
         return [self.modules[name] for name in sorted(self.modules)]
-
-    def root_packages(self) -> list[str]:
-        """Distinct top-level package names present in the project."""
-        return sorted({name.split(".")[0] for name in self.modules})
 
     def resolve_module(self, target: str) -> str | None:
         """Longest known module prefix of ``target`` (imports of attributes

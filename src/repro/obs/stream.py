@@ -121,10 +121,6 @@ class SpillingTraceSink:
         return len(self._segments)
 
     @property
-    def spilled_records(self) -> int:
-        return self._spilled
-
-    @property
     def records(self) -> list[dict]:
         """All records, materialized (compat with ``TraceSink.records``).
 

@@ -293,7 +293,7 @@ def _live_ledger_section(records: list[dict]) -> list[str]:
         lines += [
             "",
             f"**{broken} aligned reconciliation(s) diverged from the full "
-            "replay — the incremental ledger invariant is broken.**",
+            "replay — the live ledger invariant is broken.**",
         ]
     else:
         lines += [

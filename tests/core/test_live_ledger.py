@@ -1,14 +1,19 @@
 """LiveLedger: streaming realized-vs-projected savings over report periods.
 
-The exactness of the underlying ``IncrementalReplay`` is property-tested in
-``tests/props/test_incremental_replay.py``; these tests pin the wiring —
-idempotent ingestion, the aligned-reconciliation zero-divergence invariant,
-period rolls, the durable round-trip, and the optimizer
-integration behind ``OptimizerConfig.live_ledger``.
+The projection is one ``QueryReplay`` over the period's streamed rows
+(whose exactness ``tests/props/test_replay_kernels.py`` holds against the
+scalar oracle); these tests pin the wiring — idempotent ingestion, the
+projection equal to the cost model's replay and silent in the trace, the
+aligned-reconciliation zero-divergence invariant, period rolls, the
+durable round-trip, and the optimizer integration behind
+``OptimizerConfig.live_ledger``.
 """
+
+import dataclasses
 
 import pytest
 
+from repro import obs
 from repro.common.errors import RecoveryError
 from repro.common.simtime import HOUR, Window
 from repro.core.ledger import LiveLedger
@@ -16,9 +21,10 @@ from repro.core.optimizer import OptimizerConfig, WarehouseOptimizer
 from repro.costmodel.clusters import ClusterCountPredictor
 from repro.costmodel.gaps import GapModel
 from repro.costmodel.latency import LatencyScalingModel
-from repro.costmodel.model import SavingsEstimate
-from repro.costmodel.replay import QueryReplay
+from repro.costmodel.model import SavingsEstimate, WarehouseCostModel
+from repro.costmodel.replay import QueryReplay, ReplayResult
 from repro.durability.codec import state_checksum
+from repro.warehouse.api import CloudWarehouseClient
 from repro.warehouse.config import WarehouseConfig
 from repro.warehouse.queries import QueryRecord
 from repro.warehouse.types import WarehouseSize
@@ -50,21 +56,18 @@ def make_records(n=40, start=100.0, spacing=240.0) -> list[QueryRecord]:
     ]
 
 
-def make_ledger(records, period=PERIOD) -> LiveLedger:
-    return LiveLedger(
-        "WH",
-        LatencyScalingModel().fit(records),
-        GapModel().fit(records),
-        ClusterCountPredictor(),
-        period,
+def make_replay(records) -> QueryReplay:
+    return QueryReplay(
+        LatencyScalingModel().fit(records), GapModel().fit(records), ClusterCountPredictor()
     )
+
+
+def make_ledger(records, period=PERIOD) -> LiveLedger:
+    return LiveLedger("WH", make_replay(records), period)
 
 
 def full_credits(ledger: LiveLedger, records, config=ORIGINAL) -> float:
-    replay = QueryReplay(
-        ledger.latency_model, ledger.gap_model, ledger.cluster_predictor
-    )
-    return replay.replay(records, config, ledger.period).credits
+    return ledger.replay.replay(records, config, ledger.period).credits
 
 
 class TestIngestion:
@@ -81,6 +84,49 @@ class TestIngestion:
         late = make_records(n=3, start=PERIOD.end + 50.0)
         ledger = make_ledger(records)
         assert ledger.ingest(records + late, now=HOUR) == len(records)
+
+
+class TestProjection:
+    def test_mid_period_projection_is_the_cost_models_replay(self):
+        account, wh = make_account(
+            seed=41, size=WarehouseSize.M, auto_suspend_seconds=600.0, max_clusters=2
+        )
+        template = make_template("proj", base_work_seconds=40.0, n_partitions=2)
+        account.schedule_workload(
+            wh, make_requests(template, [30.0 + i * 170.0 for i in range(80)])
+        )
+        account.run_until(2 * HOUR)
+        client = CloudWarehouseClient(account)
+        cost_model = WarehouseCostModel(client, wh).fit(Window(0.0, 2 * HOUR))
+        ledger = LiveLedger(wh, cost_model.replay, PERIOD)
+        # A partial ingest: only the rows completed by the first two hours.
+        ledger.ingest(client.query_history(wh, Window(0.0, 2 * HOUR)), now=2 * HOUR)
+        visible = [
+            r for r in account.telemetry.query_history(wh, PERIOD) if r.end_time <= 2 * HOUR
+        ]
+        assert 0 < ledger.rows_streamed == len(visible)
+        configs = (
+            ORIGINAL,
+            WarehouseConfig(size=WarehouseSize.S, auto_suspend_seconds=60.0, max_clusters=2),
+        )
+        for config in configs:
+            projected = ledger.projection(config)
+            expected = cost_model.replay.history(visible, PERIOD).cost(config)
+            for name in (f.name for f in dataclasses.fields(ReplayResult)):
+                assert getattr(projected, name) == getattr(expected, name), name
+
+    def test_projection_adds_no_trace_record(self):
+        records = make_records()
+        ledger = make_ledger(records)
+        ledger.ingest(records[:20], now=2 * HOUR)
+        with obs.observed() as rec:
+            before = len(rec.sink)
+            ledger.projection(ORIGINAL)
+            ledger.projection(WarehouseConfig(size=WarehouseSize.L))
+            assert len(rec.sink) == before
+            # The session is live: the observed replay of the same rows records.
+            ledger.replay.replay(records[:20], ORIGINAL, PERIOD)
+            assert len(rec.sink) > before
 
 
 class TestReconcile:
@@ -135,6 +181,18 @@ class TestDurability:
             restored.projection(ORIGINAL).credits
             == ledger.projection(ORIGINAL).credits
         )
+
+    def test_restore_ignores_keys_of_the_earlier_streaming_state(self):
+        """A ``repro.durability/3`` checkpoint written before the ledger
+        became one replay also carried ``rows_observed`` and ``fit_key``."""
+        records = make_records()
+        ledger = make_ledger(records)
+        ledger.ingest(records[:30], now=2 * HOUR)
+        state = ledger.state_dict()
+        earlier = {**state, "replay": {**state["replay"], "rows_observed": 30, "fit_key": [1, 1]}}
+        restored = make_ledger(records)
+        restored.load_state_dict(earlier, records)
+        assert restored.state_dict() == state
 
     def test_restore_with_missing_rows_fails(self):
         records = make_records()

@@ -89,9 +89,8 @@ def classify_with_arrays(
 def merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Union of (sorted) possibly-overlapping busy intervals.
 
-    Degenerate inputs are part of the contract — the incremental ledger
-    (:mod:`repro.costmodel.incremental`) splits and re-merges spans at
-    window and fold boundaries, so this must agree with the vectorized
+    Degenerate inputs are part of the contract — window clipping yields
+    empty and touching spans — so this must agree with the vectorized
     kernel (:func:`repro.costmodel.kernels.merge_intervals`) on:
 
     * the empty set (``[]`` in, ``[]`` out);

@@ -141,9 +141,8 @@ class TestGapModelProperties:
 
 
 class TestClassifyEquivalence:
-    """The oracle's scalar ``classify``, ``classify_arrays`` and
-    ``classify_step`` are three views of the same classification and must
-    agree bit for bit."""
+    """The oracle's scalar ``classify`` and ``classify_arrays`` are two
+    views of the same classification and must agree bit for bit."""
 
     @staticmethod
     def _history(chain):
@@ -179,29 +178,3 @@ class TestClassifyEquivalence:
         assert [float(l) for l in lags_arr] == [
             o.lag_after_predecessor for o in observations
         ]
-
-    @given(chain_lists, st.booleans(), st.booleans())
-    @settings(max_examples=100, deadline=None)
-    def test_classify_step_matches_classify_arrays(self, chain, use_flags, fit):
-        records = self._history(chain)
-        model = GapModel(use_flags=use_flags)
-        if fit:
-            model.fit(records)
-        ordered = sorted(records, key=lambda r: r.arrival_time)
-        arrivals = np.asarray([r.arrival_time for r in ordered])
-        end_times = np.asarray([r.end_time for r in ordered])
-        templates = [r.template_hash for r in ordered]
-        flags = np.asarray([r.chained for r in ordered], dtype=bool)
-        chained_arr, lags_arr = model.classify_arrays(
-            arrivals, end_times, templates, flags
-        )
-        for i in range(1, len(ordered)):
-            chained_i, lag_i = model.classify_step(
-                float(end_times[i - 1]),
-                float(arrivals[i]),
-                templates[i - 1],
-                templates[i],
-                bool(flags[i]),
-            )
-            assert chained_i == bool(chained_arr[i])
-            assert lag_i == float(lags_arr[i])
