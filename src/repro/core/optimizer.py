@@ -40,6 +40,7 @@ from repro.durability.codec import (
     decode_config,
     decode_window,
     encode_config,
+    require_keys,
 )
 from repro.faults.plan import PROCESS_OPERATION, FaultKind, FaultPlan, FaultSpec
 from repro.obs import trace as obs
@@ -105,13 +106,6 @@ class OptimizerConfig:
     #: (docs/ROBUSTNESS.md).  Also entered while the actuation circuit
     #: breaker is open.
     telemetry_staleness_threshold: float = 1800.0
-    #: Stream the open report period through a :class:`LiveLedger` so the
-    #: projected without-Keebo cost updates on every decision tick (one
-    #: replay of the period's rows), and every period close reconciles the
-    #: streamed projection against the full estimate
-    #: (docs/OBSERVABILITY.md).  Off by default: the extra obs series would
-    #: perturb golden traces.
-    live_ledger: bool = False
     agent: DQNConfig = field(default_factory=DQNConfig)
 
     def __post_init__(self):
@@ -154,8 +148,6 @@ class WarehouseOptimizer:
         self.decisions: list[Decision] = []
         self.training_reports: list[TrainingReport] = []
         self.ledger = SavingsLedger(warehouse)
-        #: Streaming projection over the open report period (opt-in).
-        self.live_ledger: LiveLedger | None = None
         #: Decision audit trail + savings attribution (docs/OBSERVABILITY.md).
         self.provenance = ProvenanceLog(warehouse, self.config.decision_interval)
         self._last_retrain = -1e18
@@ -170,6 +162,8 @@ class WarehouseOptimizer:
         self.agent: DQNAgent | None = None
         self.baseline: WorkloadBaseline | None = None
         self.action_space: ActionSpace | None = None
+        #: The open report period's streamed rows, reconciled at its close.
+        self.live_ledger: LiveLedger | None = None
         self.policy_advisor = ScalingPolicyAdvisor(self.params)
 
     # ------------------------------------------------------------ onboarding
@@ -247,19 +241,15 @@ class WarehouseOptimizer:
         )
         self.onboarded = True
         self._last_report = now
-        if self.config.live_ledger:
-            self._open_live_ledger(now)
+        self.live_ledger = LiveLedger(
+            self.warehouse,
+            self.cost_model.replay,
+            Window(now, now + self.config.report_interval),
+        )
         self.account.telemetry.record_event(
             WarehouseEvent(now, self.warehouse, "keebo_onboarded", "keebo", {})
         )
         return report
-
-    def _open_live_ledger(self, start: float) -> None:
-        self.live_ledger = LiveLedger(
-            self.warehouse,
-            self.cost_model.replay,
-            Window(start, start + self.config.report_interval),
-        )
 
     def _try_restore_checkpoint(self) -> bool:
         """Load a previously saved smart model, if one is compatible."""
@@ -655,26 +645,28 @@ class WarehouseOptimizer:
         obs.gauge(f"repro.optimizer.savings_fraction.{self.warehouse.lower()}").set(
             estimate.savings_fraction, time=now
         )
-        if self.live_ledger is not None:
-            self._reconcile_live_ledger(now, estimate)
+        self._reconcile_live_ledger(now, estimate)
 
     # ----------------------------------------------------------- live ledger
     def _stream_live_ledger(self, now: float) -> None:
-        """Feed freshly completed rows and replay the period; no vendor calls.
+        """Feed freshly completed rows into the open period; no vendor calls.
 
         Reads the account's telemetry directly (like provenance sealing):
         client reads would be metered as KWO overhead and consume
-        fault-plan randomness, changing the run being observed.
+        fault-plan randomness, changing the run being observed.  The
+        period is replayed here only for the projected-credits gauge, so
+        only an observed run pays for it; the period close replays it for
+        the reconciliation either way.
         """
         ledger = self.live_ledger
-        if ledger is None:
-            return
         period = ledger.period
         horizon = Window(period.start, min(now, period.end))
         if horizon.duration <= 0:
             return
         rows = self.account.telemetry.query_history(self.warehouse, horizon)
         fresh = ledger.ingest(rows, now)
+        if not obs.enabled():
+            return
         projected = ledger.projection(self.action_space.original).credits
         wh = self.warehouse.lower()
         obs.gauge(f"repro.ledger.live_projected_credits.{wh}").set(projected, time=now)
@@ -690,7 +682,8 @@ class WarehouseOptimizer:
         noise.
         """
         ledger = self.live_ledger
-        self._stream_live_ledger(now)  # final sync before closing the books
+        # The tick streamed this ``now`` before reporting; nothing has
+        # completed since, so the books close on the rows already in.
         original = self.account.telemetry.original_config(
             self.warehouse, before=estimate.window.end
         )
@@ -813,10 +806,8 @@ class WarehouseOptimizer:
             ("attribution", attribution.entries, attribution.encode_entry, attribution.decode_entry),
             ("decisions", self.decisions, encode_decision, decode_decision),
             ("ledger", ledger.entries, ledger.encode_entry, ledger.decode_entry),
+            ("reconciliations", live.reconciliations, live.encode_reconciliation, live.decode_reconciliation),
         ]
-        if live is not None:
-            codec = (live.encode_reconciliation, live.decode_reconciliation)
-            frozen.append(("reconciliations", live.reconciliations, *codec))
         logs = {name: AppendLog(entries, *codec, len(entries)) for name, entries, *codec in frozen}
         logs["provenance"] = AppendLog(
             self.provenance.records, encode_record, decode_record, self.provenance.unsealed_from
@@ -895,9 +886,7 @@ class WarehouseOptimizer:
             "actuator": self.actuator.state_dict(),
             # Small by construction (counts + checksums, never row data), so
             # it travels whole like the other compact states.
-            "live_ledger": (
-                None if self.live_ledger is None else self.live_ledger.state_dict()
-            ),
+            "live_ledger": self.live_ledger.state_dict(),
             "provenance": self.provenance.state_dict(),
             "logs": tails,
             "scalars": self._scalar_state(),
@@ -954,17 +943,20 @@ class WarehouseOptimizer:
         )
         self.smart_model.load_state_dict(state["smart_model"])
         self.policy_advisor.load_state_dict(state["policy_advisor"])
-        live_state = state["live_ledger"]
-        if live_state is not None:
-            period = decode_window(live_state["replay"]["window"])
-            self.live_ledger = LiveLedger(self.warehouse, self.cost_model.replay, period)
-            # Re-feed from the account's telemetry (it survives a
-            # control-plane crash); the load checks the row count and id
-            # checksum against the captured state.
-            self.live_ledger.load_state_dict(
-                live_state,
-                self.account.telemetry.query_history(self.warehouse, period),
+        live_state = state.get("live_ledger")
+        if not isinstance(live_state, dict):
+            raise RecoveryError(
+                f"checkpoint for {self.warehouse!r} carries no live ledger state"
             )
+        require_keys(live_state, ("replay",), "LiveLedger")
+        period = decode_window(live_state["replay"]["window"])
+        self.live_ledger = LiveLedger(self.warehouse, self.cost_model.replay, period)
+        # Re-feed from the account's telemetry (it survives a control-plane
+        # crash); the load checks the row count and id checksum against the
+        # captured state.
+        self.live_ledger.load_state_dict(
+            live_state, self.account.telemetry.query_history(self.warehouse, period)
+        )
         logs = self.logs()
         if set(state["logs"]) != set(logs):
             raise RecoveryError(f"checkpoint logs {sorted(state['logs'])} != kept {sorted(logs)}")

@@ -257,10 +257,11 @@ def _provenance_section(records: list[dict]) -> list[str]:
 def _live_ledger_section(records: list[dict]) -> list[str]:
     """Streamed-vs-full reconciliations (``ledger.live_reconcile`` events).
 
-    Only rendered when the run enabled the live ledger: an aligned
-    exact-mode reconciliation with non-zero divergence is flagged loudly —
-    it means the O(delta) streaming ledger stopped being bit-identical to
-    the full replay, an invariant break rather than estimation noise.
+    Rendered when the trace closed at least one report period: an aligned
+    reconciliation with non-zero divergence is flagged loudly — it means
+    the live ledger's replay of its streamed rows stopped being
+    bit-identical to the savings estimate, an invariant break rather than
+    estimation noise.
     """
     rows = [
         r

@@ -5,8 +5,8 @@ The projection is one ``QueryReplay`` over the period's streamed rows
 scalar oracle); these tests pin the wiring — idempotent ingestion, the
 projection equal to the cost model's replay and silent in the trace, the
 aligned-reconciliation zero-divergence invariant, period rolls, the
-durable round-trip, and the optimizer integration behind
-``OptimizerConfig.live_ledger``.
+durable round-trip, and the optimizer integration (every onboarded
+optimizer streams its open period once per tick).
 """
 
 import dataclasses
@@ -204,29 +204,34 @@ class TestDurability:
             restored.load_state_dict(state, records[:-1])
 
 
+def onboarded_optimizer(seed=37) -> WarehouseOptimizer:
+    """An optimizer onboarded at 12 h on a steady one-template workload."""
+    account, wh = make_account(
+        seed=seed, size=WarehouseSize.M, auto_suspend_seconds=600.0, max_clusters=2
+    )
+    template = make_template("live", base_work_seconds=15.0, n_partitions=2)
+    times = [10.0 + i * 400.0 for i in range(int(24 * 9))]
+    account.schedule_workload(wh, make_requests(template, times))
+    account.run_until(12 * HOUR)
+    config = OptimizerConfig(
+        training_window=12 * HOUR,
+        onboarding_episodes=1,
+        episode_length=6 * HOUR,
+        retrain_interval=12 * HOUR,
+        retrain_episodes=0,
+        decision_interval=900.0,
+        report_interval=3 * HOUR,
+        confidence_tau=0.0,
+    )
+    optimizer = WarehouseOptimizer(account, wh, config=config)
+    optimizer.onboard()
+    return optimizer
+
+
 class TestOptimizerIntegration:
     def test_live_ledger_reconciles_bit_identically(self):
-        account, wh = make_account(
-            seed=37, size=WarehouseSize.M, auto_suspend_seconds=600.0, max_clusters=2
-        )
-        template = make_template("live", base_work_seconds=15.0, n_partitions=2)
-        times = [10.0 + i * 400.0 for i in range(int(24 * 9))]
-        account.schedule_workload(wh, make_requests(template, times))
-        account.run_until(12 * HOUR)
-        config = OptimizerConfig(
-            training_window=12 * HOUR,
-            onboarding_episodes=1,
-            episode_length=6 * HOUR,
-            retrain_interval=12 * HOUR,
-            retrain_episodes=0,
-            decision_interval=900.0,
-            report_interval=3 * HOUR,
-            confidence_tau=0.0,
-            live_ledger=True,
-        )
-        optimizer = WarehouseOptimizer(account, wh, config=config)
-        optimizer.onboard()
-        account.run_until(22 * HOUR)
+        optimizer = onboarded_optimizer()
+        optimizer.account.run_until(22 * HOUR)
         ledger = optimizer.live_ledger
         assert ledger is not None
         aligned = [e for e in ledger.reconciliations if e.aligned]
@@ -238,23 +243,34 @@ class TestOptimizerIntegration:
             assert entry.projected_credits == entry.estimated_credits
         assert any(e.rows_streamed > 0 for e in ledger.reconciliations)
 
-    def test_live_ledger_off_by_default(self):
-        account, wh = make_account(seed=38)
-        template = make_template("off", base_work_seconds=10.0)
-        account.schedule_workload(
-            wh, make_requests(template, [10.0 + i * 600.0 for i in range(80)])
-        )
-        account.run_until(12 * HOUR)
-        optimizer = WarehouseOptimizer(
-            account,
-            wh,
-            config=OptimizerConfig(
-                training_window=12 * HOUR,
-                onboarding_episodes=1,
-                episode_length=6 * HOUR,
-                retrain_episodes=0,
-                confidence_tau=0.0,
-            ),
-        )
-        optimizer.onboard()
-        assert optimizer.live_ledger is None
+    def test_every_onboarded_optimizer_opens_a_period_at_onboarding(self):
+        optimizer = onboarded_optimizer(seed=38)
+        ledger = optimizer.live_ledger
+        assert isinstance(ledger, LiveLedger)
+        report = optimizer.config.report_interval
+        assert ledger.period == Window(12 * HOUR, 12 * HOUR + report)
+        assert ledger.cursor == 12 * HOUR
+        assert ledger.rows_streamed == 0
+        assert ledger.reconciliations == []
+
+    def test_ingest_runs_once_per_tick(self, monkeypatch):
+        ticks, ingests = [], []
+        tick, ingest = WarehouseOptimizer._tick, LiveLedger.ingest
+
+        def counted_tick(self, now):
+            if self.onboarded and not self.paused:
+                ticks.append(now)
+            tick(self, now)
+
+        def counted_ingest(self, records, now):
+            ingests.append(now)
+            return ingest(self, records, now)
+
+        monkeypatch.setattr(WarehouseOptimizer, "_tick", counted_tick)
+        monkeypatch.setattr(LiveLedger, "ingest", counted_ingest)
+        optimizer = onboarded_optimizer()
+        optimizer.account.run_until(22 * HOUR)
+        # Period-close ticks included: the reconciliation reads the rows the
+        # tick already streamed instead of streaming again.
+        assert optimizer.live_ledger.reconciliations
+        assert ticks and ingests == ticks

@@ -59,7 +59,6 @@ def run(tmp_path, monkeypatch, days: int):
     scenario = flaky_api_scenario()
     scenario.total_days = 1 + days  # KWO starts at the end of day one
     assert scenario.horizon <= 3 * DAY  # inside the plan's fault windows
-    scenario.optimizer_config.live_ledger = True
     plan = scenario.fault_plan
     scenario.schedule()
     account = scenario.account

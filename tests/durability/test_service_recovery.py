@@ -8,18 +8,16 @@ contract itself on a live service mid-scenario.
 import pytest
 
 from repro.common.errors import ConfigurationError, RecoveryError
-from repro.core.optimizer import KeeboService
+from repro.core.optimizer import KeeboService, WarehouseOptimizer
 from repro.durability.checkpoint import CheckpointStore
 from repro.experiments.scenarios import smoke_scenario
 
 CADENCE = 3600.0
 
 
-def checkpointed_service(directory, live_ledger=False):
+def checkpointed_service(directory):
     """Run the smoke scenario a few checkpoint boundaries past onboarding."""
     scenario = smoke_scenario()
-    if live_ledger:
-        scenario.optimizer_config.live_ledger = True
     manifest = scenario.manifest()
     scenario.schedule()
     account = scenario.account
@@ -56,9 +54,7 @@ class TestRestoreRoundtrip:
         """The streaming ledger's state re-feeds from telemetry on restore
         and must round-trip byte-identically (checksum-verified), with the
         open period's projection answering exactly as before the crash."""
-        scenario, manifest, service = checkpointed_service(
-            tmp_path / "ckpt", live_ledger=True
-        )
+        scenario, manifest, service = checkpointed_service(tmp_path / "ckpt")
         optimizer = service.optimizer(scenario.warehouse)
         assert optimizer.live_ledger is not None
         original = optimizer.action_space.original
@@ -77,6 +73,35 @@ class TestRestoreRoundtrip:
         assert service._capture_state() == before
         restored = service.optimizer(scenario.warehouse).live_ledger
         assert restored.projection(original).credits == projected_before
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["null", "missing"])
+    def test_checkpoint_without_live_ledger_state_refused(self, tmp_path, monkeypatch, drop):
+        """A snapshot whose optimizer state carries no live ledger (``null``
+        or no key at all) is refused with a typed error naming the
+        warehouse, and the restore leaves the service empty."""
+        scenario, manifest, service = checkpointed_service(tmp_path / "ckpt")
+        delta_state = WarehouseOptimizer.delta_state
+
+        def without_live_ledger(self, marks):
+            state, sealed = delta_state(self, marks)
+            if drop:
+                del state["live_ledger"]
+            else:
+                state["live_ledger"] = None
+            return state, sealed
+
+        monkeypatch.setattr(WarehouseOptimizer, "delta_state", without_live_ledger)
+        service.checkpoint(force_snapshot=True)
+        service.crash()
+        with pytest.raises(RecoveryError, match=scenario.warehouse):
+            service.restore(
+                tmp_path / "ckpt",
+                slider=scenario.slider,
+                constraints=scenario.constraints,
+                optimizer_config=scenario.optimizer_config,
+                config_hash=manifest.config_hash,
+            )
+        assert service.optimizers == {}
 
     def test_restore_refuses_live_service(self, tmp_path):
         _, _, service = checkpointed_service(tmp_path / "ckpt")

@@ -6,6 +6,8 @@ is the whole value of `obs diff` as a regression tool, so it gets an
 end-to-end check on a real (small) scenario, not just unit tests.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import obs
@@ -18,6 +20,21 @@ def _traced_run(seed):
     with obs.observed(manifest=scenario.manifest()) as rec:
         result, _ = run_before_after(scenario)
     return rec, result
+
+
+def test_observation_does_not_change_the_run():
+    """The live ledger's per-tick projection runs only under observation
+    (it feeds a gauge); the run it observes must not notice."""
+    scenario = smoke_scenario(seed=123)
+    with obs.observed(manifest=scenario.manifest()):
+        observed, observed_optimizer = run_before_after(scenario)
+    plain, plain_optimizer = run_before_after(smoke_scenario(seed=123))
+    for field in dataclasses.fields(observed):
+        assert getattr(observed, field.name) == getattr(plain, field.name), field.name
+    reconciliations = observed_optimizer.live_ledger.reconciliations
+    assert any(entry.aligned for entry in reconciliations)
+    assert reconciliations == plain_optimizer.live_ledger.reconciliations
+    assert observed_optimizer.decision_counts() == plain_optimizer.decision_counts()
 
 
 def test_same_seed_runs_export_identical_bytes():
