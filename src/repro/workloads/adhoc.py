@@ -97,28 +97,21 @@ class AdhocWorkload(Workload):
         return days
 
     def generate(self, window: Window) -> list[QueryRequest]:
-        spikes = self._spike_days(window)
+        spikes = sorted(self._spike_days(window))
 
-        def intensity(t: float) -> float:
+        def intensity(t: np.ndarray) -> np.ndarray:
             rate = business_hours_profile(t, self.base_rate_per_hour, self.peak_rate_per_hour)
-            if day_index(t) in spikes:
-                rate *= self.spike_multiplier
-            rate *= month_end_multiplier(t, self.month_end_boost)
-            return rate
+            # ``x * 1.0 == x``: non-spike days keep their rate bit for bit.
+            rate = rate * np.where(np.isin(t // DAY, spikes), self.spike_multiplier, 1.0)
+            return rate * month_end_multiplier(t, self.month_end_boost)
 
         arrivals = poisson_arrivals(self.rng, window, intensity)
-        requests = []
-        for i, t in enumerate(arrivals):
-            template = self.templates[
-                int(self.rng.choice(len(self.templates), p=self._weights))
-            ]
-            requests.append(
-                QueryRequest(
-                    template=template,
-                    arrival_time=t,
-                    # Ad-hoc queries vary their constants: unique text hash
-                    # per submission, but a stable template hash.
-                    instance_key=f"run{day_index(t)}:{i}",
-                )
+        picks = self.rng.choice(len(self.templates), size=len(arrivals), p=self._weights)
+        # Already in time order.  Ad-hoc queries vary their constants: unique
+        # text hash per submission, but a stable template hash.
+        return [
+            QueryRequest(
+                template=self.templates[pick], arrival_time=t, instance_key=f"run{day_index(t)}:{i}"
             )
-        return self._sorted(requests)
+            for i, (pick, t) in enumerate(zip(picks.tolist(), arrivals))
+        ]

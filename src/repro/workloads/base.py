@@ -10,13 +10,14 @@ ad-hoc analytics with spikes and month-end load.
 from __future__ import annotations
 
 import abc
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import fallback_rng
-from repro.common.simtime import DAY, Window
+from repro.common.simtime import DAY, HOUR, Window
 from repro.warehouse.queries import QueryRequest, QueryTemplate
 
 
@@ -32,7 +33,7 @@ class Workload(abc.ABC):
 
     @staticmethod
     def _sorted(requests: list[QueryRequest]) -> list[QueryRequest]:
-        return sorted(requests, key=lambda r: r.arrival_time)
+        return sorted(requests, key=attrgetter("arrival_time"))
 
 
 class CompositeWorkload(Workload):
@@ -57,49 +58,51 @@ def poisson_arrivals(
 ) -> list[float]:
     """Sample a non-homogeneous Poisson process by thinning.
 
-    ``rate_per_hour_fn(t)`` gives the instantaneous intensity (queries/hour)
-    at simulation time ``t``.  The envelope rate is probed hourly across the
-    window, so intensity functions should be piecewise-smooth at sub-hour
-    scale.
+    ``rate_per_hour_fn(t)`` maps an array of simulation times to their
+    intensities (queries/hour) elementwise.  The envelope rate is probed
+    every 30 minutes across the window, so intensity functions should be
+    piecewise-smooth at sub-half-hour scale.
     """
-    probes = np.arange(window.start, window.end + 1, 1800.0)
-    lambda_max = max(float(rate_per_hour_fn(t)) for t in probes)
+    lambda_max = float(np.max(rate_per_hour_fn(np.arange(window.start, window.end + 1, 1800.0))))
     if lambda_max <= 0:
         return []
-    arrivals = []
+    exponential, uniform, scale = rng.exponential, rng.random, 3600.0 / lambda_max
+    times, draws = [], []
     t = window.start
     while True:
-        t += rng.exponential(3600.0 / lambda_max)
+        t += exponential(scale)
         if t >= window.end:
             break
-        if rng.random() < rate_per_hour_fn(t) / lambda_max:
-            arrivals.append(t)
-    return arrivals
+        times.append(t)
+        draws.append(uniform())
+    times = np.array(times)
+    return times[np.array(draws) < rate_per_hour_fn(times) / lambda_max].tolist()
 
 
 def business_hours_profile(
-    t: float, base: float, peak: float, open_hour: float = 8.0, close_hour: float = 18.0
-) -> float:
+    t, base: float, peak: float, open_hour: float = 8.0, close_hour: float = 18.0
+):
     """Weekday intensity profile: ``base`` off-hours, humped ``peak`` during
-    business hours with morning and afternoon maxima; weekends at ``base``."""
-    from repro.common.simtime import day_of_week, hour_of_day
+    business hours with morning and afternoon maxima; weekends at ``base``.
+    Elementwise over an array of times; a scalar time gives a ``float``."""
+    t = np.asarray(t, dtype=float)
+    h = (t % DAY) / HOUR
+    # Two-hump shape: peaks at ~10:30 and ~15:00.  float_power is libm pow, as
+    # ``**`` is on a scalar; on an array ``**`` squares and can differ in ulp.
+    x = (h - open_hour) / (close_hour - open_hour)
+    hump = 0.6 + 0.4 * (
+        np.float_power(np.sin(np.pi * x), 2) + 0.5 * np.float_power(np.sin(2 * np.pi * x + 0.4), 2)
+    ) / 1.5
+    open_now = ((t // DAY) % 7 < 5) & (open_hour <= h) & (h < close_hour)
+    rate = np.where(open_now, base + (peak - base) * hump, base)
+    return rate if rate.ndim else float(rate)
 
-    if day_of_week(t) >= 5:
-        return base
-    h = hour_of_day(t)
-    if not open_hour <= h < close_hour:
-        return base
-    # Two-hump shape: peaks at ~10:30 and ~15:00.
-    span = close_hour - open_hour
-    x = (h - open_hour) / span
-    hump = 0.6 + 0.4 * (np.sin(np.pi * x) ** 2 + 0.5 * np.sin(2 * np.pi * x + 0.4) ** 2) / 1.5
-    return base + (peak - base) * float(hump)
 
-
-def month_end_multiplier(t: float, boost: float = 2.0, days: int = 3) -> float:
-    """Load multiplier near the end of the simulated 28-day month."""
-    day_in_month = int(t // DAY) % 28
-    return boost if day_in_month >= 28 - days else 1.0
+def month_end_multiplier(t, boost: float = 2.0, days: int = 3):
+    """Load multiplier near the end of the simulated 28-day month
+    (elementwise over an array of times; a scalar time gives a ``float``)."""
+    multiplier = np.where((np.asarray(t) // DAY) % 28 >= 28 - days, boost, 1.0)
+    return multiplier if multiplier.ndim else float(multiplier)
 
 
 def make_partition_universe(prefix: str, n_tables: int, partitions_per_table: int) -> list[tuple[str, ...]]:

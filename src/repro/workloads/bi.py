@@ -96,20 +96,18 @@ class BiWorkload(Workload):
                     t, d.refreshes_per_hour_base, d.refreshes_per_hour_peak
                 ),
             )
-            for refresh_idx, refresh_at in enumerate(refresh_times):
-                for template in dashboard.panel:
-                    offset = float(self.rng.uniform(0.0, dashboard.panel_spread_seconds))
-                    t = refresh_at + offset
-                    if not window.contains(t):
-                        continue
-                    requests.append(
-                        QueryRequest(
-                            template=template,
-                            arrival_time=t,
-                            # Dashboards re-issue the *same* SQL text every
-                            # refresh: identical text hashes over time, which
-                            # the latency model exploits (footnote 4).
-                            instance_key=dashboard.name,
-                        )
-                    )
+            # One row of panel offsets per refresh: the scalar draws' stream.
+            offsets = self.rng.uniform(
+                0.0, dashboard.panel_spread_seconds, size=(len(refresh_times), len(dashboard.panel))
+            )
+            times = np.array(refresh_times).reshape(-1, 1) + offsets
+            inside = (window.start <= times) & (times < window.end)
+            # Dashboards re-issue the *same* SQL text every refresh: identical
+            # text hashes over time, which the latency model exploits (footnote 4).
+            requests.extend(
+                QueryRequest(
+                    template=dashboard.panel[q], arrival_time=t, instance_key=dashboard.name
+                )
+                for q, t in zip(np.nonzero(inside)[1].tolist(), times[inside].tolist())
+            )
         return self._sorted(requests)

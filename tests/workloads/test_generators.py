@@ -41,7 +41,7 @@ class TestArrivalProcesses:
     def test_thinning_respects_profile(self, rng):
         # Rate 60/hr in the second hour only.
         def rate(t):
-            return 60.0 if HOUR <= t < 2 * HOUR else 1.0
+            return np.where((HOUR <= t) & (t < 2 * HOUR), 60.0, 1.0)
 
         arrivals = poisson_arrivals(rng, Window(0, 3 * HOUR), rate)
         in_peak = sum(1 for t in arrivals if HOUR <= t < 2 * HOUR)
