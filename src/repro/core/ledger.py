@@ -158,6 +158,8 @@ class LiveLedger:
         self.unaligned_periods = 0
         #: The period's streamed rows by query id, in admission order.
         self._rows: dict[int, QueryRecord] = {}
+        #: ``(key, result)`` of the last :meth:`projection`.
+        self._projection: tuple | None = None
 
     @property
     def rows_streamed(self) -> int:
@@ -192,10 +194,17 @@ class LiveLedger:
 
         It runs the replay's unobserved tail, so a projection per tick adds
         no trace record (the authoritative estimate at period close is the
-        observed replay).
+        observed replay).  A tick that streamed no new row asks the same
+        question again, so the last result is kept under the config, the
+        row count (rows are only ever added to an open period) and the
+        replay's fit generation (a cost-model refit changes the answer for
+        the same rows).
         """
-        history = self.replay.history(list(self._rows.values()), self.period)
-        return self.replay.tail(history, config)
+        key = (config, self.rows_streamed, self.replay.fit_generation)
+        if self._projection is None or self._projection[0] != key:
+            history = self.replay.history(list(self._rows.values()), self.period)
+            self._projection = (key, self.replay.tail(history, config))
+        return self._projection[1]
 
     # ------------------------------------------------------------- period end
     def reconcile(
@@ -231,6 +240,7 @@ class LiveLedger:
         """Open the next period with no rows streamed."""
         self.period = period
         self._rows = {}
+        self._projection = None
         self.cursor = period.start
 
     # ------------------------------------------------------------- durability
@@ -296,6 +306,7 @@ class LiveLedger:
         self.unaligned_periods = int(state["unaligned_periods"])
         self.period = decode_window(streamed["window"])
         self._rows = {}
+        self._projection = None
         self._admit(records, visible_at=self.cursor)
         n, checksum = int(streamed["n_records"]), str(streamed["id_checksum"])
         if self.rows_streamed != n or self._id_checksum() != checksum:

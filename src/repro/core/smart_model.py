@@ -26,6 +26,7 @@ re-calibrates behaviour without retraining — exactly the paper's
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 
@@ -64,6 +65,9 @@ STRUCTURAL_DWELL = 1800.0
 #: optimizer drifts to the wrong size overnight.  (Idle time is also exactly
 #: when resizing buys nothing: a suspended warehouse costs 0 at any size.)
 MIN_ACTIVITY_FOR_STRUCTURAL = 5
+#: Admissible masks kept per action-table entry (one per distinct set of
+#: mask inputs; the oldest goes first).
+MASK_MEMO_SIZE = 8
 
 
 class DecisionKind(enum.Enum):
@@ -125,17 +129,20 @@ def decode_decision(state: dict) -> Decision:
 
 @dataclass(frozen=True)
 class Guardrail:
-    """One tick's cost-model evidence (§4.3): the recent window's snapshot
-    and its replays under the current and the customer's original config.
+    """One tick's cost-model evidence (§4.3): the recent window's snapshot,
+    its replay under the current config, and the customer's original config.
 
     Every candidate is judged against the same snapshot, so a tick fetches
-    and prepares its window once however many candidates it weighs.
+    and prepares its window once however many candidates it weighs.  The
+    original config is never replayed: its only use is the latency
+    reference, which is its size stage's mean latency, read when a verdict
+    runs (:meth:`reference_latency`).
     """
 
     snapshot: ReplayHistory
     current: WarehouseConfig
     base: ReplayResult
-    original: ReplayResult
+    original: WarehouseConfig
 
     def predicted(self, estimate: ReplayResult) -> float | None:
         """``estimate``'s credits as a per-hour rate — the guardrail window
@@ -143,6 +150,14 @@ class Guardrail:
         unit.  ``None`` for an empty window."""
         window_hours = self.snapshot.window.duration / HOUR
         return estimate.credits / window_hours if window_hours > 0 else None
+
+    def reference_latency(self) -> float:
+        """Mean replayed latency under the original config: its size
+        stage's mean, which a replay under any config of that size reports
+        (the base replay's, when the sizes agree; 0.0 for an empty window)."""
+        if not self.snapshot.records:
+            return 0.0
+        return self.snapshot.size_stage(self.original.size).avg_latency
 
     def verdict(
         self, target: WarehouseConfig, params: SliderParams, pressure: bool
@@ -154,20 +169,21 @@ class Guardrail:
         what-if replay before it is applied.  Returns ``(passes, estimate)``
         so provenance can record the what-if that justified the verdict.
 
-        Latency is judged against the *original* configuration's replay, not
-        the current one.  Judging against the current config creates a
-        ratchet: once the warehouse drifts above the customer's size, every
-        downsize looks like a "slowdown" and is vetoed forever, even though
-        it merely returns to the performance the customer provisioned for.
+        Latency is judged against the *original* configuration's mean
+        replayed latency, not the current one's.  Judging against the
+        current config creates a ratchet: once the warehouse drifts above
+        the customer's size, every downsize looks like a "slowdown" and is
+        vetoed forever, even though it merely returns to the performance
+        the customer provisioned for.
 
         ``pressure`` reports live performance stress: without it, upsizing
         (which can only cost money) needs a predicted saving to be worth it.
         """
         candidate = self.snapshot.cost(target)
-        base, original = self.base, self.original
-        reference_latency = max(original.avg_latency, 1e-9)
+        base = self.base
+        reference = self.reference_latency()
         latency_factor = (
-            candidate.avg_latency / reference_latency if original.avg_latency > 0 else 1.0
+            candidate.avg_latency / max(reference, 1e-9) if reference > 0 else 1.0
         )
         if latency_factor > params.max_latency_factor + 1e-9:
             return False, candidate
@@ -219,6 +235,11 @@ class SmartModel:
             self._suspend_anchor = 4 * max_suspend
         else:
             self._suspend_anchor = max(self.original.auto_suspend_seconds, max_suspend)
+        # The suspend floor reaches the mask only through which of these
+        # choices clear it, so the mask memo keys on that cut.
+        self._suspend_choices = sorted(
+            set(action_space.suspend_seconds[~action_space.keeps_suspend].tolist())
+        )
         self._cooldown_until = -1e18
         self._last_structural_change = -1e18
         self._confidence_anchor: float | None = None
@@ -451,7 +472,7 @@ class SmartModel:
         would never explore the actions it later becomes allowed to take).
         """
         space = self.action_space
-        mask = self.constraints.action_mask(now, current, space)
+        table = space.transitions(current)
         c = self.confidence(now) if confidence is None else confidence
         # The suspend floor relaxes geometrically from the customer's own
         # setting down to the slider's floor as confidence grows: early on
@@ -460,28 +481,40 @@ class SmartModel:
         floor = max(self.params.min_auto_suspend, 1.0)
         suspend_floor = floor * (self._suspend_anchor / floor) ** (1.0 - c)
         downsize_depth = int(c * self.params.max_downsize_steps)
-        size_floor = self.original.size.step(-downsize_depth)
-        size_ceiling = self.original.size.step(self.params.max_upsize_steps)
-        mask &= space.keeps_suspend | (space.suspend_seconds >= suspend_floor - 1e-9)
-        sizes = space.transitions(current).target_sizes
-        mask &= (sizes >= size_floor.value) & (sizes <= size_ceiling.value)
-        if not mask.any():
-            # A constraint floor can be unreachable in one step (e.g. a rule
-            # demanding X-Large while the warehouse sits at Small).  In the
-            # live loop enforce_floor() jumps the config before this mask is
-            # consulted; during offline training we simply hold.
-            mask[self.action_space.noop_index] = True
-        return mask
+        # Everything the mask reads besides the table's own config (the
+        # size band is the original size stepped by the two depths).
+        key = (
+            bisect.bisect_left(self._suspend_choices, suspend_floor - 1e-9),
+            downsize_depth,
+            self.params.max_upsize_steps,
+            tuple(self.constraints.active_rules(now)),
+        )
+        mask = table.masks.get(key)
+        if mask is None:
+            mask = self.constraints.action_mask(now, current, space)
+            mask &= space.keeps_suspend | (space.suspend_seconds >= suspend_floor - 1e-9)
+            size_floor = self.original.size.step(-downsize_depth)
+            size_ceiling = self.original.size.step(self.params.max_upsize_steps)
+            sizes = table.target_sizes
+            mask &= (sizes >= size_floor.value) & (sizes <= size_ceiling.value)
+            if not mask.any():
+                # A constraint floor can be unreachable in one step (e.g. a
+                # rule demanding X-Large while the warehouse sits at Small).
+                # In the live loop enforce_floor() jumps the config before
+                # this mask is consulted; during offline training we hold.
+                mask[space.noop_index] = True
+            if len(table.masks) >= MASK_MEMO_SIZE:
+                del table.masks[next(iter(table.masks))]
+            table.masks[key] = mask
+        return mask.copy()
 
     def _guardrail(self, now: float, current: WarehouseConfig) -> Guardrail:
         """Snapshot the recent window once per tick and replay it under the
-        current *and* the customer's original configuration (candidates
-        reuse both, and replay from the same snapshot)."""
+        current configuration (candidates reuse it, and replay from the
+        same snapshot)."""
         window = Window(max(0.0, now - GUARDRAIL_LOOKBACK), now)
         snapshot = self.cost_model.snapshot(window)
-        base = snapshot.cost(current)
-        original = base if self.original == current else snapshot.cost(self.original)
-        return Guardrail(snapshot, current, base, original)
+        return Guardrail(snapshot, current, snapshot.cost(current), self.original)
 
     def _safe_config(self, now: float, current: WarehouseConfig) -> WarehouseConfig:
         """The back-off target: one step toward the original configuration,

@@ -76,6 +76,7 @@ class WarehouseCostModel:
         self.gap_model.fit(records)
         fit_config = self.client.current_config(self.warehouse)
         self.cluster_predictor.fit(records, fit_config)
+        self.replay.fit_generation += 1
         self.training_window = window
         self.fitted = True
         return self
@@ -102,6 +103,7 @@ class WarehouseCostModel:
         self.latency_model.load_state_dict(state["latency_model"])
         self.gap_model.load_state_dict(state["gap_model"])
         self.cluster_predictor.load_state_dict(state["cluster_predictor"])
+        self.replay.fit_generation += 1
         self.fitted = bool(state["fitted"])
         window = state["training_window"]
         self.training_window = None if window is None else decode_window(window)

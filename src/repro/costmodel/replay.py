@@ -204,8 +204,9 @@ class ReplayHistory:
     A replay then runs only the per-config tail: activation bursts, their
     coverage, the cluster-count prediction and :func:`bill`.  The caches
     live exactly as long as the question: a tick's guardrail builds one
-    history, replays base, original and every candidate from it, and drops
-    it.  The history reads its models lazily, so refitting them between
+    history, replays the current config and every candidate from it, reads
+    the original size's stage for its latency reference, and drops it.
+    The history reads its models lazily, so refitting them between
     replays of one history is not supported; build a new one after a fit.
     The kernels never write into the cached arrays (they allocate fresh
     outputs), which is what makes sharing them across replays safe.
@@ -322,6 +323,9 @@ class QueryReplay:
     latency_model: LatencyScalingModel
     gap_model: GapModel
     cluster_predictor: ClusterCountPredictor
+    #: Bumped whenever the three models change in place (a cost-model fit
+    #: or restore), so a result kept across calls can tell it is stale.
+    fit_generation: int = 0
 
     def history(self, records: list[QueryRecord], window: Window) -> ReplayHistory:
         """``records`` (the QUERY_HISTORY of ``window``) prepared for replays."""

@@ -71,6 +71,9 @@ class Transitions(NamedTuple):
     configs: tuple[WarehouseConfig, ...]
     #: ``target_sizes[i] == configs[i].size`` as a read-only int array.
     target_sizes: np.ndarray
+    #: Masks computed over this config's outcomes, kept by their caller
+    #: (the smart model's admissible mask) under keys of its choosing.
+    masks: dict
 
 
 class ActionSpace:
@@ -156,7 +159,7 @@ class ActionSpace:
             )
         sizes = np.array([c.size.value for c in configs], dtype=np.int64)
         sizes.setflags(write=False)
-        return Transitions(tuple(configs), sizes)
+        return Transitions(tuple(configs), sizes, {})
 
     def apply(self, config: WarehouseConfig, action: Action) -> WarehouseConfig:
         """The configuration that results from taking ``action`` now."""

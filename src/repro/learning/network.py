@@ -26,6 +26,11 @@ class MLP:
     the whole vector.  Every element sees the same float operations, in the
     same order, as an Adam loop over separate arrays, so training is
     bit-identical to it (``tests/props/test_mlp_props.py``).
+
+    :meth:`train_step` writes its activations, ReLU masks and backprop
+    deltas into work arrays kept for the batch size it last trained on, so
+    a training run at one batch size allocates them once.  They are
+    scratch, not state: nothing reads them between steps.
     """
 
     def __init__(
@@ -51,6 +56,8 @@ class MLP:
         self._m_flat = np.zeros(n_params)
         self._v_flat = np.zeros(n_params)
         self._scratch = (np.empty(n_params), np.empty(n_params))
+        self._hidden = tuple(hidden)
+        self._work: tuple | None = None
         params = self._views(self._params)
         self.weights: list[np.ndarray] = params[: len(layers)]
         self.biases: list[np.ndarray] = params[len(layers) :]
@@ -78,38 +85,62 @@ class MLP:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Q-values for a batch (or single) state. Shape (..., output_dim)."""
         single = x.ndim == 1
-        h = np.atleast_2d(x).astype(float)
+        h = np.asarray(np.atleast_2d(x), dtype=float)
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
-        out = h @ self.weights[-1] + self.biases[-1]
+            h = h @ w
+            np.add(h, b, out=h)
+            np.maximum(h, 0.0, out=h)
+        out = h @ self.weights[-1]
+        np.add(out, self.biases[-1], out=out)
         return out[0] if single else out
 
     # ------------------------------------------------------------- training
+    def _work_arrays(self, batch: int) -> tuple:
+        """``(rows, hidden, relu, deltas, q, grad_q)`` for ``batch`` rows,
+        reused while the batch size stays the same."""
+        if self._work is None or self._work[0].shape[0] != batch:
+            hidden = self._hidden
+            self._work = (
+                np.arange(batch),
+                [np.empty((batch, width)) for width in hidden],
+                [np.empty((batch, width), dtype=bool) for width in hidden],
+                [np.empty((batch, width)) for width in hidden],
+                np.empty((batch, self.output_dim)),
+                np.empty((batch, self.output_dim)),
+            )
+        return self._work
+
     def train_step(
         self, states: np.ndarray, actions: np.ndarray, targets: np.ndarray
     ) -> float:
         """One Adam step on ``0.5 * (Q(s,a) - target)^2``; returns the loss."""
         batch = states.shape[0]
-        activations = [states.astype(float)]
-        h = activations[0]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
+        idx, hidden, relu, deltas, q, grad_q = self._work_arrays(batch)
+        h = np.asarray(states, dtype=float)
+        activations = [h]
+        for w, b, out in zip(self.weights[:-1], self.biases[:-1], hidden):
+            np.matmul(h, w, out=out)
+            np.add(out, b, out=out)
+            h = np.maximum(out, 0.0, out=out)
             activations.append(h)
-        q = h @ self.weights[-1] + self.biases[-1]
-        idx = np.arange(batch)
+        np.matmul(h, self.weights[-1], out=q)
+        np.add(q, self.biases[-1], out=q)
         td_error = q[idx, actions] - targets
         loss = float(0.5 * np.mean(td_error**2))
 
         # Backward pass: gradient flows only through the taken actions, and
         # each layer's gradient is written into its view of the flat vector.
-        grad_q = np.zeros_like(q)
+        grad_q.fill(0.0)
         grad_q[idx, actions] = td_error / batch
         delta = grad_q
         for layer in range(len(self.weights) - 1, -1, -1):
             np.matmul(activations[layer].T, delta, out=self._grads_w[layer])
             delta.sum(axis=0, out=self._grads_b[layer])
             if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (activations[layer] > 0)
+                previous = deltas[layer - 1]
+                np.matmul(delta, self.weights[layer].T, out=previous)
+                np.greater(activations[layer], 0, out=relu[layer - 1])
+                delta = np.multiply(previous, relu[layer - 1], out=previous)
         self._adam_step()
         return loss
 

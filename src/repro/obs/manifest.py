@@ -50,7 +50,13 @@ def _canonical(obj: object) -> object:
 
 def config_hash(config: object) -> str:
     """A short, stable content hash of any configuration value tree."""
-    payload = json.dumps(_canonical(config), sort_keys=True, separators=(",", ":"))
+    return canonical_hash(_canonical(config))
+
+
+def canonical_hash(tree: object) -> str:
+    """:func:`config_hash` of a value tree that is already canonical: plain
+    JSON values, dicts keyed by strings, no enums or dataclasses."""
+    payload = json.dumps(tree, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 

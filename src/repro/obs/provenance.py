@@ -35,6 +35,8 @@ the fleet store (:mod:`repro.obs.store`) work from a trace file alone.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from repro.common.errors import RecoveryError
 from repro.common.simtime import Window
 from repro.obs import trace as obs
-from repro.obs.manifest import config_hash
+from repro.obs.manifest import canonical_hash, config_hash
 
 #: Bumped on any incompatible change to the provenance record shapes.
 PROVENANCE_SCHEMA_VERSION = 1
@@ -492,7 +494,7 @@ class ProvenanceLog:
             reason=reason,
             reason_code=reason_code,
             target=target,
-            feedback_hash=config_hash(feedback),
+            feedback_hash=_feedback_hash(feedback, feedback_fields),
             feedback=feedback_fields,
             admissible_actions=context.admissible_actions,
             candidates=tuple(context.candidates),
@@ -622,6 +624,18 @@ def _feedback_fields(feedback: object) -> dict:
         if isinstance(value, (bool, int, float, str)) or value is None:
             out[name] = value
     return out
+
+
+def _feedback_hash(feedback: object, kept: dict) -> str:
+    """``config_hash(feedback)``, hashed from :func:`_feedback_fields`'
+    dict when that holds every field as a value canonicalisation keeps."""
+    if (
+        dataclasses.is_dataclass(feedback)
+        and kept.keys() == {f.name for f in dataclasses.fields(feedback)}
+        and not any(isinstance(value, enum.Enum) for value in kept.values())
+    ):
+        return canonical_hash(kept)
+    return config_hash(feedback)
 
 
 @dataclass(frozen=True)

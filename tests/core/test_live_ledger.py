@@ -129,6 +129,50 @@ class TestProjection:
             assert len(rec.sink) > before
 
 
+    def test_unchanged_period_reuses_its_projection(self):
+        records = make_records()
+        ledger = make_ledger(records)
+        ledger.ingest(records[:20], now=2 * HOUR)
+        first = ledger.projection(ORIGINAL)
+        assert ledger.projection(ORIGINAL) is first
+        assert ledger.projection(WarehouseConfig(size=WarehouseSize.L)) is not first
+        # A fresh row changes the question.
+        ledger.ingest(records[:21], now=2 * HOUR)
+        assert ledger.projection(ORIGINAL).credits == full_credits(ledger, records[:21])
+
+    def test_refit_in_place_is_not_served_from_the_memo(self):
+        # The period's rows stay the same while the cost model refits the
+        # models its replay holds: the second projection must be the
+        # refitted model's answer, not the first one kept.
+        account, wh = make_account(
+            seed=43, size=WarehouseSize.M, auto_suspend_seconds=600.0, max_clusters=2
+        )
+        template = make_template("refit", base_work_seconds=40.0, n_partitions=2)
+        account.schedule_workload(
+            wh, make_requests(template, [30.0 + i * 170.0 for i in range(40)])
+        )
+        account.run_until(2 * HOUR)
+        client = CloudWarehouseClient(account)
+        cost_model = WarehouseCostModel(client, wh).fit(Window(0.0, 2 * HOUR))
+        ledger = LiveLedger(wh, cost_model.replay, Window(0.0, 2 * HOUR))
+        ledger.ingest(client.query_history(wh, Window(0.0, 2 * HOUR)), now=2 * HOUR)
+        small = WarehouseConfig(size=WarehouseSize.S, auto_suspend_seconds=60.0, max_clusters=2)
+        before = ledger.projection(small)
+        # Two more hours at another size give the latency model an elasticity.
+        client.alter_warehouse(wh, size=WarehouseSize.S)
+        account.schedule_workload(
+            wh, make_requests(template, [2 * HOUR + 30.0 + i * 170.0 for i in range(40)])
+        )
+        account.run_until(4 * HOUR)
+        cost_model.fit(Window(0.0, 4 * HOUR))
+        after = ledger.projection(small)
+        rows = account.telemetry.query_history(wh, Window(0.0, 2 * HOUR))
+        expected = cost_model.replay.history(rows, ledger.period).cost(small)
+        assert after.credits != before.credits
+        for name in (f.name for f in dataclasses.fields(ReplayResult)):
+            assert getattr(after, name) == getattr(expected, name), name
+
+
 class TestReconcile:
     def test_aligned_exact_reconcile_divergence_is_zero(self):
         records = make_records()

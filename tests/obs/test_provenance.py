@@ -7,9 +7,12 @@ machinery adversarially and then check the invariant on a real run.
 """
 
 import dataclasses
+import enum
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.simtime import HOUR, Window
 from repro.core.monitoring import RealTimeFeedback
@@ -210,6 +213,54 @@ class TestProvenanceLogLifecycle:
         assert record.feedback == {"ratio": 1.5}
         assert record.feedback_hash == config_hash(Tagged(1.5))
         assert record.feedback_hash != config_hash({"ratio": 1.5})
+
+    @given(
+        st.tuples(*(st.floats(allow_nan=True, allow_infinity=True) for _ in range(8))),
+        st.tuples(*(st.integers(-(2**40), 2**40) for _ in range(3))),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_feedback_hash_matches_config_hash_on_any_floats(self, floats, ints, external, ok):
+        # NaN and the infinities go through the same JSON spelling either way.
+        feedback = RealTimeFeedback(
+            time=floats[0],
+            queue_length=ints[0],
+            running_queries=ints[1],
+            recent_queries=ints[2],
+            recent_p99=floats[1],
+            latency_ratio=floats[2],
+            mean_queue_seconds=floats[3],
+            arrival_zscore=floats[4],
+            unseen_template_fraction=floats[5],
+            external_change=external,
+            baseline_ratio_q99=floats[6],
+            spill_fraction=floats[7],
+            telemetry_ok=ok,
+        )
+        record = self._record_feedback(self._log(), feedback)
+        assert record.feedback_hash == config_hash(feedback)
+
+    def test_feedback_hash_falls_back_for_enum_and_dict_feedback(self):
+        # An int-valued enum field is kept in the field dict, but the hash
+        # canonicalises it to its value, which need not be the int; a plain
+        # dict hashes by its string keys.
+        class Level(int, enum.Enum):
+            def __new__(cls, number, label):
+                member = int.__new__(cls, number)
+                member._value_ = label
+                return member
+
+            LOW = (1, "low")
+
+        @dataclasses.dataclass(frozen=True)
+        class Leveled:
+            level: Level
+            ratio: float = math.nan
+
+        for feedback in (Leveled(Level.LOW), {"latency_ratio": math.inf, "n": 3}):
+            record = self._record_feedback(self._log(), feedback)
+            assert record.feedback_hash == config_hash(feedback)
 
     def test_seal_until_is_strict_and_incremental(self):
         log = self._log()

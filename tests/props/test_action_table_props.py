@@ -184,3 +184,78 @@ class TestTransitionTableProperties:
             for a in space.actions
         ]
         assert got.tolist() == want
+
+
+#: One mask query: time, confidence override (``None`` reads the ramp),
+#: slider position, and the action that leads from the original config to
+#: the config asked about.
+mask_queries = st.tuples(
+    st.floats(min_value=0.0, max_value=28 * DAY),
+    st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+    st.sampled_from(list(SliderPosition)),
+    st.integers(0, 35),
+)
+
+
+class TestMaskMemoProperties:
+    @given(
+        originals(),
+        constraint_sets,
+        st.floats(min_value=0.0, max_value=2 * DAY),
+        st.floats(min_value=0.0, max_value=DAY),
+        # Queries drawn from a small pool, so the memo is hit as well as filled.
+        st.lists(mask_queries, min_size=1, max_size=5).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=30)
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_memoized_mask_matches_fresh_computation(
+        self, original, rules, anchor, tau, queries
+    ):
+        space = ActionSpace(original)
+        model = model_for(space, rules, SliderPosition.BALANCED)
+        model.set_confidence_ramp(anchor, tau)
+        for now, confidence, position, hop in queries:
+            model.set_slider(slider_params(position))
+            config = space.apply(original, space.actions[hop])
+            got = model._admissible_mask(now, config, confidence=confidence)
+            fresh = model_for(ActionSpace(original), rules, position)
+            fresh.set_confidence_ramp(anchor, tau)
+            want = fresh._admissible_mask(now, config, confidence=confidence)
+            assert got.dtype == bool
+            assert got.tolist() == want.tolist()
+            assert got.tolist() == oracle_mask(
+                model, now, config, model.confidence(now) if confidence is None else confidence
+            ).tolist()
+            # The caller owns what it gets: scribbling on it must not reach
+            # the next call for the same inputs.
+            got[:] = ~got
+            again = model._admissible_mask(now, config, confidence=confidence)
+            assert again.tolist() == want.tolist()
+
+    @given(originals(), constraint_sets, st.floats(min_value=0.0, max_value=28 * DAY))
+    @settings(max_examples=20, deadline=None)
+    def test_memo_across_every_depth_and_slider(self, original, rules, now):
+        # A grid of confidences walks the downsize depth and the suspend
+        # cut through every value, and the slider sweep changes the upsize
+        # depth and the suspend floor, so inputs that share some key
+        # fields but not others all meet in one model's memo.  The
+        # reference model computes every mask afresh.
+        space = ActionSpace(original)
+        model = model_for(space, rules, SliderPosition.BALANCED)
+        reference_space = ActionSpace(original)
+        reference = model_for(reference_space, rules, SliderPosition.BALANCED)
+        queries = [
+            (position, i / 10, hop)
+            for position in SliderPosition
+            for i in range(11)
+            for hop in range(0, len(space.actions), 4)
+        ]
+        for position, confidence, hop in queries + queries[::-1]:
+            model.set_slider(slider_params(position))
+            reference.set_slider(slider_params(position))
+            config = space.apply(original, space.actions[hop])
+            got = model._admissible_mask(now, config, confidence=confidence)
+            reference_space.transitions(config).masks.clear()
+            want = reference._admissible_mask(now, config, confidence=confidence)
+            assert got.tolist() == want.tolist()

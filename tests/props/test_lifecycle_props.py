@@ -176,7 +176,9 @@ class TestCountedRunningSet:
         running = sum(wh.running_query_count for wh in warehouses)
         queued = sum(wh.queue_length for wh in warehouses)
         assert done + running + queued == len(arrivals)
-        if arrivals:
+        # Every dispatched query went through the checked pick.  (An arrival
+        # within a resume of the horizon is still queued there, unpicked.)
+        if done + running:
             assert picks
 
 
