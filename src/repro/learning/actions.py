@@ -138,25 +138,32 @@ class ActionSpace:
         return table
 
     def _tabulate(self, config: WarehouseConfig) -> Transitions:
+        # Actions often agree (clamped sizes and cluster caps, a KEEP that
+        # matches a choice): each distinct outcome is built once and
+        # shared.  600 and 600.0 export differently, so the type is keyed.
+        built: dict[tuple, WarehouseConfig] = {}
         configs = []
         for action in self.actions:
             size = config.size.step(action.resize_delta).value
             size = min(max(size, self.min_size.value), self.max_size.value)
             new_max = int(config.max_clusters) + action.max_cluster_delta
             new_max = min(max(new_max, 1), self._cluster_cap)
+            new_min = min(config.min_clusters, new_max)
             suspend = (
                 config.auto_suspend_seconds
                 if action.keeps_suspend
                 else float(action.suspend_seconds)
             )
-            configs.append(
-                config.with_changes(
+            key = (size, type(suspend), suspend, new_max, new_min)
+            target = built.get(key)
+            if target is None:
+                target = built[key] = config.with_changes(
                     size=WarehouseSize(size),
                     auto_suspend_seconds=suspend,
                     max_clusters=new_max,
-                    min_clusters=min(config.min_clusters, new_max),
+                    min_clusters=new_min,
                 )
-            )
+            configs.append(target)
         sizes = np.array([c.size.value for c in configs], dtype=np.int64)
         sizes.setflags(write=False)
         return Transitions(tuple(configs), sizes, {})

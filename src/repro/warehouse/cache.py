@@ -37,6 +37,14 @@ class PartitionCache:
     whenever the log holds more footprints than the cache holds
     partitions.  :meth:`clear` drops the log unread: a suspended cluster's
     cache never needed its order.
+
+    Most accesses repeat a footprint the cache already holds whole.  Only
+    an eviction, :meth:`clear` or :meth:`resize` removes a partition, so
+    the cache remembers, per footprint tuple, the eviction generation at
+    which that footprint was last wholly resident; an access whose memo
+    matches the current generation is a full hit without a membership
+    test.  Evictions bump the generation; ``clear`` and ``resize`` drop
+    the memo.
     """
 
     def __init__(self, capacity_bytes: float):
@@ -47,6 +55,10 @@ class PartitionCache:
         self._entries: OrderedDict[str, None] = OrderedDict()
         #: Footprints accessed since the order was last rebuilt, oldest first.
         self._log: list[Sequence[str]] = []
+        #: Footprint tuple -> ``_generation`` when it was last wholly resident.
+        self._resident: dict[tuple[str, ...], int] = {}
+        #: Counts the accesses that evicted.
+        self._generation = 0
         self.hits = 0
         self.misses = 0
 
@@ -60,10 +72,6 @@ class PartitionCache:
     def __contains__(self, partition: str) -> bool:
         return partition in self._entries
 
-    @property
-    def used_bytes(self) -> float:
-        return len(self._entries) * PARTITION_BYTES
-
     def access(self, footprint: Sequence[str]) -> float:
         """Touch a query's ``footprint``; return the hit ratio of this access.
 
@@ -75,10 +83,20 @@ class PartitionCache:
         """
         if not footprint:
             return 1.0
+        entries = self._entries
+        log = self._log
+        memo = type(footprint) is tuple
+        if memo and self._resident.get(footprint) == self._generation:
+            # Wholly resident, and nothing has left the cache since: the
+            # branch below with no misses.
+            log.append(footprint)
+            if len(log) > len(entries):
+                self._replay()
+            self.hits += len(footprint)
+            return 1.0
         # Snapshot semantics: the hit set is decided against the cache state
         # at access start (insertions during the scan cannot evict a
         # partition this same query was about to read).
-        entries = self._entries
         hits = len(entries.keys() & footprint)
         misses = len(footprint) - hits
         cap = self.max_partitions
@@ -88,13 +106,15 @@ class PartitionCache:
             if misses:
                 for p in footprint:
                     entries[p] = None
-            log = self._log
             log.append(footprint)
             if len(log) > len(entries):
                 self._replay()
+            if memo:
+                self._resident[footprint] = self._generation
         elif cap:
             self._replay()
             entries = self._entries
+            self._generation += 1
             # (Re-)insert everything: refreshes recency for hits and loads
             # misses; a hit evicted moments ago by this access's own misses
             # is simply reloaded.  ``footprint`` is duplicate-free and
@@ -107,6 +127,10 @@ class PartitionCache:
                     entries[p] = None
                     if len(entries) > cap:
                         entries.popitem(last=False)
+            # The footprint ends as the most recent entries, whole unless it
+            # outgrows the cache.
+            if memo and len(footprint) <= cap:
+                self._resident[footprint] = self._generation
         self.hits += hits
         self.misses += misses
         return hits / len(footprint)
@@ -131,6 +155,7 @@ class PartitionCache:
         """Drop everything (suspend / resize semantics)."""
         self._entries.clear()
         self._log.clear()
+        self._resident.clear()
 
     def resize(self, capacity_bytes: float) -> None:
         """Change capacity.  The simulator clears on resize anyway, but a
@@ -139,5 +164,6 @@ class PartitionCache:
             raise ConfigurationError("cache capacity must be non-negative")
         self.capacity_bytes = float(capacity_bytes)
         self._replay()
+        self._resident.clear()
         while len(self._entries) > self.max_partitions:
             self._entries.popitem(last=False)

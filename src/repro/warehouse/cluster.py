@@ -54,7 +54,7 @@ class Cluster:
     def begin_query(self, record: QueryRecord, now: float) -> None:
         if self.state != ClusterState.RUNNING:
             raise WarehouseError(f"cluster {self.cluster_id} is not running")
-        if self.free_slots <= 0:
+        if len(self.running) >= self.max_concurrency:
             raise WarehouseError(f"cluster {self.cluster_id} has no free slots")
         self.running[record.query_id] = record
         self.last_busy_at = now

@@ -204,23 +204,21 @@ class Simulation:
         controller.start(self.now if start is None else start)
         return controller
 
-    def _dispatch(self, event: Event | _Feed) -> None:
-        """Run the callback of the event due now, wrapping failures with
-        when/what context."""
-        try:
-            event.callback()
-        except Exception as exc:
-            where = f" in {event.label!r}" if event.label else ""
-            obs.emit(
-                "engine.event_error",
-                self.now,
-                label=event.label,
-                error=type(exc).__name__,
-            )
-            raise SimulationError(
-                f"event scheduled at t={self.now:.3f} ({format_time(self.now)})"
-                f"{where} raised {type(exc).__name__}: {exc}"
-            ) from exc
+    def _event_failure(self, event: Event | _Feed, exc: Exception) -> SimulationError:
+        """The :class:`SimulationError` for an event callback that raised:
+        the event's time and label (controller name) in the message, the
+        failure emitted to the active recorder."""
+        where = f" in {event.label!r}" if event.label else ""
+        obs.emit(
+            "engine.event_error",
+            self.now,
+            label=event.label,
+            error=type(exc).__name__,
+        )
+        return SimulationError(
+            f"event scheduled at t={self.now:.3f} ({format_time(self.now)})"
+            f"{where} raised {type(exc).__name__}: {exc}"
+        )
 
     def run_until(self, end_time: float) -> None:
         """Process all events up to and including ``end_time``."""
@@ -236,7 +234,10 @@ class Simulation:
                 continue  # removed from the pending count at cancel time
             self._pending -= 1
             self.now = time
-            self._dispatch(event)
+            try:
+                event.callback()
+            except Exception as exc:
+                raise self._event_failure(event, exc) from exc
             self.processed_events += 1
         self.now = end_time
         self._record_progress(before)
@@ -257,7 +258,10 @@ class Simulation:
             head.popped = True
             self._pending -= 1
             self.now = time
-            self._dispatch(head)
+            try:
+                head.callback()
+            except Exception as exc:
+                raise self._event_failure(head, exc) from exc
             self.processed_events += 1
         if hard_stop is not None:
             self.now = max(self.now, hard_stop)

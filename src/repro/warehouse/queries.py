@@ -164,7 +164,7 @@ class QueryRequest:
         return self.template.template_hash
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryRecord:
     """One row of QUERY_HISTORY telemetry (metadata only, no text/data).
 

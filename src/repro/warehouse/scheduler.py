@@ -65,7 +65,7 @@ class MultiClusterScheduler:
             if cluster is None:
                 break
             pending = self.queue.popleft()
-            wh._begin_execution(pending, cluster, now)
+            wh._begin_execution(pending.request, pending.record, cluster, now)
         if self.queue:
             self._consider_scale_out(now)
 

@@ -61,7 +61,7 @@ POLICY_TICK_SECONDS = 30.0
 SUSPEND_SWEEP_SECONDS = 60.0
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingQuery:
     """Internal pairing of the ground-truth request with its telemetry row."""
 
@@ -144,16 +144,15 @@ class VirtualWarehouse:
         """EWMA of recent execution times (drives ECONOMY scale-out)."""
         return self._exec_ewma
 
-    def utilization(self) -> float:
-        """Share of active concurrency slots currently busy."""
-        active = self.active_clusters()
-        if not active:
-            return 0.0
-        return self.running_query_count / (len(active) * self.config.max_concurrency)
-
     # ------------------------------------------------------------ submission
     def submit(self, request: QueryRequest, is_overhead: bool = False) -> QueryRecord:
-        """Accept a query at the current simulation time."""
+        """Accept a query at the current simulation time.
+
+        A query that finds the warehouse running, nothing queued and a
+        cluster free starts at once; it would be the queue's only entry,
+        and the dispatch loop would start it on the same cluster and leave
+        nothing queued.
+        """
         now = self.sim.now
         record = QueryRecord(
             query_id=next_query_id(),
@@ -165,16 +164,22 @@ class VirtualWarehouse:
             is_overhead=is_overhead,
             chained=request.chained,
         )
-        self.scheduler.enqueue(_PendingQuery(request, record))
         self.last_activity = now
         self._cancel_suspend_check()
+        scheduler = self.scheduler
+        if self.state is WarehouseState.RUNNING and not scheduler.queue:
+            cluster = scheduler._pick_cluster()
+            if cluster is not None:
+                self._begin_execution(request, record, cluster, now)
+                return record
+        scheduler.enqueue(_PendingQuery(request, record))
         if self.state == WarehouseState.SUSPENDED:
             self._begin_resume()
         elif self.state == WarehouseState.RUNNING:
-            self.scheduler.dispatch(now)
+            scheduler.dispatch(now)
             # Only the queue changed, and a parked tick stays parked while
             # it is empty (see _wake_policy_tick).
-            if self.scheduler.queue:
+            if scheduler.queue:
                 self._policy_controller.rearm(now)
         # RESUMING: the queue drains when the resume completes.
         return record
@@ -282,8 +287,9 @@ class VirtualWarehouse:
         self.clusters.pop(cluster.cluster_id, None)
 
     # ------------------------------------------------------------- execution
-    def _begin_execution(self, pending: _PendingQuery, cluster: Cluster, now: float) -> None:
-        record, request = pending.record, pending.request
+    def _begin_execution(
+        self, request: QueryRequest, record: QueryRecord, cluster: Cluster, now: float
+    ) -> None:
         template = request.template
         hit_ratio = cluster.cache.access(template.footprint)
         warm, spill_steps = template.execution(self.config.size)
@@ -303,7 +309,7 @@ class VirtualWarehouse:
             record.bytes_spilled = template.bytes_scanned * spill_steps
         cluster.begin_query(record, now)
         self._running += 1
-        self.sim.schedule_in(duration, lambda: self._complete_query(record, cluster))
+        self.sim.schedule(now + duration, lambda: self._complete_query(record, cluster))
 
     def _complete_query(self, record: QueryRecord, cluster: Cluster) -> None:
         now = self.sim.now
@@ -320,7 +326,8 @@ class VirtualWarehouse:
             else:
                 self.draining.discard(cluster.cluster_id)
         if self.state == WarehouseState.RUNNING:
-            self.scheduler.dispatch(now)
+            if self.scheduler.queue:
+                self.scheduler.dispatch(now)
             self._maybe_schedule_suspend_check()
 
     # ---------------------------------------------------------- auto-suspend

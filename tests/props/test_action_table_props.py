@@ -141,6 +141,9 @@ class TestTransitionTableProperties:
             assert [type(c.auto_suspend_seconds) for c in table.configs] == [
                 type(c.auto_suspend_seconds) for c in expected
             ]
+            assert [repr(c) for c in table.configs] == [repr(c) for c in expected]
+            # Each distinct outcome is built once and shared by its actions.
+            assert len({id(c) for c in table.configs}) == len({repr(c) for c in expected})
             assert table.target_sizes.tolist() == [c.size.value for c in expected]
             for action, target in zip(space.actions, expected):
                 assert space.apply(config, action) == target

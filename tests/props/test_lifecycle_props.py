@@ -131,12 +131,46 @@ def _apply(wh, op) -> None:
         wh.alter(**op)
 
 
+class _CheckedSimulation(Simulation):
+    """A simulation that runs ``check()`` after every event callback and
+    every fed item."""
+
+    def __init__(self, check):
+        super().__init__()
+        self.check = check
+
+    def schedule(self, time, callback, label=None):
+        def checked():
+            callback()
+            self.check()
+
+        return super().schedule(time, checked, label)
+
+    def feed(self, times, items, deliver):
+        def checked(item):
+            deliver(item)
+            self.check()
+
+        super().feed(times, items, checked)
+
+
 class TestCountedRunningSet:
     @given(st.lists(_configs, min_size=2, max_size=2), _arrivals, _operations)
     @settings(max_examples=150, deadline=None)
     def test_count_equals_sum_after_every_event(self, configs, arrivals, operations):
+        warehouses = []
+        checks = []
+
+        def check():
+            checks.append(None)
+            for wh in warehouses:
+                total = sum(len(c.running) for c in wh.clusters.values())
+                assert wh.running_query_count == total
+                assert wh.is_idle == (total == 0 and wh.queue_length == 0)
+
         account = Account(seed=3)
-        warehouses = [
+        account.sim = _CheckedSimulation(check)
+        warehouses += [
             account.create_warehouse(f"WH{i}", config) for i, config in enumerate(configs)
         ]
         picks = []
@@ -160,17 +194,6 @@ class TestCountedRunningSet:
             )
         for t, target, op in operations:
             account.sim.schedule(t, lambda wh=warehouses[target], op=op: _apply(wh, op))
-        sim = account.sim
-        dispatch = sim._dispatch
-
-        def checked_dispatch(event):
-            dispatch(event)
-            for wh in warehouses:
-                total = sum(len(c.running) for c in wh.clusters.values())
-                assert wh.running_query_count == total
-                assert wh.is_idle == (total == 0 and wh.queue_length == 0)
-
-        sim._dispatch = checked_dispatch
         account.run_until(HORIZON)
         done = sum(len(account.telemetry.query_history(wh.name)) for wh in warehouses)
         running = sum(wh.running_query_count for wh in warehouses)
@@ -180,6 +203,7 @@ class TestCountedRunningSet:
         # within a resume of the horizon is still queued there, unpicked.)
         if done + running:
             assert picks
+        assert len(checks) == account.sim.processed_events
 
 
 _programs = st.lists(

@@ -75,8 +75,3 @@ class TestPartitionCache:
         cache.access(["a", "c"])
         assert cache.hits == 1
         assert cache.misses == 3
-
-    def test_used_bytes(self):
-        cache = cache_for(4)
-        cache.access(["a", "b"])
-        assert cache.used_bytes == 2 * PARTITION_BYTES
