@@ -11,24 +11,34 @@ Usage::
     python benchmarks/regression_gate.py            # compare, exit 1 on drift
     python benchmarks/regression_gate.py --run      # regenerate results first
     python benchmarks/regression_gate.py --update   # bless fresh results
+    python benchmarks/regression_gate.py --run --base origin/main
 
-Wall-clock leaves (``seconds_*``, ``delta_fraction``) are inherently noisy
-across machines, which is why CI runs this gate as a *non-blocking* job: a
-red gate is a prompt to look, not a merge blocker.  Deterministic metric
-leaves (record counts, savings, credits) should never drift on the same
-code — those failures are real regressions.
+Wall-clock leaves (``seconds_*``, ``delta_fraction``) depend on the host:
+compared with baselines timed on another machine they drift on unchanged
+code.  ``--base <ref>`` (implies ``--run``) regenerates the gated results at
+``<ref>`` in a temporary ``git worktree`` on the same host, and compares the timing
+leaves against those instead; deterministic metric leaves (record
+counts, savings, credits) keep comparing against the committed
+baselines, where any drift is a real regression.  CI runs the gate with
+``--base`` set to the pull request's base commit, as a *non-blocking*
+job: a red gate is a prompt to look, not a merge blocker.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import contextmanager
+from typing import Iterator
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
+REPO_ROOT = BENCH_DIR.parent
 RESULTS_DIR = BENCH_DIR / "results"
 BASELINES_DIR = BENCH_DIR / "baselines"
 
@@ -84,9 +94,19 @@ def _drift(baseline: float, fresh: float) -> float:
     return abs(fresh - baseline) / denom
 
 
-def compare_result(name: str, tolerance: float) -> list[str]:
-    """Compare one fresh result against its baseline; return violations."""
-    baseline_path = BASELINES_DIR / f"{name}.json"
+def _leaves(path: pathlib.Path) -> dict[str, float]:
+    return _numeric_leaves(json.loads(path.read_text()))
+
+
+def compare_result(
+    name: str, tolerance: float, timing_dir: pathlib.Path | None = None
+) -> list[str]:
+    """Compare one fresh result against its baseline; return violations.
+
+    With ``timing_dir`` (results regenerated at the base ref on this host),
+    timing leaves compare against that directory's result instead of the
+    committed baseline.
+    """
     fresh_path = RESULTS_DIR / f"{name}.json"
     if not fresh_path.exists():
         return [
@@ -94,8 +114,14 @@ def compare_result(name: str, tolerance: float) -> list[str]:
             f"(pytest benchmarks/{GATED_RESULTS[name]} --benchmark-only) or "
             f"pass --run"
         ]
-    baseline = _numeric_leaves(json.loads(baseline_path.read_text()))
-    fresh = _numeric_leaves(json.loads(fresh_path.read_text()))
+    fresh = _leaves(fresh_path)
+    baseline = _leaves(BASELINES_DIR / f"{name}.json")
+    if timing_dir is not None:
+        base_path = timing_dir / f"{name}.json"
+        if not base_path.exists():
+            return [f"{name}: the base ref produced no result at {base_path}"]
+        baseline = {k: v for k, v in baseline.items() if not _is_timing(k)}
+        baseline.update({k: v for k, v in _leaves(base_path).items() if _is_timing(k)})
     violations = []
     for path in sorted(set(baseline) | set(fresh)):
         if path in _IGNORED_LEAVES:
@@ -108,28 +134,47 @@ def compare_result(name: str, tolerance: float) -> list[str]:
             continue
         drift = _drift(baseline[path], fresh[path])
         if drift > tolerance:
-            kind = "wall-time" if _is_timing(path) else "metric"
+            timing = _is_timing(path)
+            source = "base" if timing and timing_dir is not None else "baseline"
             violations.append(
-                f"{name}: {kind} {path} drifted {drift:+.1%} "
-                f"(baseline {baseline[path]:g}, fresh {fresh[path]:g}, "
+                f"{name}: {'wall-time' if timing else 'metric'} {path} drifted "
+                f"{drift:+.1%} ({source} {baseline[path]:g}, fresh {fresh[path]:g}, "
                 f"tolerance {tolerance:.0%})"
             )
     return violations
 
 
-def run_benches(names: list[str]) -> int:
-    """Regenerate the fresh results for ``names`` via pytest-benchmark."""
+def run_benches(names: list[str], root: pathlib.Path = REPO_ROOT) -> int:
+    """Regenerate the results for ``names`` via pytest-benchmark, from the
+    checkout at ``root`` (its own ``src`` on the path)."""
     bench_files = sorted({GATED_RESULTS[n] for n in names})
     cmd = [
         sys.executable,
         "-m",
         "pytest",
-        *[str(BENCH_DIR / f) for f in bench_files],
+        *[str(root / "benchmarks" / f) for f in bench_files],
         "--benchmark-only",
         "-q",
     ]
-    print(f"regenerating results: {' '.join(cmd)}")
-    return subprocess.run(cmd, cwd=BENCH_DIR.parent, check=False).returncode
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    print(f"regenerating results in {root}: {' '.join(cmd)}")
+    return subprocess.run(cmd, cwd=root, env=env, check=False).returncode
+
+
+@contextmanager
+def base_checkout(ref: str) -> Iterator[pathlib.Path]:
+    """A temporary ``git worktree`` of ``ref``, removed on exit."""
+    path = pathlib.Path(tempfile.mkdtemp(prefix="regression-base-"))
+    subprocess.run(
+        ["git", "worktree", "add", "--detach", str(path), ref], cwd=REPO_ROOT, check=True
+    )
+    try:
+        yield path
+    finally:
+        subprocess.run(
+            ["git", "worktree", "remove", "--force", str(path)], cwd=REPO_ROOT, check=False
+        )
+        shutil.rmtree(path, ignore_errors=True)
 
 
 def update_baselines(names: list[str]) -> int:
@@ -142,6 +187,18 @@ def update_baselines(names: list[str]) -> int:
         shutil.copyfile(RESULTS_DIR / f"{name}.json", BASELINES_DIR / f"{name}.json")
         print(f"blessed {BASELINES_DIR / f'{name}.json'}")
     return 0
+
+
+def _report(names: list[str], tolerance: float, timing_dir: pathlib.Path | None) -> list[str]:
+    """Compare every result, print a verdict per name; return all violations."""
+    all_violations: list[str] = []
+    for name in names:
+        violations = compare_result(name, tolerance, timing_dir)
+        print(f"{name}: {'FAIL' if violations else 'ok'}")
+        for violation in violations:
+            print(f"  {violation}")
+        all_violations.extend(violations)
+    return all_violations
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -163,6 +220,13 @@ def main(argv: list[str] | None = None) -> int:
         help="bless the current fresh results as the new baselines",
     )
     parser.add_argument(
+        "--base",
+        metavar="REF",
+        help="regenerate the gated results at this git ref on this host and "
+        "compare timing leaves against them (metric leaves still compare "
+        "against the committed baselines); implies --run",
+    )
+    parser.add_argument(
         "names",
         nargs="*",
         default=None,
@@ -174,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown result name(s): {', '.join(unknown)}")
 
-    if args.run:
+    if args.run or args.base is not None:
         rc = run_benches(names)
         if rc != 0:
             print(f"bench run failed (exit {rc})")
@@ -190,14 +254,15 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    all_violations: list[str] = []
-    for name in names:
-        violations = compare_result(name, args.tolerance)
-        status = "FAIL" if violations else "ok"
-        print(f"{name}: {status}")
-        for violation in violations:
-            print(f"  {violation}")
-        all_violations.extend(violations)
+    if args.base is None:
+        all_violations = _report(names, args.tolerance, None)
+    else:
+        with base_checkout(args.base) as root:
+            rc = run_benches(names, root)
+            if rc != 0:
+                print(f"bench run at {args.base} failed (exit {rc})")
+                return rc
+            all_violations = _report(names, args.tolerance, root / "benchmarks" / "results")
     if all_violations:
         print(
             f"\nregression gate FAILED: {len(all_violations)} violation(s). "

@@ -24,36 +24,20 @@ Quickstart::
     service.onboard_warehouse("ANALYTICS_WH")
 """
 
-from repro.core import (
-    ConstraintRule,
-    ConstraintSet,
-    KeeboService,
-    OptimizerConfig,
-    SliderPosition,
-    WarehouseOptimizer,
-)
-from repro.costmodel import WarehouseCostModel
-from repro.warehouse import (
-    Account,
-    CloudWarehouseClient,
-    ScalingPolicy,
-    WarehouseConfig,
-    WarehouseSize,
-)
+from repro.common import facade
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Account",
-    "CloudWarehouseClient",
-    "WarehouseConfig",
-    "WarehouseSize",
-    "ScalingPolicy",
-    "WarehouseCostModel",
-    "KeeboService",
-    "WarehouseOptimizer",
-    "OptimizerConfig",
-    "SliderPosition",
-    "ConstraintRule",
-    "ConstraintSet",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "repro.warehouse.account": ("Account",),
+        "repro.warehouse.api": ("CloudWarehouseClient",),
+        "repro.warehouse.config": ("WarehouseConfig",),
+        "repro.warehouse.types": ("WarehouseSize", "ScalingPolicy"),
+        "repro.costmodel.model": ("WarehouseCostModel",),
+        "repro.core.optimizer": ("KeeboService", "WarehouseOptimizer", "OptimizerConfig"),
+        "repro.core.sliders": ("SliderPosition",),
+        "repro.core.constraints": ("ConstraintRule", "ConstraintSet"),
+    },
+)

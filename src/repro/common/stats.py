@@ -66,6 +66,17 @@ def _linear(ordered: np.ndarray, q: float, arr: np.ndarray) -> float:
     return a + diff * t
 
 
+def median(values: Sequence[float]) -> float:
+    """``numpy.median`` of a non-empty, NaN-free sequence, bit for bit: the
+    middle value, or ``(a + b) / 2`` of the middle two.  numpy's own median
+    imports ``numpy.ma`` on its first call."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return (float(ordered[mid - 1]) + float(ordered[mid])) / 2
+
+
 def ewma(values: Iterable[float], alpha: float) -> float:
     """Exponentially-weighted moving average of a value sequence.
 

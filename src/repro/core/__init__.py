@@ -4,53 +4,27 @@ Action space, constraint engine, slider mapping, monitoring, actuator,
 smart model, value-based pricing, and the Algorithm-1 optimization loop.
 """
 
-from repro.learning.actions import (
-    CLUSTER_DELTAS,
-    RESIZE_DELTAS,
-    SUSPEND_CHOICES,
-    Action,
-    ActionSpace,
-)
-from repro.core.actuator import Actuator, AppliedAction
-from repro.core.consolidation import ConsolidationAdvisor, ConsolidationRecommendation
-from repro.core.constraints import ConstraintRule, ConstraintSet
-from repro.core.ledger import LedgerEntry, SavingsLedger
-from repro.core.monitoring import Monitor, RealTimeFeedback
-from repro.core.optimizer import KeeboService, OptimizerConfig, WarehouseOptimizer
-from repro.core.policy_advisor import ScalingPolicyAdvisor
-from repro.core.pricing import Invoice, ValueBasedPricing
-from repro.core.registry import CheckpointInfo, ModelRegistry
-from repro.core.sliders import SliderParams, SliderPosition, slider_params
-from repro.core.smart_model import Decision, DecisionKind, SmartModel
+from repro.common import facade
 
-__all__ = [
-    "Action",
-    "ActionSpace",
-    "SUSPEND_CHOICES",
-    "RESIZE_DELTAS",
-    "CLUSTER_DELTAS",
-    "ConstraintRule",
-    "ConstraintSet",
-    "SliderPosition",
-    "SliderParams",
-    "slider_params",
-    "Monitor",
-    "RealTimeFeedback",
-    "Actuator",
-    "AppliedAction",
-    "SmartModel",
-    "Decision",
-    "DecisionKind",
-    "ValueBasedPricing",
-    "Invoice",
-    "ModelRegistry",
-    "ScalingPolicyAdvisor",
-    "ConsolidationAdvisor",
-    "ConsolidationRecommendation",
-    "SavingsLedger",
-    "LedgerEntry",
-    "CheckpointInfo",
-    "WarehouseOptimizer",
-    "KeeboService",
-    "OptimizerConfig",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "repro.learning.actions": (
+            "CLUSTER_DELTAS",
+            "RESIZE_DELTAS",
+            "SUSPEND_CHOICES",
+            "Action",
+            "ActionSpace",
+        ),
+        "repro.core.actuator": ("Actuator", "AppliedAction"),
+        "repro.core.consolidation": ("ConsolidationAdvisor", "ConsolidationRecommendation"),
+        "repro.core.constraints": ("ConstraintRule", "ConstraintSet"),
+        "repro.core.ledger": ("LedgerEntry", "SavingsLedger"),
+        "repro.core.monitoring": ("Monitor", "RealTimeFeedback"),
+        "repro.core.optimizer": ("KeeboService", "OptimizerConfig", "WarehouseOptimizer"),
+        "repro.core.policy_advisor": ("ScalingPolicyAdvisor",),
+        "repro.core.pricing": ("Invoice", "ValueBasedPricing"),
+        "repro.core.sliders": ("SliderParams", "SliderPosition", "slider_params"),
+        "repro.core.smart_model": ("Decision", "DecisionKind", "SmartModel"),
+    },
+)

@@ -58,7 +58,6 @@ from repro.core.ledger import LiveLedger, SavingsLedger
 from repro.core.monitoring import Monitor
 from repro.core.policy_advisor import ScalingPolicyAdvisor
 from repro.core.pricing import Invoice, ValueBasedPricing
-from repro.core.registry import ModelRegistry
 from repro.core.sliders import SliderPosition, slider_params
 from repro.core.smart_model import (
     Decision,
@@ -125,7 +124,6 @@ class WarehouseOptimizer:
         slider: SliderPosition = SliderPosition.BALANCED,
         constraints: ConstraintSet | None = None,
         config: OptimizerConfig | None = None,
-        registry: ModelRegistry | None = None,
         client: CloudWarehouseClient | None = None,
     ):
         self.account = account
@@ -139,7 +137,6 @@ class WarehouseOptimizer:
         self.params = slider_params(slider)
         self.constraints = constraints or ConstraintSet()
         self.config = config or OptimizerConfig()
-        self.registry = registry
         self.onboarded = False
         self.paused = False
         self.safe_mode = False
@@ -216,21 +213,14 @@ class WarehouseOptimizer:
         )
         if self.config.confidence_tau > 0:
             self.smart_model.set_confidence_ramp(now, self.config.confidence_tau)
-        restored = self._try_restore_checkpoint()
-        episodes = (
-            self.config.retrain_episodes if restored else self.config.onboarding_episodes
-        )
         with obs.span(
             "optimizer.onboard",
             now,
             warehouse=self.warehouse,
-            restored=restored,
+            restored=False,  # onboarding always trains a fresh model
             records=len(records),
         ):
-            # A checkpointed model resumes where it left off: a quick
-            # fine-tune instead of a full onboarding run.
-            report = self._train(records, history, episodes)
-        self._save_checkpoint()
+            report = self._train(records, history, self.config.onboarding_episodes)
         self.training_reports.append(report)
         self._last_retrain = now
         self._controller = self.account.sim.add_controller(
@@ -250,28 +240,6 @@ class WarehouseOptimizer:
             WarehouseEvent(now, self.warehouse, "keebo_onboarded", "keebo", {})
         )
         return report
-
-    def _try_restore_checkpoint(self) -> bool:
-        """Load a previously saved smart model, if one is compatible."""
-        if self.registry is None:
-            return False
-        if self.registry.info(self.account.name, self.warehouse) is None:
-            return False
-        try:
-            self.registry.load_into(self.account.name, self.warehouse, self.agent)
-        except ConfigurationError:
-            return False  # incompatible shapes: train fresh
-        return True
-
-    def _save_checkpoint(self) -> None:
-        if self.registry is not None:
-            self.registry.save(
-                self.account.name,
-                self.warehouse,
-                self.agent,
-                slider_position=int(self.params.position),
-                saved_at=self.account.sim.now,
-            )
 
     def _train(self, records, history: Window, episodes: int) -> TrainingReport:
         """Offline DRL training on the telemetry-reconstructed workload."""
@@ -607,7 +575,6 @@ class WarehouseOptimizer:
                 self.training_reports.append(
                     self._train(records, history, self.config.retrain_episodes)
                 )
-                self._save_checkpoint()
 
     def _report_savings(self, now: float) -> None:
         """Algorithm 1 lines 18-19: estimate and report period savings."""
@@ -1077,12 +1044,10 @@ class KeeboService:
         self,
         account: Account,
         fee_fraction: float = 0.3,
-        registry: ModelRegistry | None = None,
         client_factory: Callable[[Account], CloudWarehouseClient] | None = None,
     ):
         self.account = account
         self.pricing = ValueBasedPricing(fee_fraction, account.price_per_credit)
-        self.registry = registry
         #: Optional ``account -> CloudWarehouseClient`` hook; chaos runs use
         #: it to hand every optimizer a FaultingWarehouseClient.
         self.client_factory = client_factory
@@ -1108,7 +1073,6 @@ class KeeboService:
             slider,
             constraints,
             config,
-            registry=self.registry,
             client=client,
         )
         optimizer.onboard()
@@ -1429,7 +1393,6 @@ class KeeboService:
                 slider,
                 constraints,
                 optimizer_config,
-                registry=self.registry,
                 client=client,
             )
             optimizer.load_durable_state(state["optimizers"][warehouse])

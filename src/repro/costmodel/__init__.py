@@ -6,36 +6,29 @@ scores, this model estimates *billable credits* directly, enabling both the
 smart model's action evaluation and value-based pricing.
 """
 
-from repro.costmodel.bytes_billed import (
-    BytesBilledEstimate,
-    BytesBilledModel,
-    EngineComparison,
-    compare_engines,
-)
-from repro.costmodel.clusters import (
-    MINI_WINDOW_SECONDS,
-    ClusterCountPredictor,
-    concurrency_profile,
-)
-from repro.costmodel.gaps import GapModel
-from repro.costmodel.latency import DEFAULT_GAMMA, LatencyScalingModel, TemplateScaling
-from repro.costmodel.model import SavingsEstimate, WarehouseCostModel
-from repro.costmodel.replay import QueryReplay, ReplayResult
+from repro.common import facade
 
-__all__ = [
-    "LatencyScalingModel",
-    "TemplateScaling",
-    "DEFAULT_GAMMA",
-    "GapModel",
-    "ClusterCountPredictor",
-    "concurrency_profile",
-    "MINI_WINDOW_SECONDS",
-    "QueryReplay",
-    "ReplayResult",
-    "WarehouseCostModel",
-    "SavingsEstimate",
-    "BytesBilledModel",
-    "BytesBilledEstimate",
-    "EngineComparison",
-    "compare_engines",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "repro.costmodel.bytes_billed": (
+            "BytesBilledEstimate",
+            "BytesBilledModel",
+            "EngineComparison",
+            "compare_engines",
+        ),
+        "repro.costmodel.clusters": (
+            "MINI_WINDOW_SECONDS",
+            "ClusterCountPredictor",
+            "concurrency_profile",
+        ),
+        "repro.costmodel.gaps": ("GapModel",),
+        "repro.costmodel.latency": (
+            "DEFAULT_GAMMA",
+            "LatencyScalingModel",
+            "TemplateScaling",
+        ),
+        "repro.costmodel.model": ("SavingsEstimate", "WarehouseCostModel"),
+        "repro.costmodel.replay": ("QueryReplay", "ReplayResult"),
+    },
+)

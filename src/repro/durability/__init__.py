@@ -19,38 +19,22 @@ themselves (``state_dict``/``load_state_dict``) and orchestrated by
 ``KeeboService.checkpoint``/``restore`` in :mod:`repro.core.optimizer`.
 """
 
-from repro.durability.checkpoint import SCHEMA, CheckpointLoad, CheckpointStore
-from repro.durability.codec import (
-    StateCodec,
-    decode_array,
-    decode_config,
-    decode_window,
-    encode_array,
-    encode_config,
-    encode_window,
-    state_checksum,
-)
-from repro.durability.io import (
-    atomic_savez,
-    atomic_write_bytes,
-    atomic_write_text,
-    read_journal,
-)
+from repro.common import facade
 
-__all__ = [
-    "SCHEMA",
-    "CheckpointLoad",
-    "CheckpointStore",
-    "StateCodec",
-    "encode_array",
-    "decode_array",
-    "encode_config",
-    "decode_config",
-    "encode_window",
-    "decode_window",
-    "state_checksum",
-    "atomic_write_text",
-    "atomic_write_bytes",
-    "atomic_savez",
-    "read_journal",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "repro.durability.checkpoint": ("SCHEMA", "CheckpointLoad", "CheckpointStore"),
+        "repro.durability.codec": (
+            "StateCodec",
+            "decode_array",
+            "decode_config",
+            "decode_window",
+            "encode_array",
+            "encode_config",
+            "encode_window",
+            "state_checksum",
+        ),
+        "repro.durability.io": ("atomic_write_bytes", "atomic_write_text", "read_journal"),
+    },
+)

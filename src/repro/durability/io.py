@@ -27,21 +27,17 @@ it is fatal and bytes past it are never parsed.
 
 from __future__ import annotations
 
-import io as _stdlib_io
 import json
 import os
 import zlib
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from repro.common.errors import RecoveryError
 
 __all__ = [
     "atomic_write_text",
     "atomic_write_bytes",
-    "atomic_savez",
     "frame_bytes",
     "frame_entry",
     "append_journal_entry",
@@ -77,18 +73,6 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
         os.fsync(directory)
     finally:
         os.close(directory)
-
-
-def atomic_savez(path: Path, *arrays: np.ndarray) -> None:
-    """``np.savez`` into an in-memory buffer, then publish atomically.
-
-    Note the resulting *zip container* is not byte-stable across runs (zip
-    members carry timestamps); the arrays inside are.  Byte-stable state
-    uses the base64 array codec in :mod:`repro.durability.codec` instead.
-    """
-    buffer = _stdlib_io.BytesIO()
-    np.savez(buffer, *arrays)
-    atomic_write_bytes(Path(path), buffer.getvalue())
 
 
 def frame_bytes(body: bytes) -> bytes:

@@ -6,26 +6,21 @@ monitor, optimizer — must survive the weather.  Seeded through the run's
 :class:`~repro.common.rng.RngRegistry`, so chaos runs are byte-reproducible.
 """
 
-from repro.faults.client import FaultingWarehouseClient
-from repro.faults.plan import (
-    ALL_OPERATIONS,
-    BILLING_OPERATIONS,
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
-    STATUS_OPERATIONS,
-    TELEMETRY_OPERATIONS,
-    WRITE_OPERATIONS,
-)
+from repro.common import facade
 
-__all__ = [
-    "ALL_OPERATIONS",
-    "BILLING_OPERATIONS",
-    "FaultKind",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultingWarehouseClient",
-    "STATUS_OPERATIONS",
-    "TELEMETRY_OPERATIONS",
-    "WRITE_OPERATIONS",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "repro.faults.client": ("FaultingWarehouseClient",),
+        "repro.faults.plan": (
+            "ALL_OPERATIONS",
+            "BILLING_OPERATIONS",
+            "FaultKind",
+            "FaultPlan",
+            "FaultSpec",
+            "STATUS_OPERATIONS",
+            "TELEMETRY_OPERATIONS",
+            "WRITE_OPERATIONS",
+        ),
+    },
+)

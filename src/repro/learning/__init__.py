@@ -1,57 +1,35 @@
 """The data-learning stack (§6): featurization, numpy DQN, telemetry-
 reconstructed training environments and baseline policies."""
 
-from repro.learning.actions import (
-    CLUSTER_DELTAS,
-    KEEP_SUSPEND,
-    RESIZE_DELTAS,
-    SUSPEND_CHOICES,
-    Action,
-    ActionSpace,
-)
-from repro.learning.agent import DQNAgent, DQNConfig
-from repro.learning.baselines import (
-    GreedyDownsizerPolicy,
-    RuleOfThumbPolicy,
-    StaticPolicy,
-)
-from repro.learning.buffer import ReplayBuffer, Transition
-from repro.learning.env import EnvStep, WarehouseEnv, reconstruct_workload
-from repro.learning.features import (
-    FEATURE_DIM,
-    FeatureExtractor,
-    WorkloadBaseline,
-    interval_windows,
-)
-from repro.learning.network import MLP
-from repro.learning.reward import RewardConfig, interval_reward
-from repro.learning.trainer import EpisodeStats, OfflineTrainer, TrainingReport
+from repro.common import facade
 
-__all__ = [
-    "Action",
-    "ActionSpace",
-    "CLUSTER_DELTAS",
-    "KEEP_SUSPEND",
-    "RESIZE_DELTAS",
-    "SUSPEND_CHOICES",
-    "MLP",
-    "ReplayBuffer",
-    "Transition",
-    "DQNAgent",
-    "DQNConfig",
-    "FeatureExtractor",
-    "WorkloadBaseline",
-    "FEATURE_DIM",
-    "interval_windows",
-    "RewardConfig",
-    "interval_reward",
-    "WarehouseEnv",
-    "EnvStep",
-    "reconstruct_workload",
-    "OfflineTrainer",
-    "TrainingReport",
-    "EpisodeStats",
-    "StaticPolicy",
-    "RuleOfThumbPolicy",
-    "GreedyDownsizerPolicy",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "repro.learning.actions": (
+            "CLUSTER_DELTAS",
+            "KEEP_SUSPEND",
+            "RESIZE_DELTAS",
+            "SUSPEND_CHOICES",
+            "Action",
+            "ActionSpace",
+        ),
+        "repro.learning.agent": ("DQNAgent", "DQNConfig"),
+        "repro.learning.baselines": (
+            "GreedyDownsizerPolicy",
+            "RuleOfThumbPolicy",
+            "StaticPolicy",
+        ),
+        "repro.learning.buffer": ("ReplayBuffer", "Transition"),
+        "repro.learning.env": ("EnvStep", "WarehouseEnv", "reconstruct_workload"),
+        "repro.learning.features": (
+            "FEATURE_DIM",
+            "FeatureExtractor",
+            "WorkloadBaseline",
+            "interval_windows",
+        ),
+        "repro.learning.network": ("MLP",),
+        "repro.learning.reward": ("RewardConfig", "interval_reward"),
+        "repro.learning.trainer": ("EpisodeStats", "OfflineTrainer", "TrainingReport"),
+    },
+)

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.simtime import Window
+from repro.common.stats import median
 from repro.learning.actions import ActionSpace
 from repro.learning.features import FeatureExtractor, WorkloadBaseline, interval_windows
 from repro.learning.reward import RewardConfig, interval_reward
@@ -65,22 +66,20 @@ def reconstruct_workload(
         warm = [r for r in rs if r.cache_hit_ratio >= MIN_FIT_CACHE_HIT]
         cold = [r for r in rs if r.cache_hit_ratio < MIN_FIT_CACHE_HIT]
         basis = warm or rs
-        base_work = float(
-            np.median(
-                [r.execution_seconds * r.warehouse_size.speedup**gamma for r in basis]
-            )
+        base_work = median(
+            [r.execution_seconds * r.warehouse_size.speedup**gamma for r in basis]
         )
         if warm and cold:
-            warm_eq = np.median(
+            warm_eq = median(
                 [r.execution_seconds * r.warehouse_size.speedup**gamma for r in warm]
             )
-            cold_eq = np.median(
+            cold_eq = median(
                 [r.execution_seconds * r.warehouse_size.speedup**gamma for r in cold]
             )
             cold_multiplier = float(np.clip(cold_eq / max(warm_eq, 1e-9), 1.0, 5.0))
         else:
             cold_multiplier = 1.5
-        bytes_scanned = float(np.median([r.bytes_scanned for r in rs]))
+        bytes_scanned = median([r.bytes_scanned for r in rs])
         n_parts = int(np.clip(round(bytes_scanned / PARTITION_BYTES), 1, MAX_SYNTHETIC_PARTITIONS))
         templates[tpl_hash] = QueryTemplate(
             name=f"recon.{tpl_hash}",

@@ -15,23 +15,15 @@ Programmatic use::
     findings = lint_source(snippet)     # list[Finding]
 """
 
-from repro.lint.context import FileContext
-from repro.lint.engine import LintResult, lint_paths, lint_project, lint_source
-from repro.lint.findings import SEVERITIES, Finding
-from repro.lint.project import Project
-from repro.lint.rules import Rule, all_rules, get_rules, register
+from repro.common import facade
 
-__all__ = [
-    "FileContext",
-    "Finding",
-    "LintResult",
-    "Project",
-    "Rule",
-    "SEVERITIES",
-    "all_rules",
-    "get_rules",
-    "lint_paths",
-    "lint_project",
-    "lint_source",
-    "register",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "repro.lint.context": ("FileContext",),
+        "repro.lint.engine": ("LintResult", "lint_paths", "lint_project", "lint_source"),
+        "repro.lint.findings": ("SEVERITIES", "Finding"),
+        "repro.lint.project": ("Project",),
+        "repro.lint.rules": ("Rule", "all_rules", "get_rules", "register"),
+    },
+)

@@ -437,7 +437,7 @@ class DurableWriteDisciplineRule(Rule):
     summary = (
         "durable artifacts in repro/durability/ and repro/core/ must be "
         "written via the atomic helpers in repro/durability/io.py "
-        "(atomic_write_text/bytes, atomic_savez, append_journal_entry), "
+        "(atomic_write_text/bytes, append_journal_entry), "
         "never bare open(..., 'w'), write_text/write_bytes, or np.savez"
     )
 
@@ -489,8 +489,9 @@ class DurableWriteDisciplineRule(Rule):
                 yield ctx.finding(
                     self,
                     node,
-                    f"{qualified}() writes an archive non-atomically; use "
-                    "atomic_savez from repro.durability.io",
+                    f"{qualified}() writes an archive non-atomically; save "
+                    "it to a buffer and publish the bytes with "
+                    "atomic_write_bytes from repro.durability.io",
                 )
                 continue
             if (

@@ -97,6 +97,21 @@ def _is_type_checking_test(ctx: FileContext, test: ast.expr) -> bool:
     return name is not None and name.split(".")[-1] == "TYPE_CHECKING"
 
 
+def _facade_modules(ctx: FileContext, value: ast.expr) -> list[ast.Constant]:
+    """The module keys of a lazy package facade's table
+    (``facade(__name__, {"pkg.mod": (...), ...})``, see
+    ``repro.common.facade``); empty for any other expression."""
+    if not (isinstance(value, ast.Call) and len(value.args) == 2):
+        return []
+    name = ctx.qualified(value.func)
+    table = value.args[1]
+    if name is None or name.split(".")[-1] != "facade" or not isinstance(table, ast.Dict):
+        return []
+    return [
+        key for key in table.keys if isinstance(key, ast.Constant) and isinstance(key.value, str)
+    ]
+
+
 class Project:
     """All files under the linted paths, with resolved import edges.
 
@@ -229,6 +244,21 @@ class Project:
                             target=target,
                             line=node.lineno,
                             col=node.col_offset,
+                            lazy=lazy,
+                            typing_only=typing_only,
+                        )
+                    )
+            elif isinstance(node, ast.Assign):
+                # A facade's table stands for the eager re-exports it
+                # replaced: its modules are edges of the package, so the
+                # layering contract still sees what a package exports.
+                for key in _facade_modules(info.ctx, node.value):
+                    info.edges.append(
+                        ImportEdge(
+                            source=info.name,
+                            target=key.value,
+                            line=key.lineno,
+                            col=key.col_offset,
                             lazy=lazy,
                             typing_only=typing_only,
                         )

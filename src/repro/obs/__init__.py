@@ -18,167 +18,101 @@ is opened::
     print(rec.metrics.to_json())
 """
 
-from repro.obs.alerts import NULL_ALERTS, AlertManager
-from repro.obs.manifest import RunManifest, config_hash
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    ObservabilityError,
-)
-from repro.obs.profile import (
-    Profile,
-    SpanStats,
-    critical_path,
-    diff_profiles,
-    folded_stacks,
-    profile_records,
-    to_folded,
-)
-from repro.obs.provenance import (
-    PROVENANCE_SCHEMA_VERSION,
-    UNATTRIBUTED,
-    AttributionEntry,
-    AttributionLedger,
-    AttributionShare,
-    AttributionSummary,
-    CalibrationReport,
-    CalibrationRow,
-    CandidateEvaluation,
-    DecisionContext,
-    DecisionOutcome,
-    DecisionRecord,
-    ProvenanceLog,
-    split_exact,
-)
-from repro.obs.series import DEFAULT_BUCKET_SECONDS, MetricSeries, SeriesRegistry
-from repro.obs.store import STORE_SCHEMA_VERSION, FleetStore
-from repro.obs.stream import (
-    CHUNK_SCHEMA_VERSION,
-    HEARTBEAT_SCHEMA_VERSION,
-    NULL_PROBE,
-    RESOURCES_SCHEMA_VERSION,
-    PayloadChunkMerger,
-    ResourceProbe,
-    SpillingTraceSink,
-    campaign_progress,
-    campaign_summary,
-    payload_chunks,
-    peak_rss_kb,
-    read_heartbeats,
-    write_heartbeat,
-)
-from repro.obs.watchtower import (
-    WATCHTOWER_SCHEMA_VERSION,
-    WatchtowerThresholds,
-    fleet_baseline,
-    run_watchtower,
-)
-from repro.obs.slo import (
-    SLOReport,
-    SLOResult,
-    SLOSpec,
-    SLOViolation,
-    default_slos,
-    evaluate_all,
-)
-from repro.obs.trace import (
-    NULL_SPAN,
-    TRACE_SCHEMA_VERSION,
-    Recorder,
-    Span,
-    TraceSink,
-    alerts,
-    counter,
-    emit,
-    enabled,
-    gauge,
-    histogram,
-    observed,
-    recorder,
-    resume,
-    span,
-    start,
-    stop,
+from repro.common import facade
+
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "repro.obs.alerts": ("NULL_ALERTS", "AlertManager"),
+        "repro.obs.manifest": ("RunManifest", "config_hash"),
+        "repro.obs.metrics": (
+            "DEFAULT_BUCKETS",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "ObservabilityError",
+        ),
+        "repro.obs.profile": (
+            "Profile",
+            "SpanStats",
+            "critical_path",
+            "diff_profiles",
+            "folded_stacks",
+            "profile_records",
+            "to_folded",
+        ),
+        "repro.obs.provenance": (
+            "PROVENANCE_SCHEMA_VERSION",
+            "UNATTRIBUTED",
+            "AttributionEntry",
+            "AttributionLedger",
+            "AttributionShare",
+            "AttributionSummary",
+            "CalibrationReport",
+            "CalibrationRow",
+            "CandidateEvaluation",
+            "DecisionContext",
+            "DecisionOutcome",
+            "DecisionRecord",
+            "ProvenanceLog",
+            "split_exact",
+        ),
+        "repro.obs.series": ("DEFAULT_BUCKET_SECONDS", "MetricSeries", "SeriesRegistry"),
+        "repro.obs.store": ("STORE_SCHEMA_VERSION", "FleetStore"),
+        "repro.obs.stream": (
+            "CHUNK_SCHEMA_VERSION",
+            "HEARTBEAT_SCHEMA_VERSION",
+            "NULL_PROBE",
+            "RESOURCES_SCHEMA_VERSION",
+            "PayloadChunkMerger",
+            "ResourceProbe",
+            "SpillingTraceSink",
+            "campaign_progress",
+            "campaign_summary",
+            "payload_chunks",
+            "peak_rss_kb",
+            "read_heartbeats",
+            "write_heartbeat",
+        ),
+        "repro.obs.watchtower": (
+            "WATCHTOWER_SCHEMA_VERSION",
+            "WatchtowerThresholds",
+            "fleet_baseline",
+            "run_watchtower",
+        ),
+        "repro.obs.slo": (
+            "SLOReport",
+            "SLOResult",
+            "SLOSpec",
+            "SLOViolation",
+            "default_slos",
+            "evaluate_all",
+        ),
+        "repro.obs.trace": (
+            "NULL_SPAN",
+            "TRACE_SCHEMA_VERSION",
+            "Recorder",
+            "Span",
+            "TraceSink",
+            "alerts",
+            "counter",
+            "emit",
+            "enabled",
+            "gauge",
+            "histogram",
+            "observed",
+            "recorder",
+            "resume",
+            "span",
+            "start",
+            "stop",
+        ),
+    },
 )
 
-__all__ = [
-    "AlertManager",
-    "CHUNK_SCHEMA_VERSION",
-    "HEARTBEAT_SCHEMA_VERSION",
-    "NULL_PROBE",
-    "PayloadChunkMerger",
-    "RESOURCES_SCHEMA_VERSION",
-    "ResourceProbe",
-    "SpillingTraceSink",
-    "WATCHTOWER_SCHEMA_VERSION",
-    "WatchtowerThresholds",
-    "AttributionEntry",
-    "AttributionLedger",
-    "AttributionShare",
-    "AttributionSummary",
-    "CalibrationReport",
-    "CalibrationRow",
-    "CandidateEvaluation",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "DEFAULT_BUCKET_SECONDS",
-    "DecisionContext",
-    "DecisionOutcome",
-    "DecisionRecord",
-    "FleetStore",
-    "Gauge",
-    "Histogram",
-    "MetricSeries",
-    "MetricsRegistry",
-    "NULL_ALERTS",
-    "NULL_SPAN",
-    "ObservabilityError",
-    "PROVENANCE_SCHEMA_VERSION",
-    "Profile",
-    "ProvenanceLog",
-    "Recorder",
-    "RunManifest",
-    "SLOReport",
-    "SLOResult",
-    "SLOSpec",
-    "SLOViolation",
-    "STORE_SCHEMA_VERSION",
-    "SeriesRegistry",
-    "Span",
-    "SpanStats",
-    "TRACE_SCHEMA_VERSION",
-    "TraceSink",
-    "UNATTRIBUTED",
-    "alerts",
-    "campaign_progress",
-    "campaign_summary",
-    "config_hash",
-    "counter",
-    "critical_path",
-    "default_slos",
-    "diff_profiles",
-    "emit",
-    "enabled",
-    "evaluate_all",
-    "fleet_baseline",
-    "folded_stacks",
-    "gauge",
-    "histogram",
-    "observed",
-    "payload_chunks",
-    "peak_rss_kb",
-    "profile_records",
-    "read_heartbeats",
-    "recorder",
-    "resume",
-    "run_watchtower",
-    "span",
-    "split_exact",
-    "start",
-    "stop",
-    "to_folded",
-    "write_heartbeat",
-]
+# ``alerts`` names both a submodule and trace's accessor.  Importing the
+# accessor here, after trace has imported the submodule, keeps it bound:
+# a later first import of ``repro.obs.alerts`` would otherwise rebind the
+# package attribute to the module.
+from repro.obs.trace import alerts  # noqa: E402

@@ -26,20 +26,18 @@ This is the only module allowed to touch :mod:`multiprocessing`
 (lint rule R011, docs/INVARIANTS.md).
 """
 
-from repro.parallel.pool import (
-    ParallelExecutionError,
-    StreamConfig,
-    WorkerJob,
-    register_protocol,
-    resolve_protocol,
-    run_jobs,
-)
+from repro.common import facade
 
-__all__ = [
-    "ParallelExecutionError",
-    "StreamConfig",
-    "WorkerJob",
-    "register_protocol",
-    "resolve_protocol",
-    "run_jobs",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "repro.parallel.pool": (
+            "ParallelExecutionError",
+            "StreamConfig",
+            "WorkerJob",
+            "register_protocol",
+            "resolve_protocol",
+            "run_jobs",
+        ),
+    },
+)

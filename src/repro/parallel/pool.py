@@ -39,12 +39,9 @@ from a fresh serial run.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import pathlib
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -502,6 +499,11 @@ def _run_with_worker_recovery(
     can merge observability incrementally and still get byte-identical
     exports regardless of worker deaths or retries.
     """
+    # Imported here: a serial (``workers=0``) run never loads them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     context = multiprocessing.get_context("spawn")
     outcomes: list = [_UNSET] * n_jobs
     strikes: dict[int, int] = {}

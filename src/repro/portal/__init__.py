@@ -1,62 +1,42 @@
 """Programmatic equivalent of Keebo's web portal (§4.1): KPI computation,
 dashboard data assembly, and text rendering."""
 
-from repro.portal.dashboards import (
-    ActionsDashboard,
-    AttributionDashboard,
-    OverheadDashboard,
-    SavingsDashboard,
-    actions_dashboard,
-    attribution_dashboard,
-    overhead_dashboard,
-    savings_dashboard,
-)
-from repro.portal.export import (
-    actions_to_dict,
-    attribution_to_dict,
-    kpi_bucket_to_dict,
-    optimizer_status_to_dict,
-    overhead_to_dict,
-    savings_to_dict,
-    to_json,
-)
-from repro.portal.kpis import (
-    KpiBucket,
-    daily_credits,
-    daily_p99_latency,
-    kpi_series,
-    total_spend,
-)
-from repro.portal.reports import (
-    render_actions,
-    render_attribution,
-    render_overhead,
-    render_savings,
-)
+from repro.common import facade
 
-__all__ = [
-    "KpiBucket",
-    "kpi_series",
-    "total_spend",
-    "daily_credits",
-    "daily_p99_latency",
-    "SavingsDashboard",
-    "savings_dashboard",
-    "OverheadDashboard",
-    "overhead_dashboard",
-    "ActionsDashboard",
-    "actions_dashboard",
-    "AttributionDashboard",
-    "attribution_dashboard",
-    "render_savings",
-    "render_overhead",
-    "render_actions",
-    "render_attribution",
-    "savings_to_dict",
-    "overhead_to_dict",
-    "actions_to_dict",
-    "attribution_to_dict",
-    "kpi_bucket_to_dict",
-    "optimizer_status_to_dict",
-    "to_json",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "repro.portal.dashboards": (
+            "ActionsDashboard",
+            "AttributionDashboard",
+            "OverheadDashboard",
+            "SavingsDashboard",
+            "actions_dashboard",
+            "attribution_dashboard",
+            "overhead_dashboard",
+            "savings_dashboard",
+        ),
+        "repro.portal.export": (
+            "actions_to_dict",
+            "attribution_to_dict",
+            "kpi_bucket_to_dict",
+            "optimizer_status_to_dict",
+            "overhead_to_dict",
+            "savings_to_dict",
+            "to_json",
+        ),
+        "repro.portal.kpis": (
+            "KpiBucket",
+            "daily_credits",
+            "daily_p99_latency",
+            "kpi_series",
+            "total_spend",
+        ),
+        "repro.portal.reports": (
+            "render_actions",
+            "render_attribution",
+            "render_overhead",
+            "render_savings",
+        ),
+    },
+)

@@ -7,46 +7,31 @@ policies, query queueing, a vendor-style client API and ACCOUNT_USAGE-style
 telemetry views.  See DESIGN.md §2 for the substitution rationale.
 """
 
-from repro.warehouse.account import Account, OverheadMeter
-from repro.warehouse.api import CloudWarehouseClient, WarehouseInfo
-from repro.warehouse.billing import MINIMUM_BILLED_SECONDS, BillingMeter, UsageSegment
-from repro.warehouse.cache import PARTITION_BYTES, PartitionCache
-from repro.warehouse.cluster import Cluster, ClusterState
-from repro.warehouse.config import MAX_CLUSTER_COUNT, WarehouseConfig
-from repro.warehouse.engine import PeriodicController, Simulation, SimulationError
-from repro.warehouse.queries import QueryRecord, QueryRequest, QueryTemplate, hash_text
-from repro.warehouse.scheduler import MultiClusterScheduler
-from repro.warehouse.telemetry import ConfigSnapshot, TelemetryStore, WarehouseEvent
-from repro.warehouse.types import ScalingPolicy, WarehouseSize, WarehouseState
-from repro.warehouse.warehouse import VirtualWarehouse
+from repro.common import facade
 
-__all__ = [
-    "Account",
-    "OverheadMeter",
-    "CloudWarehouseClient",
-    "WarehouseInfo",
-    "BillingMeter",
-    "UsageSegment",
-    "MINIMUM_BILLED_SECONDS",
-    "PartitionCache",
-    "PARTITION_BYTES",
-    "Cluster",
-    "ClusterState",
-    "WarehouseConfig",
-    "MAX_CLUSTER_COUNT",
-    "Simulation",
-    "SimulationError",
-    "PeriodicController",
-    "QueryTemplate",
-    "QueryRequest",
-    "QueryRecord",
-    "hash_text",
-    "MultiClusterScheduler",
-    "TelemetryStore",
-    "WarehouseEvent",
-    "ConfigSnapshot",
-    "WarehouseSize",
-    "ScalingPolicy",
-    "WarehouseState",
-    "VirtualWarehouse",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "repro.warehouse.account": ("Account", "OverheadMeter"),
+        "repro.warehouse.api": ("CloudWarehouseClient", "WarehouseInfo"),
+        "repro.warehouse.billing": (
+            "MINIMUM_BILLED_SECONDS",
+            "BillingMeter",
+            "UsageSegment",
+        ),
+        "repro.warehouse.cache": ("PARTITION_BYTES", "PartitionCache"),
+        "repro.warehouse.cluster": ("Cluster", "ClusterState"),
+        "repro.warehouse.config": ("MAX_CLUSTER_COUNT", "WarehouseConfig"),
+        "repro.warehouse.engine": ("PeriodicController", "Simulation", "SimulationError"),
+        "repro.warehouse.queries": (
+            "QueryRecord",
+            "QueryRequest",
+            "QueryTemplate",
+            "hash_text",
+        ),
+        "repro.warehouse.scheduler": ("MultiClusterScheduler",),
+        "repro.warehouse.telemetry": ("ConfigSnapshot", "TelemetryStore", "WarehouseEvent"),
+        "repro.warehouse.types": ("ScalingPolicy", "WarehouseSize", "WarehouseState"),
+        "repro.warehouse.warehouse": ("VirtualWarehouse",),
+    },
+)

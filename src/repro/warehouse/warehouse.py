@@ -328,7 +328,9 @@ class VirtualWarehouse:
         if self.state == WarehouseState.RUNNING:
             if self.scheduler.queue:
                 self.scheduler.dispatch(now)
-            self._maybe_schedule_suspend_check()
+            # Only a completion that leaves the warehouse idle can arm a check.
+            if not self._running and not self.scheduler.queue:
+                self._maybe_schedule_suspend_check()
 
     # ---------------------------------------------------------- auto-suspend
     def _maybe_schedule_suspend_check(self) -> None:

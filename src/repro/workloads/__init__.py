@@ -5,44 +5,30 @@ unpredictable ad-hoc analytics; plus mixed presets matching the regimes of
 the paper's evaluation (§7).
 """
 
-from repro.workloads.adhoc import AdhocWorkload
-from repro.workloads.base import (
-    CompositeWorkload,
-    Workload,
-    business_hours_profile,
-    make_partition_universe,
-    month_end_multiplier,
-    poisson_arrivals,
-    sample_table_subset,
-    template_bytes,
-)
-from repro.workloads.bi import BiWorkload, DashboardSpec
-from repro.workloads.etl import EtlWorkload, PipelineSpec
-from repro.workloads.reporting import ReportingWorkload
-from repro.workloads.mixed import (
-    make_bi_workload,
-    make_predictable_workload,
-    make_static_etl_workload,
-    make_unpredictable_workload,
-)
+from repro.common import facade
 
-__all__ = [
-    "Workload",
-    "CompositeWorkload",
-    "poisson_arrivals",
-    "business_hours_profile",
-    "month_end_multiplier",
-    "make_partition_universe",
-    "sample_table_subset",
-    "template_bytes",
-    "EtlWorkload",
-    "PipelineSpec",
-    "BiWorkload",
-    "DashboardSpec",
-    "AdhocWorkload",
-    "ReportingWorkload",
-    "make_predictable_workload",
-    "make_unpredictable_workload",
-    "make_static_etl_workload",
-    "make_bi_workload",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "repro.workloads.adhoc": ("AdhocWorkload",),
+        "repro.workloads.base": (
+            "CompositeWorkload",
+            "Workload",
+            "business_hours_profile",
+            "make_partition_universe",
+            "month_end_multiplier",
+            "poisson_arrivals",
+            "sample_table_subset",
+            "template_bytes",
+        ),
+        "repro.workloads.bi": ("BiWorkload", "DashboardSpec"),
+        "repro.workloads.etl": ("EtlWorkload", "PipelineSpec"),
+        "repro.workloads.reporting": ("ReportingWorkload",),
+        "repro.workloads.mixed": (
+            "make_bi_workload",
+            "make_predictable_workload",
+            "make_static_etl_workload",
+            "make_unpredictable_workload",
+        ),
+    },
+)

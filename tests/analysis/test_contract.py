@@ -52,6 +52,23 @@ class TestUpwardImports:
             }
         )
 
+    def test_facade_table_entry_is_an_import(self):
+        # A lazy facade's table (repro.common.facade) re-exports from its
+        # modules; an upward entry is flagged like the eager import it replaced.
+        (finding,) = findings_for(
+            {
+                "pkg.a.__init__": (
+                    "from pkg.common import facade\n"
+                    "__getattr__, __dir__, __all__ = facade(\n"
+                    "    __name__, {\"pkg.b.mod\": (\"helper\",)}\n"
+                    ")\n"
+                ),
+                "pkg.b.mod": "helper = 1\n",
+            }
+        )
+        assert (finding.file, finding.line) == ("pkg/a/__init__.py", 3)
+        assert "'a' (layer 0) may not import 'b' (layer 1)" in finding.message
+
     def test_root_module_may_import_anything(self):
         # pkg/__init__ is the re-export surface; it sits above every layer.
         assert not findings_for(

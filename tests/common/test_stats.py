@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.stats import StreamingStats, ewma, percentile, summarize
+from repro.common.stats import StreamingStats, ewma, median, percentile, summarize
 
 
 class TestPercentile:
@@ -127,6 +127,25 @@ samples = st.one_of(
     st.lists(finite, min_size=1, max_size=300),
 )
 quantiles = st.one_of(st.sampled_from([0, 50, 95, 99, 100, 0.0, 100.0]), st.floats(0.0, 100.0))
+
+
+class TestMedianMatchesNumpy:
+    """``median`` is ``numpy.median`` for the non-empty NaN-free inputs the
+    library passes it (the sign of a zero result is up to the sort)."""
+
+    @given(
+        st.lists(
+            st.one_of(special, finite, st.integers(-(10**12), 10**12)), min_size=1, max_size=60
+        )
+    )
+    @settings(max_examples=800, deadline=None)
+    def test_equal_to_numpy(self, values):
+        got = median(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf
+            expected = float(np.median(values))
+        assert type(got) is float
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
 class TestPercentileMatchesNumpy:

@@ -3,13 +3,11 @@
 import os
 import stat
 
-import numpy as np
 import pytest
 
 from repro.common.errors import RecoveryError
 from repro.durability.io import (
     append_journal_entry,
-    atomic_savez,
     atomic_write_bytes,
     atomic_write_text,
     frame_entry,
@@ -50,15 +48,6 @@ class TestAtomicWrites:
         monkeypatch.setattr(os, "fsync", fsync)
         atomic_write_bytes(tmp_path / "c.bin", b"payload")
         assert calls == [("fsync", False), ("replace", None), ("fsync", True)]
-
-    def test_savez_roundtrip(self, tmp_path):
-        arrays = [np.arange(6).reshape(2, 3), np.ones(4)]
-        path = tmp_path / "w.npz"
-        atomic_savez(path, *arrays)
-        with np.load(path) as archive:
-            assert np.array_equal(archive["arr_0"], arrays[0])
-            assert np.array_equal(archive["arr_1"], arrays[1])
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.npz"]
 
 
 class TestFraming:

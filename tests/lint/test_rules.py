@@ -741,7 +741,7 @@ class TestR019DurableWriteDiscipline:
                     handle.write("state")
             """,
             "R019",
-            path="src/repro/core/registry.py",
+            path="src/repro/core/ledger.py",
         )
         assert [f.line for f in found] == [2]
         assert "atomic helpers" in found[0].message
@@ -776,10 +776,10 @@ class TestR019DurableWriteDiscipline:
                 meta_path.write_text(text)
             """,
             "R019",
-            path="src/repro/core/registry.py",
+            path="src/repro/core/ledger.py",
         )
         assert [f.line for f in found] == [4, 5]
-        assert "atomic_savez" in found[0].message
+        assert "atomic_write_bytes" in found[0].message
 
     def test_open_read_clean(self):
         found = findings_for(
