@@ -246,10 +246,6 @@ class Actuator:
         self._generation += 1
         return self._apply_attempt(target, reason, attempt=1, generation=self._generation)
 
-    def revert_to(self, config: WarehouseConfig, reason: str) -> AppliedAction:
-        """Restore a previous configuration (self-correction / conflicts)."""
-        return self.apply(config, reason=f"revert: {reason}")
-
     # ------------------------------------------------------------- internals
     def _apply_attempt(
         self, target: WarehouseConfig, reason: str, attempt: int, generation: int

@@ -103,21 +103,9 @@ class SavingsLedger:
             if window is None or window.overlap(e.window) > 0
         )
 
-    def total_billable_credits(self, window: Window | None = None) -> float:
-        """Only positive periods are billable (no savings, no charges)."""
-        return sum(
-            max(e.savings_credits, 0.0)
-            for e in self.entries
-            if window is None or window.overlap(e.window) > 0
-        )
-
     def series(self) -> list[tuple[float, float]]:
         """(period end, savings credits) pairs for plotting."""
         return [(e.window.end, e.savings_credits) for e in self.entries]
-
-    @property
-    def periods_reported(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)

@@ -1101,10 +1101,6 @@ class KeeboService:
 
     # ------------------------------------------------------------ durability
     @property
-    def checkpoints_enabled(self) -> bool:
-        return self._durability is not None
-
-    @property
     def pending_crash(self) -> str | None:
         """Fault kind value of an un-consumed process fault, if any."""
         return None if self._durability is None else self._durability.pending_crash

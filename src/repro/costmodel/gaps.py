@@ -123,10 +123,6 @@ class GapModel:
         lags[1:] = np.where(is_chained, lag_tail, 0.0)
         return chained, lags
 
-    @property
-    def n_dependent_pairs(self) -> int:
-        return sum(1 for s in self._pair_support.values() if s >= MIN_PAIR_SUPPORT)
-
     # ----------------------------------------------------------- durability
     def state_dict(self) -> dict:
         # Tuple keys flatten to [prev, next, value] triples for JSON.

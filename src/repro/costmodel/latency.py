@@ -43,9 +43,6 @@ class TemplateScaling:
     n_observations: int
     n_sizes: int
 
-    def latency_at(self, size: WarehouseSize) -> float:
-        return 2.0 ** (self.log2_latency_at_xs - self.gamma * size.value)
-
 
 @dataclass
 class LatencyScalingModel:
@@ -181,17 +178,6 @@ class LatencyScalingModel:
             damped = 1.0 + (factors - 1.0) * np.maximum(cache_hit_ratios, 0.3)
             factors = np.where(cold, damped, factors)
         return execution_seconds * factors
-
-    def predict_absolute(self, template_hash: str, size: WarehouseSize) -> float | None:
-        """Expected warm latency of a known template at ``size``."""
-        scaling = self._templates.get(template_hash)
-        if scaling is None:
-            return None
-        return scaling.latency_at(size)
-
-    def size_speed_factor(self, from_size: WarehouseSize, to_size: WarehouseSize) -> float:
-        """Warehouse-average latency multiplier when moving between sizes."""
-        return 2.0 ** (self._warehouse_gamma * (from_size.value - to_size.value))
 
     @property
     def n_templates(self) -> int:

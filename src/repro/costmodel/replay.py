@@ -86,10 +86,6 @@ class ReplayResult:
     p99_latency: float
     hourly_credits: dict[int, float] = field(default_factory=dict)
 
-    @property
-    def cost_is_zero(self) -> bool:
-        return self.credits <= 0.0
-
 
 def counterfactual_spans(
     raw_arrivals: np.ndarray,

@@ -31,10 +31,6 @@ class EpisodeStats:
 class TrainingReport:
     episodes: list[EpisodeStats] = field(default_factory=list)
 
-    @property
-    def reward_curve(self) -> list[float]:
-        return [e.total_reward for e in self.episodes]
-
 
 class OfflineTrainer:
     """Trains one per-warehouse agent on reconstructed history."""

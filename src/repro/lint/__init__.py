@@ -3,9 +3,10 @@
 Machine-checks the conventions the reproduction's bit-reproducibility
 rests on (named RNG streams, simulated time, no swallowed failures, unit
 annotations at package boundaries) with per-file rules, and the
-cross-module properties a single file cannot prove (layering, dataflow,
+cross-module properties a single file cannot prove (layering,
 pickle-safety, exception contracts) with whole-program rules.  Both kinds
-live in one registry and run over one parse.  See ``docs/INVARIANTS.md``
+live in one registry and run over one parse, and each invariant has one
+rule.  See ``docs/INVARIANTS.md``
 for the rule catalogue and the suppression syntax.
 
 Programmatic use::

@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="AST-based determinism & invariant linter for the repro codebase "
-        "(per-file rules plus whole-program layering, dataflow, pickle-safety "
+        "(per-file rules plus whole-program layering, pickle-safety "
         "and exception-contract rules).",
     )
     for names, kwargs in FLAGS:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.lint.context import FileContext
+from repro.lint.context import FileContext, dotted_name
 from repro.lint.findings import Finding
 from repro.lint.rules import Rule, register
 
@@ -31,6 +31,8 @@ class WallClockRule(Rule):
 
     All simulation time is float seconds from ``repro.common.simtime``; a
     single ``time.time()`` makes two replays of the same scenario diverge.
+    Banning the read bans every value derived from it; a suppressed read
+    (``ResourceProbe``'s stage timer) answers for where its value goes.
     """
 
     rule_id = "R001"
@@ -82,26 +84,63 @@ class RngSourceRule(Rule):
     A module-level ``random``/``np.random`` draw consumes hidden global
     state: adding one draw anywhere reshuffles every later draw, which is
     exactly the cross-component coupling named streams exist to prevent.
-    ``repro/common/rng.py`` is the one legitimate construction site.
+    ``repro/common/rng.py`` is the one legitimate construction site.  A
+    ``numpy.random`` name used as a value (``mk = np.random.default_rng``)
+    is flagged too: the call through the alias would escape the call check.
+    Annotations (``rng: np.random.Generator``) are not values.
     """
 
     rule_id = "R002"
     name = "rng-via-registry"
     severity = "error"
     summary = (
-        "no `import random`, np.random.default_rng/seed/RandomState, or other "
-        "ambient entropy (uuid4, os.urandom) outside repro/common/rng.py; "
-        "draw from RngRegistry.stream(name)"
+        "no `import random`, np.random.default_rng/seed/RandomState calls or "
+        "aliases, or other ambient entropy (uuid4, os.urandom) outside "
+        "repro/common/rng.py; draw from RngRegistry.stream(name)"
     )
 
     EXEMPT_SUFFIXES = ("repro/common/rng.py",)
     FORBIDDEN_CALLS = frozenset({"uuid.uuid1", "uuid.uuid4", "os.urandom"})
 
+    @staticmethod
+    def _callees_and_annotations(tree: ast.Module) -> set[int]:
+        """Ids of the nodes where a ``numpy.random`` name is not a value: a
+        call's callee chain, and everything inside a type annotation."""
+        skip: set[int] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                chain = node.func
+                while isinstance(chain, ast.Attribute):
+                    skip.add(id(chain))
+                    chain = chain.value
+                skip.add(id(chain))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                annotation = node.returns
+            else:  # ast.arg and ast.AnnAssign
+                annotation = getattr(node, "annotation", None)
+            if annotation is not None:
+                skip.update(id(sub) for sub in ast.walk(annotation))
+        return skip
+
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         if ctx.path.endswith(self.EXEMPT_SUFFIXES):
             return
+        not_values = self._callees_and_annotations(ctx.tree)
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                if id(node) in not_values or not isinstance(node.ctx, ast.Load):
+                    continue
+                qualified = ctx.qualified(node) or ""
+                if qualified.startswith("numpy.random.") and qualified.count(".") == 2:
+                    yield ctx.finding(
+                        self,
+                        node,
+                        f"{qualified} used as a value (an alias, not a call or "
+                        "annotation) carries a generator constructor past the "
+                        "seed registry; obtain a generator via "
+                        "RngRegistry.stream(name)",
+                    )
+            elif isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.partition(".")[0] in ("random", "secrets"):
                         yield ctx.finding(
@@ -251,40 +290,51 @@ class SimtimeEqualityRule(Rule):
 
 @register
 class SetIterationRule(Rule):
-    """R008: set iteration order must not feed ordered outputs.
+    """R008: unordered iteration must not feed ordered outputs.
 
     ``for x in set(...)`` order depends on hash seeding and insertion
-    history; any telemetry row, ledger line, or report built from it is
-    nondeterministic across runs.  Wrap in ``sorted(...)`` before iterating.
+    history, and ``os.listdir``/``glob``/``Path.iterdir`` order on the
+    filesystem; any telemetry row, ledger line, or report built from either
+    is nondeterministic across runs.  Wrap in ``sorted(...)`` before
+    iterating.  Tracking is per scope: a name assigned an unordered value
+    stays unordered, and a method also knows the set-valued attributes its
+    class's ``__init__`` assigns.
     """
 
     rule_id = "R008"
     name = "no-unordered-set-iteration"
     severity = "error"
     summary = (
-        "iterating a set (for/comprehension/list()/tuple()/join) leaks hash "
-        "order into outputs; wrap in sorted(...) first"
+        "iterating a set or an unsorted filesystem listing (for/comprehension/"
+        "list()/tuple()/join) leaks its order into outputs; wrap in sorted(...) first"
     )
 
     _MATERIALIZERS = frozenset({"list", "tuple", "enumerate", "iter"})
+    _LISTING_CALLS = frozenset({"os.listdir", "os.scandir", "os.walk", "glob.glob", "glob.iglob"})
+    _LISTING_METHODS = frozenset({"glob", "rglob", "iterdir"})
+    #: Consumers whose result does not depend on the order they read.
+    _ORDER_FREE = frozenset({"sorted", "set", "frozenset", "any", "all"})
 
     def _is_set_expr(self, ctx: FileContext, node: ast.AST, set_vars: set[str]) -> bool:
         if isinstance(node, (ast.Set, ast.SetComp)):
             return True
-        if isinstance(node, ast.Name) and node.id in set_vars:
+        if isinstance(node, (ast.Name, ast.Attribute)) and dotted_name(node) in set_vars:
             return True
         if isinstance(node, ast.Call):
             qualified = ctx.qualified(node.func)
-            if qualified in ("set", "frozenset"):
+            if qualified in ("set", "frozenset") or qualified in self._LISTING_CALLS:
                 return True
-            # set.union / intersection / difference chains
-            if isinstance(node.func, ast.Attribute) and node.func.attr in (
-                "union",
-                "intersection",
-                "difference",
-                "symmetric_difference",
-            ):
-                return self._is_set_expr(ctx, node.func.value, set_vars)
+            if isinstance(node.func, ast.Attribute):
+                if node.func.attr in self._LISTING_METHODS:
+                    return True
+                # set.union / intersection / difference chains
+                if node.func.attr in (
+                    "union",
+                    "intersection",
+                    "difference",
+                    "symmetric_difference",
+                ):
+                    return self._is_set_expr(ctx, node.func.value, set_vars)
         if isinstance(node, ast.BinOp) and isinstance(
             node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
         ):
@@ -293,46 +343,72 @@ class SetIterationRule(Rule):
             )
         return False
 
-    def _scope_set_vars(self, ctx: FileContext, body: list[ast.stmt]) -> set[str]:
-        """Names assigned a set-valued expression anywhere in this scope."""
-        names: set[str] = set()
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node in body:
-                    continue  # nested scopes are visited separately
-                if isinstance(node, ast.Assign) and self._is_set_expr(ctx, node.value, names):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            names.add(target.id)
-                elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                    if self._is_set_expr(ctx, node.value, names) and isinstance(
-                        node.target, ast.Name
-                    ):
-                        names.add(node.target.id)
+    def _scope_set_vars(
+        self, ctx: FileContext, body: list[ast.stmt], seed: frozenset[str] = frozenset()
+    ) -> set[str]:
+        """Names (and ``self.x`` attributes) assigned an unordered value
+        anywhere in this scope, starting from ``seed``."""
+        names: set[str] = set(seed)
+        stack = list(reversed(body))
+        while stack:
+            node = stack.pop()
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                stack.extend(reversed(list(ast.iter_child_nodes(node))))  # own scope only
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if self._is_set_expr(ctx, value, names):
+                for target in targets:
+                    name = dotted_name(target)
+                    if isinstance(target, ast.Name) or (name or "").startswith("self."):
+                        names.add(name)
         return names
 
-    def _check_scope(self, ctx: FileContext, body: list[ast.stmt]) -> Iterator[Finding]:
-        set_vars = self._scope_set_vars(ctx, body)
+    def _init_attrs(self, ctx: FileContext, cls: ast.ClassDef) -> frozenset[str]:
+        """The ``self.x`` attributes ``cls.__init__`` assigns a set."""
+        for member in cls.body:
+            if isinstance(member, ast.FunctionDef) and member.name == "__init__":
+                names = self._scope_set_vars(ctx, member.body)
+                return frozenset(name for name in names if name.startswith("self."))
+        return frozenset()
+
+    def _check_scope(
+        self, ctx: FileContext, body: list[ast.stmt], seed: frozenset[str]
+    ) -> Iterator[Finding]:
+        set_vars = self._scope_set_vars(ctx, body, seed)
+        # Direct arguments of an order-free consumer: sorted(x for x in s).
+        order_free = {
+            id(arg)
+            for stmt in body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call) and ctx.qualified(node.func) in self._ORDER_FREE
+            for arg in node.args
+        }
 
         def flag(node: ast.AST, what: str) -> Finding:
             return ctx.finding(
                 self,
                 node,
-                f"{what} iterates a set in hash order — nondeterministic "
-                "across runs; wrap the set in sorted(...)",
+                f"{what} iterates a set or an unsorted filesystem listing — "
+                "its order differs across runs; wrap it in sorted(...)",
             )
 
         for stmt in body:
             for node in ast.walk(stmt):
                 if isinstance(node, ast.For) and self._is_set_expr(ctx, node.iter, set_vars):
                     yield flag(node, "for-loop")
-                elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp, ast.SetComp)):
+                # Building another unordered container (a set or dict
+                # comprehension) is fine.
+                elif isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+                    if id(node) in order_free:
+                        continue
                     for gen in node.generators:
-                        if isinstance(node, ast.SetComp) or isinstance(node, ast.DictComp):
-                            continue  # building another unordered container is fine
                         if self._is_set_expr(ctx, gen.iter, set_vars):
                             yield flag(node, "comprehension")
-                elif isinstance(node, ast.Call):
+                elif isinstance(node, ast.Call) and id(node) not in order_free:
                     qualified = ctx.qualified(node.func)
                     is_join = isinstance(node.func, ast.Attribute) and node.func.attr == "join"
                     if (qualified in self._MATERIALIZERS or is_join) and node.args:
@@ -342,13 +418,19 @@ class SetIterationRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         # Each function body is its own tracking scope; module level too.
-        scopes: list[list[ast.stmt]] = [ctx.tree.body]
+        # ast.walk reaches a class before its methods.
+        scopes: list[tuple[list[ast.stmt], frozenset[str]]] = [(ctx.tree.body, frozenset())]
+        class_attrs: dict[int, frozenset[str]] = {}
         for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append(node.body)
+            if isinstance(node, ast.ClassDef):
+                attrs = self._init_attrs(ctx, node)
+                for member in node.body:
+                    class_attrs[id(member)] = attrs
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scopes.append((node.body, class_attrs.get(id(node), frozenset())))
         seen: set[tuple[int, int, str]] = set()
-        for scope in scopes:
-            for finding in self._check_scope(ctx, scope):
+        for body, seed in scopes:
+            for finding in self._check_scope(ctx, body, seed):
                 key = (finding.line, finding.col, finding.message)
                 if key not in seen:  # nested scopes overlap via ast.walk
                     seen.add(key)
@@ -364,10 +446,9 @@ class ResourceQuarantineRule(Rule):
     state, and its report lands exclusively in a ``.resources.json``
     sidecar.  A ``tracemalloc``/``getrusage`` read anywhere else in the
     library is one refactor away from leaking a machine-dependent number
-    into the byte-identity surface (trace/metrics/series/store exports) —
-    the same taint R014 chases, caught at the read site instead of the
-    flow.  Benchmarks and tests are out of scope: measuring memory there
-    is the point.
+    into the byte-identity surface (trace/metrics/series/store exports),
+    so the rule rejects it at the read site.  Benchmarks and tests are out
+    of scope: measuring memory there is the point.
     """
 
     rule_id = "R018"

@@ -72,43 +72,45 @@ class MutableDefaultRule(Rule):
 
 @register
 class SilentExceptRule(Rule):
-    """R006: no bare/blanket exception swallowing.
+    """R006: a blanket handler must not hide a failure.
 
     The monitoring/actuator self-correction loop (§4.4) must *observe*
     failures to back off; ``except: pass`` converts a failed actuation into
-    silent divergence between the believed and actual warehouse config.
+    silent divergence between the believed and actual warehouse config, and
+    a log-and-carry-on ``except Exception`` hides the typed errors
+    (TelemetryError, WarehouseTimeoutError, ...) consumers key off.  A bare
+    ``except:`` is flagged, and so is an ``except Exception``/
+    ``BaseException`` whose body never re-raises.
     """
 
     rule_id = "R006"
     name = "no-silent-except"
     severity = "error"
     summary = (
-        "bare `except:` and `except Exception: pass` swallow failures the "
-        "self-correction loop must observe; catch specific errors or re-raise"
+        "bare `except:` and blanket `except Exception` handlers that never "
+        "re-raise hide failures the self-correction loop must observe; catch "
+        "specific errors or re-raise"
     )
 
     _BLANKET = ("Exception", "BaseException")
 
-    def _is_blanket(self, ctx: FileContext, node: ast.expr | None) -> bool:
-        if node is None:
-            return True
+    def _is_blanket(self, ctx: FileContext, node: ast.expr) -> bool:
         if isinstance(node, ast.Tuple):
             return any(self._is_blanket(ctx, elt) for elt in node.elts)
         return ctx.qualified(node) in self._BLANKET
 
     @staticmethod
-    def _swallows(body: list[ast.stmt]) -> bool:
-        for stmt in body:
-            if isinstance(stmt, (ast.Pass, ast.Continue)):
-                continue
-            if (
-                isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Constant)
-                and stmt.value.value is Ellipsis
-            ):
-                continue
-            return False
-        return True
+    def _reraises(body: list[ast.stmt]) -> bool:
+        """Does the handler body raise, outside any nested def or class?"""
+        stack: list[ast.AST] = list(body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.Raise):
+                return True
+            nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+            if not isinstance(node, nested):
+                stack.extend(ast.iter_child_nodes(node))
+        return False
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         for node in ast.walk(ctx.tree):
@@ -121,40 +123,35 @@ class SilentExceptRule(Rule):
                     "bare `except:` catches everything including "
                     "KeyboardInterrupt; name the exception types",
                 )
-            elif self._is_blanket(ctx, node.type) and self._swallows(node.body):
+            elif self._is_blanket(ctx, node.type) and not self._reraises(node.body):
                 yield ctx.finding(
                     self,
                     node,
-                    "`except Exception` whose body only passes swallows "
-                    "failures silently; handle, log to the ledger, or re-raise",
+                    "`except Exception` that never re-raises swallows "
+                    "failures, typed ones too (TelemetryError, "
+                    "WarehouseTimeoutError, ...); catch the specific errors "
+                    "or re-raise",
                 )
 
 
 @register
 class BoundedRetriesRule(Rule):
-    """R010: retry loops must be bounded and failures must propagate.
+    """R010: retry loops must be bounded.
 
     The robustness layer (docs/ROBUSTNESS.md) handles vendor flakiness with
-    *bounded* retries, a circuit breaker, and typed errors.  Two patterns
-    defeat it:
-
-    * ``while True:`` with no ``break``/``return`` — an unbounded retry (or
-      plain infinite) loop that turns a persistent vendor outage into a hang;
-    * ``except Exception`` that neither re-raises nor is a trivial swallow
-      (R006 covers those) — work done in a blanket handler hides the typed
-      errors (TelemetryError, WarehouseTimeoutError, ...) consumers key off.
+    *bounded* retries, a circuit breaker, and typed errors.  A ``while
+    True:`` with no ``break``/``return`` defeats it: an unbounded retry (or
+    plain infinite) loop turns a persistent vendor outage into a hang.
+    Blanket handlers that hide a failure are R006's.
     """
 
     rule_id = "R010"
     name = "bounded-retries"
     severity = "error"
     summary = (
-        "retry loops must be bounded (no escape-less `while True:`) and "
-        "blanket `except Exception` handlers must re-raise; use RetryPolicy/"
-        "CircuitBreaker and typed errors instead"
+        "retry loops must be bounded (no escape-less `while True:`); use "
+        "RetryPolicy/CircuitBreaker and typed errors instead"
     )
-
-    _BLANKET = ("Exception", "BaseException")
 
     @classmethod
     def _has_escape(cls, stmts: list[ast.stmt], in_nested_loop: bool) -> bool:
@@ -183,48 +180,20 @@ class BoundedRetriesRule(Rule):
                     return True
         return False
 
-    @staticmethod
-    def _reraises(body: list[ast.stmt]) -> bool:
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    break  # don't credit raises from nested defs
-                if isinstance(node, ast.Raise):
-                    return True
-        return False
-
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.While):
-                test = node.test
-                infinite = isinstance(test, ast.Constant) and bool(test.value)
-                if infinite and not self._has_escape(node.body, False):
-                    yield ctx.finding(
-                        self,
-                        node,
-                        "`while True:` with no break/return is an unbounded "
-                        "retry loop; bound the attempts (see "
-                        "repro.core.actuator.RetryPolicy) or add an escape",
-                    )
-            elif isinstance(node, ast.ExceptHandler):
-                if node.type is None:
-                    continue  # bare except: R006's finding already
-                blanket = SilentExceptRule._is_blanket(
-                    SilentExceptRule(), ctx, node.type
+            if not isinstance(node, ast.While):
+                continue
+            test = node.test
+            infinite = isinstance(test, ast.Constant) and bool(test.value)
+            if infinite and not self._has_escape(node.body, False):
+                yield ctx.finding(
+                    self,
+                    node,
+                    "`while True:` with no break/return is an unbounded "
+                    "retry loop; bound the attempts (see "
+                    "repro.core.actuator.RetryPolicy) or add an escape",
                 )
-                if not blanket:
-                    continue
-                if SilentExceptRule._swallows(node.body):
-                    continue  # trivial swallow: R006's finding already
-                if not self._reraises(node.body):
-                    yield ctx.finding(
-                        self,
-                        node,
-                        "`except Exception` that does work but never "
-                        "re-raises hides typed failures (TelemetryError, "
-                        "WarehouseTimeoutError, ...) from their consumers; "
-                        "catch the specific errors or re-raise",
-                    )
 
 
 @register

@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 import pathlib
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.lint.context import FileContext, dotted_name
 
@@ -70,7 +70,7 @@ def iter_python_files(paths: Sequence[str | pathlib.Path]) -> list[pathlib.Path]
     for raw in paths:
         path = pathlib.Path(raw)
         if path.is_dir():
-            for sub in path.rglob("*.py"):
+            for sub in sorted(path.rglob("*.py")):
                 if not _SKIP_DIRS.intersection(sub.parts):
                     out.add(sub)
         elif path.suffix == ".py":
@@ -126,7 +126,6 @@ class Project:
         self.classes: dict[str, ClassInfo] = {}
         self.errors: list[str] = []
         self.files_scanned: int = 0
-        self._derived: dict = {}
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -185,13 +184,6 @@ class Project:
         self.modules[name] = info
 
     # -------------------------------------------------------------- accessors
-    def derived(self, compute: Callable[["Project"], list]) -> list:
-        """``compute(self)``, evaluated once per project (a pass that feeds
-        several rules walks the code once)."""
-        if compute not in self._derived:
-            self._derived[compute] = compute(self)
-        return self._derived[compute]
-
     def sorted_modules(self) -> list[ModuleInfo]:
         return [self.modules[name] for name in sorted(self.modules)]
 

@@ -43,10 +43,16 @@ class Rule:
 
 _REGISTRY: dict[str, Type[Rule]] = {}
 
+#: Ids of deleted rules.  Ids are permanent: a retired id is never reused,
+#: so an old suppression or report can never name a different rule.
+RETIRED = frozenset({"R013", "R014", "R015"})
+
 
 def register(cls: Type[Rule]) -> Type[Rule]:
     """Class decorator adding a rule to the global registry."""
     rid = cls.rule_id
+    if rid in RETIRED:
+        raise ValueError(f"rule id {rid!r} is retired ({cls.__name__}); take the next free id")
     if rid in _REGISTRY and _REGISTRY[rid] is not cls:
         raise ValueError(f"duplicate rule id {rid!r} ({cls.__name__} vs {_REGISTRY[rid].__name__})")
     _REGISTRY[rid] = cls
@@ -80,4 +86,4 @@ def iter_rule_docs() -> Iterator[tuple[str, str, str, str]]:
 def _load_builtin() -> None:
     # Imported lazily to avoid a circular import at module load time
     # (builtin rule modules import `register` from here).
-    from repro.lint import contract, dataflow, determinism, exceptions, hygiene, pickles  # noqa: F401
+    from repro.lint import contract, determinism, exceptions, hygiene, pickles  # noqa: F401

@@ -16,7 +16,9 @@ that line is itself an R000 finding ("unused suppression").  Stale
 suppressions are holes waiting to reopen — the rule they silence can start
 firing again behind them without anyone noticing — so the count is only
 allowed to go down.  Unused detection is scoped to the rules that actually
-ran (``--select R003`` must not flag an R001 directive as unused).
+ran (``--select R003`` must not flag an R001 directive as unused).  A
+directive naming no registered rule (``disable=R099``, or a retired id) is
+an R000 finding on a full run.
 """
 
 from __future__ import annotations
@@ -54,36 +56,50 @@ class SuppressionTable:
         """R000 findings for directives that silenced nothing.
 
         A specific id is unused when its rule ran on this pass and no finding
-        on that line matched it.  ``disable=all`` is only judged on a full
-        run (``full_run``), since a partial ``--select`` pass cannot prove it
-        idle.  Unused findings are unsuppressible by construction (they carry
-        rule id R000 and R000 is never consulted against the table).
+        on that line matched it.  On a full run (``full_run``) every
+        registered rule ran, so an id that did not run names no rule at all
+        (a typo, or a retired id) and is reported as unknown; ``disable=all``
+        is judged only then too, since a partial ``--select`` pass cannot
+        prove it idle.  These findings are unsuppressible by construction
+        (they carry rule id R000 and R000 is never consulted against the
+        table).
         """
         out: list[Finding] = []
         for line in sorted(self.by_line):
-            ids = self.by_line[line]
             used_here = {rid for (ln, rid) in self.used if ln == line}
             stale: list[str] = []
-            for rule_id in sorted(ids):
+            unknown: list[str] = []
+            for rule_id in sorted(self.by_line[line]):
                 if rule_id == "all":
                     if full_run and not used_here:
                         stale.append("all")
-                elif rule_id in ran_rule_ids and rule_id not in used_here:
-                    stale.append(rule_id)
+                elif rule_id in ran_rule_ids:
+                    if rule_id not in used_here:
+                        stale.append(rule_id)
+                elif full_run:
+                    unknown.append(rule_id)
+            messages = []
             if stale:
-                out.append(
-                    Finding(
-                        file=path,
-                        line=line,
-                        col=self.directive_cols.get(line, 0),
-                        rule_id="R000",
-                        severity="error",
-                        message=(
-                            f"unused suppression for {', '.join(stale)}: "
-                            "no such finding on this line; remove the directive"
-                        ),
-                    )
+                messages.append(
+                    f"unused suppression for {', '.join(stale)}: "
+                    "no such finding on this line; remove the directive"
                 )
+            if unknown:
+                messages.append(
+                    f"unknown rule id {', '.join(unknown)} in suppression: "
+                    "no such rule is registered; remove the directive"
+                )
+            out.extend(
+                Finding(
+                    file=path,
+                    line=line,
+                    col=self.directive_cols.get(line, 0),
+                    rule_id="R000",
+                    severity="error",
+                    message=message,
+                )
+                for message in messages
+            )
         return out
 
 

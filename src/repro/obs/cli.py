@@ -357,7 +357,7 @@ def _load_series(trace_path: str, series_path: str | None) -> SeriesRegistry:
         raise ValueError(f"{path}: not a series snapshot (expected an object)")
     try:
         return SeriesRegistry.from_snapshot(snapshot)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ObservabilityError) as exc:
         raise ValueError(f"{path}: not a series snapshot ({exc!r})") from exc
 
 

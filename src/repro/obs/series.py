@@ -217,26 +217,15 @@ class SeriesRegistry:
 
     @classmethod
     def from_snapshot(cls, snapshot: dict[str, dict[str, object]]) -> "SeriesRegistry":
-        """Rebuild a registry from a :meth:`snapshot` / exported JSON value.
+        """Rebuild a registry from a :meth:`snapshot` / exported JSON value:
+        one sized from the first series' bucket width, then :meth:`merge`,
+        which checks every name and refuses a payload of another width.
 
         Used by the CLI to evaluate SLOs over a ``*.series.json`` file
         written by an earlier run.
         """
-        registry: SeriesRegistry | None = None
-        for name in sorted(snapshot):
-            payload = snapshot[name]
-            width = float(payload["bucket_seconds"])
-            if registry is None:
-                registry = cls(bucket_seconds=width)
-            series = MetricSeries(name, str(payload["kind"]), width)
-            for row in payload["buckets"]:
-                index, last, mn, mx, total, count = row
-                bucket = _Bucket(float(mn))
-                bucket.last = float(last)
-                bucket.min = float(mn)
-                bucket.max = float(mx)
-                bucket.sum = float(total)
-                bucket.count = int(count)
-                series._buckets[int(index)] = bucket
-            registry._series[name] = series
-        return registry if registry is not None else cls()
+        if not snapshot:
+            return cls()
+        registry = cls(bucket_seconds=float(snapshot[min(snapshot)]["bucket_seconds"]))
+        registry.merge(snapshot)
+        return registry

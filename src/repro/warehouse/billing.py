@@ -129,13 +129,6 @@ class BillingMeter:
         self.close_segment(cluster_id, t)
         self.open_segment(cluster_id, t, size, fresh_start=False)
 
-    def is_billing(self, cluster_id: int) -> bool:
-        return cluster_id in self._open
-
-    @property
-    def open_cluster_ids(self) -> list[int]:
-        return sorted(self._open)
-
     def _segments(
         self, window: Window | None, as_of: float | None
     ) -> tuple[int, list[tuple[float, float, float]]]:

@@ -13,13 +13,15 @@ from repro.lint.output import SARIF_VERSION
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
-RNG_ALIAS = (
-    "import numpy as np\n"
+# R016 flags the registrant on line 5: a closure cannot be imported by name.
+CLOSURE = (
+    "from framework.scenarios import scenario_factory\n"
     "\n"
-    "def sample():\n"
-    "    mk = np.random.default_rng\n"
-    "    rng = mk(7)\n"
-    "    return rng.normal()\n"
+    "def outer():\n"
+    '    @scenario_factory("inner")\n'
+    "    def make(spec):\n"
+    "        return spec\n"
+    "    return make\n"
 )
 
 
@@ -29,7 +31,7 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
-def write_fixture(tmp_path, source=RNG_ALIAS, name="mod.py"):
+def write_fixture(tmp_path, source=CLOSURE, name="mod.py"):
     target = tmp_path / name
     target.write_text(source)
     return target
@@ -44,7 +46,7 @@ class TestExitCodes:
     def test_findings_exit_one(self, tmp_path):
         target = write_fixture(tmp_path)
         code, out = run_cli([str(target)])
-        assert code == 1 and "R013" in out
+        assert code == 1 and "R016" in out
 
     def test_nonexistent_path_exits_two(self, tmp_path):
         code, out = run_cli([str(tmp_path / "nope")])
@@ -58,11 +60,10 @@ class TestExitCodes:
     def test_list_rules_covers_the_catalogue(self):
         code, out = run_cli(["--list-rules"])
         assert code == 0
-        for rid in ("R012", "R013", "R014", "R015", "R016", "R017"):
-            assert rid in out
-        # One registry: every rule id listed exactly once, in order.
+        # One registry: every live rule id listed exactly once, in order;
+        # retired ids stay unused.
         ids = [line.split()[0] for line in out.splitlines()]
-        assert ids == [f"R{n:03d}" for n in range(1, 21)]
+        assert ids == [f"R{n:03d}" for n in range(1, 21) if n not in (13, 14, 15)]
 
 
 class TestJsonOutput:
@@ -73,7 +74,7 @@ class TestJsonOutput:
         assert payload["version"] == JSON_SCHEMA_VERSION
         assert payload["exit_code"] == code == 1
         assert payload["files_scanned"] == 1
-        assert {f["rule_id"] for f in payload["findings"]} == {"R013"}
+        assert {f["rule_id"] for f in payload["findings"]} == {"R016"}
 
     def test_two_runs_byte_identical(self, tmp_path):
         target = write_fixture(tmp_path)
@@ -98,9 +99,9 @@ class TestSarifOutput:
         driver = sarif_run["tool"]["driver"]
         assert driver["name"] == "repro-lint"
         rule_ids = [rule["id"] for rule in driver["rules"]]
-        assert rule_ids == [f"R{n:03d}" for n in range(1, 21)]
+        assert rule_ids == [f"R{n:03d}" for n in range(1, 21) if n not in (13, 14, 15)]
         results = sarif_run["results"]
-        assert results and all(r["ruleId"] == "R013" for r in results)
+        assert results and all(r["ruleId"] == "R016" for r in results)
         location = results[0]["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == target.as_posix()
 
@@ -135,7 +136,7 @@ class TestEntryPoints:
             env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 1
-        assert "R013" in proc.stdout
+        assert "R016" in proc.stdout
 
     def test_repro_cli_lint_graph_option(self, tmp_path):
         from repro.cli import main

@@ -5,13 +5,15 @@ import pytest
 
 from repro.lint import Project, Rule, all_rules, lint_paths, lint_project
 
-RNG_ALIAS = (
-    "import numpy as np\n"
+# R016 flags the registrant on line 5: a closure cannot be imported by name.
+CLOSURE = (
+    "from framework.scenarios import scenario_factory\n"
     "\n"
-    "def sample():\n"
-    "    mk = np.random.default_rng\n"
-    "    rng = mk(7)\n"
-    "    return rng.normal()\n"
+    "def outer():\n"
+    '    @scenario_factory("inner")\n'
+    "    def make(spec):\n"
+    "        return spec\n"
+    "    return make\n"
 )
 
 
@@ -20,13 +22,13 @@ class TestSelection:
         whole_program = [
             cls.rule_id for cls in all_rules() if cls.check_project is not Rule.check_project
         ]
-        assert whole_program == ["R012", "R013", "R014", "R015", "R016", "R017"]
+        assert whole_program == ["R012", "R016", "R017"]
 
     def test_select_restricts_passes(self):
-        project = Project.from_sources({"mod": RNG_ALIAS})
-        assert lint_project(project, select=["R014"]).findings == []
-        assert {f.rule_id for f in lint_project(project, select=["R013"]).findings} == {
-            "R013"
+        project = Project.from_sources({"mod": CLOSURE})
+        assert lint_project(project, select=["R017"]).findings == []
+        assert {f.rule_id for f in lint_project(project, select=["R016"]).findings} == {
+            "R016"
         }
 
     def test_unknown_rule_id_raises(self):
@@ -55,22 +57,17 @@ class TestSuppressions:
     def test_directive_silences_an_analysis_finding(self, tmp_path):
         target = self.write(
             tmp_path,
-            "import numpy as np\n"
-            "\n"
-            "def sample():\n"
-            "    mk = np.random.default_rng\n"
-            "    rng = mk(7)  # repro-lint: disable=R013\n"
-            "    return rng.normal()  # repro-lint: disable=R013\n",
+            CLOSURE.replace("def make(spec):", "def make(spec):  # repro-lint: disable=R016"),
         )
         result = lint_paths([target])
-        assert result.clean and result.suppressed == 2
+        assert result.clean and result.suppressed == 1
 
     def test_unused_analysis_directive_is_flagged(self, tmp_path):
-        target = self.write(tmp_path, "x = 1  # repro-lint: disable=R013\n")
+        target = self.write(tmp_path, "x = 1  # repro-lint: disable=R016\n")
         result = lint_paths([target])
         (finding,) = result.findings
         assert finding.rule_id == "R000"
-        assert "unused suppression for R013" in finding.message
+        assert "unused suppression for R016" in finding.message
 
     def test_per_file_rule_directive_is_judged_on_a_full_run(self, tmp_path):
         # Every rule runs in one pass, so an idle disable=R001 is stale.
@@ -92,7 +89,7 @@ class TestResultPlumbing:
         clean.write_text("x = 1\n")
         assert lint_paths([clean]).exit_code() == 0
         dirty = tmp_path / "dirty.py"
-        dirty.write_text(RNG_ALIAS)
+        dirty.write_text(CLOSURE)
         assert lint_paths([dirty]).exit_code() == 1
         assert lint_paths([tmp_path / "nope"]).exit_code() == 2
 

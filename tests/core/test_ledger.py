@@ -20,10 +20,7 @@ class TestSavingsLedger:
         ledger = SavingsLedger("WH")
         ledger.report(estimate(0, 100, 10.0, 6.0), n_actions=2, n_backoffs=0)
         ledger.report(estimate(100, 200, 8.0, 9.0), n_actions=1, n_backoffs=1)
-        assert ledger.periods_reported == 2
         assert ledger.total_savings_credits() == pytest.approx(4.0 - 1.0)
-        # Negative periods are not billable (no savings, no charges).
-        assert ledger.total_billable_credits() == pytest.approx(4.0)
 
     def test_window_filter(self):
         ledger = SavingsLedger("WH")
@@ -66,7 +63,7 @@ class TestOptimizerReporting:
         optimizer.onboard()
         account.run_until(22 * HOUR)
         # 10 hours of optimized run at 2h reporting -> ~5 periods.
-        assert 3 <= optimizer.ledger.periods_reported <= 6
+        assert 3 <= len(optimizer.ledger.entries) <= 6
         windows = [e.window for e in optimizer.ledger.entries]
         for earlier, later in zip(windows, windows[1:]):
             assert later.start >= earlier.end - 1e-9

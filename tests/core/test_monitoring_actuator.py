@@ -146,14 +146,6 @@ class TestActuator:
         actuator.apply(target, reason="test")
         assert monitor._expected_config == target
 
-    def test_revert_restores_config(self):
-        account, wh, client, actuator, _ = self.build()
-        before = client.current_config(wh)
-        actuator.apply(before.with_changes(size=WarehouseSize.XL), reason="up")
-        entry = actuator.revert_to(before, reason="conflict")
-        assert client.current_config(wh) == before
-        assert "revert" in entry.reason
-
     def test_action_log_order(self):
         account, wh, client, actuator, _ = self.build()
         base = client.current_config(wh)

@@ -104,13 +104,3 @@ class TestRescale:
         cold_scaled = model.rescale(cold, WarehouseSize.XS)
         assert cold_scaled < warm_scaled  # the cold I/O part does not scale
 
-    def test_predict_absolute(self):
-        model = LatencyScalingModel().fit(perfect_scaling_records(base=16.0, gamma=1.0))
-        assert model.predict_absolute("tpl", WarehouseSize.XS) == pytest.approx(16.0, rel=0.05)
-        assert model.predict_absolute("tpl", WarehouseSize.M) == pytest.approx(4.0, rel=0.05)
-        assert model.predict_absolute("unknown", WarehouseSize.M) is None
-
-    def test_size_speed_factor(self):
-        model = LatencyScalingModel().fit(perfect_scaling_records(gamma=1.0))
-        assert model.size_speed_factor(WarehouseSize.M, WarehouseSize.XS) == pytest.approx(4.0)
-        assert model.size_speed_factor(WarehouseSize.M, WarehouseSize.L) == pytest.approx(0.5)

@@ -47,7 +47,6 @@ class TestReplayBasics:
     def test_empty_records_zero_cost(self, replay):
         result = replay.replay([], config(), Window(0, HOUR))
         assert result.credits == 0.0
-        assert result.cost_is_zero
 
     def test_single_query_burst(self, replay):
         result = replay.replay([rec(100.0, 60.0)], config(), Window(0, HOUR))

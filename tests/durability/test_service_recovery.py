@@ -134,7 +134,6 @@ class TestAllOrNothing:
                 config_hash=manifest.config_hash,
             )
         assert service.optimizers == {}
-        assert not service.checkpoints_enabled
 
     def test_torn_tail_needs_explicit_repair(self, tmp_path):
         scenario, manifest, service = checkpointed_service(tmp_path / "ckpt")

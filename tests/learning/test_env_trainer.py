@@ -204,4 +204,3 @@ class TestOfflineTrainer:
         assert len(report.episodes) == 3
         assert all(e.steps == env.steps_per_episode for e in report.episodes)
         assert agent.train_steps > 0
-        assert len(report.reward_curve) == 3

@@ -72,6 +72,78 @@ class TestR001WallClock:
         )
         assert found == []
 
+    # A wall-clock value can only reach output through a read, and R001
+    # flags every read: the value's later flow needs no second rule.
+    def test_wall_value_returned_from_payload_function(self):
+        found = findings_for(
+            """\
+            import time
+
+            def snapshot():
+                started = time.time()
+                return {"started": started}
+            """,
+            "R001",
+        )
+        assert [f.line for f in found] == [4]
+
+    def test_wall_value_reaching_json_dump(self):
+        found = findings_for(
+            """\
+            import json
+            import time
+
+            def dump(out):
+                now = time.time()
+                json.dump({"t": now}, out)
+            """,
+            "R001",
+        )
+        assert [f.line for f in found] == [5]
+
+    def test_laundering_through_arithmetic_and_fstring(self):
+        found = findings_for(
+            """\
+            import time
+
+            def header(handle):
+                t = time.time() * 1000.0
+                handle.write(f"started {t}")
+            """,
+            "R001",
+        )
+        assert [f.line for f in found] == [4]
+
+    def test_wall_read_without_escape_flagged(self):
+        found = findings_for(
+            """\
+            import time
+
+            def check(log):
+                t = time.time()
+                local = t + 1.0
+                del local
+            """,
+            "R001",
+        )
+        assert [f.line for f in found] == [4]
+
+    def test_untainted_value_is_clean(self):
+        assert (
+            lint_source(
+                textwrap.dedent(
+                    """\
+                    import json
+
+                    def dump(out, now):
+                        json.dump({"t": now}, out)
+                    """
+                ),
+                path="snippet.py",
+            )
+            == []
+        )
+
 
 class TestR002RngSource:
     def test_import_random_flagged(self):
@@ -110,12 +182,17 @@ class TestR002RngSource:
         assert found == []
 
     def test_generator_annotation_clean(self):
+        # Annotations are not values, wherever they sit.
         found = findings_for(
             """\
             import numpy as np
+            from numpy.random import Generator
 
-            def f(rng: np.random.Generator) -> float:
-                return float(rng.random())
+            SEEDS: np.random.SeedSequence | None = None
+
+            def f(rng: np.random.Generator, g: Generator) -> np.random.Generator:
+                x: np.random.Generator = rng
+                return float(x.random())
             """,
             "R002",
         )
@@ -131,6 +208,55 @@ class TestR002RngSource:
             path="src/repro/common/rng.py",
         )
         assert found == []
+
+    def test_aliased_constructor_and_downstream_draw(self):
+        # The alias is flagged where it is taken; the call through it and
+        # the draw are then clean of R002's call check.
+        found = findings_for(
+            """\
+            import numpy as np
+
+            def sample():
+                mk = np.random.default_rng
+                rng = mk(7)
+                return rng.normal()
+            """,
+            "R002",
+        )
+        assert [f.line for f in found] == [4]
+        assert "numpy.random.default_rng used as a value" in found[0].message
+
+    def test_draw_on_directly_constructed_generator(self):
+        found = findings_for(
+            """\
+            import numpy as np
+
+            def sample():
+                rng = np.random.default_rng(7)
+                return rng.normal()
+            """,
+            "R002",
+        )
+        assert [f.line for f in found] == [4]
+
+    def test_rng_registry_module_is_exempt(self):
+        found = findings_for(
+            """\
+            import numpy as np
+
+            def fallback_rng(seed):
+                mk = np.random.default_rng
+                rng = mk(seed)
+                return rng.normal()
+            """,
+            "R002",
+            path="repro/common/rng.py",
+        )
+        assert found == []
+
+    def test_draw_on_untracked_receiver_is_clean(self):
+        # Generators threaded in as parameters have legitimate provenance.
+        assert lint_source("def sample(rng):\n    return rng.normal()\n") == []
 
 
 class TestR003StreamNames:
@@ -316,6 +442,29 @@ class TestR006SilentExcept:
         )
         assert found == []
 
+    def test_raise_in_nested_def_does_not_count(self):
+        found = findings_for(
+            """\
+            def tick(monitor):
+                try:
+                    monitor.poll()
+                except (ValueError, BaseException):
+                    def later():
+                        raise
+                    defer(later)
+                try:
+                    monitor.poll()
+                except Exception:
+                    if monitor.fatal:
+                        def later():
+                            pass
+                        defer(later)
+                        raise
+            """,
+            "R006",
+        )
+        assert [f.line for f in found] == [4]
+
 
 class TestR007PublicAnnotations:
     def test_missing_annotations_flagged_in_core(self):
@@ -419,6 +568,123 @@ class TestR008SetIteration:
             "R008",
         )
         assert found == []
+
+    # Unsorted filesystem listings and set-valued attributes are unordered
+    # sources too, with the same loop/comprehension/materializer semantics.
+    def test_materializing_listdir(self):
+        found = findings_for(
+            """\
+            import os
+
+            def names(base):
+                return list(os.listdir(base))
+            """,
+            "R008",
+        )
+        assert [f.line for f in found] == [4]
+        assert "list()" in found[0].message
+
+    def test_sorted_listdir_is_clean(self):
+        found = findings_for(
+            """\
+            import os
+
+            def names(base):
+                return sorted(os.listdir(base))
+            """,
+            "R008",
+        )
+        assert found == []
+
+    def test_loop_appending_glob_results(self):
+        found = findings_for(
+            """\
+            def collect(base):
+                out = []
+                for path in base.glob("*.json"):
+                    out.append(path)
+                return out
+            """,
+            "R008",
+        )
+        assert [f.line for f in found] == [3]
+        assert "for-loop" in found[0].message
+
+    def test_comprehension_over_iterdir(self):
+        found = findings_for(
+            """\
+            def stems(base):
+                return [p.stem for p in base.iterdir()]
+            """,
+            "R008",
+        )
+        assert [f.line for f in found] == [2]
+        assert "comprehension" in found[0].message
+
+    def test_sorted_comprehension_is_clean(self):
+        found = findings_for(
+            """\
+            def stems(base, names):
+                return sorted(p.stem for p in base.iterdir()), sorted(n for n in set(names))
+            """,
+            "R008",
+        )
+        assert found == []
+
+    def test_set_valued_attribute_iterated_in_order(self):
+        found = findings_for(
+            """\
+            class Registry:
+                def __init__(self):
+                    self.names = set()
+
+                def render(self):
+                    out = []
+                    for name in self.names:
+                        out.append(name)
+                    return out
+            """,
+            "R008",
+        )
+        assert [f.line for f in found] == [7]
+
+    def test_sorted_attribute_iteration_is_clean(self):
+        found = findings_for(
+            """\
+            class Registry:
+                def __init__(self):
+                    self.names = set()
+
+                def render(self):
+                    out = []
+                    for name in sorted(self.names):
+                        out.append(name)
+                    return out
+
+            class Other:
+                def render(self):
+                    return list(self.names)
+            """,
+            "R008",
+        )
+        assert found == []
+
+    def test_listdir_counting_loop_flagged(self):
+        # The loop is flagged whatever its body does: an order-free body
+        # today is one append away from an ordered one.
+        found = findings_for(
+            """\
+            import os
+
+            def count(base):
+                n = 0
+                for _name in os.listdir(base):
+                    n = n + 1
+                return n
+            """,
+            "R008",
+        )
+        assert [f.line for f in found] == [5]
 
 
 class TestR009PrintInLibrary:
@@ -555,35 +821,33 @@ class TestR010BoundedRetries:
         )
         assert found == []
 
+    # Blanket handlers are R006's alone: R010 judges only loops, and each
+    # handler verdict below is R006's.
     def test_working_blanket_handler_flagged(self):
-        found = findings_for(
-            """\
+        source = """\
             def tick(monitor):
                 try:
                     monitor.poll()
                 except Exception as exc:
                     log(exc)
-            """,
-            "R010",
-        )
+            """
+        assert findings_for(source, "R010") == []
+        found = findings_for(source, "R006")
         assert [f.line for f in found] == [4]
         assert "re-raise" in found[0].message
 
     def test_reraising_blanket_handler_clean(self):
-        found = findings_for(
-            """\
+        source = """\
             def tick(monitor):
                 try:
                     monitor.poll()
                 except Exception as exc:
                     raise RuntimeError("poll failed") from exc
-            """,
-            "R010",
-        )
-        assert found == []
+            """
+        assert findings_for(source, "R010") == []
+        assert findings_for(source, "R006") == []
 
     def test_trivial_swallow_left_to_r006(self):
-        # `except Exception: pass` is R006's finding; R010 must not duplicate.
         source = """\
             try:
                 poll()
@@ -604,17 +868,15 @@ class TestR010BoundedRetries:
         assert len(findings_for(source, "R006")) == 1
 
     def test_specific_handler_clean(self):
-        found = findings_for(
-            """\
+        source = """\
             def tick(monitor):
                 try:
                     monitor.poll()
                 except ValueError as exc:
                     log(exc)
-            """,
-            "R010",
-        )
-        assert found == []
+            """
+        assert findings_for(source, "R010") == []
+        assert findings_for(source, "R006") == []
 
 
 class TestR011ProcessPoolConfinement:

@@ -11,8 +11,12 @@ docs/INVARIANTS.md).
 
 import functools
 import pathlib
+import re
 
-from repro.lint import Project, lint_paths, lint_project
+import pytest
+
+from repro.lint import Project, Rule, all_rules, lint_paths, lint_project, register
+from repro.lint.rules import RETIRED
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
@@ -75,11 +79,46 @@ class TestSelfClean:
         # tests/ and benchmarks/ are exempt from the simulation-purity rules
         # (they may seed ad-hoc RNGs, compare exact times, etc.) but not from
         # the hygiene rules: shared mutable defaults, swallowed exceptions,
-        # hash-order iteration (per file and through dataflow), unbounded
-        # retries.
+        # set- and listing-order iteration, unbounded retries.
         result = lint_paths(
             [REPO_ROOT / "tests", REPO_ROOT / "benchmarks"],
-            select=["R005", "R006", "R008", "R010", "R015"],
+            select=["R005", "R006", "R008", "R010"],
         )
         assert result.clean, f"hygiene violations in tests/benchmarks:\n{render(result)}"
         assert result.files_scanned >= 100
+
+
+class TestCatalogueDocumented:
+    """docs/INVARIANTS.md documents exactly the registered rules, and no
+    doc names a retired id except as retired."""
+
+    DOCS = sorted(
+        [REPO_ROOT / "README.md", REPO_ROOT / "DESIGN.md", *(REPO_ROOT / "docs").glob("*.md")]
+    )
+    ID_OR_RANGE = re.compile(r"R(\d{3})(?:\s*[–-]\s*R(\d{3}))?")
+
+    def test_headings_match_the_registry(self):
+        text = (REPO_ROOT / "docs" / "INVARIANTS.md").read_text(encoding="utf-8")
+        headings = re.findall(r"^### (R\d{3}) ", text, flags=re.MULTILINE)
+        assert headings == [cls.rule_id for cls in all_rules()]
+
+    def test_retired_ids_are_never_reused(self):
+        class Reuse(Rule):
+            rule_id = "R014"
+
+        with pytest.raises(ValueError, match="retired"):
+            register(Reuse)
+        assert RETIRED.isdisjoint(cls.rule_id for cls in all_rules())
+
+    def test_no_doc_names_a_retired_id_as_live(self):
+        assert len(self.DOCS) >= 5
+        offenders = []
+        for doc in self.DOCS:
+            for number, line in enumerate(doc.read_text(encoding="utf-8").splitlines(), 1):
+                named = set()
+                for first, last in self.ID_OR_RANGE.findall(line):
+                    stop = int(last or first)
+                    named.update(f"R{n:03d}" for n in range(int(first), stop + 1))
+                if named & RETIRED and "retired" not in line.lower():
+                    offenders.append(f"{doc.relative_to(REPO_ROOT)}:{number}: {line.strip()}")
+        assert not offenders, "retired rule ids named as live:\n" + "\n".join(offenders)

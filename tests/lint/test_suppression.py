@@ -123,19 +123,43 @@ class TestUnusedSuppressions:
         assert "R001" not in found[0].message
 
     def test_disable_all_used_only_by_a_whole_program_rule(self, tmp_path):
-        # Line 7 is flagged by R014 (wall-clock value reaching json.dumps)
-        # alone.  Per-file and whole-program rules share one suppression
-        # pass, so disable=all there counts as used.
+        # Line 5 is flagged by R016 (a registrant that is a closure) alone.
+        # Per-file and whole-program rules share one suppression pass, so
+        # disable=all there counts as used.
         target = tmp_path / "mod.py"
         target.write_text(
-            "import json\n"
-            "import time\n"
+            "from framework.scenarios import scenario_factory\n"
             "\n"
-            "\n"
-            "def stamp():\n"
-            "    t = time.time()  # repro-lint: disable=R001\n"
-            '    return json.dumps({"t": t})  # repro-lint: disable=all\n'
+            "def outer():\n"
+            '    @scenario_factory("inner")\n'
+            "    def make(spec):  # repro-lint: disable=all\n"
+            "        return spec\n"
+            "    return make\n"
         )
         result = lint_paths([target])
         assert result.findings == [] and result.exit_code() == 0
-        assert result.suppressed == 2
+        assert result.suppressed == 1
+
+
+class TestUnknownRuleIds:
+    def test_unregistered_id_is_flagged_on_full_run(self):
+        found = lint("x = 1  # repro-lint: disable=R099\n")
+        assert [(f.rule_id, f.line) for f in found] == [("R000", 1)]
+        assert "unknown rule id R099" in found[0].message
+        # A retired id names no rule either.
+        found = lint("import time\nt = time.time()  # repro-lint: disable=R001,R014\n")
+        assert [f.rule_id for f in found] == ["R000"]
+        assert "unknown rule id R014" in found[0].message
+
+    def test_unknown_and_unused_ids_reported_apart(self):
+        found = lint("x = 1  # repro-lint: disable=R005,R099\n")
+        messages = sorted(f.message for f in found)
+        assert [f.rule_id for f in found] == ["R000", "R000"]
+        assert messages[0].startswith("unknown rule id R099")
+        assert messages[1].startswith("unused suppression for R005")
+
+    def test_unknown_id_not_judged_on_partial_run(self):
+        # A --select pass did not run the whole catalogue, so it leaves
+        # directives for rules it did not run alone.
+        source = "x = 1  # repro-lint: disable=R099\n"
+        assert lint_source(source, path="snippet.py", select=["R002"]) == []

@@ -103,6 +103,15 @@ class TestRegistry:
         rebuilt = SeriesRegistry.from_snapshot(json.loads(reg.to_json()))
         assert rebuilt.to_json() == reg.to_json()
         assert rebuilt.get("repro.test.a").points("sum") == [(0, 2.0), (1, 3.0)]
+        # Series JSON comes from outside the program: names are checked,
+        # and every series must share the first one's bucket width.
+        snapshot = json.loads(reg.to_json())
+        with pytest.raises(ObservabilityError, match="invalid metric name"):
+            SeriesRegistry.from_snapshot({"NotDotted": snapshot["repro.test.a"]})
+        mixed = dict(snapshot)
+        mixed["repro.test.c"] = dict(snapshot["repro.test.b"], bucket_seconds=300.0)
+        with pytest.raises(ObservabilityError, match="bucket width"):
+            SeriesRegistry.from_snapshot(mixed)
 
     def test_from_empty_snapshot(self):
         assert len(SeriesRegistry.from_snapshot({})) == 0
