@@ -1,5 +1,6 @@
 """Exit-code and output contract of the `repro.cli obs` subcommands."""
 
+import hashlib
 import io
 import json
 import pathlib
@@ -637,3 +638,45 @@ class TestNegativeCounts:
             main(["obs", *argv])
         assert exc.value.code == 2
         assert "must be >= 0, got -1" in capsys.readouterr().err
+
+
+#: sha256 of each provenance-derived output of one traced ``chaos_smoke``
+#: run (default seed).  The live summary, the fleet store and the run
+#: report share one calibration fold; these pins hold its bytes in place.
+CHAOS_OUTPUT_DIGESTS = {
+    "report": "bd26fe173af4d71e7959efc99de3ad467407a822a04fc77d730fd5d434a9bf28",
+    "alerts": "da470548be1ea2344a054c51972be0eefa368035d023727b6b3a6cf348c9902d",
+    "decisions": "a751bcf8e9eec718f6b465ffce7b8a7701810c9c1883274b762c2605475d9fe6",
+    "attribution": "de4ee25a33bf93fef3746c4c582a662ab524923a65f9c55028e4abf2fb53dab3",
+    "store": "70faa01b9ef92ddbbb0d6d78a4b70c6ad584540c5ab20a0d4e8cd8331c177f87",
+}
+
+
+@pytest.fixture(scope="module")
+def chaos_outputs(tmp_path_factory):
+    """Every exported view of one traced chaos run, as bytes."""
+    d = tmp_path_factory.mktemp("chaos")
+    trace = d / "chaos-trace.jsonl"
+    args = build_parser().parse_args(
+        ["faults", "run", "chaos_smoke", "--trace", str(trace)]
+    )
+    assert run_command(args, io.StringIO()) == 0
+    outputs = {}
+    assert obs("report", trace) == 0
+    outputs["report"] = (d / "chaos-trace.jsonl.report.md").read_bytes()
+    for name in ("alerts", "decisions"):
+        out = io.StringIO()
+        assert obs(name, trace, out=out) == 0
+        outputs[name] = out.getvalue().encode()
+    assert obs("attribution", trace, "--out", d / "attribution.json") == 0
+    outputs["attribution"] = (d / "attribution.json").read_bytes()
+    assert obs("store", "ingest", trace, "--out", d / "store.jsonl") == 0
+    outputs["store"] = (d / "store.jsonl").read_bytes()
+    return outputs
+
+
+class TestChaosOutputDigests:
+    @pytest.mark.parametrize("name", sorted(CHAOS_OUTPUT_DIGESTS))
+    def test_output_bytes_pinned(self, chaos_outputs, name):
+        digest = hashlib.sha256(chaos_outputs[name]).hexdigest()
+        assert digest == CHAOS_OUTPUT_DIGESTS[name], name
