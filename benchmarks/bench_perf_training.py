@@ -21,7 +21,7 @@ from unittest import mock
 
 from repro.common.rng import RngRegistry
 from repro.common.simtime import Window
-from repro.durability.codec import canonical_json
+from repro.common.stable_json import canonical_json
 from repro.experiments.runner import onboard
 from repro.experiments.scenarios import fig4a_scenario
 from repro.learning import agent as agent_module

@@ -24,6 +24,7 @@ import os
 import timeit
 import tracemalloc
 
+from repro.common.stable_json import canonical_json
 from repro.obs import Recorder
 from repro.obs.stream import PayloadChunkMerger, SpillingTraceSink, payload_chunks
 
@@ -80,7 +81,7 @@ def _merge_streamed(tmp_path):
             session = _build_session(i, sink=sink)
             for chunk in payload_chunks(session, max_events=CHUNK_EVENTS):
                 fh.write(
-                    json.dumps(chunk, sort_keys=True, separators=(",", ":")) + "\n"
+                    canonical_json(chunk) + "\n"
                 )
             sink.cleanup()
     parent = Recorder(

@@ -31,11 +31,11 @@ from repro.common.errors import (
     WarehouseError,
 )
 from repro.common.simtime import DAY, HOUR, Window
+from repro.common.stable_json import canonical_json
 from repro.common.stats import percentile
 from repro.durability import CheckpointLoad, CheckpointStore
 from repro.durability.codec import (
     AppendLog,
-    canonical_json,
     canonical_object,
     decode_config,
     decode_window,
@@ -174,43 +174,13 @@ class WarehouseOptimizer:
                 f"cannot onboard {self.warehouse!r}: no telemetry in the last "
                 f"{self.config.training_window / DAY:.1f} days"
             )
-        original = self.account.telemetry.original_config(self.warehouse, before=now)
-        self.action_space = ActionSpace(
-            original, max_size_headroom=self.params.max_upsize_steps
+        self._build_components(
+            self.account.telemetry.original_config(self.warehouse, before=now),
+            WorkloadBaseline.fit(records),
+            WarehouseCostModel(self.client, self.warehouse).fit(history),
         )
-        self.baseline = WorkloadBaseline.fit(records)
-        self.cost_model = WarehouseCostModel(self.client, self.warehouse).fit(history)
-        self.monitor = Monitor(self.client, self.warehouse, self.baseline)
         self.monitor.learn_templates({r.template_hash for r in records})
         self.monitor.set_expected_config(self.client.current_config(self.warehouse))
-        self.actuator = Actuator(
-            self.client,
-            self.warehouse,
-            self.monitor,
-            # One retry-jitter stream per optimized warehouse (names are
-            # unique per account, so these streams cannot collide).
-            rng=self.account.rngs.stream(f"keebo.actuator.{self.warehouse}"),  # repro-lint: disable=R003
-        )
-        self.agent = DQNAgent(
-            FEATURE_DIM,
-            len(self.action_space),
-            self.config.agent,
-            # One exploration stream per optimized warehouse (warehouse names
-            # are unique per account, so these streams cannot collide).
-            self.account.rngs.stream(f"keebo.agent.{self.warehouse}"),  # repro-lint: disable=R003
-        )
-        features = FeatureExtractor(self.baseline, original)
-        self.smart_model = SmartModel(
-            self.client,
-            self.warehouse,
-            self.agent,
-            self.action_space,
-            features,
-            self.cost_model,
-            self.constraints,
-            self.params,
-            self.config.decision_interval,
-        )
         if self.config.confidence_tau > 0:
             self.smart_model.set_confidence_ramp(now, self.config.confidence_tau)
         with obs.span(
@@ -240,6 +210,53 @@ class WarehouseOptimizer:
             WarehouseEvent(now, self.warehouse, "keebo_onboarded", "keebo", {})
         )
         return report
+
+    def _build_components(
+        self,
+        original: WarehouseConfig,
+        baseline: WorkloadBaseline,
+        cost_model: WarehouseCostModel,
+    ) -> None:
+        """Construct the decision components around fitted or restored
+        models, for :meth:`onboard` and :meth:`load_durable_state` alike.
+
+        No constructor here calls the vendor.  The actuator's stream is
+        created before the agent's, and the agent draws its initial
+        weights from its own stream.
+        """
+        self.action_space = ActionSpace(
+            original, max_size_headroom=self.params.max_upsize_steps
+        )
+        self.baseline = baseline
+        self.cost_model = cost_model
+        self.monitor = Monitor(self.client, self.warehouse, baseline)
+        self.actuator = Actuator(
+            self.client,
+            self.warehouse,
+            self.monitor,
+            # One retry-jitter stream per optimized warehouse (names are
+            # unique per account, so these streams cannot collide).
+            rng=self.account.rngs.stream(f"keebo.actuator.{self.warehouse}"),  # repro-lint: disable=R003
+        )
+        self.agent = DQNAgent(
+            FEATURE_DIM,
+            len(self.action_space),
+            self.config.agent,
+            # One exploration stream per optimized warehouse (warehouse names
+            # are unique per account, so these streams cannot collide).
+            self.account.rngs.stream(f"keebo.agent.{self.warehouse}"),  # repro-lint: disable=R003
+        )
+        self.smart_model = SmartModel(
+            self.client,
+            self.warehouse,
+            self.agent,
+            self.action_space,
+            FeatureExtractor(baseline, original),
+            cost_model,
+            self.constraints,
+            self.params,
+            self.config.decision_interval,
+        )
 
     def _train(self, records, history: Window, episodes: int) -> TrainingReport:
         """Offline DRL training on the telemetry-reconstructed workload."""
@@ -873,41 +890,16 @@ class WarehouseOptimizer:
         stream state from the journal immediately after all components
         exist, so those construction draws are discarded.
         """
-        original = decode_config(state["original_config"])
-        self.action_space = ActionSpace(
-            original, max_size_headroom=self.params.max_upsize_steps
+        cost_model = WarehouseCostModel(self.client, self.warehouse)
+        cost_model.load_state_dict(state["cost_model"])
+        self._build_components(
+            decode_config(state["original_config"]),
+            WorkloadBaseline.from_state(state["baseline"]),
+            cost_model,
         )
-        self.baseline = WorkloadBaseline.from_state(state["baseline"])
-        self.cost_model = WarehouseCostModel(self.client, self.warehouse)
-        self.cost_model.load_state_dict(state["cost_model"])
-        self.monitor = Monitor(self.client, self.warehouse, self.baseline)
         self.monitor.load_state_dict(state["monitor"])
-        self.actuator = Actuator(
-            self.client,
-            self.warehouse,
-            self.monitor,
-            rng=self.account.rngs.stream(f"keebo.actuator.{self.warehouse}"),  # repro-lint: disable=R003
-        )
         self.actuator.load_state_dict(state["actuator"])
-        self.agent = DQNAgent(
-            FEATURE_DIM,
-            len(self.action_space),
-            self.config.agent,
-            self.account.rngs.stream(f"keebo.agent.{self.warehouse}"),  # repro-lint: disable=R003
-        )
         self.agent.load_state_dict(state["agent"])
-        features = FeatureExtractor(self.baseline, original)
-        self.smart_model = SmartModel(
-            self.client,
-            self.warehouse,
-            self.agent,
-            self.action_space,
-            features,
-            self.cost_model,
-            self.constraints,
-            self.params,
-            self.config.decision_interval,
-        )
         self.smart_model.load_state_dict(state["smart_model"])
         self.policy_advisor.load_state_dict(state["policy_advisor"])
         live_state = state.get("live_ledger")
@@ -1066,18 +1058,23 @@ class KeeboService:
             raise UnknownWarehouseError(warehouse)
         if warehouse in self.optimizers:
             raise ConfigurationError(f"{warehouse!r} is already being optimized")
-        client = self.client_factory(self.account) if self.client_factory else None
-        optimizer = WarehouseOptimizer(
-            self.account,
-            warehouse,
-            slider,
-            constraints,
-            config,
-            client=client,
-        )
+        optimizer = self._new_optimizer(warehouse, slider, constraints, config)
         optimizer.onboard()
         self.optimizers[warehouse] = optimizer
         return optimizer
+
+    def _new_optimizer(
+        self,
+        warehouse: str,
+        slider: SliderPosition,
+        constraints: ConstraintSet | None,
+        config: OptimizerConfig | None,
+    ) -> WarehouseOptimizer:
+        """An optimizer over this account, on the client the factory gives."""
+        client = self.client_factory(self.account) if self.client_factory else None
+        return WarehouseOptimizer(
+            self.account, warehouse, slider, constraints, config, client=client
+        )
 
     def optimizer(self, warehouse: str) -> WarehouseOptimizer:
         try:
@@ -1382,14 +1379,8 @@ class KeeboService:
         now = self.account.sim.now
         names = sorted(state["optimizers"])
         for warehouse in names:
-            client = self.client_factory(self.account) if self.client_factory else None
-            optimizer = WarehouseOptimizer(
-                self.account,
-                warehouse,
-                slider,
-                constraints,
-                optimizer_config,
-                client=client,
+            optimizer = self._new_optimizer(
+                warehouse, slider, constraints, optimizer_config
             )
             optimizer.load_durable_state(state["optimizers"][warehouse])
             self.optimizers[warehouse] = optimizer

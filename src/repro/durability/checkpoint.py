@@ -8,7 +8,7 @@ Layout of a checkpoint directory::
     journal.jsonl    framed delta entries since (at most) that snapshot
 
 ``snapshot.json`` is one line of canonical compact sorted-key JSON (see
-:func:`repro.durability.codec.canonical_json`): ``checksum``, ``schema``,
+:func:`repro.common.stable_json.canonical_json`): ``checksum``, ``schema``,
 ``segment``, ``seq``, ``state`` and ``time``.  The caller hands the
 state in as canonical text, so it is encoded once; the checksum is the
 SHA-256 of the file's own bytes with the checksum field taken out, and
@@ -59,8 +59,8 @@ from pathlib import Path
 from typing import Any
 
 from repro.common.errors import RecoveryError
-from repro.common.stable_json import dumps_json
-from repro.durability.codec import canonical_json, canonical_object, text_checksum
+from repro.common.stable_json import canonical_json, dumps_json
+from repro.durability.codec import canonical_object, text_checksum
 from repro.durability.io import (
     append_journal_entry,
     append_segment_frame,

@@ -19,9 +19,10 @@ Encoding conventions (all byte-stable):
   tracks the number of columns rather than the number of transitions.
 - floats ride as JSON numbers — ``repr``-based round-tripping in the
   stdlib encoder is exact for finite doubles.
-- canonical text is compact, sorted-key JSON (:func:`canonical_json`),
-  which the stdlib's C encoder produces in one pass; a checksum is the
-  SHA-256 of those exact bytes.  :func:`canonical_object` assembles the
+- canonical text is compact, sorted-key JSON
+  (:func:`repro.common.stable_json.canonical_json`), which the stdlib's
+  C encoder produces in one pass; a checksum is the SHA-256 of those
+  exact bytes.  :func:`canonical_object` assembles the
   canonical text of a dict from its values' canonical texts, so a part
   whose text has not changed is never encoded again.
 - an append-only log (:class:`AppendLog`) is encoded from the last
@@ -40,6 +41,7 @@ import numpy as np
 
 from repro.common.errors import RecoveryError
 from repro.common.simtime import Window
+from repro.common.stable_json import canonical_json
 from repro.warehouse.config import WarehouseConfig
 from repro.warehouse.types import ScalingPolicy, WarehouseSize
 
@@ -51,7 +53,6 @@ __all__ = [
     "decode_config",
     "encode_window",
     "decode_window",
-    "canonical_json",
     "canonical_object",
     "text_checksum",
     "state_checksum",
@@ -114,11 +115,6 @@ def encode_window(window: Window) -> dict[str, float]:
 
 def decode_window(state: dict[str, Any]) -> Window:
     return Window(start=float(state["start"]), end=float(state["end"]))
-
-
-def canonical_json(value: Any) -> str:
-    """The canonical text of ``value``: compact, sorted-key JSON."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def canonical_object(parts: dict[str, str]) -> str:

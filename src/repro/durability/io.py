@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.common.errors import RecoveryError
+from repro.common.stable_json import canonical_json
 
 __all__ = [
     "atomic_write_text",
@@ -82,7 +83,7 @@ def frame_bytes(body: bytes) -> bytes:
 
 def frame_entry(payload: dict[str, Any]) -> bytes:
     """Serialise one journal entry to its framed line."""
-    return frame_bytes(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    return frame_bytes(canonical_json(payload).encode("utf-8"))
 
 
 def append_journal_entry(path: Path, payload: dict[str, Any]) -> None:

@@ -69,7 +69,7 @@ class BeforeAfterResult:
 
 
 def onboard(scenario: Scenario) -> tuple[KeeboService, WarehouseOptimizer]:
-    """The §7.1 protocol up to onboarding: schedule the workload, run the
+    """Every §7 protocol up to onboarding: schedule the workload, run the
     pre-Keebo days and onboard the warehouse (through a fault-injecting
     client when the scenario carries a fault plan)."""
     scenario.schedule()
@@ -211,14 +211,8 @@ class OverheadResult:
 def run_overhead(scenario: Scenario) -> OverheadResult:
     """Run §7.3: KWO active, measure hourly actual/overhead/savings."""
     manifest = scenario.manifest()
-    scenario.schedule()
-    account = scenario.account
-    account.run_until(scenario.keebo_start)
-    service = KeeboService(account)
-    optimizer = service.onboard_warehouse(
-        scenario.warehouse, slider=scenario.slider, config=scenario.optimizer_config
-    )
-    account.run_until(scenario.horizon)
+    _, optimizer = onboard(scenario)
+    scenario.account.run_until(scenario.horizon)
     measure = Window(scenario.keebo_start + DAY, scenario.horizon)
     dashboard = overhead_dashboard(optimizer, measure)
     optimizer.shutdown()
@@ -240,13 +234,8 @@ class SliderSweepRow:
 def _slider_point(scenario: Scenario) -> SliderSweepRow:
     """One §7.4 measurement: run KWO at the scenario's slider position."""
     manifest = scenario.manifest()
-    scenario.schedule()
+    _, optimizer = onboard(scenario)
     account = scenario.account
-    account.run_until(scenario.keebo_start)
-    service = KeeboService(account)
-    optimizer = service.onboard_warehouse(
-        scenario.warehouse, slider=scenario.slider, config=scenario.optimizer_config
-    )
     account.run_until(scenario.horizon)
     window = Window(scenario.keebo_start, scenario.horizon)
     client = CloudWarehouseClient(account)
@@ -312,14 +301,8 @@ def _onboarding_curve(
     scenario: Scenario, bucket_hours: float = 4.0, trailing_hours: float = 24.0
 ) -> OnboardingCurve:
     manifest = scenario.manifest()
-    scenario.schedule()
-    account = scenario.account
-    account.run_until(scenario.keebo_start)
-    service = KeeboService(account)
-    optimizer = service.onboard_warehouse(
-        scenario.warehouse, slider=scenario.slider, config=scenario.optimizer_config
-    )
-    account.run_until(scenario.horizon)
+    _, optimizer = onboard(scenario)
+    scenario.account.run_until(scenario.horizon)
     hours: list[float] = []
     rates: list[float] = []
     t = scenario.keebo_start + bucket_hours * HOUR
@@ -365,34 +348,6 @@ class FleetResult:
     def savings_range(self) -> tuple[float, float]:
         fractions = self.savings_fractions
         return (min(fractions), max(fractions)) if fractions else (0.0, 0.0)
-
-    def attribution_rollup(self) -> dict:
-        """Fleet-wide provenance rollup: one row per warehouse plus totals.
-
-        ``conserved`` is the AND over warehouses of the exact float
-        equality between attributed and ledger credits — any drift
-        anywhere in the fleet flips it.
-        """
-        summaries = [r.attribution for r in self.rows if r.attribution is not None]
-        return {
-            "warehouses": [
-                {
-                    "warehouse": s.warehouse,
-                    "n_decisions": s.n_decisions,
-                    "n_sealed": s.n_sealed,
-                    "attributed_credits": s.attributed_credits,
-                    "ledger_credits": s.ledger_credits,
-                    "conserved": s.conserved,
-                    "mean_abs_error_credits": s.mean_abs_error_credits,
-                }
-                for s in summaries
-            ],
-            "n_decisions": sum(s.n_decisions for s in summaries),
-            "n_sealed": sum(s.n_sealed for s in summaries),
-            "attributed_credits": sum(s.attributed_credits for s in summaries),
-            "ledger_credits": sum(s.ledger_credits for s in summaries),
-            "conserved": all(s.conserved for s in summaries),
-        }
 
 
 @dataclass

@@ -14,7 +14,8 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import fallback_rng
-from repro.durability.codec import canonical_json, require_keys
+from repro.common.stable_json import canonical_json
+from repro.durability.codec import require_keys
 from repro.learning.buffer import ReplayBuffer, Transition
 from repro.learning.network import MLP
 

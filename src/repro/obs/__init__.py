@@ -49,13 +49,12 @@ __getattr__, __dir__, __all__ = facade(
             "AttributionLedger",
             "AttributionShare",
             "AttributionSummary",
-            "CalibrationReport",
-            "CalibrationRow",
             "CandidateEvaluation",
             "DecisionContext",
             "DecisionOutcome",
             "DecisionRecord",
             "ProvenanceLog",
+            "calibration_facts",
             "split_exact",
         ),
         "repro.obs.series": ("DEFAULT_BUCKET_SECONDS", "MetricSeries", "SeriesRegistry"),

@@ -20,9 +20,9 @@ time passed explicitly, and exports are byte-stable sorted JSON.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
+from repro.common.stable_json import canonical_json
 from repro.obs.metrics import ObservabilityError, _check_name
 
 #: Alert severities, mildest first.  Severity is informational (it rides
@@ -144,7 +144,7 @@ class AlertManager:
 
     def to_json(self) -> str:
         """Byte-stable JSON export (sorted keys, compact separators)."""
-        return json.dumps(self.snapshot(), sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(self.snapshot()) + "\n"
 
 
 class _NullAlertManager:

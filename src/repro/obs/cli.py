@@ -35,7 +35,7 @@ from typing import IO, Callable
 from repro.common.cli import flag, non_negative_int
 from repro.common.errors import ObservabilityError
 from repro.common.simtime import format_time
-from repro.common.stable_json import dumps_json
+from repro.common.stable_json import canonical_json, dumps_json
 from repro.obs import stream as obs_stream
 from repro.obs import watchtower as obs_watchtower
 from repro.obs.profile import critical_path, diff_profiles, profile_records, to_folded
@@ -610,7 +610,7 @@ def store_query(args: argparse.Namespace, out: IO[str]) -> int:
             run=args.run_label,
         )
     for row in rows[: args.limit]:
-        print(json.dumps(row, sort_keys=True, separators=(",", ":")), file=out)
+        print(canonical_json(row), file=out)
     print(f"{len(rows)} rows ({min(len(rows), args.limit)} shown)", file=out)
     return 0
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import json
 from dataclasses import dataclass
 
+from repro.common.stable_json import canonical_json
 from repro.obs.metrics import ObservabilityError
 
 
@@ -56,7 +56,7 @@ def config_hash(config: object) -> str:
 def canonical_hash(tree: object) -> str:
     """:func:`config_hash` of a value tree that is already canonical: plain
     JSON values, dicts keyed by strings, no enums or dataclasses."""
-    payload = json.dumps(tree, sort_keys=True, separators=(",", ":"))
+    payload = canonical_json(tree)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -100,4 +100,4 @@ class RunManifest:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())

@@ -14,11 +14,11 @@ attribute lookup and a no-op call when observation is off.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import re
 
 from repro.common.errors import ObservabilityError
+from repro.common.stable_json import canonical_json
 
 
 #: Metric names: dotted lowercase segments, e.g. ``repro.engine.events``.
@@ -206,7 +206,7 @@ class MetricsRegistry:
 
     def to_json(self) -> str:
         """Byte-stable JSON export (sorted keys, compact separators)."""
-        return json.dumps(self.snapshot(), sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(self.snapshot()) + "\n"
 
     def merge(self, snapshot: dict[str, dict[str, object]]) -> None:
         """Fold another registry's :meth:`snapshot` into this one.

@@ -18,8 +18,9 @@ sorted and JSON-stable, so same-seed runs profile byte-identically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+
+from repro.common.stable_json import canonical_json
 
 
 @dataclass
@@ -80,7 +81,7 @@ class Profile:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(self.to_dict()) + "\n"
 
 
 def _span_records(records: list[dict]) -> list[dict]:

@@ -40,6 +40,7 @@ import enum
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.common.errors import RecoveryError
 from repro.common.simtime import Window
@@ -439,24 +440,13 @@ class AttributionLedger:
             ),
         )
 
-    def per_decision_credits(self) -> dict[int, float]:
-        """Total credits attributed to each decision seq (and to
-        :data:`UNATTRIBUTED`), across all entries."""
-        totals: dict[int, float] = {}
-        for entry in self.entries:
-            for share in entry.shares:
-                totals[share.decision_seq] = (
-                    totals.get(share.decision_seq, 0.0) + share.credits
-                )
-        return totals
-
 
 class ProvenanceLog:
     """The decision audit trail of one optimizer.
 
     Always on (like ``optimizer.decisions``): records accumulate in memory
-    for dashboards and fleet summaries whether or not an observation
-    session is active; the trace events are emitted only when one is.
+    for fleet summaries whether or not an observation session is active;
+    the trace events are emitted only when one is.
     """
 
     def __init__(self, warehouse: str, decision_interval: float):
@@ -586,29 +576,26 @@ class ProvenanceLog:
         self._unsealed_from = unsealed_from
 
     # ------------------------------------------------------------ reporting
-    @property
-    def sealed_records(self) -> list[DecisionRecord]:
-        return [r for r in self.records if r.sealed]
-
-    def calibration(self) -> "CalibrationReport":
-        return CalibrationReport.from_records(self.records)
-
     def summary(self, ledger_credits: float) -> "AttributionSummary":
         """A picklable fleet-rollup row (crosses process pools)."""
         attributed = self.attribution.total_attributed_credits()
-        calibration = self.calibration()
+        calibration = calibration_facts(
+            (r.realized_credits, r.predicted_credits, r.prediction_error_credits)
+            for r in self.records
+            if r.sealed
+        )
         kinds: dict[str, int] = {}
         for record in self.records:
             kinds[record.kind] = kinds.get(record.kind, 0) + 1
         return AttributionSummary(
             warehouse=self.warehouse,
             n_decisions=len(self.records),
-            n_sealed=len(self.sealed_records),
+            n_sealed=calibration["n_sealed"],
             n_entries=len(self.attribution.entries),
             attributed_credits=attributed,
             ledger_credits=ledger_credits,
             conserved=attributed == ledger_credits,
-            mean_abs_error_credits=calibration.mean_abs_error_credits,
+            mean_abs_error_credits=calibration["mean_abs_error_credits"],
             decision_kinds=dict(sorted(kinds.items())),
         )
 
@@ -638,75 +625,52 @@ def _feedback_hash(feedback: object, kept: dict) -> str:
     return config_hash(feedback)
 
 
-@dataclass(frozen=True)
-class CalibrationRow:
-    """Predicted-vs-realized for one sealed decision."""
+def calibration_facts(
+    outcomes: Iterable[tuple[float, float | None, float | None]],
+) -> dict:
+    """How well the cost model's what-ifs predicted reality (claim C2).
 
-    seq: int
-    time: float
-    kind: str
-    reason_code: str
-    predicted_credits: float | None
-    realized_credits: float
-    error_credits: float | None
-    predicted_avg_latency: float | None
-    realized_p99: float
+    ``outcomes`` are sealed decision outcomes in seal order, each as
+    ``(realized_credits, predicted_credits, error_credits)``, with
+    ``error_credits`` ``None`` when no what-if priced the decision.  The
+    one fold behind the live summary, the fleet store and the run report:
+    every total accumulates left to right with ``+=`` from ``0.0``, so all
+    three report the same floats for the same run.  The means are taken
+    over the predicted outcomes only; the signed error is positive when
+    the realized cost was higher.
+    """
+    n_sealed = n_with_prediction = 0
+    sum_abs_error = sum_error = total_predicted = total_realized = 0.0
+    for realized, predicted, error in outcomes:
+        n_sealed += 1
+        total_realized += realized
+        if error is not None:
+            n_with_prediction += 1
+            sum_abs_error += abs(error)
+            sum_error += error
+            total_predicted += predicted
+    n = n_with_prediction
+    return {
+        "n_sealed": n_sealed,
+        "n_with_prediction": n_with_prediction,
+        "sum_abs_error_credits": sum_abs_error,
+        "sum_error_credits": sum_error,
+        "total_predicted_credits": total_predicted,
+        "total_realized_credits": total_realized,
+        "mean_abs_error_credits": sum_abs_error / n if n else 0.0,
+        "mean_error_credits": sum_error / n if n else 0.0,
+    }
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
-    """How well the cost model's what-ifs predicted reality (claim C2)."""
-
-    rows: tuple[CalibrationRow, ...]
-    n_decisions: int
-    n_sealed: int
-    n_with_prediction: int
-    mean_abs_error_credits: float
-    mean_error_credits: float  # signed: positive = realized cost more
-    total_predicted_credits: float
-    total_realized_credits: float
-
-    @classmethod
-    def from_records(cls, records: list[DecisionRecord]) -> "CalibrationReport":
-        rows = []
-        abs_errors: list[float] = []
-        errors: list[float] = []
-        total_predicted = 0.0
-        total_realized = 0.0
-        for record in records:
-            if not record.sealed:
-                continue
-            error = record.prediction_error_credits
-            rows.append(
-                CalibrationRow(
-                    seq=record.seq,
-                    time=record.time,
-                    kind=record.kind,
-                    reason_code=record.reason_code,
-                    predicted_credits=record.predicted_credits,
-                    realized_credits=record.realized_credits,
-                    error_credits=error,
-                    predicted_avg_latency=record.predicted_avg_latency,
-                    realized_p99=record.realized_p99,
-                )
-            )
-            total_realized += record.realized_credits
-            if error is not None:
-                errors.append(error)
-                abs_errors.append(abs(error))
-                total_predicted += record.predicted_credits
-        return cls(
-            rows=tuple(rows),
-            n_decisions=len(records),
-            n_sealed=len(rows),
-            n_with_prediction=len(errors),
-            mean_abs_error_credits=(
-                sum(abs_errors) / len(abs_errors) if abs_errors else 0.0
-            ),
-            mean_error_credits=sum(errors) / len(errors) if errors else 0.0,
-            total_predicted_credits=total_predicted,
-            total_realized_credits=total_realized,
-        )
+def event_outcome(attrs: dict) -> tuple[float, float, float | None]:
+    """A ``provenance.outcome`` event's attrs as one
+    :func:`calibration_facts` outcome (missing credits read as ``0.0``)."""
+    error = attrs.get("error_credits")
+    return (
+        float(attrs.get("realized_credits") or 0.0),
+        float(attrs.get("predicted_credits") or 0.0),
+        None if error is None else float(error),
+    )
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,9 @@ hands out shared no-op singletons while observation is off.
 
 from __future__ import annotations
 
-import json
 import math
 
+from repro.common.stable_json import canonical_json
 from repro.obs.metrics import ObservabilityError, _check_name
 
 #: Default sim-time bucket width, in seconds.
@@ -206,7 +206,7 @@ class SeriesRegistry:
 
     def to_json(self) -> str:
         """Byte-stable JSON export (sorted keys, compact separators)."""
-        return json.dumps(self.snapshot(), sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(self.snapshot()) + "\n"
 
     def merge(self, snapshot: dict[str, dict[str, object]]) -> None:
         """Fold a whole registry :meth:`snapshot` into this one, name by

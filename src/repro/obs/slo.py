@@ -19,11 +19,11 @@ export as byte-stable sorted JSON — same-seed runs agree to the byte
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
 from repro.common.simtime import HOUR
+from repro.common.stable_json import canonical_json
 from repro.obs.metrics import ObservabilityError
 from repro.obs.series import AGGREGATES, SeriesRegistry
 
@@ -227,7 +227,7 @@ class SLOReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(self.to_dict()) + "\n"
 
 
 def evaluate_all(specs: list[SLOSpec], registry: SeriesRegistry) -> SLOReport:

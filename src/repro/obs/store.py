@@ -29,7 +29,9 @@ from __future__ import annotations
 import json
 import pathlib
 
+from repro.common.stable_json import canonical_json
 from repro.obs.metrics import ObservabilityError
+from repro.obs.provenance import calibration_facts, event_outcome
 
 #: Bumped on any incompatible change to the store row shapes.
 STORE_SCHEMA_VERSION = 1
@@ -61,14 +63,7 @@ _EMPTY_FACTS = {
     "n_entries": 0,
     "entries_conserved": True,
     "attributed_credits": 0.0,
-    "n_sealed": 0,
-    "n_with_prediction": 0,
-    "sum_abs_error_credits": 0.0,
-    "sum_error_credits": 0.0,
-    "total_predicted_credits": 0.0,
-    "total_realized_credits": 0.0,
-    "mean_abs_error_credits": 0.0,
-    "mean_error_credits": 0.0,
+    **calibration_facts(()),
 }
 
 
@@ -153,7 +148,7 @@ class FleetStore:
     def to_jsonl(self) -> str:
         """Byte-stable export: one sorted-key compact row per line."""
         return "".join(
-            json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+            canonical_json(row) + "\n"
             for row in self.rows
         )
 
@@ -328,8 +323,10 @@ class FleetStore:
         Each attribution row's shares are summed left to right and must
         equal the row's own ``savings_credits`` bit for bit
         (``entries_conserved``); ``attributed_credits`` totals them.
-        Calibration comes from sealed outcomes: predicted and realized
-        credit totals and the mean absolute / signed prediction error.
+        Calibration folds each warehouse's sealed outcomes in insertion
+        order (:func:`repro.obs.provenance.calibration_facts`): predicted
+        and realized credit totals and the mean absolute / signed
+        prediction error.
         """
         facts: dict[str, dict] = {}
 
@@ -347,26 +344,13 @@ class FleetStore:
                 agg["entries_conserved"] = False
             agg["n_entries"] += 1
             agg["attributed_credits"] += credited
+        outcomes: dict[str, list[tuple]] = {}
         for row in self.query(kind="outcome"):
-            agg = of(row)
-            agg["n_sealed"] += 1
-            agg["total_realized_credits"] += float(
-                row["data"].get("realized_credits") or 0.0
-            )
-            error = row["data"].get("error_credits")
-            if error is not None:
-                agg["n_with_prediction"] += 1
-                agg["sum_abs_error_credits"] += abs(float(error))
-                agg["sum_error_credits"] += float(error)
-                agg["total_predicted_credits"] += float(
-                    row["data"].get("predicted_credits") or 0.0
-                )
-        for agg in facts.values():
-            n = agg["n_with_prediction"]
-            agg["mean_abs_error_credits"] = (
-                agg["sum_abs_error_credits"] / n if n else 0.0
-            )
-            agg["mean_error_credits"] = agg["sum_error_credits"] / n if n else 0.0
+            of(row)
+            sealed = outcomes.setdefault(row["warehouse"], [])
+            sealed.append(event_outcome(row["data"]))
+        for name, sealed in outcomes.items():
+            facts[name].update(calibration_facts(sealed))
         return {name: facts[name] for name in sorted(facts)}
 
     def attribution_report(self) -> dict:
@@ -410,8 +394,10 @@ class FleetStore:
         if bucket_seconds <= 0:
             raise ObservabilityError("bucket_seconds must be positive")
         buckets: dict[tuple[str, str, int], dict] = {}
-
-        def bucket_for(row: dict) -> dict:
+        outcomes: dict[tuple[str, str, int], list[tuple]] = {}
+        for row in self.rows:
+            if row["kind"] not in ("decision", "outcome", "attribution"):
+                continue
             key = (row["run"], row["warehouse"], int(row["time"] // bucket_seconds))
             if key not in buckets:
                 buckets[key] = {
@@ -425,29 +411,21 @@ class FleetStore:
                     "abs_error_credits": 0.0,
                     "savings_credits": 0.0,
                 }
-            return buckets[key]
-
-        for row in self.rows:
+            agg = buckets[key]
             if row["kind"] == "decision":
-                agg = bucket_for(row)
                 kind = str(row["data"].get("kind", "?"))
                 agg["decisions"][kind] = agg["decisions"].get(kind, 0) + 1
             elif row["kind"] == "outcome":
-                agg = bucket_for(row)
-                agg["realized_credits"] += float(
-                    row["data"].get("realized_credits") or 0.0
-                )
-                agg["predicted_credits"] += float(
-                    row["data"].get("predicted_credits") or 0.0
-                )
-                error = row["data"].get("error_credits")
-                if error is not None:
-                    agg["abs_error_credits"] += abs(float(error))
-            elif row["kind"] == "attribution":
-                agg = bucket_for(row)
+                outcomes.setdefault(key, []).append(event_outcome(row["data"]))
+            else:
                 agg["savings_credits"] += float(
                     row["data"].get("savings_credits") or 0.0
                 )
+        for key, sealed in outcomes.items():
+            facts = calibration_facts(sealed)
+            buckets[key]["realized_credits"] = facts["total_realized_credits"]
+            buckets[key]["predicted_credits"] = facts["total_predicted_credits"]
+            buckets[key]["abs_error_credits"] = facts["sum_abs_error_credits"]
         return [buckets[key] for key in sorted(buckets)]
 
     def top_savings(self, k: int = 10) -> list[dict]:

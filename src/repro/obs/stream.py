@@ -35,7 +35,7 @@ import time
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
-from repro.common.stable_json import dumps_json
+from repro.common.stable_json import canonical_json, dumps_json
 from repro.obs.metrics import ObservabilityError
 
 try:  # pragma: no cover - absent only on non-POSIX platforms
@@ -58,7 +58,7 @@ DEFAULT_SPILL_RECORDS = 4096
 
 def _record_line(record: dict) -> str:
     """The one byte-stable serialization every trace export uses."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(record) + "\n"
 
 
 # --------------------------------------------------------------------- sink

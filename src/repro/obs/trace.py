@@ -25,11 +25,11 @@ set while they are open.
 from __future__ import annotations
 
 import itertools
-import json
 import pathlib
 from contextlib import contextmanager
 from typing import Iterator
 
+from repro.common.stable_json import canonical_json
 from repro.obs.alerts import NULL_ALERTS, AlertManager
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import (
@@ -85,7 +85,7 @@ class TraceSink:
 
     def to_jsonl(self) -> str:
         return "".join(
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+            canonical_json(record) + "\n"
             for record in self.records
         )
 

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.common.errors import ReproError
+from repro.common.stable_json import canonical_json
 from repro.obs import stream as obs_stream
 from repro.obs import trace as obs_trace
 from repro.obs.series import DEFAULT_BUCKET_SECONDS
@@ -257,7 +258,7 @@ def _spool_session(rec, index: int, cfg: StreamConfig) -> tuple[str, dict]:
     with open(spool_path, "w", encoding="utf-8") as fh:
         for chunk in obs_stream.payload_chunks(rec, max_events=cfg.max_chunk_events):
             fh.write(
-                json.dumps(chunk, sort_keys=True, separators=(",", ":")) + "\n"
+                canonical_json(chunk) + "\n"
             )
             chunks += 1
             records += len(chunk["records"])

@@ -8,17 +8,14 @@ __getattr__, __dir__, __all__ = facade(
     {
         "repro.portal.dashboards": (
             "ActionsDashboard",
-            "AttributionDashboard",
             "OverheadDashboard",
             "SavingsDashboard",
             "actions_dashboard",
-            "attribution_dashboard",
             "overhead_dashboard",
             "savings_dashboard",
         ),
         "repro.portal.export": (
             "actions_to_dict",
-            "attribution_to_dict",
             "kpi_bucket_to_dict",
             "optimizer_status_to_dict",
             "overhead_to_dict",
@@ -34,7 +31,6 @@ __getattr__, __dir__, __all__ = facade(
         ),
         "repro.portal.reports": (
             "render_actions",
-            "render_attribution",
             "render_overhead",
             "render_savings",
         ),

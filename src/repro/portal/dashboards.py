@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from repro.common.simtime import HOUR, Window, hour_index
 from repro.core.actuator import AppliedAction
 from repro.core.optimizer import WarehouseOptimizer
-from repro.obs.provenance import CalibrationReport
 from repro.portal.kpis import kpi_series
 from repro.warehouse.api import CloudWarehouseClient
 
@@ -116,49 +115,3 @@ def actions_dashboard(optimizer: WarehouseOptimizer, window: Window) -> ActionsD
         if window.contains(a.time)
     ]
     return ActionsDashboard(warehouse=optimizer.warehouse, actions=actions)
-
-
-@dataclass(frozen=True)
-class AttributionDashboard:
-    """Where the savings number comes from, decision by decision (§4.1).
-
-    ``per_decision`` maps decision seq (or
-    :data:`repro.obs.provenance.UNATTRIBUTED`) to attributed credits;
-    ``calibration`` is the predicted-vs-realized report over the sealed
-    decisions in the window.
-    """
-
-    warehouse: str
-    n_decisions: int
-    n_sealed: int
-    n_entries: int
-    attributed_credits: float
-    ledger_credits: float
-    conserved: bool
-    per_decision: dict[int, float]
-    calibration: CalibrationReport
-
-
-def attribution_dashboard(
-    optimizer: WarehouseOptimizer, window: Window
-) -> AttributionDashboard:
-    """The attribution + calibration view of one optimizer's window.
-
-    Windowing filters the *decisions* shown; the conservation numbers are
-    whole-run (conservation is a property of the full ledger, not a slice).
-    """
-    log = optimizer.provenance
-    records = [r for r in log.records if window.contains(r.time)]
-    ledger_credits = optimizer.ledger.total_savings_credits()
-    attributed = log.attribution.total_attributed_credits()
-    return AttributionDashboard(
-        warehouse=optimizer.warehouse,
-        n_decisions=len(records),
-        n_sealed=sum(1 for r in records if r.sealed),
-        n_entries=len(log.attribution.entries),
-        attributed_credits=attributed,
-        ledger_credits=ledger_credits,
-        conserved=attributed == ledger_credits,
-        per_decision=log.attribution.per_decision_credits(),
-        calibration=CalibrationReport.from_records(records),
-    )

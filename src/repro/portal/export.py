@@ -14,7 +14,6 @@ from repro.common.stable_json import dumps_json
 from repro.core.optimizer import WarehouseOptimizer
 from repro.portal.dashboards import (
     ActionsDashboard,
-    AttributionDashboard,
     OverheadDashboard,
     SavingsDashboard,
 )
@@ -89,37 +88,6 @@ def optimizer_status_to_dict(optimizer: WarehouseOptimizer) -> dict:
         ),
         "actuator_errors": optimizer.actuator.errors if optimizer.actuator else 0,
         "training_runs": len(optimizer.training_reports),
-    }
-
-
-def attribution_to_dict(dashboard: AttributionDashboard) -> dict:
-    """The per-decision savings split plus the calibration report.
-
-    Credits are exported un-rounded: the conservation invariant (shares
-    sum bit-exactly to the ledger total) is part of the payload's meaning,
-    and rounding would destroy it.
-    """
-    calibration = dashboard.calibration
-    return {
-        "warehouse": dashboard.warehouse,
-        "n_decisions": dashboard.n_decisions,
-        "n_sealed": dashboard.n_sealed,
-        "n_entries": dashboard.n_entries,
-        "attributed_credits": dashboard.attributed_credits,
-        "ledger_credits": dashboard.ledger_credits,
-        "conserved": dashboard.conserved,
-        "per_decision": {
-            str(seq): credits
-            for seq, credits in sorted(dashboard.per_decision.items())
-        },
-        "calibration": {
-            "n_sealed": calibration.n_sealed,
-            "n_with_prediction": calibration.n_with_prediction,
-            "mean_abs_error_credits": round(calibration.mean_abs_error_credits, 6),
-            "mean_error_credits": round(calibration.mean_error_credits, 6),
-            "total_predicted_credits": round(calibration.total_predicted_credits, 6),
-            "total_realized_credits": round(calibration.total_realized_credits, 6),
-        },
     }
 
 

@@ -6,9 +6,9 @@ Figures 2, 4 and 6 screenshot; no plotting dependency is available offline.
 
 from __future__ import annotations
 
+from repro.obs.provenance import calibration_facts, event_outcome
 from repro.portal.dashboards import (
     ActionsDashboard,
-    AttributionDashboard,
     OverheadDashboard,
     SavingsDashboard,
 )
@@ -235,20 +235,17 @@ def _provenance_section(records: list[dict]) -> list[str]:
     ]
     for code in sorted(by_code, key=lambda c: (-by_code[c], c)):
         lines.append(f"| `{code}` | {by_code[code]} |")
-    errors = [
-        r.get("attrs", {}).get("error_credits")
-        for r in outcomes
-        if r.get("attrs", {}).get("error_credits") is not None
-    ]
-    if errors:
-        mean_abs = sum(abs(e) for e in errors) / len(errors)
-        mean = sum(errors) / len(errors)
+    calibration = calibration_facts(
+        event_outcome(r.get("attrs", {})) for r in outcomes
+    )
+    n = calibration["n_with_prediction"]
+    if n:
         lines += [
             "",
-            f"What-if calibration over {len(errors)} predicted intervals: "
-            f"mean |error| {mean_abs:.4f} credits, mean signed error "
-            f"{mean:+.4f} credits (positive = realized cost more than "
-            f"predicted).",
+            f"What-if calibration over {n} predicted intervals: "
+            f"mean |error| {calibration['mean_abs_error_credits']:.4f} credits, "
+            f"mean signed error {calibration['mean_error_credits']:+.4f} credits "
+            f"(positive = realized cost more than predicted).",
         ]
     lines.append("")
     return lines
@@ -303,34 +300,6 @@ def _live_ledger_section(records: list[dict]) -> list[str]:
         ]
     lines.append("")
     return lines
-
-
-def render_attribution(dashboard: AttributionDashboard, limit: int = 10) -> str:
-    """The savings-attribution view: who earned the credits."""
-    status = "conserved" if dashboard.conserved else "CONSERVATION VIOLATED"
-    lines = [
-        f"Savings attribution — warehouse {dashboard.warehouse}",
-        f"  {dashboard.n_entries} ledger entries split across "
-        f"{dashboard.n_decisions} decisions ({dashboard.n_sealed} sealed)",
-        f"  attributed={dashboard.attributed_credits:.6f}cr "
-        f"ledger={dashboard.ledger_credits:.6f}cr  [{status}]",
-    ]
-    ranked = sorted(
-        dashboard.per_decision.items(), key=lambda item: (-item[1], item[0])
-    )[:limit]
-    for seq, credits in ranked:
-        label = f"decision {seq}" if seq >= 0 else "unattributed"
-        lines.append(f"  {label:<16} {credits:>+12.6f}cr")
-    if not ranked:
-        lines.append("  (no savings attributed yet)")
-    calibration = dashboard.calibration
-    if calibration.n_with_prediction:
-        lines.append(
-            f"  calibration: mean |err|="
-            f"{calibration.mean_abs_error_credits:.5f}cr over "
-            f"{calibration.n_with_prediction} predictions"
-        )
-    return "\n".join(lines)
 
 
 def render_actions(dashboard: ActionsDashboard, limit: int = 20) -> str:

@@ -16,7 +16,7 @@ as they are.
 
 import hashlib
 
-from repro.durability.codec import canonical_json
+from repro.common.stable_json import canonical_json
 from repro.experiments.runner import run_before_after, run_chaos
 from repro.experiments.scenarios import chaos_smoke_scenario, smoke_scenario
 from repro.obs.provenance import encode_record

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.common.errors import RecoveryError
-from repro.durability.codec import AppendLog, canonical_json, canonical_object
+from repro.common.stable_json import canonical_json
+from repro.durability.codec import AppendLog, canonical_object
 
 
 def log_of(values, sealed):

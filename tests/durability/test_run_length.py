@@ -20,7 +20,7 @@ from repro.core.actuator import Actuator
 from repro.core.ledger import LiveLedger, SavingsLedger
 from repro.core.optimizer import KeeboService
 from repro.durability.checkpoint import CheckpointStore
-from repro.durability.codec import canonical_json
+from repro.common.stable_json import canonical_json
 from repro.experiments.scenarios import flaky_api_scenario
 from repro.faults import FaultingWarehouseClient
 from repro.learning.agent import DQNAgent

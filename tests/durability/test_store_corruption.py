@@ -14,7 +14,7 @@ import pytest
 
 from repro.common.errors import RecoveryError
 from repro.durability.checkpoint import SCHEMA, CheckpointStore
-from repro.durability.codec import canonical_json
+from repro.common.stable_json import canonical_json
 from repro.durability.io import frame_entry
 
 SEALED = {"WH/decisions": [{"d": 0}, {"d": 1}], "WH/ledger": [{"l": 0}]}

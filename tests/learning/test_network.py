@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError, RecoveryError
-from repro.durability.codec import canonical_json, encode_array
+from repro.common.stable_json import canonical_json
+from repro.durability.codec import encode_array
 from repro.learning.network import MLP
 
 

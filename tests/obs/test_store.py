@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro import obs
+from repro.experiments.runner import run_before_after
+from repro.experiments.scenarios import chaos_smoke_scenario, smoke_scenario
 from repro.obs import Recorder, RunManifest
 from repro.obs.metrics import ObservabilityError
 from repro.obs.store import FleetStore
@@ -195,3 +198,27 @@ class TestPersistenceAndMerge:
         assert merged.to_jsonl() == sequential.to_jsonl()
         # Indexes survive the merge path, not just the rows.
         assert merged.decisions() == sequential.decisions()
+
+
+class TestLiveSummaryAgreement:
+    """The live summary and the store fold the same outcomes in the same
+    order, so one traced run reports the same facts through both, to the
+    bit."""
+
+    @pytest.mark.parametrize(
+        "factory, seed", [(chaos_smoke_scenario, 131), (smoke_scenario, 126)]
+    )
+    def test_summary_equals_store_facts(self, factory, seed):
+        with obs.observed() as rec:
+            result, _ = run_before_after(factory(seed=seed))
+        store = FleetStore()
+        store.ingest_trace_records(rec.sink.records, run="run")
+        summary = result.attribution
+        facts = store.warehouse_facts()[summary.warehouse]
+        for key in (
+            "n_decisions",
+            "n_sealed",
+            "attributed_credits",
+            "mean_abs_error_credits",
+        ):
+            assert getattr(summary, key) == facts[key], key

@@ -1,21 +1,12 @@
 """Tests for KPI computation, dashboards and text rendering."""
 
-import json
-
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.simtime import DAY, HOUR, Window
-from repro.obs.provenance import UNATTRIBUTED, CalibrationReport
-from repro.portal.dashboards import (
-    AttributionDashboard,
-    SavingsDashboard,
-    attribution_dashboard,
-    savings_dashboard,
-)
-from repro.portal.export import attribution_to_dict, to_json
+from repro.portal.dashboards import SavingsDashboard, savings_dashboard
 from repro.portal.kpis import daily_credits, daily_p99_latency, kpi_series, total_spend
-from repro.portal.reports import render_actions, render_attribution, render_savings
+from repro.portal.reports import render_actions, render_savings
 from repro.warehouse.api import CloudWarehouseClient
 
 from tests.conftest import drive, make_account, make_requests, make_template
@@ -93,67 +84,6 @@ class TestKpiEdgeCases:
         buckets = kpi_series(client, wh, Window(0, DAY + HOUR), "daily")
         assert len(buckets) == 2
         assert buckets[-1].window == Window(DAY, DAY + HOUR)
-
-
-def _attribution_fixture(conserved=True):
-    return AttributionDashboard(
-        warehouse="WH",
-        n_decisions=3,
-        n_sealed=2,
-        n_entries=2,
-        attributed_credits=0.30000000000000004,
-        ledger_credits=0.30000000000000004 if conserved else 0.3,
-        conserved=conserved,
-        per_decision={0: 0.2, 1: 0.10000000000000004, UNATTRIBUTED: 0.0},
-        calibration=CalibrationReport(
-            rows=(),
-            n_decisions=3,
-            n_sealed=2,
-            n_with_prediction=2,
-            mean_abs_error_credits=0.05,
-            mean_error_credits=-0.01,
-            total_predicted_credits=0.4,
-            total_realized_credits=0.35,
-        ),
-    )
-
-
-class TestAttributionDashboard:
-    def test_from_real_run_conserves(self):
-        from repro.experiments.runner import run_before_after
-        from repro.experiments.scenarios import smoke_scenario
-
-        result, optimizer = run_before_after(smoke_scenario(seed=11))
-        # Half-open windows exclude a decision landing exactly at `now`.
-        dashboard = attribution_dashboard(
-            optimizer, Window(0.0, optimizer.account.sim.now + 1.0)
-        )
-        assert dashboard.conserved
-        assert dashboard.attributed_credits == dashboard.ledger_credits
-        assert dashboard.n_decisions == len(optimizer.provenance.records)
-
-    def test_export_keeps_credits_unrounded(self):
-        payload = attribution_to_dict(_attribution_fixture())
-        assert payload["attributed_credits"] == 0.30000000000000004
-        assert payload["per_decision"]["1"] == 0.10000000000000004
-        assert payload["per_decision"][str(UNATTRIBUTED)] == 0.0
-        assert payload["calibration"]["mean_abs_error_credits"] == 0.05
-
-    def test_export_roundtrips_through_to_json(self):
-        text = to_json(attribution_to_dict(_attribution_fixture()))
-        assert text.endswith("\n")
-        payload = json.loads(text)
-        # Exact float survival through the serializer — the whole point.
-        assert payload["attributed_credits"] == 0.30000000000000004
-
-    def test_render_flags_violations(self):
-        text = render_attribution(_attribution_fixture())
-        assert "[conserved]" in text
-        assert "decision 0" in text
-        assert "unattributed" in text
-        assert "calibration: mean |err|=" in text
-        violated = render_attribution(_attribution_fixture(conserved=False))
-        assert "CONSERVATION VIOLATED" in violated
 
 
 class TestSavingsDashboard:

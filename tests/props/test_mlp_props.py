@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.durability.codec import canonical_json
+from repro.common.stable_json import canonical_json
 from repro.learning.network import MLP
 
 from tests.props.mlp_oracle import MLP as OracleMLP

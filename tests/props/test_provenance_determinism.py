@@ -78,8 +78,7 @@ class TestParallelStoreIdentity:
         serial_result, serial_store = fleet_store(workers=0)
         parallel_result, parallel_store = fleet_store(workers=WORKERS)
         assert parallel_store.to_jsonl() == serial_store.to_jsonl()
-        # The attribution rollup derived from either run agrees too.
-        assert (
-            parallel_result.attribution_rollup() == serial_result.attribution_rollup()
-        )
-        assert parallel_result.attribution_rollup()["conserved"]
+        # The per-warehouse attribution summaries of either run agree too.
+        serial = [r.attribution for r in serial_result.rows]
+        assert [r.attribution for r in parallel_result.rows] == serial
+        assert all(s.conserved for s in serial)
