@@ -993,6 +993,15 @@ def merge_checkpoint_entries(
     return state
 
 
+#: Seconds past each cadence multiple at which the durability controller
+#: fires (see :meth:`KeeboService.enable_checkpoints`).
+CHECKPOINT_OFFSET_SECONDS = 1.0
+
+#: Journal entries written before the next checkpoint forces a compaction.
+#: Journaled in each snapshot, so a restore keeps the value it ran with.
+CHECKPOINT_COMPACT_EVERY = 16
+
+
 class _DurabilityRuntime:
     """In-memory checkpoint bookkeeping — dies with the process.
 
@@ -1121,19 +1130,18 @@ class KeeboService:
         *,
         config_hash: str = "",
         process_plan: FaultPlan | None = None,
-        offset_seconds: float = 1.0,
-        compact_every: int = 16,
     ) -> None:
         """Start journaling control-plane state to ``directory``.
 
         Writes an initial full snapshot synchronously, then checkpoints
         every ``cadence_seconds``.  The periodic controller is offset by
-        ``offset_seconds`` past the cadence grid so a checkpoint always
-        observes a *quiesced* post-tick state: decision controllers fire on
-        round interval multiples, and two same-timestamp events dispatch in
-        insertion order — a zero-offset checkpoint registered after
-        onboarding would run *before* the optimizer ticks sharing its
-        timestamp, silently excluding that tick from the durable state.
+        :data:`CHECKPOINT_OFFSET_SECONDS` past the cadence grid so a
+        checkpoint always observes a *quiesced* post-tick state: decision
+        controllers fire on round interval multiples, and two same-timestamp
+        events dispatch in insertion order — a zero-offset checkpoint
+        registered after onboarding would run *before* the optimizer ticks
+        sharing its timestamp, silently excluding that tick from the
+        durable state.
 
         ``process_plan`` arms process-level fault kinds (``crash_at_tick``
         and the corruption trio); each armed spec is evaluated at every
@@ -1151,13 +1159,13 @@ class KeeboService:
             cadence_seconds=cadence_seconds,
         )
         self._durability = _DurabilityRuntime(
-            store, cadence_seconds, process_plan, config_hash, compact_every
+            store, cadence_seconds, process_plan, config_hash, CHECKPOINT_COMPACT_EVERY
         )
         self.checkpoint(force_snapshot=True)
         self._durability.controller = self.account.sim.add_controller(
             cadence_seconds,
             self._checkpoint_tick,
-            start=self.account.sim.now + cadence_seconds + offset_seconds,
+            start=self.account.sim.now + cadence_seconds + CHECKPOINT_OFFSET_SECONDS,
             name=f"durability[{self.account.name}]",
         )
 

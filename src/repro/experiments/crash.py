@@ -4,7 +4,7 @@ The durability layer's headline invariant (docs/ROBUSTNESS.md §v2) is
 *byte-identity*: for any seeded scenario and any crash point, a run that
 dies at a checkpoint tick, restores from its durable artifacts and runs to
 the horizon must export the **same bytes** — ledger, provenance,
-attribution, metrics, series, alerts, fleet-store rows, and the trace
+attribution, metrics, series, open alerts, fleet-store rows, and the trace
 itself — as the same-seed run that never crashed.  The only permitted
 divergence is the single ``service.restore`` trace event the recovery
 emits.
@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import RecoveryError
 from repro.common.simtime import Window
-from repro.common.stable_json import dumps_json
-from repro.core.optimizer import WarehouseOptimizer
+from repro.common.stable_json import canonical_json, dumps_json
+from repro.core.optimizer import CHECKPOINT_OFFSET_SECONDS, WarehouseOptimizer
 from repro.experiments.runner import BeforeAfterResult, before_after_result, onboard
 from repro.experiments.scenarios import Scenario
 from repro.faults import FaultKind, FaultPlan, FaultSpec
@@ -51,10 +51,6 @@ from repro.faults.plan import PROCESS_KINDS
 from repro.obs import trace as obs
 from repro.obs.provenance import encode_record
 from repro.obs.store import FleetStore
-
-#: Seconds past each cadence multiple at which the durability controller
-#: fires (see :meth:`KeeboService.enable_checkpoints`).
-CHECKPOINT_OFFSET_SECONDS = 1.0
 
 #: Slack added when driving the sim up to a checkpoint boundary.
 _BOUNDARY_EPSILON = 1e-6
@@ -213,7 +209,10 @@ def _collect_exports(
         "trace": trace,
         "metrics": rec.metrics.to_json(),
         "series": rec.series.to_json(),
-        "alerts": rec.alerts.to_json(),
+        # Alert events ride in the trace; only an open alert's re-fires do not.
+        "alerts": canonical_json(
+            [[a.name, a.severity, a.fired_at, a.refires] for a in rec.alerts.active()]
+        ),
     }
 
 
@@ -246,7 +245,6 @@ def _drive(
             cadence_seconds,
             config_hash=config_hash,
             process_plan=plan,
-            offset_seconds=CHECKPOINT_OFFSET_SECONDS,
         )
         crashes = 0
         repairs = 0

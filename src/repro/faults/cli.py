@@ -117,8 +117,8 @@ COMMANDS = (
         _SEED,
         flag(
             "--trace", default=None,
-            help="record the run: trace JSONL here, sidecars at <trace>.metrics.json, "
-            "<trace>.series.json and <trace>.alerts.json (same layout as obs smoke)",
+            help="record the run: trace JSONL here, sidecars at <trace>.metrics.json "
+            "and <trace>.series.json (same layout as obs smoke)",
         ),
         flag(
             "--crash-at", type=int, default=None, dest="crash_at",

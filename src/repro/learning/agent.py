@@ -129,16 +129,6 @@ class DQNAgent:
             self.target.clone_weights_from(self.online)
         return loss
 
-    # ----------------------------------------------------------- persistence
-    def snapshot(self) -> list[np.ndarray]:
-        """Weights for checkpointing (models are per-warehouse, never shared)."""
-        return self.online.get_parameters()
-
-    def restore(self, params: list[np.ndarray]) -> None:
-        self.online.set_parameters(params)
-        self.target.set_parameters(params)
-        self._state_text = None
-
     # ----------------------------------------------------------- durability
     def state_dict(self) -> dict:
         """Everything mutable: both networks (with optimizer moments), the
@@ -162,7 +152,7 @@ class DQNAgent:
         Only :meth:`learn_step` changes the networks and only an exploring
         :meth:`act` precedes a buffer write, each bumping one counter, so
         the text stands while ``(train_steps, env_steps)`` does;
-        :meth:`load_state_dict` and :meth:`restore` drop it.
+        :meth:`load_state_dict` drops it.
         """
         steps = (self.train_steps, self.env_steps)
         if self._state_text is None or self._state_text[0] != steps:

@@ -296,9 +296,10 @@ class SetIterationRule(Rule):
     history, and ``os.listdir``/``glob``/``Path.iterdir`` order on the
     filesystem; any telemetry row, ledger line, or report built from either
     is nondeterministic across runs.  Wrap in ``sorted(...)`` before
-    iterating.  Tracking is per scope: a name assigned an unordered value
-    stays unordered, and a method also knows the set-valued attributes its
-    class's ``__init__`` assigns.
+    iterating; ``sorted``/``min``/``max`` with ``key=`` keep key-tied
+    elements in input order, so they read it too.  Tracking is per scope: a
+    name assigned an unordered value stays unordered, and a method also
+    knows the set-valued attributes its class's ``__init__`` assigns.
     """
 
     rule_id = "R008"
@@ -314,6 +315,8 @@ class SetIterationRule(Rule):
     _LISTING_METHODS = frozenset({"glob", "rglob", "iterdir"})
     #: Consumers whose result does not depend on the order they read.
     _ORDER_FREE = frozenset({"sorted", "set", "frozenset", "any", "all"})
+    #: Consumers that, given ``key=``, keep key-tied elements in input order.
+    _KEYED = frozenset({"sorted", "min", "max"})
 
     def _is_set_expr(self, ctx: FileContext, node: ast.AST, set_vars: set[str]) -> bool:
         if isinstance(node, (ast.Set, ast.SetComp)):
@@ -379,12 +382,19 @@ class SetIterationRule(Rule):
         self, ctx: FileContext, body: list[ast.stmt], seed: frozenset[str]
     ) -> Iterator[Finding]:
         set_vars = self._scope_set_vars(ctx, body, seed)
+
+        def keyed(call: ast.Call) -> bool:
+            return ctx.qualified(call.func) in self._KEYED and any(
+                kw.arg == "key" for kw in call.keywords
+            )
+
         # Direct arguments of an order-free consumer: sorted(x for x in s).
         order_free = {
             id(arg)
             for stmt in body
             for node in ast.walk(stmt)
-            if isinstance(node, ast.Call) and ctx.qualified(node.func) in self._ORDER_FREE
+            if isinstance(node, ast.Call)
+            and ctx.qualified(node.func) in self._ORDER_FREE and not keyed(node)
             for arg in node.args
         }
 
@@ -411,10 +421,10 @@ class SetIterationRule(Rule):
                 elif isinstance(node, ast.Call) and id(node) not in order_free:
                     qualified = ctx.qualified(node.func)
                     is_join = isinstance(node.func, ast.Attribute) and node.func.attr == "join"
-                    if (qualified in self._MATERIALIZERS or is_join) and node.args:
+                    if (qualified in self._MATERIALIZERS or is_join or keyed(node)) and node.args:
                         if self._is_set_expr(ctx, node.args[0], set_vars):
-                            what = "str.join" if is_join else f"{qualified}()"
-                            yield flag(node, what)
+                            what = f"{qualified}(key=...)" if keyed(node) else f"{qualified}()"
+                            yield flag(node, "str.join" if is_join else what)
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         # Each function body is its own tracking scope; module level too.

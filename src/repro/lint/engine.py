@@ -53,9 +53,11 @@ def lint_project(
     rule_objs = list(rules) if rules is not None else get_rules(select)
     full_run = select is None and rules is None
     # One import statement can carry several aliases of the same module;
-    # identical whole-program findings collapse (Finding is frozen).
+    # identical whole-program findings collapse (Finding is frozen).  Dedup
+    # keeps first-seen order, so findings tied on sort_key stay in rule order.
     whole: dict[str, list[Finding]] = {}
-    for finding in sorted({f for rule in rule_objs for f in rule.check_project(project)}, key=Finding.sort_key):
+    found = dict.fromkeys(f for rule in rule_objs for f in rule.check_project(project))
+    for finding in sorted(found, key=Finding.sort_key):
         whole.setdefault(finding.file, []).append(finding)
 
     ran = {rule.rule_id for rule in rule_objs}

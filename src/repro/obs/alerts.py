@@ -14,19 +14,20 @@ turns monitor signals and SLO violations into a proper alert lifecycle:
 ``core/monitoring.py`` and ``core/optimizer.py`` record their backoff /
 spike / external-conflict decisions through this manager, so every
 self-correction in a run is auditable afterwards (``repro.cli obs
-alerts``).  Like everything in ``repro.obs``, timestamps are simulation
-time passed explicitly, and exports are byte-stable sorted JSON.
+alerts``, ``obs summarize``).  The trace's ``alert.*`` events are the one
+record of the lifecycle: the manager keeps only the dedup state that
+decides whether a call emits an event.  Like everything in ``repro.obs``,
+timestamps are simulation time passed explicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.stable_json import canonical_json
 from repro.obs.metrics import ObservabilityError, _check_name
 
 #: Alert severities, mildest first.  Severity is informational (it rides
-#: along in events and exports); the lifecycle does not depend on it.
+#: along in events); the lifecycle does not depend on it.
 SEVERITIES = ("info", "warning", "critical")
 
 
@@ -51,8 +52,6 @@ class AlertManager:
     def __init__(self, recorder):
         self._recorder = recorder
         self._active: dict[str, ActiveAlert] = {}
-        #: Every lifecycle transition, in emission order (plain JSON rows).
-        self.history: list[dict] = []
 
     # ------------------------------------------------------------- lifecycle
     def fire(
@@ -69,9 +68,6 @@ class AlertManager:
             active.refires += 1
             return False
         self._active[name] = ActiveAlert(name, severity, float(time))
-        self.history.append(
-            {"alert": name, "state": "fire", "severity": severity, "time": float(time)}
-        )
         self._recorder.emit(
             "alert.fire", time, alert=name, severity=severity, **attrs
         )
@@ -83,14 +79,6 @@ class AlertManager:
         active = self._active.pop(name, None)
         if active is None:
             return False
-        self.history.append(
-            {
-                "alert": name,
-                "state": "resolve",
-                "severity": active.severity,
-                "time": float(time),
-            }
-        )
         self._recorder.emit(
             "alert.resolve",
             time,
@@ -124,27 +112,11 @@ class AlertManager:
         """Currently-firing alerts, name-sorted."""
         return [self._active[name] for name in sorted(self._active)]
 
-    def __len__(self) -> int:
-        return len(self.history)
 
-    # -------------------------------------------------------------- exports
-    def snapshot(self) -> dict[str, object]:
-        return {
-            "active": [
-                {
-                    "alert": a.name,
-                    "severity": a.severity,
-                    "fired_at": a.fired_at,
-                    "refires": a.refires,
-                }
-                for a in self.active()
-            ],
-            "history": list(self.history),
-        }
-
-    def to_json(self) -> str:
-        """Byte-stable JSON export (sorted keys, compact separators)."""
-        return canonical_json(self.snapshot()) + "\n"
+def is_alert_event(record: dict) -> bool:
+    """An ``alert.fire``/``alert.resolve`` trace event: what every alert view reads."""
+    name = record.get("name")
+    return record.get("type") == "event" and name in ("alert.fire", "alert.resolve")
 
 
 class _NullAlertManager:

@@ -30,7 +30,7 @@ import pathlib
 import sys
 import time
 from collections import Counter
-from typing import IO, Callable
+from typing import IO
 
 from repro.common.cli import flag, non_negative_int
 from repro.common.errors import ObservabilityError
@@ -38,6 +38,7 @@ from repro.common.simtime import format_time
 from repro.common.stable_json import canonical_json, dumps_json
 from repro.obs import stream as obs_stream
 from repro.obs import watchtower as obs_watchtower
+from repro.obs.alerts import is_alert_event
 from repro.obs.profile import critical_path, diff_profiles, profile_records, to_folded
 from repro.obs.series import SeriesRegistry
 from repro.obs.slo import DEFAULT_SPEND_BUDGET_PER_HOUR, default_slos, evaluate_all
@@ -128,14 +129,15 @@ def _summary_payload(path: str, records: list[dict]) -> dict:
         ),
         "sidecars": {
             kind: sidecar_path(path, kind).is_file()
-            for kind in ("metrics", "series", "alerts", "campaign", "resources")
+            for kind in ("metrics", "series", "campaign", "resources")
         },
     }
 
 
 def summarize(args: argparse.Namespace, out: IO[str]) -> int:
     """Render the trace's shape; exit 1 when it contains no spans."""
-    payload = _summary_payload(args.trace, _load(args.trace))
+    records = _load(args.trace)
+    payload = _summary_payload(args.trace, records)
     if args.fmt == "json":
         out.write(dumps_json(payload))
         return _rot_guard(payload["n_spans"])
@@ -159,20 +161,8 @@ def summarize(args: argparse.Namespace, out: IO[str]) -> int:
     _render_counts("spans by name", payload["spans_by_name"], out)
     _render_counts("events by name", payload["events_by_name"], out)
     _summarize_metrics(args.trace, out)
-    _summarize_alerts(args.trace, out)
+    _summarize_alerts(records, out)
     return _rot_guard(payload["n_spans"])
-
-
-def _read_sidecar(
-    trace_path: str, kind: str, valid: Callable[[dict], bool]
-) -> tuple[pathlib.Path, dict]:
-    """Parse a trace's ``kind`` sidecar; ValueError naming the file unless
-    it is a JSON object that ``valid`` accepts."""
-    path = sidecar_path(trace_path, kind)
-    snapshot = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(snapshot, dict) or not valid(snapshot):
-        raise ValueError(f"{path}: not a {kind} sidecar")
-    return path, snapshot
 
 
 def _is_metrics(snapshot: dict) -> bool:
@@ -190,14 +180,6 @@ def _is_metrics(snapshot: dict) -> bool:
     )
 
 
-def _is_alerts(snapshot: dict) -> bool:
-    """``history`` and ``active`` are lists of lifecycle rows."""
-    return all(
-        isinstance(rows, list) and all(isinstance(row, dict) for row in rows)
-        for rows in (snapshot.get("history", []), snapshot.get("active", []))
-    )
-
-
 def _summarize_metrics(trace_path: str, out: IO[str], top: int = 5) -> None:
     """Render the metrics snapshot sitting next to a trace, when present.
 
@@ -206,11 +188,12 @@ def _summarize_metrics(trace_path: str, out: IO[str], top: int = 5) -> None:
     one-stop look at the run.  Silently skipped when absent or unreadable —
     the trace summary must not fail because a sidecar file rotted.
     """
+    metrics_path = sidecar_path(trace_path, "metrics")
     try:
-        metrics_path, snapshot = _read_sidecar(trace_path, "metrics", _is_metrics)
+        snapshot = json.loads(metrics_path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return
-    if not snapshot:
+    if not isinstance(snapshot, dict) or not snapshot or not _is_metrics(snapshot):
         return
     counters = {
         name: m for name, m in snapshot.items() if m.get("kind") == "counter"
@@ -234,42 +217,43 @@ def _summarize_metrics(trace_path: str, out: IO[str], top: int = 5) -> None:
             )
 
 
-def _summarize_alerts(trace_path: str, out: IO[str], top: int = 5) -> None:
-    """Render the alert lifecycle sidecar next to a trace, when present.
+def _summarize_alerts(records: list[dict], out: IO[str], top: int = 5) -> None:
+    """Render the alert lifecycle from the trace's ``alert.*`` events.
 
-    ``obs smoke`` (and the chaos runners) write ``<trace>.alerts.json``
-    alongside the trace; show fire/resolve counts, the loudest alerts,
-    and whatever is still burning.  Silently skipped when absent or
-    unreadable — same tolerance as :func:`_summarize_metrics`.
+    Show fire/resolve counts, the loudest alerts, and whatever is still
+    burning when its run ends.  A merged fleet trace holds one run per
+    manifest record, so open alerts are tracked per run: one run's
+    unresolved alert stays listed even if a later run reuses its name.
     """
-    try:
-        alerts_path, snapshot = _read_sidecar(trace_path, "alerts", _is_alerts)
-    except (OSError, ValueError):
+    fires: Counter[str] = Counter()
+    resolves = runs = 0
+    open_alerts: dict[tuple[int, str], str] = {}  # (run, alert) -> severity
+    for record in records:
+        runs += record.get("type") == "manifest"
+        if is_alert_event(record):
+            attrs = record.get("attrs", {})
+            name = str(attrs.get("alert", "?"))
+            key = (runs, name)
+            if record["name"] == "alert.fire":
+                fires[name] += 1
+                open_alerts[key] = str(attrs.get("severity", "?"))
+            else:
+                resolves += 1
+                open_alerts.pop(key, None)
+    if not fires and not resolves:
         return
-    history = snapshot.get("history", [])
-    active = snapshot.get("active", [])
-    if not history and not active:
-        return
-    fires = sum(1 for row in history if row.get("state") == "fire")
-    resolves = sum(1 for row in history if row.get("state") == "resolve")
+    n_fires = sum(fires.values())
     print(
-        f"alerts sidecar: {len(history)} lifecycle events "
-        f"({fires} fires, {resolves} resolves) ({alerts_path.name})",
+        f"alerts: {n_fires + resolves} lifecycle events "
+        f"({n_fires} fires, {resolves} resolves)",
         file=out,
     )
-    per_alert: dict[str, int] = {}
-    for row in history:
-        if row.get("state") == "fire":
-            name = str(row.get("alert", "<unnamed>"))
-            per_alert[name] = per_alert.get(name, 0) + 1
-    if per_alert:
+    if fires:
         print("top alerts by fires:", file=out)
-        for name in sorted(per_alert, key=lambda n: (-per_alert[n], n))[:top]:
-            print(f"  {name:<44} {per_alert[name]:>8}", file=out)
-    if active:
-        names = ", ".join(
-            f"{a.get('alert', '?')} ({a.get('severity', '?')})" for a in active
-        )
+        for name in sorted(fires, key=lambda n: (-fires[n], n))[:top]:
+            print(f"  {name:<44} {fires[name]:>8}", file=out)
+    if open_alerts:
+        names = ", ".join(f"{n} ({sev})" for (_, n), sev in sorted(open_alerts.items()))
         print(f"still active at end of run: {names}", file=out)
 
 
@@ -402,11 +386,7 @@ def slo(args: argparse.Namespace, out: IO[str]) -> int:
 
 def alerts(args: argparse.Namespace, out: IO[str]) -> int:
     """Render the alert fire/resolve timeline recorded in a trace."""
-    rows = [
-        r
-        for r in _load(args.trace)
-        if r.get("type") == "event" and r.get("name") in ("alert.fire", "alert.resolve")
-    ]
+    rows = [r for r in _load(args.trace) if is_alert_event(r)]
     if not rows:
         print("no alert events in trace", file=out)
         return 0
@@ -683,11 +663,6 @@ def smoke(args: argparse.Namespace, out: IO[str]) -> int:
         f"({len(rec.series)} bucketed series)",
         file=out,
     )
-    print(
-        f"alerts:  {sidecar_path(trace_path, 'alerts')} "
-        f"({len(rec.alerts)} lifecycle events)",
-        file=out,
-    )
     return summarize(argparse.Namespace(trace=str(trace_path), fmt="text"), out)
 
 
@@ -696,7 +671,7 @@ def campaign(args: argparse.Namespace, out: IO[str]) -> int:
 
     The fleet's observability leaves the workers as bounded payload chunks
     (docs/OBSERVABILITY.md §v4): spill-bounded sinks, spooled chunk files,
-    per-job heartbeats.  The merged trace and its metrics/series/alerts/
+    per-job heartbeats.  The merged trace and its metrics/series/
     campaign sidecars are byte-identical to a serial in-memory run of the
     same seeds; the ``.resources.json`` sidecar is the R018 quarantine and
     the only artifact CI must *not* compare across runs.
@@ -866,7 +841,7 @@ COMMANDS = (
         flag(
             "--out", default="trace.jsonl",
             help="trace JSONL output path (metrics land at <out>.metrics.json, "
-            "series at <out>.series.json, alerts at <out>.alerts.json)",
+            "series at <out>.series.json)",
         ),
     ),
     (
@@ -996,7 +971,7 @@ COMMANDS = (
         flag("--workers", type=int, default=0, help="worker processes (0 = in-process)"),
         flag(
             "--out", default="campaign.jsonl",
-            help="merged trace path (sidecars: <out>.metrics/.series/.alerts/"
+            help="merged trace path (sidecars: <out>.metrics/.series/"
             ".campaign/.resources.json)",
         ),
         flag(

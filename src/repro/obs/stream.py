@@ -241,9 +241,9 @@ class PayloadChunkMerger:
     holding more than one chunk in memory.  Streams fold one at a time:
     a second merger on the same recorder is refused until the first has
     merged its final chunk, since interleaved streams would interleave
-    records and span-id blocks.  Alert *dedup state* does not travel:
-    each scenario runs its own alert lifecycle (the fire/resolve events
-    are already in the records).
+    records and span-id blocks.  Alert dedup state does not travel: the
+    fire/resolve events in the records are the whole alert record, and
+    each scenario ran its own lifecycle.
     """
 
     def __init__(self, recorder):

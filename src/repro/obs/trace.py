@@ -51,7 +51,7 @@ TRACE_SCHEMA_VERSION = 1
 def sidecar_path(trace_path: str | pathlib.Path, kind: str) -> pathlib.Path:
     """Where a trace's ``kind`` sidecar lives: ``<trace>.<kind>.json``, or
     ``<trace>.report.md`` for the markdown run report.  :meth:`Recorder.dump`
-    writes metrics/series/alerts; ``obs campaign`` adds campaign/resources."""
+    writes metrics/series; ``obs campaign`` adds campaign/resources."""
     path = pathlib.Path(trace_path)
     extension = "md" if kind == "report" else "json"
     return path.with_name(f"{path.name}.{kind}.{extension}")
@@ -269,15 +269,11 @@ class Recorder:
         return spans
 
     def dump(self, trace_path: str | pathlib.Path) -> pathlib.Path:
-        """Write the trace JSONL and its metrics, series and alerts sidecars."""
+        """Write the trace JSONL and its metrics and series sidecars."""
         path = pathlib.Path(trace_path)
         self.sink.dump(path)
-        for kind, text in (
-            ("metrics", self.metrics.to_json()),
-            ("series", self.series.to_json()),
-            ("alerts", self.alerts.to_json()),
-        ):
-            sidecar_path(path, kind).write_text(text, encoding="utf-8")
+        sidecar_path(path, "metrics").write_text(self.metrics.to_json(), encoding="utf-8")
+        sidecar_path(path, "series").write_text(self.series.to_json(), encoding="utf-8")
         return path
 
     # --------------------------------------------------------------- metrics

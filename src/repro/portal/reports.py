@@ -6,6 +6,7 @@ Figures 2, 4 and 6 screenshot; no plotting dependency is available offline.
 
 from __future__ import annotations
 
+from repro.obs.alerts import is_alert_event
 from repro.obs.provenance import calibration_facts, event_outcome
 from repro.portal.dashboards import (
     ActionsDashboard,
@@ -120,11 +121,7 @@ def render_run_report(
         lines.append("_No savings reports in this trace._")
     lines.append("")
 
-    alert_rows = [
-        r
-        for r in records
-        if r.get("type") == "event" and r.get("name") in ("alert.fire", "alert.resolve")
-    ]
+    alert_rows = [r for r in records if is_alert_event(r)]
     lines += ["## Alert timeline", ""]
     if alert_rows:
         lines += [

@@ -70,8 +70,7 @@ class TestChaosSmoke:
             rec.sink.dump(tmp_path / f"{run}.jsonl")
             (tmp_path / f"{run}.metrics.json").write_text(rec.metrics.to_json())
             (tmp_path / f"{run}.series.json").write_text(rec.series.to_json())
-            (tmp_path / f"{run}.alerts.json").write_text(rec.alerts.to_json())
-        for suffix in (".jsonl", ".metrics.json", ".series.json", ".alerts.json"):
+        for suffix in (".jsonl", ".metrics.json", ".series.json"):
             a = (tmp_path / f"a{suffix}").read_bytes()
             b = (tmp_path / f"b{suffix}").read_bytes()
             assert a == b, f"{suffix} diverged across same-seed chaos runs"

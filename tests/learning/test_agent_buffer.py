@@ -149,16 +149,14 @@ class TestDQNAgent:
         x = np.ones(3)
         assert np.allclose(agent.target.forward(x), agent.online.forward(x), atol=0.5)
 
-    def test_snapshot_restore(self):
+    def test_state_dict_round_trip(self):
         agent = self.make_agent()
         for _ in range(30):
             agent.observe(transition())
-        snapshot = agent.snapshot()
-        q_before = agent.q_values(np.ones(3)).copy()
-        for _ in range(30):
-            agent.observe(transition(r=-10.0))
-        agent.restore(snapshot)
-        assert np.allclose(agent.q_values(np.ones(3)), q_before)
+        fresh = self.make_agent()
+        fresh.load_state_dict(agent.state_dict())
+        assert np.array_equal(fresh.q_values(np.ones(3)), agent.q_values(np.ones(3)))
+        assert fresh.state_text() == agent.state_text()
 
     def test_masked_next_state_bootstrap(self):
         """TD target must not bootstrap through masked next actions."""

@@ -669,6 +669,29 @@ class TestR008SetIteration:
         )
         assert found == []
 
+    def test_keyed_sort_of_set_flagged(self):
+        # key= keeps tied elements in input order: the set's order leaks.
+        found = findings_for(
+            "def f(a):\n    return sorted(set(a), key=len)\n",
+            "R008",
+        )
+        assert [f.line for f in found] == [2]
+        assert "sorted(key=...)" in found[0].message
+
+    def test_unkeyed_sort_of_set_clean(self):
+        assert findings_for("def f(a):\n    return sorted(set(a))\n", "R008") == []
+
+    def test_keyed_min_and_sorted_comprehension_flagged(self):
+        found = findings_for(
+            """\
+            def pick(names):
+                shortest = min(set(names), key=len)
+                return shortest, sorted((n for n in set(names)), key=len)
+            """,
+            "R008",
+        )
+        assert [f.line for f in found] == [2, 3]
+
     def test_listdir_counting_loop_flagged(self):
         # The loop is flagged whatever its body does: an order-free body
         # today is one append away from an ordered one.

@@ -1,7 +1,5 @@
 """Unit tests for the alert lifecycle manager."""
 
-import json
-
 import pytest
 
 from repro.obs import (
@@ -65,27 +63,13 @@ class TestQueriesAndExport:
         rec.alerts.fire("a.alert", 2.0)
         assert [a.name for a in rec.alerts.active()] == ["a.alert", "z.alert"]
 
-    def test_len_counts_lifecycle_transitions(self):
+    def test_active_carries_the_refire_count(self):
+        # The one lifecycle fact no trace event holds until the resolve.
         rec = Recorder()
-        rec.alerts.fire("a.alert", 1.0)
-        rec.alerts.fire("a.alert", 2.0)  # dedup: not a transition
-        rec.alerts.resolve("a.alert", 3.0)
-        assert len(rec.alerts) == 2
-
-    def test_snapshot_and_byte_stable_export(self):
-        def build():
-            rec = Recorder()
-            rec.alerts.fire("b.alert", 1.0, severity="critical")
-            rec.alerts.fire("a.alert", 2.0)
-            rec.alerts.resolve("b.alert", 3.0)
-            return rec.alerts
-
-        alerts = build()
-        snap = alerts.snapshot()
-        assert [a["alert"] for a in snap["active"]] == ["a.alert"]
-        assert [h["state"] for h in snap["history"]] == ["fire", "fire", "resolve"]
-        assert build().to_json() == alerts.to_json()
-        assert json.loads(alerts.to_json())
+        rec.alerts.fire("a.alert", 1.0, severity="critical")
+        rec.alerts.fire("a.alert", 2.0)
+        (active,) = rec.alerts.active()
+        assert (active.severity, active.fired_at, active.refires) == ("critical", 1.0, 1)
 
 
 class TestNullPath:

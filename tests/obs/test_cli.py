@@ -10,6 +10,7 @@ import pytest
 from repro.cli import build_parser
 from repro.common.cli import run_command
 from repro.obs import Recorder, RunManifest
+from repro.obs.stream import PayloadChunkMerger, payload_chunks
 
 
 def obs(*argv, out=None):
@@ -241,33 +242,74 @@ class TestReport:
         assert obs("report", tmp_path / "absent.jsonl") == 2
 
 
-class TestSummarizeAlertsSidecar:
-    def test_alerts_sidecar_rendered_when_present(self, tmp_path):
-        path = _write_observed_run(tmp_path, degraded=True)
-        rec = Recorder(manifest=RunManifest(scenario="t", seed=1, config_hash="ab"))
-        rec.alerts.fire("optimizer.backoff.wh", 300.0, reason="latency")
-        rec.alerts.resolve("optimizer.backoff.wh", 900.0)
-        rec.alerts.fire("monitor.slo_breach.wh", 1200.0, severity="critical")
-        (tmp_path / "t.jsonl.alerts.json").write_text(rec.alerts.to_json())
+def _alerting_session(scenario, alerts):
+    """One run's recorder: a span, then ``alerts`` as (call, name, time, severity)."""
+    rec = Recorder(manifest=RunManifest(scenario=scenario, seed=1, config_hash="ab"))
+    with rec.span("tick", 0.0):
+        pass
+    for call, name, time, severity in alerts:
+        if call == "fire":
+            rec.alerts.fire(name, time, severity=severity)
+        else:
+            rec.alerts.resolve(name, time)
+    return rec
+
+
+class TestSummarizeAlerts:
+    def test_alerts_rendered_from_trace_events(self, tmp_path):
+        rec = _alerting_session("t", [
+            ("fire", "optimizer.backoff.wh", 300.0, "warning"),
+            ("fire", "optimizer.backoff.wh", 600.0, "warning"),  # deduplicated
+            ("resolve", "optimizer.backoff.wh", 900.0, None),
+            ("fire", "monitor.slo_breach.wh", 1200.0, "critical"),
+        ])
+        path = rec.dump(tmp_path / "t.jsonl")
         out = io.StringIO()
         assert obs("summarize", path, out=out) == 0
         text = out.getvalue()
-        assert "alerts sidecar: 3 lifecycle events (2 fires, 1 resolves)" in text
+        assert "alerts: 3 lifecycle events (2 fires, 1 resolves)" in text
         assert "top alerts by fires:" in text
         assert "still active at end of run: monitor.slo_breach.wh (critical)" in text
 
-    def test_no_sidecar_keeps_summary_quiet(self, tmp_path):
+    def test_no_alert_events_keeps_summary_quiet(self, tmp_path):
         path = _write_observed_run(tmp_path)
         out = io.StringIO()
         assert obs("summarize", path, out=out) == 0
-        assert "alerts sidecar" not in out.getvalue()
+        assert "alerts:" not in out.getvalue()
 
-    def test_corrupt_sidecar_does_not_break_summary(self, tmp_path):
-        path = _write_observed_run(tmp_path)
-        (tmp_path / "t.jsonl.alerts.json").write_text("not json")
-        out = io.StringIO()
-        assert obs("summarize", path, out=out) == 0
-        assert "alerts sidecar" not in out.getvalue()
+    def test_merged_fleet_trace_keeps_its_alerts(self, tmp_path):
+        # Two runs folded the way a fleet folds its workers.  Run b fires
+        # and resolves the alert run a left open; a's stays open.
+        parent = Recorder()
+        for session in (
+            _alerting_session("a", [
+                ("fire", "optimizer.backoff.wh", 100.0, "warning"),
+                ("resolve", "optimizer.backoff.wh", 200.0, None),
+                ("fire", "monitor.slo_breach.wh", 300.0, "critical"),
+            ]),
+            _alerting_session("b", [
+                ("fire", "monitor.slo_breach.wh", 400.0, "critical"),
+                ("resolve", "monitor.slo_breach.wh", 500.0, None),
+            ]),
+        ):
+            merger = PayloadChunkMerger(parent)
+            for chunk in payload_chunks(session, max_events=2):
+                merger.merge(chunk)
+        path = parent.dump(tmp_path / "fleet.jsonl")
+        summary, timeline = io.StringIO(), io.StringIO()
+        assert obs("summarize", path, out=summary) == 0
+        assert obs("alerts", path, out=timeline) == 0
+        lines = timeline.getvalue().splitlines()
+        fires = sum(" FIRE " in line for line in lines)
+        resolves = sum(" RESOLVE " in line for line in lines)
+        assert (fires, resolves) == (3, 2)
+        assert lines[-1] == "5 alert events, 1 still active at end of run"
+        text = summary.getvalue()
+        assert (
+            f"alerts: {fires + resolves} lifecycle events "
+            f"({fires} fires, {resolves} resolves)"
+        ) in text
+        assert "still active at end of run: monitor.slo_breach.wh (critical)" in text
 
 
 def _write_provenance_trace(path, conserve=True, warehouse="WH"):
@@ -572,10 +614,11 @@ class TestCampaignCli:
         ) == 0
         assert "campaign: 1 scenario(s)" in out.getvalue()
         for suffix in (
-            "", ".metrics.json", ".series.json", ".alerts.json",
+            "", ".metrics.json", ".series.json",
             ".campaign.json", ".resources.json",
         ):
             assert (tmp_path / f"c.jsonl{suffix}").is_file(), suffix
+        assert not (tmp_path / "c.jsonl.alerts.json").exists()
         summary = json.loads((tmp_path / "c.jsonl.campaign.json").read_text())
         assert summary["complete"] is True
         resources = json.loads((tmp_path / "c.jsonl.resources.json").read_text())
@@ -596,7 +639,7 @@ class TestMalformedInputs:
         [
             (["summarize", "{t}"], {"t.jsonl.metrics.json": '{"x": {"kind": "counter"}}'}, 0),
             (["summarize", "{t}"], {"t.jsonl.metrics.json": '{"x": 1}'}, 0),
-            (["summarize", "{t}"], {"t.jsonl.alerts.json": '{"history": [1]}'}, 0),
+            (["summarize", "{t}"], {"t.jsonl.metrics.json": "[1]"}, 0),
             (["slo", "{t}", "--series", "{d}/s.json"], {"s.json": '{"a": 1}'}, 2),
             (
                 ["watchtower", "{d}/store.jsonl", "--baseline", "{d}/b.json"],
